@@ -8,7 +8,8 @@ committees: priceability, laminar proportionality, justified-representation
 axioms, core stability and its constrained/approximate variants, and the
 Pigou-Dalton and Pareto principles.
 
-All computations use ``fractions.Fraction``; no floating point is involved
+All results are ``fractions.Fraction`` or ``int``; the rules compute on ints
+over a common denominator internally.  No floating point is involved
 anywhere in the election logic, so results are exact and reproducible.
 """
 
@@ -45,6 +46,7 @@ from abcvote.laminar import (
 from abcvote.model import (
     Committee,
     ElectionInstance,
+    InternalInvariantError,
     ParseError,
     Rational,
     SearchBudgetExceeded,
@@ -74,6 +76,7 @@ __all__ = [
     "Deviation",
     "ElectionInstance",
     "FIXTURE_NAMES",
+    "InternalInvariantError",
     "ParseError",
     "PartyListInstance",
     "PhragmenTrace",

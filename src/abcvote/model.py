@@ -48,6 +48,14 @@ class SearchBudgetExceeded(RuntimeError):
     """
 
 
+class InternalInvariantError(RuntimeError):
+    """Raised when a re-check of a result against its definition fails.
+
+    This signals a bug in the library, never a property of the input; the
+    checks are ordinary code, so they also run under ``python -O``.
+    """
+
+
 @dataclass(frozen=True)
 class ElectionInstance:
     """An approval election: candidates, approval ballots, committee size.

@@ -1,4 +1,4 @@
-"""Committee voting rules, all in exact rational arithmetic.
+"""Committee voting rules, all in exact arithmetic.
 
 Implemented rules:
 
@@ -17,6 +17,13 @@ Implemented rules:
   leftover budgets.
 * ``dhondt`` -- highest-averages apportionment for party vote counts.
 
+The inner loops compute on Python ints over a common denominator: PAV and
+seq-PAV score with the weights lcm(1..k)/(u+1), and the two money-based
+rules keep every balance, budget and the clock as an int numerator over
+one running denominator, which grows only at a purchase.  Every value a
+rule returns is an exact ``Fraction``, equal to what the plain
+``Fraction`` computation gives.
+
 Ties are always broken lexicographically (smallest candidate index), which
 makes every rule fully deterministic.
 """
@@ -26,11 +33,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Sequence
 
 from abcvote.model import (
     Committee,
     ElectionInstance,
+    InternalInvariantError,
     Rational,
     SearchBudgetExceeded,
 )
@@ -46,6 +55,29 @@ def harmonic(t: int) -> Rational:
     while len(_harmonic_cache) <= t:
         _harmonic_cache.append(_harmonic_cache[-1] + Fraction(1, len(_harmonic_cache)))
     return _harmonic_cache[t]
+
+
+def _pav_weights(k: int) -> list[int]:
+    """w[u] = L/(u+1) for u < k, with L = lcm(1..k): the marginal PAV gain
+    of a voter's (u+1)-st approved member, scaled to an int by L."""
+    scale = lcm(*range(1, k + 1))
+    return [scale // (u + 1) for u in range(k)]
+
+
+def _approver_lists(instance: ElectionInstance) -> list[list[int]]:
+    """Approvers of every candidate, in increasing voter order, built in one
+    pass over the ballots."""
+    out: list[list[int]] = [[] for _ in instance.candidates]
+    for i, ballot in enumerate(instance.approvals):
+        for c in ballot:
+            out[c].append(i)
+    return out
+
+
+def _fractions(numerators: list[int], denominator: int) -> list[Rational]:
+    """Fraction(v, denominator) for every v, building each distinct value once."""
+    made = {v: Fraction(v, denominator) for v in set(numerators)}
+    return [made[v] for v in numerators]
 
 
 def pav_score(instance: ElectionInstance, committee: Committee) -> Rational:
@@ -67,30 +99,30 @@ def pav_winners(
     so no optimum is pruned, and ties are never pruned either (only strictly
     dominated branches are cut).  Identical ballots are grouped into weight
     classes, so many voters with few distinct ballots cost nothing extra.
+    Scores are ints scaled by lcm(1..k), which changes no comparison.
 
     Raises SearchBudgetExceeded when the search tree outgrows ``node_budget``
     -- the instance is then too large for exact PAV.
     """
     m, k = instance.num_candidates, instance.committee_size
+    weights = _pav_weights(k)
     classes = list(Counter(instance.approvals).items())  # (ballot, weight)
     supporters = [
         [j for j, (ballot, _) in enumerate(classes) if c in ballot]
         for c in instance.candidates
     ]
+    sizes = [size for _, size in classes]
     utilities = [0] * len(classes)
-    best: list[Rational] = [Fraction(-1)]
+    best = -1
     winners: list[tuple[int, ...]] = []
     chosen: list[int] = []
     nodes = 0
 
-    def solo_gain(c: int) -> Rational:
-        return sum(
-            (Fraction(classes[j][1], utilities[j] + 1) for j in supporters[c]),
-            Fraction(0),
-        )
+    def solo_gain(c: int) -> int:
+        return sum([sizes[j] * weights[utilities[j]] for j in supporters[c]])
 
-    def walk(pos: int, score: Rational) -> None:
-        nonlocal nodes
+    def walk(pos: int, score: int) -> None:
+        nonlocal nodes, best
         nodes += 1
         if nodes > node_budget:
             raise SearchBudgetExceeded(
@@ -99,10 +131,10 @@ def pav_winners(
             )
         seats_left = k - len(chosen)
         if seats_left == 0:
-            if score > best[0]:
-                best[0] = score
+            if score > best:
+                best = score
                 winners.clear()
-            if score == best[0]:
+            if score == best:
                 winners.append(tuple(chosen))
             return
         if m - pos < seats_left:
@@ -110,8 +142,7 @@ def pav_winners(
         if m - pos > seats_left:
             # branch-and-bound cut (never cuts ties: strict comparison)
             gains = sorted((solo_gain(c) for c in range(pos, m)), reverse=True)
-            bound = score + sum(gains[:seats_left], Fraction(0))
-            if bound < best[0]:
+            if score + sum(gains[:seats_left]) < best:
                 return
         # include pos
         chosen.append(pos)
@@ -125,28 +156,25 @@ def pav_winners(
         # skip pos
         walk(pos + 1, score)
 
-    walk(0, Fraction(0))
+    walk(0, 0)
     return [frozenset(w) for w in sorted(winners)]
 
 
 def seq_pav(instance: ElectionInstance) -> Committee:
     """Greedy PAV: repeatedly add the candidate with the largest marginal
     contribution to the PAV score (smallest index on ties)."""
-    approvers = [instance.approvers(c) for c in instance.candidates]
+    weights = _pav_weights(instance.committee_size)
+    approvers = _approver_lists(instance)
     utilities = [0] * instance.num_voters
+    remaining = list(instance.candidates)
     committee: set[int] = set()
+
+    def gain(c: int) -> int:
+        return sum([weights[utilities[i]] for i in approvers[c]])
+
     for _ in range(instance.committee_size):
-        best_gain: Rational | None = None
-        best_c = None
-        for c in instance.candidates:
-            if c in committee:
-                continue
-            gain = sum(
-                (Fraction(1, utilities[i] + 1) for i in approvers[c]), Fraction(0)
-            )
-            if best_gain is None or gain > best_gain:
-                best_gain, best_c = gain, c
-        assert best_c is not None
+        best_c = max(remaining, key=gain)  # max keeps the first, smallest index
+        remaining.remove(best_c)
         committee.add(best_c)
         for i in approvers[best_c]:
             utilities[i] += 1
@@ -184,10 +212,9 @@ def phragmen_sequential(instance: ElectionInstance) -> PhragmenTrace:
     if no remaining candidate has any approver (the committee is then
     undersized).
     """
-    trace = _phragmen_run(
+    trace, _ = _phragmen_run(
         instance,
-        balances=[Fraction(0)] * instance.num_voters,
-        start_time=Fraction(0),
+        balances=[0] * instance.num_voters,
         excluded=frozenset(),
         seats=instance.committee_size,
     )
@@ -196,47 +223,61 @@ def phragmen_sequential(instance: ElectionInstance) -> PhragmenTrace:
 
 def _phragmen_run(
     instance: ElectionInstance,
-    balances: list[Rational],
-    start_time: Rational,
+    balances: Sequence[int | Rational],
     excluded: frozenset[int],
     seats: int,
-) -> PhragmenTrace:
+) -> tuple[PhragmenTrace, list[tuple[int, list[int]]]]:
+    """Money-earning run from the given starting balances at time 0.
+
+    Balances, the price and the clock are int numerators over a common
+    denominator ``den``; each delay multiplies ``den`` (and every
+    numerator) by the denominator of its scaled value, which makes the
+    delay an int.  Returns the trace and, per purchase, ``(den, balances)``
+    right after it.
+    """
     n, k = instance.num_voters, instance.committee_size
-    price = Fraction(n, k)
-    approvers = {
-        c: sorted(instance.approvers(c))
-        for c in instance.candidates
-        if c not in excluded and instance.approvers(c)
-    }
-    t = start_time
+    den = lcm(k, *(b.denominator for b in balances))
+    scaled = [b.numerator * (den // b.denominator) for b in balances]
+    price = n * den // k
+    clock = 0
+    approvers = _approver_lists(instance)
+    remaining = [c for c in instance.candidates if c not in excluded and approvers[c]]
     elected: list[int] = []
     times: list[Rational] = []
     payments: list[dict[int, Rational]] = []
-    while len(elected) < seats and approvers:
-        best_delay: Rational | None = None
-        best_c = None
-        for c in sorted(approvers):
+    snapshots: list[tuple[int, list[int]]] = []
+    while len(elected) < seats and remaining:
+        # the smallest delay missing/size; 1/0 stands for "none seen yet"
+        best_c, best_missing, best_size = -1, 1, 0
+        for c in remaining:
             group = approvers[c]
-            missing = price - sum(balances[i] for i in group)
-            delay = missing / len(group)
-            if delay < 0:
-                delay = Fraction(0)
-            if best_delay is None or delay < best_delay:
-                best_delay, best_c = delay, c
-        assert best_c is not None and best_delay is not None
-        if best_delay > 0:
-            t += best_delay
-            for i in range(n):
-                balances[i] += best_delay
-        step = {i: balances[i] for i in approvers[best_c] if balances[i] > 0}
-        for i in approvers[best_c]:
-            balances[i] = Fraction(0)
-        assert sum(step.values(), Fraction(0)) == price
+            missing = price - sum([scaled[i] for i in group])
+            if missing < 0:
+                missing = 0
+            if missing * best_size < best_missing * len(group):
+                best_c, best_missing, best_size = c, missing, len(group)
+        if best_missing:
+            delay = Fraction(best_missing, best_size)
+            step, grow = delay.denominator, delay.numerator
+            den, price, clock = den * step, price * step, clock * step + grow
+            scaled = [b * step + grow for b in scaled]
+        group = approvers[best_c]
+        paid = [i for i in group if scaled[i] > 0]
+        owed = [scaled[i] for i in paid]
+        if sum(owed) != price:
+            raise InternalInvariantError(
+                f"Phragmen step {len(elected)}: payments for candidate {best_c} "
+                "do not add up to the price"
+            )
+        amounts = _fractions(owed, den)
+        for i in group:
+            scaled[i] = 0
         elected.append(best_c)
-        times.append(t)
-        payments.append(step)
-        del approvers[best_c]
-    return PhragmenTrace(tuple(elected), tuple(times), tuple(payments))
+        times.append(Fraction(clock, den))
+        payments.append(dict(zip(paid, amounts)))
+        snapshots.append((den, scaled.copy()))
+        remaining.remove(best_c)
+    return PhragmenTrace(tuple(elected), tuple(times), tuple(payments)), snapshots
 
 
 @dataclass(frozen=True)
@@ -262,30 +303,25 @@ class RuleXTrace:
         return frozenset(self.elected)
 
 
-def min_affordable_q(budgets: Sequence[Rational], price: Rational) -> Rational | None:
+def min_affordable_q(
+    budgets: Sequence[int | Rational], price: int | Rational
+) -> Rational | None:
     """Smallest q with sum_i min(q, b_i) >= price, or None if unaffordable.
 
+    ``price`` must be positive; budgets and price may be ints or Fractions.
     Sort the budgets; if the j poorest supporters pay their full budget and
     the rest pay q each, then q = (price - poorest total) / (count - j).
-    The split is valid when q covers the j-th budget but not the (j+1)-st.
+    f(q) = sum_i min(q, b_i) increases strictly up to the largest budget, so
+    the first j whose split reaches the price at q = b_j gives the minimal q.
     """
-    bs = sorted(Fraction(b) for b in budgets)
+    bs = sorted(budgets)
     count = len(bs)
-    prefix = Fraction(0)
-    best: Rational | None = None
-    for j in range(count):
-        # poorest j pay everything, the remaining count-j split the rest
-        q = (price - prefix) / (count - j)
-        if q >= 0 and (j == 0 or q >= bs[j - 1]) and q <= bs[j]:
-            if best is None or q < best:
-                best = q
-        prefix += bs[j]
-    if prefix == price:
-        # everyone pays their entire budget
-        q = bs[-1] if bs else None
-        if q is not None and (best is None or q < best):
-            best = q
-    return best
+    prefix = 0
+    for j, b in enumerate(bs):
+        if prefix + (count - j) * b >= price:
+            return Fraction(price - prefix, count - j)
+        prefix += b
+    return None
 
 
 def rule_x(
@@ -304,29 +340,31 @@ def rule_x(
     ``tie_choices`` may map a 0-based step number to a candidate that should
     be picked at that step instead of the lexicographic default; the choice
     must be within that step's minimal-q tie set, otherwise ValueError.
+
+    Budgets are int numerators over a common denominator ``den`` (so the
+    price n/k is ``n`` at the start, when ``den`` is k); each purchase
+    multiplies ``den`` by the denominator of its scaled q, which makes the
+    payments ints.
     """
     n, k = instance.num_voters, instance.committee_size
-    price = Fraction(n, k)
-    budget = [Fraction(1)] * n
-    approvers = {c: sorted(instance.approvers(c)) for c in instance.candidates}
+    den = k
+    price = n
+    budget = [k] * n
+    approvers = _approver_lists(instance)
+    remaining = list(instance.candidates)
     elected: list[int] = []
     qs: list[Rational] = []
     snapshots: list[tuple[Rational, ...]] = []
     while len(elected) < k:
-        best_q: Rational | None = None
-        best_c = None
         options: dict[int, Rational] = {}
-        for c in instance.candidates:
-            if c in elected:
-                continue
+        for c in remaining:
             q = min_affordable_q([budget[i] for i in approvers[c]], price)
-            if q is None:
-                continue
-            options[c] = q
-            if best_q is None or q < best_q:
-                best_q, best_c = q, c
-        if best_c is None:
+            if q is not None:
+                options[c] = q
+        if not options:
             break
+        best_q = min(options.values())
+        best_c = next(c for c, q in options.items() if q == best_q)
         if tie_choices is not None and len(elected) in tie_choices:
             wanted = tie_choices[len(elected)]
             if options.get(wanted) != best_q:
@@ -335,12 +373,18 @@ def rule_x(
                     f"minimal-q tie set"
                 )
             best_c = wanted
-        assert best_q is not None
+        step = best_q.denominator
+        if step > 1:
+            den *= step
+            price *= step
+            budget = [b * step for b in budget]
+        q = best_q.numerator
         for i in approvers[best_c]:
-            budget[i] -= min(best_q, budget[i])
+            budget[i] = max(budget[i] - q, 0)
+        remaining.remove(best_c)
         elected.append(best_c)
-        qs.append(best_q)
-        snapshots.append(tuple(budget))
+        qs.append(Fraction(q, den))
+        snapshots.append(tuple(_fractions(budget, den)))
     return RuleXTrace(
         elected=tuple(elected),
         q_values=tuple(qs),
@@ -368,30 +412,18 @@ def rule_x_complete(
     trace = rule_x(instance, tie_choices=tie_choices)
     if strategy == "none" or len(trace.elected) == instance.committee_size:
         return trace
-    leftovers = list(trace.budgets[-1]) if trace.budgets else [Fraction(1)] * instance.num_voters
-    continuation = _phragmen_run(
+    leftovers = trace.budgets[-1] if trace.budgets else [1] * instance.num_voters
+    continuation, balances = _phragmen_run(
         instance,
-        balances=list(leftovers),  # _phragmen_run mutates its balance list
-        start_time=Fraction(0),
+        balances=leftovers,
         excluded=frozenset(trace.elected),
         seats=instance.committee_size - len(trace.elected),
     )
     elected = trace.elected + continuation.elected
-    snapshots = list(trace.budgets)
-    balances = leftovers[:]
-    # reconstruct post-purchase budget snapshots for the continuation steps
-    prev_time = Fraction(0)
-    for step, (c, t) in enumerate(zip(continuation.elected, continuation.election_times)):
-        growth = t - prev_time
-        balances = [b + growth for b in balances]
-        for i, amount in continuation.payments[step].items():
-            balances[i] -= amount
-        prev_time = t
-        snapshots.append(tuple(balances))
     return RuleXTrace(
         elected=elected,
         q_values=trace.q_values,
-        budgets=tuple(snapshots),
+        budgets=trace.budgets + tuple(tuple(_fractions(b, den)) for den, b in balances),
         completed=len(elected) > len(trace.elected),
     )
 

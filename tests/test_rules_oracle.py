@@ -1,0 +1,179 @@
+"""Differential tests: the integer kernels of ``abcvote.rules`` against the
+plain ``Fraction`` implementations kept in ``tests/oracles.py``.
+
+Every trace must agree in full (committees, election times, payments,
+q-values, budget snapshots, ``completed``), and every rational in it must
+still be a ``Fraction``.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from abcvote import rules
+from abcvote.generators import FIXTURE_NAMES, fixture
+from abcvote.model import ElectionInstance, SearchBudgetExceeded
+from tests import oracles
+from tests.conftest import instances
+
+F = Fraction
+
+#: Fixtures small enough for the Fraction PAV search at its default budget.
+FULL_PAV_FIXTURES = [
+    name for name in FIXTURE_NAMES if fixture(name).num_candidates <= 30
+]
+
+
+def assert_fractions(values) -> None:
+    assert all(type(v) is Fraction for v in values)
+
+
+def assert_same_phragmen(inst: ElectionInstance) -> None:
+    trace = rules.phragmen_sequential(inst)
+    assert trace == oracles.phragmen_sequential(inst)
+    assert_fractions(trace.election_times)
+    for step in trace.payments:
+        assert_fractions(step.values())
+
+
+def assert_same_rule_x(inst: ElectionInstance, tie_choices=None) -> None:
+    full = rules.rule_x_complete(inst, "phragmen_continuation", tie_choices)
+    assert full == oracles.rule_x_complete(inst, "phragmen_continuation", tie_choices)
+    assert_fractions(full.q_values)
+    for snapshot in full.budgets:
+        assert_fractions(snapshot)
+
+
+def tie_sets(inst: ElectionInstance) -> list[tuple[int, list[int]]]:
+    """(step, minimal-q tie set) along the default Rule X run, computed with
+    the Fraction oracle."""
+    trace = oracles.rule_x(inst)
+    assert rules.rule_x(inst) == trace
+    price = F(inst.num_voters, inst.committee_size)
+    budgets = (F(1),) * inst.num_voters
+    out = []
+    for step, q in enumerate(trace.q_values):
+        tied = [
+            c
+            for c in inst.candidates
+            if c not in trace.elected[:step]
+            and oracles.min_affordable_q([budgets[i] for i in inst.approvers(c)], price) == q
+        ]
+        out.append((step, tied))
+        budgets = trace.budgets[step]
+    return out
+
+
+def assert_same_rule_x_ties(inst: ElectionInstance, sample: int | None = None) -> None:
+    """Agree on the default run and on every single-step tie choice along
+    it (or on ``sample`` of them spread evenly, when there are more), and
+    reject the same non-tied choice at the last step."""
+    assert_same_rule_x(inst)
+    ties = tie_sets(inst)
+    choices = [(step, c) for step, tied in ties for c in tied]
+    if sample is not None and len(choices) > sample:
+        choices = choices[:: -(-len(choices) // sample)]
+    for step, c in choices:
+        assert_same_rule_x(inst, {step: c})
+    if ties:
+        step, tied = ties[-1]
+        untied = [c for c in inst.candidates if c not in tied]
+        if untied:
+            for run in (rules.rule_x, oracles.rule_x):
+                with pytest.raises(ValueError, match="tie set"):
+                    run(inst, {step: untied[0]})
+
+
+def pav_outcome(run, inst: ElectionInstance, node_budget: int):
+    try:
+        return run(inst, node_budget)
+    except SearchBudgetExceeded as exc:
+        return ("budget exceeded", str(exc))
+
+
+def assert_same_pav(inst: ElectionInstance, node_budget: int) -> None:
+    assert pav_outcome(rules.pav_winners, inst, node_budget) == pav_outcome(
+        oracles.pav_winners, inst, node_budget
+    )
+
+
+# ---------------------------------------------------------------------------
+# catalogue
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_sequential_rules_match_oracle_on_catalogue(name):
+    inst = fixture(name)
+    assert_same_phragmen(inst)
+    # up to 17466 tie choices per profile, at up to 0.4 s each: the random
+    # instances below try every one, the catalogue an even sample
+    assert_same_rule_x_ties(inst, sample=6)
+    assert rules.seq_pav(inst) == oracles.seq_pav(inst)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_pav_matches_oracle_on_catalogue_small_budgets(name):
+    for node_budget in (1, 10, 300):
+        assert_same_pav(fixture(name), node_budget)
+
+
+@pytest.mark.parametrize("name", FULL_PAV_FIXTURES)
+def test_pav_matches_oracle_on_catalogue(name):
+    assert_same_pav(fixture(name), rules.DEFAULT_PAV_NODE_BUDGET)
+
+
+# ---------------------------------------------------------------------------
+# random instances
+
+
+@settings(deadline=None, max_examples=150)
+@given(instances())
+def test_phragmen_and_seq_pav_match_oracle(inst):
+    assert_same_phragmen(inst)
+    assert rules.seq_pav(inst) == oracles.seq_pav(inst)
+
+
+@settings(deadline=None, max_examples=150)
+@given(instances())
+def test_rule_x_matches_oracle_for_every_tie_choice(inst):
+    assert_same_rule_x_ties(inst)
+
+
+@settings(deadline=None, max_examples=60)
+@given(instances(max_voters=5, max_candidates=6))
+def test_pav_raises_exactly_when_oracle_raises(inst):
+    # raise at every budget below the oracle's node count, agree from it on
+    node_budget = 1
+    while True:
+        outcome = pav_outcome(oracles.pav_winners, inst, node_budget)
+        assert pav_outcome(rules.pav_winners, inst, node_budget) == outcome
+        if isinstance(outcome, list):
+            break
+        node_budget += 1
+
+
+budget_values = st.one_of(
+    st.integers(0, 12), st.fractions(min_value=0, max_value=3, max_denominator=12)
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.lists(budget_values, max_size=8),
+    st.fractions(min_value=F(1, 12), max_value=12, max_denominator=12),
+)
+def test_min_affordable_q_matches_oracle(budgets, price):
+    q = rules.min_affordable_q(budgets, price)
+    assert q == oracles.min_affordable_q(budgets, price)
+    assert q is None or type(q) is Fraction
+    # scaled int budgets give the scaled q
+    den = 12
+    scaled = [int(b * den) for b in budgets]
+    if all(b * den == s for b, s in zip(budgets, scaled)) and price * den % 1 == 0:
+        scaled_q = rules.min_affordable_q(scaled, int(price * den))
+        assert scaled_q == (None if q is None else q * den)
+        assert scaled_q is None or type(scaled_q) is Fraction
