@@ -50,6 +50,7 @@ from abcvote.model import (
     ParseError,
     Rational,
     SearchBudgetExceeded,
+    ballot_classes,
     format_committee,
     format_rational,
     instance_digest,
@@ -84,6 +85,7 @@ __all__ = [
     "Rational",
     "RuleXTrace",
     "SearchBudgetExceeded",
+    "ballot_classes",
     "check_core_subject_to",
     "check_ejr",
     "check_laminar",

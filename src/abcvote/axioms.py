@@ -1,9 +1,12 @@
 """Proportionality axiom checkers, each returning an explicit witness.
 
 The checkers are exhaustive within an explicit subset budget and fail
-loudly (SearchBudgetExceeded) beyond it; witnesses found by a linear
-program are always re-validated against the raw definition in plain
-rational arithmetic before they are returned.
+loudly (SearchBudgetExceeded) beyond it; witnesses are re-validated
+against the raw definition in plain rational arithmetic before they are
+returned, and a failed re-check raises InternalInvariantError.  Where a
+search skips work (identical ballots grouped, sets that cannot block or
+qualify left out), the skipped part provably holds no witness, and each
+docstring says why.
 
 Searches enumerate candidate sets in sorted-tuple lexicographic order
 ((0,), (0,1), (0,1,2), ..., (0,2), ..., (1,), ...), so the first witness
@@ -15,14 +18,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import floor
 from typing import Iterator, Sequence
 
-from abcvote.lp import EQ, LE, LinearProgram, lp_feasible, lp_maximize
+from abcvote.lp import EQ, LE, LinearProgram, lp_maximize
 from abcvote.model import (
     Committee,
     ElectionInstance,
+    InternalInvariantError,
     Rational,
     SearchBudgetExceeded,
+    ballot_classes,
     restrict_profile,
     welfare_vector,
 )
@@ -39,6 +45,9 @@ PJR = "pjr"
 EJR = "ejr"
 
 _PROPERTY_KINDS = (COHESIVE, PRICE_EQ, PRICEABLE)
+
+#: Distinct ballots with their voters, as ``model.ballot_classes`` returns.
+_Classes = list[tuple[frozenset[int], list[int]]]
 
 
 @dataclass(frozen=True)
@@ -116,23 +125,36 @@ def check_priceable(
     committee is priceable exactly when the exact optimum is positive.
     Payment variables exist only where they may be positive (approved and
     elected), and the returned witness is re-validated without the LP.
+
+    Voters with identical ballots share one payment variable per elected
+    candidate they approve, and each row weighs it by the number of such
+    voters.  This loses nothing: averaging any feasible payment scheme
+    over identical voters keeps every row satisfied at the same price, so
+    the optimal price is the one of the per-voter program.
     """
     members = frozenset(committee)
+    classes = ballot_classes(instance)
+    support = [0] * instance.num_candidates  # |N(c)|
+    for ballot, voters in classes:
+        for c in ballot:
+            support[c] += len(voters)
     if not members:
         # Nothing is bought, so any price beyond every candidate's total
         # support works; no LP needed (the maximization is unbounded).
-        price = max(
-            [Fraction(1)]
-            + [Fraction(len(instance.approvers(c))) for c in instance.candidates]
-        )
+        price = max([Fraction(1)] + [Fraction(s) for s in support])
         system = PriceSystem(
             price=price, payments=tuple({} for _ in instance.voters)
         )
-        assert validate_price_system(instance, committee, system)
+        _require(
+            validate_price_system(instance, committee, system),
+            "price system of the empty committee fails its re-check",
+        )
         return system
 
     slots = [
-        (i, c) for i in instance.voters for c in sorted(instance.approvals[i] & members)
+        (j, c)
+        for j, (ballot, _) in enumerate(classes)
+        for c in sorted(ballot & members)
     ]
     index = {slot: 1 + pos for pos, slot in enumerate(slots)}
     lp = LinearProgram(num_variables=1 + len(slots))
@@ -143,12 +165,16 @@ def check_priceable(
             coeffs[var] = Fraction(coeff)
         return coeffs
 
-    for i in instance.voters:
-        spend = {index[(i, c)]: 1 for c in instance.approvals[i] & members}
+    for j, (ballot, _) in enumerate(classes):
+        spend = {index[(j, c)]: 1 for c in ballot & members}
         if spend:
             lp.add_constraint(row(spend), LE, Fraction(1))
     for c in sorted(members):
-        collected = {index[(i, c)]: 1 for i in instance.approvers(c)}
+        collected = {
+            index[(j, c)]: len(voters)
+            for j, (ballot, voters) in enumerate(classes)
+            if c in ballot
+        }
         collected[0] = -1
         lp.add_constraint(row(collected), EQ, Fraction(0))
     for c in instance.candidates:
@@ -157,13 +183,11 @@ def check_priceable(
         # leftover money of c's approvers stays at or below the price:
         # |N(c)| - (their total spending) <= p
         entries: dict[int, Rational] = {0: -1}
-        for i in instance.approvers(c):
-            for spent in instance.approvals[i] & members:
-                var = index[(i, spent)]
-                entries[var] = entries.get(var, Fraction(0)) - 1
-        lp.add_constraint(
-            row(entries), LE, -Fraction(len(instance.approvers(c)))
-        )
+        for j, (ballot, voters) in enumerate(classes):
+            if c in ballot:
+                for spent in ballot & members:
+                    entries[index[(j, spent)]] = -len(voters)
+        lp.add_constraint(row(entries), LE, -Fraction(support[c]))
     lp.set_objective(row({0: 1}))
     outcome = lp_maximize(lp)
     if outcome.status != "optimal" or outcome.value <= 0:
@@ -171,12 +195,16 @@ def check_priceable(
     payments: tuple[dict[int, Rational], ...] = tuple(
         {} for _ in instance.voters
     )
-    for (i, c), var in index.items():
+    for (j, c), var in index.items():
         amount = outcome.assignment[var]
         if amount:
-            payments[i][c] = amount
+            for i in classes[j][1]:
+                payments[i][c] = amount
     system = PriceSystem(price=outcome.assignment[0], payments=payments)
-    assert validate_price_system(instance, committee, system)
+    _require(
+        validate_price_system(instance, committee, system),
+        "price system from the LP fails its re-check",
+    )
     return system
 
 
@@ -227,52 +255,154 @@ def check_ejr(
 ) -> Deviation | None:
     """A deprived cohesive group: all of S approve every candidate of some
     l-set T, |S| >= l*n/k, yet every voter in S has fewer than l approved
-    committee members.  Exhaustive over candidate l-subsets."""
+    committee members.  Exhaustive over candidate l-subsets, level by
+    level and in ``combinations`` order within a level.
+
+    Each level is walked depth-first, carrying the bitmask of deprived
+    voters (fewer than l approved members) who approve every candidate of
+    the prefix.  A prefix is dropped once that set is too small for l*n/k:
+    extending the prefix only removes approvers, so no l-set through it
+    can qualify, and the first qualifying l-set is the one the plain
+    enumeration would find.  The witness is re-checked against the
+    definition before it is returned.
+    """
     members = frozenset(committee)
     n, k = instance.num_voters, instance.committee_size
-    if 1 << instance.num_candidates > budget:
-        raise SearchBudgetExceeded(
-            f"2^{instance.num_candidates} candidate subsets exceed the "
-            f"search budget of {budget}"
-        )
+    _check_candidate_budget(instance, budget)
     utilities = welfare_vector(instance, members)
+    m = instance.num_candidates
+    approvers = [0] * m
+    for i, ballot in enumerate(instance.approvals):
+        for c in ballot:
+            approvers[c] |= 1 << i
+
+    def first_set(
+        level: int, prefix: tuple[int, ...], start: int, group: int
+    ) -> tuple[tuple[int, ...], int] | None:
+        for c in range(start, m - level + len(prefix) + 1):
+            shared = group & approvers[c]
+            if shared.bit_count() * k < level * n:
+                continue
+            combo = prefix + (c,)
+            if len(combo) == level:
+                return combo, shared
+            found = first_set(level, combo, c + 1, shared)
+            if found is not None:
+                return found
+        return None
+
     for level in range(1, k + 1):
-        for combo in combinations(instance.candidates, level):
-            wanted = frozenset(combo)
-            group = [
-                i
-                for i in instance.voters
-                if wanted <= instance.approvals[i] and utilities[i] < level
-            ]
-            if len(group) * k >= level * n:
-                return Deviation(
-                    coalition=frozenset(group), alternative=wanted, kind=EJR
-                )
+        deprived = sum(1 << i for i, u in enumerate(utilities) if u < level)
+        found = first_set(level, (), 0, deprived)
+        if found is not None:
+            combo, group = found
+            deviation = Deviation(
+                coalition=frozenset(i for i in instance.voters if group >> i & 1),
+                alternative=frozenset(combo),
+                kind=EJR,
+            )
+            _require(
+                _is_ejr_witness(instance, members, deviation),
+                "EJR witness fails its re-check",
+            )
+            return deviation
     return None
+
+
+def _is_ejr_witness(
+    instance: ElectionInstance, members: Committee, deviation: Deviation
+) -> bool:
+    """The EJR definition, checked directly on one (S, T)."""
+    level = len(deviation.alternative)
+    if not level or len(deviation.coalition) * instance.committee_size < (
+        level * instance.num_voters
+    ):
+        return False
+    return all(
+        deviation.alternative <= instance.approvals[i]
+        and len(instance.approvals[i] & members) < level
+        for i in deviation.coalition
+    )
 
 
 # ---------------------------------------------------------------------------
 # core family
+#
+# All three searches walk candidate sets T in sorted-tuple lexicographic
+# order but never deeper than k members: a pair blocks only when
+# |S|*k >= |T|*n, and |S| <= n, so no T with more than k members can
+# block.  Skipping those sets changes neither the first witness nor any
+# verdict.
+
+
+def _class_welfare(
+    instance: ElectionInstance, members: Committee
+) -> tuple[_Classes, list[int]]:
+    """The ballot classes and the committee welfare of each class."""
+    utilities = welfare_vector(instance, members)
+    classes = ballot_classes(instance)
+    return classes, [utilities[voters[0]] for _, voters in classes]
+
+
+def _blocking_sets(
+    instance: ElectionInstance,
+    classes: _Classes,
+    thresholds: Sequence[int],
+) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+    """Every T with at most k members whose gainers could fill |T| seats.
+
+    Yields (T, counts) in sorted-tuple lexicographic order, where
+    ``counts[j]`` is |B_j & T| for ballot class j; the voters of class j
+    gain exactly when ``counts[j] > thresholds[j]``, and the gainers number
+    at least |T|*n/k.  ``counts`` is updated in place as the walk goes
+    on, so read it before advancing.  Counts and the number of gainers
+    change incrementally as candidates enter and leave T.
+    """
+    n, m, k = instance.num_voters, instance.num_candidates, instance.committee_size
+    holders: list[list[int]] = [[] for _ in range(m)]
+    for j, (ballot, _) in enumerate(classes):
+        for c in ballot:
+            holders[c].append(j)
+    sizes = [len(voters) for _, voters in classes]
+    counts = [0] * len(classes)
+    gaining = 0
+    chosen: list[int] = []
+    nxt = 0
+    while True:
+        if nxt < m:
+            c = nxt
+            chosen.append(c)
+            for j in holders[c]:
+                counts[j] += 1
+                if counts[j] == thresholds[j] + 1:
+                    gaining += sizes[j]
+            if gaining * k >= len(chosen) * n:
+                yield tuple(chosen), counts
+            nxt = c + 1
+            if len(chosen) < k:
+                continue
+        if not chosen:
+            return
+        c = chosen.pop()
+        for j in holders[c]:
+            if counts[j] == thresholds[j] + 1:
+                gaining -= sizes[j]
+            counts[j] -= 1
+        nxt = c + 1
 
 
 def _gainers(
-    instance: ElectionInstance,
-    utilities: Sequence[int],
-    alternative: frozenset[int],
-    lam: Rational,
+    classes: _Classes,
+    counts: Sequence[int],
+    thresholds: Sequence[int],
 ) -> list[int]:
-    """Voters strictly better off under the alternative.  At lam=1 the
-    plain-core rule applies (any improvement counts); beyond 1 the voter
-    must beat max(lam*utility, 1)."""
-    out = []
-    for i in instance.voters:
-        new = len(instance.approvals[i] & alternative)
-        if lam == 1:
-            if new > utilities[i]:
-                out.append(i)
-        elif new > max(lam * utilities[i], Fraction(1)):
-            out.append(i)
-    return out
+    """The voters of every class whose count beats its threshold."""
+    return [
+        i
+        for j, (_, voters) in enumerate(classes)
+        if counts[j] > thresholds[j]
+        for i in voters
+    ]
 
 
 def find_core_deviation(
@@ -285,29 +415,29 @@ def find_core_deviation(
 
     T runs over candidate sets in sorted-tuple order; S is always the full
     set of gaining voters (enlarging S only helps the size condition, so
-    this loses nothing).  A pair blocks when |S|*k >= |T|*n.
+    this loses nothing).  A pair blocks when |S|*k >= |T|*n.  At lam=1 a
+    voter gains with any improvement; beyond 1 the voter must beat
+    max(lam*utility, 1), and as welfare is a whole number that is the same
+    as beating its floor.  Sets of more than k candidates are skipped, as
+    they cannot block.
     """
     if lam < 1:
         raise ValueError("lambda must be at least 1")
     members = frozenset(committee)
-    n, k = instance.num_voters, instance.committee_size
-    if 1 << instance.num_candidates > budget:
-        raise SearchBudgetExceeded(
-            f"2^{instance.num_candidates} candidate subsets exceed the "
-            f"search budget of {budget}"
+    _check_candidate_budget(instance, budget)
+    classes, welfare = _class_welfare(instance, members)
+    thresholds = [u if lam == 1 else floor(max(lam * u, 1)) for u in welfare]
+    for combo, counts in _blocking_sets(instance, classes, thresholds):
+        deviation = Deviation(
+            coalition=frozenset(_gainers(classes, counts, thresholds)),
+            alternative=frozenset(combo),
+            kind=CORE if lam == 1 else LAMBDA_CORE,
         )
-    utilities = welfare_vector(instance, members)
-    for combo in _subsets_lex(tuple(instance.candidates)):
-        alternative = frozenset(combo)
-        group = _gainers(instance, utilities, alternative, lam)
-        if len(group) * k >= len(combo) * n:
-            deviation = Deviation(
-                coalition=frozenset(group),
-                alternative=alternative,
-                kind=CORE if lam == 1 else LAMBDA_CORE,
-            )
-            assert verify_deviation(instance, committee, deviation, lam)
-            return deviation
+        _require(
+            verify_deviation(instance, committee, deviation, lam),
+            "core deviation fails its re-check",
+        )
+        return deviation
     return None
 
 
@@ -354,32 +484,30 @@ def minimal_core_lambda(
     zero committee welfare needs an alternative welfare of at least 2 to
     count as gaining; such voters gain at EVERY lam, and if they alone can
     block some T the answer is None (no finite lam clears the committee).
+    Only a T whose gainers under this rule at lam=1 block can need a lam
+    above 1 or make the answer None, and sets of more than k candidates
+    never block, so only those T are examined.
     """
     members = frozenset(committee)
     n, k = instance.num_voters, instance.committee_size
-    if 1 << instance.num_candidates > budget:
-        raise SearchBudgetExceeded(
-            f"2^{instance.num_candidates} candidate subsets exceed the "
-            f"search budget of {budget}"
-        )
-    utilities = welfare_vector(instance, members)
+    _check_candidate_budget(instance, budget)
+    classes, welfare = _class_welfare(instance, members)
+    thresholds = [max(u, 1) for u in welfare]
     best = Fraction(1)
-    for combo in _subsets_lex(tuple(instance.candidates)):
-        alternative = frozenset(combo)
+    for combo, counts in _blocking_sets(instance, classes, thresholds):
         needed = len(combo) * n  # |S|*k must reach this to block
-        always, thresholds = 0, []
-        for i in instance.voters:
-            new = len(instance.approvals[i] & alternative)
-            if new < 2:
-                continue  # can never beat max(lam*u, 1)
-            if utilities[i] == 0:
-                always += 1
+        always, ratios = 0, []
+        for j, (_, voters) in enumerate(classes):
+            if counts[j] <= thresholds[j]:
+                continue  # gains at no lam
+            if welfare[j] == 0:
+                always += len(voters)
             else:
-                thresholds.append(Fraction(new, utilities[i]))
+                ratios.append((Fraction(counts[j], welfare[j]), len(voters)))
         if always * k >= needed:
             return None
-        for lam in [Fraction(1)] + sorted({t for t in thresholds if t > 1}):
-            cleared = always + sum(1 for t in thresholds if t > lam)
+        for lam in [Fraction(1)] + sorted({t for t, _ in ratios}):
+            cleared = always + sum(size for t, size in ratios if t > lam)
             if cleared * k < needed:
                 if lam > best:
                     best = lam
@@ -415,21 +543,18 @@ def check_core_subject_to(
     lowers equal shares.  For priceable and the restricted-ratio price_eq
     variant a smaller coalition could in principle succeed where the
     maximal one fails; the checker is then a sound witness-finder rather
-    than a complete decision procedure.
+    than a complete decision procedure.  Only sets T whose gainers block
+    are examined, and sets of more than k candidates never block.
     """
     if deviation_property not in _PROPERTY_KINDS:
         raise ValueError(f"unknown deviation property {deviation_property!r}")
     members = frozenset(committee)
     n, k = instance.num_voters, instance.committee_size
-    if 1 << instance.num_candidates > budget:
-        raise SearchBudgetExceeded(
-            f"2^{instance.num_candidates} candidate subsets exceed the "
-            f"search budget of {budget}"
-        )
-    utilities = welfare_vector(instance, members)
-    for combo in _subsets_lex(tuple(instance.candidates)):
+    _check_candidate_budget(instance, budget)
+    classes, thresholds = _class_welfare(instance, members)
+    for combo, counts in _blocking_sets(instance, classes, thresholds):
         alternative = frozenset(combo)
-        group = _gainers(instance, utilities, alternative, Fraction(1))
+        group = _gainers(classes, counts, thresholds)
         if deviation_property == COHESIVE:
             group = [i for i in group if alternative <= instance.approvals[i]]
         if len(group) * k < len(combo) * n:
@@ -452,7 +577,10 @@ def check_core_subject_to(
             alternative=alternative,
             kind=deviation_property,
         )
-        assert verify_deviation(instance, committee, deviation, Fraction(1))
+        _require(
+            verify_deviation(instance, committee, deviation, Fraction(1)),
+            "core deviation fails its re-check",
+        )
         return deviation
     return None
 
@@ -465,15 +593,15 @@ def _equal_payment_support(
 ) -> bool:
     """Every candidate of the alternative collects ``price`` in equal
     payments from its approvers within the coalition, and no coalition
-    voter spends more than 1.  Checked by a small LP (one payment variable
-    per candidate) and re-checked by direct arithmetic: equal payments
-    leave no freedom, the LP is feasible iff the forced shares fit."""
+    voter spends more than 1.  Equal payments leave no freedom: each
+    share is the price over the candidate's payer count, so the check is
+    direct arithmetic on those shares."""
     order = sorted(alternative)
     payers = {c: [i for i in coalition if c in instance.approvals[i]] for c in order}
     if any(not payers[c] for c in order):
         return False
     shares = {c: price / len(payers[c]) for c in order}
-    direct = all(
+    return all(
         sum(
             (shares[c] for c in order if c in instance.approvals[i]),
             Fraction(0),
@@ -481,21 +609,21 @@ def _equal_payment_support(
         <= 1
         for i in coalition
     )
-    lp = LinearProgram(num_variables=len(order))
-    column = {c: pos for pos, c in enumerate(order)}
-    for c in order:
-        coeffs = [Fraction(0)] * len(order)
-        coeffs[column[c]] = Fraction(len(payers[c]))
-        lp.add_constraint(coeffs, EQ, price)
-    for i in coalition:
-        coeffs = [Fraction(0)] * len(order)
-        for c in order:
-            if c in instance.approvals[i]:
-                coeffs[column[c]] = Fraction(1)
-        lp.add_constraint(coeffs, LE, Fraction(1))
-    feasible = lp_feasible(lp).status == "optimal"
-    assert feasible == direct
-    return feasible
+
+
+def _check_candidate_budget(instance: ElectionInstance, budget: int) -> None:
+    if 1 << instance.num_candidates > budget:
+        raise SearchBudgetExceeded(
+            f"2^{instance.num_candidates} candidate subsets exceed the "
+            f"search budget of {budget}"
+        )
+
+
+def _require(holds: bool, what: str) -> None:
+    """Raise InternalInvariantError unless a re-check holds (unlike
+    ``assert``, this also runs under ``python -O``)."""
+    if not holds:
+        raise InternalInvariantError(what)
 
 
 # ---------------------------------------------------------------------------

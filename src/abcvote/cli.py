@@ -441,12 +441,15 @@ def cmd_search(args) -> int:
     run_rule = SEARCH_RULES[rule]
     checker = _axiom_checker(axiom)
     found: list[ElectionInstance] = []
+    probes = undecided = 0
 
     def probe(instance: ElectionInstance) -> None:
-        committee = run_rule(instance)
+        nonlocal probes, undecided
+        probes += 1
         try:
-            witness = checker(instance, committee)
+            witness = checker(instance, run_rule(instance))
         except SearchBudgetExceeded:
+            undecided += 1  # the rule or the checker could not decide
             return
         if witness is not None:
             found.append(instance)
@@ -465,6 +468,11 @@ def cmd_search(args) -> int:
         if instance is not None:
             probe(instance)
     if not found:
+        if undecided:
+            raise SearchBudgetExceeded(
+                f"nothing found, but {undecided} of {probes} probes exceeded "
+                "the search budget"
+            )
         print("none found")
         return 0
     smallest = min(found, key=_instance_key)

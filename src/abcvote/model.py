@@ -134,6 +134,15 @@ def welfare_vector(instance: ElectionInstance, committee: Iterable[int]) -> tupl
     return tuple(len(ballot & members) for ballot in instance.approvals)
 
 
+def ballot_classes(instance: ElectionInstance) -> list[tuple[frozenset[int], list[int]]]:
+    """The distinct ballots in order of first appearance, each with the
+    increasing list of the voters who cast it."""
+    voters: dict[frozenset[int], list[int]] = {}
+    for i, ballot in enumerate(instance.approvals):
+        voters.setdefault(ballot, []).append(i)
+    return list(voters.items())
+
+
 def validate_committee(instance: ElectionInstance, committee: Iterable[int]) -> Committee:
     """Check candidate indices and the ``|W| <= k`` bound; return a frozenset."""
     members = frozenset(committee)

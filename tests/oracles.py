@@ -1,23 +1,45 @@
-"""Reference implementations of the rules, for differential tests.
+"""Reference implementations of the rules and the exact axiom checkers,
+for differential tests.
 
-These are the plain ``Fraction`` versions of the rules in
+The rules are the plain ``Fraction`` versions of those in
 ``abcvote.rules``: every balance, budget, price and score is a
-``Fraction``, and every approver set is rebuilt from the ballots.  They
-are slow but short, and the fast integer kernels in ``abcvote.rules``
-must reproduce their results exactly (``tests/test_rules_oracle.py``).
+``Fraction``, and every approver set is rebuilt from the ballots.  The
+checkers are the per-voter versions of those in ``abcvote.axioms``: one
+LP payment variable per (voter, elected candidate), every candidate set
+in the full lexicographic order, gainers recounted voter by voter.  They
+are slow but short, and the fast paths must reproduce their results
+exactly (``tests/test_rules_oracle.py``, ``tests/test_axioms_oracle.py``).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from typing import Mapping, Sequence
+from itertools import combinations
+from typing import Iterator, Mapping, Sequence
 
+from abcvote.axioms import (
+    COHESIVE,
+    CORE,
+    DEFAULT_SUBSET_BUDGET,
+    EJR,
+    LAMBDA_CORE,
+    PRICE_EQ,
+    PRICEABLE,
+    Deviation,
+    PriceSystem,
+    _PROPERTY_KINDS,
+    validate_price_system,
+    verify_deviation,
+)
+from abcvote.lp import EQ, LE, LinearProgram, lp_feasible, lp_maximize
 from abcvote.model import (
     Committee,
     ElectionInstance,
     Rational,
     SearchBudgetExceeded,
+    restrict_profile,
+    welfare_vector,
 )
 from abcvote.rules import DEFAULT_PAV_NODE_BUDGET, PhragmenTrace, RuleXTrace
 
@@ -316,3 +338,331 @@ def rule_x_complete(
         budgets=tuple(snapshots),
         completed=len(elected) > len(trace.elected),
     )
+
+
+# ---------------------------------------------------------------------------
+# axiom checkers
+
+
+def check_priceable(
+    instance: ElectionInstance, committee: Committee
+) -> PriceSystem | None:
+    """A supporting price system for the committee, or None.
+
+    The definition asks for SOME positive price, which a linear program
+    cannot state directly; instead the LP maximizes the price, and the
+    committee is priceable exactly when the exact optimum is positive.
+    Payment variables exist only where they may be positive (approved and
+    elected), and the returned witness is re-validated without the LP.
+    """
+    members = frozenset(committee)
+    if not members:
+        # Nothing is bought, so any price beyond every candidate's total
+        # support works; no LP needed (the maximization is unbounded).
+        price = max(
+            [Fraction(1)]
+            + [Fraction(len(instance.approvers(c))) for c in instance.candidates]
+        )
+        system = PriceSystem(
+            price=price, payments=tuple({} for _ in instance.voters)
+        )
+        assert validate_price_system(instance, committee, system)
+        return system
+
+    slots = [
+        (i, c) for i in instance.voters for c in sorted(instance.approvals[i] & members)
+    ]
+    index = {slot: 1 + pos for pos, slot in enumerate(slots)}
+    lp = LinearProgram(num_variables=1 + len(slots))
+
+    def row(entries: dict[int, Rational]) -> list[Rational]:
+        coeffs = [Fraction(0)] * lp.num_variables
+        for var, coeff in entries.items():
+            coeffs[var] = Fraction(coeff)
+        return coeffs
+
+    for i in instance.voters:
+        spend = {index[(i, c)]: 1 for c in instance.approvals[i] & members}
+        if spend:
+            lp.add_constraint(row(spend), LE, Fraction(1))
+    for c in sorted(members):
+        collected = {index[(i, c)]: 1 for i in instance.approvers(c)}
+        collected[0] = -1
+        lp.add_constraint(row(collected), EQ, Fraction(0))
+    for c in instance.candidates:
+        if c in members:
+            continue
+        # leftover money of c's approvers stays at or below the price:
+        # |N(c)| - (their total spending) <= p
+        entries: dict[int, Rational] = {0: -1}
+        for i in instance.approvers(c):
+            for spent in instance.approvals[i] & members:
+                var = index[(i, spent)]
+                entries[var] = entries.get(var, Fraction(0)) - 1
+        lp.add_constraint(
+            row(entries), LE, -Fraction(len(instance.approvers(c)))
+        )
+    lp.set_objective(row({0: 1}))
+    outcome = lp_maximize(lp)
+    if outcome.status != "optimal" or outcome.value <= 0:
+        return None
+    payments: tuple[dict[int, Rational], ...] = tuple(
+        {} for _ in instance.voters
+    )
+    for (i, c), var in index.items():
+        amount = outcome.assignment[var]
+        if amount:
+            payments[i][c] = amount
+    system = PriceSystem(price=outcome.assignment[0], payments=payments)
+    assert validate_price_system(instance, committee, system)
+    return system
+
+
+def check_ejr(
+    instance: ElectionInstance,
+    committee: Committee,
+    budget: int = DEFAULT_SUBSET_BUDGET,
+) -> Deviation | None:
+    """A deprived cohesive group: all of S approve every candidate of some
+    l-set T, |S| >= l*n/k, yet every voter in S has fewer than l approved
+    committee members.  Exhaustive over candidate l-subsets."""
+    members = frozenset(committee)
+    n, k = instance.num_voters, instance.committee_size
+    if 1 << instance.num_candidates > budget:
+        raise SearchBudgetExceeded(
+            f"2^{instance.num_candidates} candidate subsets exceed the "
+            f"search budget of {budget}"
+        )
+    utilities = welfare_vector(instance, members)
+    for level in range(1, k + 1):
+        for combo in combinations(instance.candidates, level):
+            wanted = frozenset(combo)
+            group = [
+                i
+                for i in instance.voters
+                if wanted <= instance.approvals[i] and utilities[i] < level
+            ]
+            if len(group) * k >= level * n:
+                return Deviation(
+                    coalition=frozenset(group), alternative=wanted, kind=EJR
+                )
+    return None
+
+
+def _gainers(
+    instance: ElectionInstance,
+    utilities: Sequence[int],
+    alternative: frozenset[int],
+    lam: Rational,
+) -> list[int]:
+    """Voters strictly better off under the alternative.  At lam=1 the
+    plain-core rule applies (any improvement counts); beyond 1 the voter
+    must beat max(lam*utility, 1)."""
+    out = []
+    for i in instance.voters:
+        new = len(instance.approvals[i] & alternative)
+        if lam == 1:
+            if new > utilities[i]:
+                out.append(i)
+        elif new > max(lam * utilities[i], Fraction(1)):
+            out.append(i)
+    return out
+
+
+def find_core_deviation(
+    instance: ElectionInstance,
+    committee: Committee,
+    lam: Rational = Fraction(1),
+    budget: int = DEFAULT_SUBSET_BUDGET,
+) -> Deviation | None:
+    """The lexicographically-first blocking pair (S, T), or None.
+
+    T runs over candidate sets in sorted-tuple order; S is always the full
+    set of gaining voters (enlarging S only helps the size condition, so
+    this loses nothing).  A pair blocks when |S|*k >= |T|*n.
+    """
+    if lam < 1:
+        raise ValueError("lambda must be at least 1")
+    members = frozenset(committee)
+    n, k = instance.num_voters, instance.committee_size
+    if 1 << instance.num_candidates > budget:
+        raise SearchBudgetExceeded(
+            f"2^{instance.num_candidates} candidate subsets exceed the "
+            f"search budget of {budget}"
+        )
+    utilities = welfare_vector(instance, members)
+    for combo in _subsets_lex(tuple(instance.candidates)):
+        alternative = frozenset(combo)
+        group = _gainers(instance, utilities, alternative, lam)
+        if len(group) * k >= len(combo) * n:
+            deviation = Deviation(
+                coalition=frozenset(group),
+                alternative=alternative,
+                kind=CORE if lam == 1 else LAMBDA_CORE,
+            )
+            assert verify_deviation(instance, committee, deviation, lam)
+            return deviation
+    return None
+
+
+def minimal_core_lambda(
+    instance: ElectionInstance,
+    committee: Committee,
+    budget: int = DEFAULT_SUBSET_BUDGET,
+) -> Rational | None:
+    """The smallest lam >= 1 at which no lambda-core deviation remains.
+
+    Uses the max(lam*utility, 1) gain rule throughout, so a voter with
+    zero committee welfare needs an alternative welfare of at least 2 to
+    count as gaining; such voters gain at EVERY lam, and if they alone can
+    block some T the answer is None (no finite lam clears the committee).
+    """
+    members = frozenset(committee)
+    n, k = instance.num_voters, instance.committee_size
+    if 1 << instance.num_candidates > budget:
+        raise SearchBudgetExceeded(
+            f"2^{instance.num_candidates} candidate subsets exceed the "
+            f"search budget of {budget}"
+        )
+    utilities = welfare_vector(instance, members)
+    best = Fraction(1)
+    for combo in _subsets_lex(tuple(instance.candidates)):
+        alternative = frozenset(combo)
+        needed = len(combo) * n  # |S|*k must reach this to block
+        always, thresholds = 0, []
+        for i in instance.voters:
+            new = len(instance.approvals[i] & alternative)
+            if new < 2:
+                continue  # can never beat max(lam*u, 1)
+            if utilities[i] == 0:
+                always += 1
+            else:
+                thresholds.append(Fraction(new, utilities[i]))
+        if always * k >= needed:
+            return None
+        for lam in [Fraction(1)] + sorted({t for t in thresholds if t > 1}):
+            cleared = always + sum(1 for t in thresholds if t > lam)
+            if cleared * k < needed:
+                if lam > best:
+                    best = lam
+                break
+    return best
+
+
+def check_core_subject_to(
+    instance: ElectionInstance,
+    committee: Committee,
+    deviation_property: str,
+    budget: int = DEFAULT_SUBSET_BUDGET,
+    restricted_price: bool = False,
+) -> Deviation | None:
+    """A blocking pair (S, T) whose alternative additionally carries the
+    given property inside the restricted instance (S's ballots, |T| seats).
+
+    Properties:
+      * ``cohesive``: every coalition member approves all of T.
+      * ``price_eq``: T is supportable by equal per-candidate payments
+        from its coalition approvers, each candidate collecting the full
+        instance's per-seat price n/k (with ``restricted_price``, the
+        restricted ratio |S|/|T| instead), nobody spending more than 1.
+      * ``priceable``: T is priceable in the restricted instance.
+
+    The coalition tried for each T is the full gaining set (for cohesive:
+    the gaining voters approving all of T).  For cohesive and the default
+    price_eq this is lossless: growing the coalition only adds payers and
+    lowers equal shares.  For priceable and the restricted-ratio price_eq
+    variant a smaller coalition could in principle succeed where the
+    maximal one fails; the checker is then a sound witness-finder rather
+    than a complete decision procedure.
+    """
+    if deviation_property not in _PROPERTY_KINDS:
+        raise ValueError(f"unknown deviation property {deviation_property!r}")
+    members = frozenset(committee)
+    n, k = instance.num_voters, instance.committee_size
+    if 1 << instance.num_candidates > budget:
+        raise SearchBudgetExceeded(
+            f"2^{instance.num_candidates} candidate subsets exceed the "
+            f"search budget of {budget}"
+        )
+    utilities = welfare_vector(instance, members)
+    for combo in _subsets_lex(tuple(instance.candidates)):
+        alternative = frozenset(combo)
+        group = _gainers(instance, utilities, alternative, Fraction(1))
+        if deviation_property == COHESIVE:
+            group = [i for i in group if alternative <= instance.approvals[i]]
+        if len(group) * k < len(combo) * n:
+            continue
+        if deviation_property == PRICE_EQ:
+            price = (
+                Fraction(len(group), len(combo))
+                if restricted_price
+                else Fraction(n, k)
+            )
+            if not _equal_payment_support(instance, group, alternative, price):
+                continue
+        elif deviation_property == PRICEABLE:
+            # the restricted profile keeps candidate numbering
+            restricted = restrict_profile(instance, group, len(combo))
+            if check_priceable(restricted, alternative) is None:
+                continue
+        deviation = Deviation(
+            coalition=frozenset(group),
+            alternative=alternative,
+            kind=deviation_property,
+        )
+        assert verify_deviation(instance, committee, deviation, Fraction(1))
+        return deviation
+    return None
+
+
+def _equal_payment_support(
+    instance: ElectionInstance,
+    coalition: Sequence[int],
+    alternative: frozenset[int],
+    price: Rational,
+) -> bool:
+    """Every candidate of the alternative collects ``price`` in equal
+    payments from its approvers within the coalition, and no coalition
+    voter spends more than 1.  Checked by a small LP (one payment variable
+    per candidate) and re-checked by direct arithmetic: equal payments
+    leave no freedom, the LP is feasible iff the forced shares fit."""
+    order = sorted(alternative)
+    payers = {c: [i for i in coalition if c in instance.approvals[i]] for c in order}
+    if any(not payers[c] for c in order):
+        return False
+    shares = {c: price / len(payers[c]) for c in order}
+    direct = all(
+        sum(
+            (shares[c] for c in order if c in instance.approvals[i]),
+            Fraction(0),
+        )
+        <= 1
+        for i in coalition
+    )
+    lp = LinearProgram(num_variables=len(order))
+    column = {c: pos for pos, c in enumerate(order)}
+    for c in order:
+        coeffs = [Fraction(0)] * len(order)
+        coeffs[column[c]] = Fraction(len(payers[c]))
+        lp.add_constraint(coeffs, EQ, price)
+    for i in coalition:
+        coeffs = [Fraction(0)] * len(order)
+        for c in order:
+            if c in instance.approvals[i]:
+                coeffs[column[c]] = Fraction(1)
+        lp.add_constraint(coeffs, LE, Fraction(1))
+    feasible = lp_feasible(lp).status == "optimal"
+    assert feasible == direct
+    return feasible
+
+
+def _subsets_lex(universe: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Non-empty subsets in sorted-tuple lexicographic order."""
+
+    def descend(prefix: tuple[int, ...], start: int) -> Iterator[tuple[int, ...]]:
+        for pos in range(start, len(universe)):
+            extended = prefix + (universe[pos],)
+            yield extended
+            yield from descend(extended, pos + 1)
+
+    yield from descend((), 0)

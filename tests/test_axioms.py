@@ -7,8 +7,12 @@ core, but admits a welfare transfer; committee B maximizes PAV welfare
 yet is neither priceable nor core-stable.
 """
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -582,3 +586,52 @@ def test_intro_committees_missing_the_shared_package_are_blocked():
         lacking += 1
         assert find_core_deviation(inst, members) is not None, sorted(members)
     assert lacking == 236
+
+
+#: Run under ``python -O``: the search of each checker is fed corrupted
+#: data (no voter has any approved committee member, or the LP reports
+#: twice its optimal price), so its witness is wrong and only the re-check
+#: against the definition can catch it.
+MUTATED_WITNESS_SCRIPT = """
+import sys
+from abcvote import axioms
+from abcvote.lp import LPOutcome
+from abcvote.model import ElectionInstance, InternalInvariantError
+
+if __debug__:
+    sys.exit("expected python -O")
+solve = axioms.lp_maximize
+
+def inflated(lp):
+    out = solve(lp)
+    price, *payments = out.assignment
+    return LPOutcome(out.status, out.value, (2 * price, *payments))
+
+axioms.lp_maximize = inflated
+axioms.welfare_vector = lambda instance, committee: (0,) * instance.num_voters
+pair = ElectionInstance(2, 1, (frozenset({0}), frozenset({0})))
+for name, extra in (
+    ("check_priceable", ()),
+    ("check_ejr", ()),
+    ("find_core_deviation", ()),
+    ("check_core_subject_to", ("cohesive",)),
+):
+    try:
+        getattr(axioms, name)(pair, frozenset({0}), *extra)
+    except InternalInvariantError:
+        print(name)
+"""
+
+
+def test_mutated_witness_raises_under_optimize():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(src), os.environ.get("PYTHONPATH")))
+    ))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", MUTATED_WITNESS_SCRIPT],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert done.stdout.split() == [
+        "check_priceable", "check_ejr", "find_core_deviation", "check_core_subject_to"
+    ]

@@ -9,9 +9,10 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from abcvote import cli
 from abcvote.axioms import check_ejr
 from abcvote.cli import main
-from abcvote.model import parse_instance
+from abcvote.model import SearchBudgetExceeded, parse_instance
 from abcvote.rules import phragmen_sequential
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -326,6 +327,52 @@ def test_search_pav_doubled_endowment_core_hunt_comes_up_empty(capsys):
     )
     assert code == 0
     assert out.strip() == "none found"
+
+
+def test_search_with_undecided_probes_and_no_hit_is_exit_three(capsys):
+    """Trials with more than 20 candidates exceed the core checker's subset
+    budget; with no hit among the rest, the search cannot say none exists."""
+    code, out, err = run_cli(
+        capsys,
+        "search",
+        "--violation",
+        "core+rulex",
+        "--max-m",
+        "40",
+        "--trials",
+        "20",
+        "--seed",
+        "1",
+    )
+    assert code == 3
+    assert out == ""
+    assert "budget" in err
+
+
+def test_search_counts_a_rule_over_budget_as_undecided(capsys, monkeypatch):
+    """A rule that exceeds its budget leaves that probe undecided and the
+    search goes on: it still finds a hit elsewhere, and without any hit it
+    exits 3."""
+    def over_budget(instance):
+        raise SearchBudgetExceeded("node budget")
+
+    def elect_nobody_beyond_one_candidate(instance):
+        if instance.num_candidates == 1:
+            over_budget(instance)
+        return frozenset()
+
+    argv = ("search", "--violation", "ejr+pav", "--max-n", "3", "--max-m", "3",
+            "--trials", "5")
+    monkeypatch.setitem(cli.SEARCH_RULES, "pav", elect_nobody_beyond_one_candidate)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert parse_instance(out).num_candidates == 2
+
+    monkeypatch.setitem(cli.SEARCH_RULES, "pav", over_budget)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert "nothing found" in err
 
 
 def test_search_unknown_violation_is_input_error(capsys):

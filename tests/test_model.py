@@ -8,6 +8,7 @@ from hypothesis import given
 from abcvote.model import (
     ElectionInstance,
     ParseError,
+    ballot_classes,
     format_committee,
     instance_digest,
     parse_committee,
@@ -132,6 +133,15 @@ def test_approvers():
     assert INTRO.approvers(14) == frozenset({5})
     with pytest.raises(ValueError):
         INTRO.approvers(15)
+
+
+def test_ballot_classes_in_first_appearance_order():
+    inst = parse_instance("3 5 1\n2\n1 3\n2\n\n1 3\n")
+    assert ballot_classes(inst) == [
+        (frozenset({1}), [0, 2]),
+        (frozenset({0, 2}), [1, 4]),
+        (frozenset(), [3]),
+    ]
 
 
 def test_restrict_profile_keeps_candidate_universe():
