@@ -159,16 +159,16 @@ def check_priceable(
     index = {slot: 1 + pos for pos, slot in enumerate(slots)}
     lp = LinearProgram(num_variables=1 + len(slots))
 
-    def row(entries: dict[int, Rational]) -> list[Rational]:
-        coeffs = [Fraction(0)] * lp.num_variables
+    def row(entries: dict[int, int]) -> list[int]:
+        coeffs = [0] * lp.num_variables
         for var, coeff in entries.items():
-            coeffs[var] = Fraction(coeff)
+            coeffs[var] = coeff
         return coeffs
 
     for j, (ballot, _) in enumerate(classes):
         spend = {index[(j, c)]: 1 for c in ballot & members}
         if spend:
-            lp.add_constraint(row(spend), LE, Fraction(1))
+            lp.add_constraint(row(spend), LE, 1)
     for c in sorted(members):
         collected = {
             index[(j, c)]: len(voters)
@@ -176,18 +176,18 @@ def check_priceable(
             if c in ballot
         }
         collected[0] = -1
-        lp.add_constraint(row(collected), EQ, Fraction(0))
+        lp.add_constraint(row(collected), EQ, 0)
     for c in instance.candidates:
         if c in members:
             continue
         # leftover money of c's approvers stays at or below the price:
         # |N(c)| - (their total spending) <= p
-        entries: dict[int, Rational] = {0: -1}
+        entries = {0: -1}
         for j, (ballot, voters) in enumerate(classes):
             if c in ballot:
                 for spent in ballot & members:
                     entries[index[(j, spent)]] = -len(voters)
-        lp.add_constraint(row(entries), LE, -Fraction(support[c]))
+        lp.add_constraint(row(entries), LE, -support[c])
     lp.set_objective(row({0: 1}))
     outcome = lp_maximize(lp)
     if outcome.status != "optimal" or outcome.value <= 0:

@@ -1,26 +1,38 @@
-"""Exact linear programming over rationals.
+"""Exact linear programming over Python ints, for the priceability check.
 
-A small dense two-phase simplex implementation using ``fractions.Fraction``
-for every tableau entry, so optima are exact (no floating point anywhere).
-Bland's smallest-index pivoting rule is used in both phases, which guarantees
-termination even on degenerate programs.
+Solves ``maximize c.x`` subject to rows ``a.x <= b`` or ``a.x = b`` and
+``x >= 0``: the only shape ``axioms.check_priceable`` builds.  Coefficients
+are ints or Fractions; each row and the objective are scaled once to ints
+by the lcm of their denominators.
 
-This is deliberately a straightforward textbook implementation: the programs
-solved in this package are tiny (tens of variables), and exactness -- not
-speed -- is the point.  Optimal assignments are re-checked against every
-constraint before they are returned.
+The solver is a dense two-phase simplex with Bland's smallest-index rule in
+both phases, which terminates on degenerate programs.  Its tableau is
+fraction-free (Edmonds 1967; Bareiss 1968): it holds int numerators only,
+each row keeps the positive denominator it was last rewritten at, and
+``det`` is |det B| of the current basis in the int-scaled program.  A pivot
+brings the pivot row to ``det`` and rewrites every row with a nonzero entry
+``f`` in the entering column as ``(p*a - f*b) // d_row``, exact by
+Bareiss's identity; ``p``, the pivot, becomes the row's denominator and the
+new ``det``.  Rows with a zero in the entering column are left alone.
+
+The entering rule and the ratio test (cross-multiplied, ties broken by the
+smallest basic index) decide by sign and order only, so the solver visits
+the bases the same simplex over Fractions visits and returns the same
+vertex.  Fractions appear only when that vertex is read out, and it is
+re-checked against the original constraints before it is returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from math import lcm, prod
+from typing import Sequence
 
-from abcvote.model import Rational
+from abcvote.model import InternalInvariantError, Rational
 
 #: Constraint relations.
-LE, EQ, GE = "<=", "=", ">="
+LE, EQ = "<=", "="
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -29,51 +41,35 @@ UNBOUNDED = "unbounded"
 
 @dataclass
 class LinearProgram:
-    """maximize ``objective . x`` subject to linear constraints and bounds.
+    """maximize ``objective . x`` subject to ``constraints`` and ``x >= 0``.
 
-    Variables are indexed ``0 .. num_variables-1``.  The default bounds are
-    ``0 <= x_j`` (no upper bound); ``None`` means unbounded on that side.
+    Variables are indexed ``0 .. num_variables-1``; a constraint is
+    ``(coeffs, relation, rhs)`` with relation LE or EQ.  Coefficients are
+    kept as given (ints or Fractions).
     """
 
     num_variables: int
     objective: list[Rational] = field(default_factory=list)
     constraints: list[tuple[list[Rational], str, Rational]] = field(default_factory=list)
-    lower_bounds: list[Rational | None] = field(default_factory=list)
-    upper_bounds: list[Rational | None] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if self.num_variables < 1:
             raise ValueError("need at least one variable")
-        if not self.objective:
-            self.objective = [Fraction(0)] * self.num_variables
-        if not self.lower_bounds:
-            self.lower_bounds = [Fraction(0)] * self.num_variables
-        if not self.upper_bounds:
-            self.upper_bounds = [None] * self.num_variables
-        for name, vec in (("objective", self.objective),
-                          ("lower_bounds", self.lower_bounds),
-                          ("upper_bounds", self.upper_bounds)):
-            if len(vec) != self.num_variables:
-                raise ValueError(f"{name} has wrong length")
-        self.objective = [Fraction(c) for c in self.objective]
+        self.set_objective(self.objective or [0] * self.num_variables)
 
     def set_objective(self, coeffs: Sequence[Rational]) -> None:
         if len(coeffs) != self.num_variables:
             raise ValueError("objective has wrong length")
-        self.objective = [Fraction(c) for c in coeffs]
-
-    def set_bounds(self, var: int, lower: Rational | None, upper: Rational | None) -> None:
-        self.lower_bounds[var] = None if lower is None else Fraction(lower)
-        self.upper_bounds[var] = None if upper is None else Fraction(upper)
+        self.objective = list(coeffs)
 
     def add_constraint(self, coeffs: Sequence[Rational], rel: str, rhs: Rational) -> None:
         if len(coeffs) != self.num_variables:
             raise ValueError(
                 f"constraint has {len(coeffs)} coefficients, expected {self.num_variables}"
             )
-        if rel not in (LE, EQ, GE):
+        if rel not in (LE, EQ):
             raise ValueError(f"unknown relation {rel!r}")
-        self.constraints.append(([Fraction(c) for c in coeffs], rel, Fraction(rhs)))
+        self.constraints.append((list(coeffs), rel, rhs))
 
 
 @dataclass(frozen=True)
@@ -82,8 +78,8 @@ class LPOutcome:
 
     ``value`` and ``assignment`` are present exactly when ``status`` is
     ``"optimal"``.  The assignment has been verified against all constraints
-    and bounds, and ``value`` is recomputed from it directly, independently
-    of the tableau bookkeeping.
+    and ``x >= 0``, and ``value`` is recomputed from it directly,
+    independently of the tableau bookkeeping.
     """
 
     status: str
@@ -98,257 +94,177 @@ def lp_maximize(lp: LinearProgram) -> LPOutcome:
 
 def lp_feasible(lp: LinearProgram) -> LPOutcome:
     """Feasibility check: solve with a zero objective."""
-    return _solve(lp, [Fraction(0)] * lp.num_variables)
+    return _solve(lp, [0] * lp.num_variables)
 
 
 # ---------------------------------------------------------------------------
 # internals
 
 
+def _integral(values: Sequence[Rational]) -> tuple[list[int], int]:
+    """``values`` times the lcm of their denominators, and that lcm."""
+    scale = lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
 def _solve(lp: LinearProgram, objective: Sequence[Rational]) -> LPOutcome:
-    # Substitute x_j by shifted/split nonnegative variables y:
-    #   lower l only:      x = l + y
-    #   upper u only:      x = u - y
-    #   both:              x = l + y  plus a row  y <= u - l
-    #   neither:           x = y+ - y-
-    # ``subst[j]`` describes how to recover x_j from y.
+    # Standard form: one slack column per LE row, rows flipped to rhs >= 0,
+    # and an artificial column for every row whose slack cannot start in
+    # the basis (EQ rows and LE rows with a negative rhs).  Row i is scaled
+    # by s_i, its slack and artificial entries are s_i too, and it starts
+    # at denominator s_i, so it stands for the unscaled row.
     nv = lp.num_variables
-    subst: list[tuple[str, int, Rational]] = []  # (kind, y-index, offset)
-    ny = 0
-    extra_rows: list[tuple[dict[int, Fraction], str, Fraction]] = []
-    for j in range(nv):
-        lo, hi = lp.lower_bounds[j], lp.upper_bounds[j]
-        if lo is not None and hi is not None and hi < lo:
-            return LPOutcome(INFEASIBLE)
-        if lo is not None:
-            subst.append(("shift", ny, Fraction(lo)))
-            if hi is not None:
-                extra_rows.append(({ny: Fraction(1)}, LE, Fraction(hi) - Fraction(lo)))
-            ny += 1
-        elif hi is not None:
-            subst.append(("flip", ny, Fraction(hi)))
-            ny += 1
-        else:
-            subst.append(("free", ny, Fraction(0)))
-            ny += 2
-
-    def to_y(coeffs: Sequence[Rational]) -> list[Fraction]:
-        row = [Fraction(0)] * ny
-        for j, a in enumerate(coeffs):
-            if not a:
-                continue
-            kind, idx, _ = subst[j]
-            a = Fraction(a)
-            if kind == "shift":
-                row[idx] += a
-            elif kind == "flip":
-                row[idx] -= a
-            else:
-                row[idx] += a
-                row[idx + 1] -= a
-        return row
-
-    def offset_of(coeffs: Sequence[Rational]) -> Fraction:
-        total = Fraction(0)
-        for j, a in enumerate(coeffs):
-            if not a:
-                continue
-            kind, _, off = subst[j]
-            if kind != "free":
-                total += Fraction(a) * off
-        return total
-
-    rows: list[list[Fraction]] = []
-    rels: list[str] = []
-    rhss: list[Fraction] = []
-    for coeffs, rel, rhs in lp.constraints:
-        rows.append(to_y(coeffs))
-        rels.append(rel)
-        rhss.append(Fraction(rhs) - offset_of(coeffs))
-    for sparse, rel, rhs in extra_rows:
-        row = [Fraction(0)] * ny
-        for idx, a in sparse.items():
-            row[idx] = a
-        rows.append(row)
-        rels.append(rel)
-        rhss.append(rhs)
-
-    obj_y = to_y(objective)
-
-    # Standard form: append slack/surplus columns, flip rows to rhs >= 0,
-    # add artificials where no slack can serve as the initial basic variable.
-    nrows = len(rows)
-    slack_col: list[int | None] = [None] * nrows
-    ncols = ny
-    for i, rel in enumerate(rels):
-        if rel in (LE, GE):
-            slack_col[i] = ncols
-            ncols += 1
-    art_col: list[int | None] = [None] * nrows
-    basis: list[int] = [-1] * nrows
-    tab: list[list[Fraction]] = []
-    for i in range(nrows):
-        row = rows[i] + [Fraction(0)] * (ncols - ny)
-        rhs = rhss[i]
-        if slack_col[i] is not None:
-            row[slack_col[i]] = Fraction(1) if rels[i] == LE else Fraction(-1)
+    nrows = len(lp.constraints)
+    needs_art = [rel == EQ or rhs < 0 for _, rel, rhs in lp.constraints]
+    ncols = nv + sum(rel == LE for _, rel, _ in lp.constraints)
+    total_cols = ncols + sum(needs_art)
+    rows: list[list[int]] = []
+    dens: list[int] = []
+    basis: list[int] = []
+    slack, art = nv, ncols
+    for (coeffs, rel, rhs), artificial in zip(lp.constraints, needs_art):
+        nums, scale = _integral([*coeffs, rhs])
+        row = nums[:nv] + [0] * (total_cols - nv) + nums[nv:]
+        if rel == LE:
+            row[slack] = scale
         if rhs < 0:
             row = [-a for a in row]
-            rhs = -rhs
-        row.append(rhs)
-        tab.append(row)
-    for i in range(nrows):
-        sc = slack_col[i]
-        if sc is not None and tab[i][sc] > 0:
-            basis[i] = sc
+        if artificial:
+            row[art] = scale
+            basis.append(art)
+            art += 1
         else:
-            art_col[i] = len(tab[i]) - 1  # placeholder, resolved below
-    n_art = sum(1 for a in art_col if a is not None)
-    total_cols = ncols + n_art
-    next_art = ncols
-    for i in range(nrows):
-        rhs = tab[i].pop()
-        tab[i].extend([Fraction(0)] * n_art)
-        if art_col[i] is not None:
-            art_col[i] = next_art
-            tab[i][next_art] = Fraction(1)
-            basis[i] = next_art
-            next_art += 1
-        tab[i].append(rhs)
+            basis.append(slack)
+        slack += rel == LE
+        rows.append(row)
+        dens.append(scale)
 
-    # Cost rows share the tableau's column layout (reduced costs; the last
-    # entry is minus the current objective value).  Internally we minimize.
-    phase2 = [Fraction(0)] * (total_cols + 1)
-    for j, c in enumerate(obj_y):
-        phase2[j] = -c  # minimize the negated objective
-    artificial = {a for a in art_col if a is not None}
-    if artificial:
-        phase1 = [Fraction(0)] * (total_cols + 1)
-        for a in artificial:
-            phase1[a] = Fraction(1)
-        for i in range(nrows):
-            if basis[i] in artificial:
-                _subtract(phase1, tab[i], Fraction(1))
-        status = _iterate(tab, basis, phase1, [phase2], total_cols, frozenset())
-        assert status == OPTIMAL, "phase 1 cannot be unbounded"
-        if -phase1[-1] != 0:
+    # The starting basis is diagonal, with entries s_i.  Cost rows follow
+    # the constraint rows (reduced costs; the last entry is minus the
+    # objective value).  Internally we minimize.
+    tab = _Tableau(rows, dens, basis, prod(dens))
+    obj, _ = _integral(objective)
+    rows.append([-c for c in obj] + [0] * (total_cols + 1 - nv))
+    dens.append(1)
+    if ncols < total_cols:
+        arts = [i for i in range(nrows) if needs_art[i]]
+        scale = lcm(*(dens[i] for i in arts))
+        phase1 = [0] * ncols + [scale] * (total_cols - ncols) + [0]
+        for i in arts:
+            weight = scale // dens[i]
+            for j, a in enumerate(rows[i]):
+                if a:
+                    phase1[j] -= weight * a
+        rows.append(phase1)
+        dens.append(scale)
+        if tab.iterate(nrows + 1, total_cols) != OPTIMAL:
+            raise InternalInvariantError("phase 1 of the simplex reported unbounded")
+        if rows.pop()[-1] != 0:
             return LPOutcome(INFEASIBLE)
-        _expel_artificials(tab, basis, [phase1, phase2], artificial)
-    status = _iterate(tab, basis, phase2, [], total_cols, artificial)
-    if status == UNBOUNDED:
+        dens.pop()
+        tab.expel_artificials(ncols)
+        for i, row in enumerate(rows):
+            rows[i] = row[:ncols] + row[-1:]
+    if tab.iterate(nrows, ncols) == UNBOUNDED:
         return LPOutcome(UNBOUNDED)
 
-    y = [Fraction(0)] * total_cols
+    x = [Fraction(0)] * nv
     for i, b in enumerate(basis):
-        if b >= 0:
-            y[b] = tab[i][-1]
-    x: list[Fraction] = []
-    for j in range(nv):
-        kind, idx, off = subst[j]
-        if kind == "shift":
-            x.append(off + y[idx])
-        elif kind == "flip":
-            x.append(off - y[idx])
-        else:
-            x.append(y[idx] - y[idx + 1])
-    value = sum((Fraction(c) * xj for c, xj in zip(objective, x)), Fraction(0))
+        if b < nv:
+            x[b] = Fraction(rows[i][-1], dens[i])
     _verify(lp, x)
+    value = sum((c * xj for c, xj in zip(objective, x) if c and xj), Fraction(0))
     return LPOutcome(OPTIMAL, value, tuple(x))
 
 
-def _subtract(row: list[Fraction], other: list[Fraction], factor: Fraction) -> None:
-    if not factor:
-        return
-    for j, a in enumerate(other):
-        if a:
-            row[j] -= factor * a
+class _Tableau:
+    """Int rows ``rows[i]`` standing for ``rows[i] / dens[i]``.
 
-
-def _pivot(
-    tab: list[list[Fraction]],
-    basis: list[int],
-    cost_rows: list[list[Fraction]],
-    leave: int,
-    enter: int,
-) -> None:
-    prow = tab[leave]
-    pval = prow[enter]
-    if pval != 1:
-        inv = 1 / pval
-        for j, a in enumerate(prow):
-            if a:
-                prow[j] = a * inv
-    for i, row in enumerate(tab):
-        if i != leave:
-            _subtract(row, prow, row[enter])
-    for row in cost_rows:
-        _subtract(row, prow, row[enter])
-    basis[leave] = enter
-
-
-def _iterate(
-    tab: list[list[Fraction]],
-    basis: list[int],
-    cost: list[Fraction],
-    shadow_costs: list[list[Fraction]],
-    ncols: int,
-    forbidden: frozenset[int],
-) -> str:
-    """Minimize ``cost`` with Bland's rule; ``shadow_costs`` are co-pivoted."""
-    while True:
-        enter = None
-        for j in range(ncols):
-            if j not in forbidden and cost[j] < 0:
-                enter = j
-                break
-        if enter is None:
-            return OPTIMAL
-        leave = None
-        best: Fraction | None = None
-        for i, row in enumerate(tab):
-            a = row[enter]
-            if a > 0:
-                ratio = row[-1] / a
-                if (
-                    best is None
-                    or ratio < best
-                    or (ratio == best and basis[i] < basis[leave])
-                ):
-                    best = ratio
-                    leave = i
-        if leave is None:
-            return UNBOUNDED
-        _pivot(tab, basis, [cost] + shadow_costs, leave, enter)
-
-
-def _expel_artificials(
-    tab: list[list[Fraction]],
-    basis: list[int],
-    cost_rows: list[list[Fraction]],
-    artificial: set[int],
-) -> None:
-    """Pivot zero-valued artificial variables out of the basis.
-
-    After a successful phase 1 any artificial still in the basis sits at
-    value 0.  Pivot it out on any non-artificial column; if none exists the
-    row is redundant (all-zero) and can stay -- it will never be selected as
-    a pivot row because all its entries are zero.
+    ``rows[:len(basis)]`` are the constraint rows (the last entry is the
+    rhs) and the rows after them are cost rows; ``det`` is |det B|.
     """
-    for i in range(len(tab)):
-        if basis[i] in artificial and tab[i][-1] == 0:
-            for j in range(len(tab[i]) - 1):
-                if j not in artificial and tab[i][j] != 0:
-                    _pivot(tab, basis, cost_rows, i, j)
-                    break
+
+    def __init__(self, rows: list[list[int]], dens: list[int], basis: list[int],
+                 det: int) -> None:
+        self.rows, self.dens, self.basis, self.det = rows, dens, basis, det
+
+    def pivot(self, leave: int, enter: int) -> None:
+        rows, dens = self.rows, self.dens
+        prow, det = rows[leave], self.det
+        if dens[leave] != det:
+            d = dens[leave]
+            prow = [a * det // d for a in prow]
+        p = prow[enter]
+        if p < 0:
+            prow = [-a for a in prow]
+            p = -p
+        nonzero = [(j, b) for j, b in enumerate(prow) if b]
+        for i, row in enumerate(rows):
+            f = row[enter]
+            if f and i != leave:
+                d = dens[i]
+                if d != p:
+                    # off the pivot row's support the rewrite is p*a // d
+                    rows[i] = [p * a // d if a else 0 for a in row]
+                    dens[i] = p
+                new = rows[i]
+                for j, b in nonzero:
+                    new[j] = (p * row[j] - f * b) // d
+        rows[leave], dens[leave] = prow, p
+        self.basis[leave] = enter
+        self.det = p
+
+    def iterate(self, cost_row: int, ncols: int) -> str:
+        """Minimize cost row ``cost_row`` over columns ``0 .. ncols-1`` with
+        Bland's rule; every other row is co-pivoted."""
+        rows, basis = self.rows, self.basis
+        while True:
+            cost = rows[cost_row]
+            enter = next((j for j in range(ncols) if cost[j] < 0), None)
+            if enter is None:
+                return OPTIMAL
+            leave = None
+            for i in range(len(basis)):
+                row = rows[i]
+                a = row[enter]
+                if a > 0:
+                    if leave is None:
+                        leave, num, den = i, row[-1], a
+                        continue
+                    # rhs/a against num/den; the row denominators cancel
+                    lhs, rhs = row[-1] * den, num * a
+                    if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                        leave, num, den = i, row[-1], a
+            if leave is None:
+                return UNBOUNDED
+            self.pivot(leave, enter)
+
+    def expel_artificials(self, ncols: int) -> None:
+        """Pivot zero-valued artificial variables (columns from ``ncols``
+        on) out of the basis.
+
+        After a successful phase 1 any artificial still in the basis sits at
+        value 0.  Pivot it out on its first nonzero non-artificial column,
+        which may be negative; if none exists the row is redundant (all
+        zero) and can stay -- it is never selected as a pivot row.
+        """
+        rows = self.rows
+        for i in range(len(self.basis)):
+            row = rows[i]
+            if self.basis[i] >= ncols and row[-1] == 0:
+                enter = next((j for j in range(ncols) if row[j]), None)
+                if enter is not None:
+                    self.pivot(i, enter)
 
 
 def _verify(lp: LinearProgram, x: Sequence[Fraction]) -> None:
-    """Exact sanity check of a claimed-optimal assignment."""
-    for j in range(lp.num_variables):
-        lo, hi = lp.lower_bounds[j], lp.upper_bounds[j]
-        assert lo is None or x[j] >= lo, "assignment violates a lower bound"
-        assert hi is None or x[j] <= hi, "assignment violates an upper bound"
+    """Re-check a claimed-optimal assignment against the constraints as
+    given, in exact arithmetic, raising InternalInvariantError."""
+    scale = lcm(*(xj.denominator for xj in x))
+    support = [(j, xj.numerator * (scale // xj.denominator)) for j, xj in enumerate(x) if xj]
+    if any(v < 0 for _, v in support):
+        raise InternalInvariantError("LP assignment has a negative variable")
     for coeffs, rel, rhs in lp.constraints:
-        lhs = sum((Fraction(a) * xj for a, xj in zip(coeffs, x)), Fraction(0))
-        ok = lhs <= rhs if rel == LE else lhs >= rhs if rel == GE else lhs == rhs
-        assert ok, "assignment violates a constraint"
+        lhs = sum(coeffs[j] * v for j, v in support)
+        if not (lhs <= rhs * scale if rel == LE else lhs == rhs * scale):
+            raise InternalInvariantError("LP assignment violates a constraint")

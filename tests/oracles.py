@@ -6,14 +6,18 @@ The rules are the plain ``Fraction`` versions of those in
 ``Fraction``, and every approver set is rebuilt from the ballots.  The
 checkers are the per-voter versions of those in ``abcvote.axioms``: one
 LP payment variable per (voter, elected candidate), every candidate set
-in the full lexicographic order, gainers recounted voter by voter.  They
-are slow but short, and the fast paths must reproduce their results
-exactly (``tests/test_rules_oracle.py``, ``tests/test_axioms_oracle.py``).
+in the full lexicographic order, gainers recounted voter by voter.  The
+LP is the dense two-phase simplex over ``Fraction``s that the integer
+simplex of ``abcvote.lp`` replaced.  They are slow but short, and the
+fast paths must reproduce their results exactly
+(``tests/test_rules_oracle.py``, ``tests/test_axioms_oracle.py``,
+``tests/test_lp_oracle.py``).
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, Mapping, Sequence
@@ -32,7 +36,6 @@ from abcvote.axioms import (
     validate_price_system,
     verify_deviation,
 )
-from abcvote.lp import EQ, LE, LinearProgram, lp_feasible, lp_maximize
 from abcvote.model import (
     Committee,
     ElectionInstance,
@@ -666,3 +669,344 @@ def _subsets_lex(universe: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
             yield from descend(extended, pos + 1)
 
     yield from descend((), 0)
+
+
+# ---------------------------------------------------------------------------
+# exact LP: the dense two-phase simplex over Fractions that abcvote.lp
+# replaced, with its bound substitution layer, kept as the reference for
+# abcvote.lp (tests/test_lp_oracle.py) and solving the checkers' LPs above
+
+
+#: Constraint relations.
+LE, EQ, GE = "<=", "=", ">="
+
+OPTIMAL = "optimal"
+INFEASIBLE = "infeasible"
+UNBOUNDED = "unbounded"
+
+
+@dataclass
+class LinearProgram:
+    """maximize ``objective . x`` subject to linear constraints and bounds.
+
+    Variables are indexed ``0 .. num_variables-1``.  The default bounds are
+    ``0 <= x_j`` (no upper bound); ``None`` means unbounded on that side.
+    """
+
+    num_variables: int
+    objective: list[Rational] = field(default_factory=list)
+    constraints: list[tuple[list[Rational], str, Rational]] = field(default_factory=list)
+    lower_bounds: list[Rational | None] = field(default_factory=list)
+    upper_bounds: list[Rational | None] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        if self.num_variables < 1:
+            raise ValueError("need at least one variable")
+        if not self.objective:
+            self.objective = [Fraction(0)] * self.num_variables
+        if not self.lower_bounds:
+            self.lower_bounds = [Fraction(0)] * self.num_variables
+        if not self.upper_bounds:
+            self.upper_bounds = [None] * self.num_variables
+        for name, vec in (("objective", self.objective),
+                          ("lower_bounds", self.lower_bounds),
+                          ("upper_bounds", self.upper_bounds)):
+            if len(vec) != self.num_variables:
+                raise ValueError(f"{name} has wrong length")
+        self.objective = [Fraction(c) for c in self.objective]
+
+    def set_objective(self, coeffs: Sequence[Rational]) -> None:
+        if len(coeffs) != self.num_variables:
+            raise ValueError("objective has wrong length")
+        self.objective = [Fraction(c) for c in coeffs]
+
+    def set_bounds(self, var: int, lower: Rational | None, upper: Rational | None) -> None:
+        self.lower_bounds[var] = None if lower is None else Fraction(lower)
+        self.upper_bounds[var] = None if upper is None else Fraction(upper)
+
+    def add_constraint(self, coeffs: Sequence[Rational], rel: str, rhs: Rational) -> None:
+        if len(coeffs) != self.num_variables:
+            raise ValueError(
+                f"constraint has {len(coeffs)} coefficients, expected {self.num_variables}"
+            )
+        if rel not in (LE, EQ, GE):
+            raise ValueError(f"unknown relation {rel!r}")
+        self.constraints.append(([Fraction(c) for c in coeffs], rel, Fraction(rhs)))
+
+
+@dataclass(frozen=True)
+class LPOutcome:
+    """Result of an exact solve.
+
+    ``value`` and ``assignment`` are present exactly when ``status`` is
+    ``"optimal"``.  The assignment has been verified against all constraints
+    and bounds, and ``value`` is recomputed from it directly, independently
+    of the tableau bookkeeping.
+    """
+
+    status: str
+    value: Rational | None = None
+    assignment: tuple[Rational, ...] | None = None
+
+
+def lp_maximize(lp: LinearProgram) -> LPOutcome:
+    """Solve ``lp`` exactly; see LPOutcome for the contract."""
+    return _solve(lp, lp.objective)
+
+
+def lp_feasible(lp: LinearProgram) -> LPOutcome:
+    """Feasibility check: solve with a zero objective."""
+    return _solve(lp, [Fraction(0)] * lp.num_variables)
+
+
+# ---------------------------------------------------------------------------
+# internals
+
+
+def _solve(lp: LinearProgram, objective: Sequence[Rational]) -> LPOutcome:
+    # Substitute x_j by shifted/split nonnegative variables y:
+    #   lower l only:      x = l + y
+    #   upper u only:      x = u - y
+    #   both:              x = l + y  plus a row  y <= u - l
+    #   neither:           x = y+ - y-
+    # ``subst[j]`` describes how to recover x_j from y.
+    nv = lp.num_variables
+    subst: list[tuple[str, int, Rational]] = []  # (kind, y-index, offset)
+    ny = 0
+    extra_rows: list[tuple[dict[int, Fraction], str, Fraction]] = []
+    for j in range(nv):
+        lo, hi = lp.lower_bounds[j], lp.upper_bounds[j]
+        if lo is not None and hi is not None and hi < lo:
+            return LPOutcome(INFEASIBLE)
+        if lo is not None:
+            subst.append(("shift", ny, Fraction(lo)))
+            if hi is not None:
+                extra_rows.append(({ny: Fraction(1)}, LE, Fraction(hi) - Fraction(lo)))
+            ny += 1
+        elif hi is not None:
+            subst.append(("flip", ny, Fraction(hi)))
+            ny += 1
+        else:
+            subst.append(("free", ny, Fraction(0)))
+            ny += 2
+
+    def to_y(coeffs: Sequence[Rational]) -> list[Fraction]:
+        row = [Fraction(0)] * ny
+        for j, a in enumerate(coeffs):
+            if not a:
+                continue
+            kind, idx, _ = subst[j]
+            a = Fraction(a)
+            if kind == "shift":
+                row[idx] += a
+            elif kind == "flip":
+                row[idx] -= a
+            else:
+                row[idx] += a
+                row[idx + 1] -= a
+        return row
+
+    def offset_of(coeffs: Sequence[Rational]) -> Fraction:
+        total = Fraction(0)
+        for j, a in enumerate(coeffs):
+            if not a:
+                continue
+            kind, _, off = subst[j]
+            if kind != "free":
+                total += Fraction(a) * off
+        return total
+
+    rows: list[list[Fraction]] = []
+    rels: list[str] = []
+    rhss: list[Fraction] = []
+    for coeffs, rel, rhs in lp.constraints:
+        rows.append(to_y(coeffs))
+        rels.append(rel)
+        rhss.append(Fraction(rhs) - offset_of(coeffs))
+    for sparse, rel, rhs in extra_rows:
+        row = [Fraction(0)] * ny
+        for idx, a in sparse.items():
+            row[idx] = a
+        rows.append(row)
+        rels.append(rel)
+        rhss.append(rhs)
+
+    obj_y = to_y(objective)
+
+    # Standard form: append slack/surplus columns, flip rows to rhs >= 0,
+    # add artificials where no slack can serve as the initial basic variable.
+    nrows = len(rows)
+    slack_col: list[int | None] = [None] * nrows
+    ncols = ny
+    for i, rel in enumerate(rels):
+        if rel in (LE, GE):
+            slack_col[i] = ncols
+            ncols += 1
+    art_col: list[int | None] = [None] * nrows
+    basis: list[int] = [-1] * nrows
+    tab: list[list[Fraction]] = []
+    for i in range(nrows):
+        row = rows[i] + [Fraction(0)] * (ncols - ny)
+        rhs = rhss[i]
+        if slack_col[i] is not None:
+            row[slack_col[i]] = Fraction(1) if rels[i] == LE else Fraction(-1)
+        if rhs < 0:
+            row = [-a for a in row]
+            rhs = -rhs
+        row.append(rhs)
+        tab.append(row)
+    for i in range(nrows):
+        sc = slack_col[i]
+        if sc is not None and tab[i][sc] > 0:
+            basis[i] = sc
+        else:
+            art_col[i] = len(tab[i]) - 1  # placeholder, resolved below
+    n_art = sum(1 for a in art_col if a is not None)
+    total_cols = ncols + n_art
+    next_art = ncols
+    for i in range(nrows):
+        rhs = tab[i].pop()
+        tab[i].extend([Fraction(0)] * n_art)
+        if art_col[i] is not None:
+            art_col[i] = next_art
+            tab[i][next_art] = Fraction(1)
+            basis[i] = next_art
+            next_art += 1
+        tab[i].append(rhs)
+
+    # Cost rows share the tableau's column layout (reduced costs; the last
+    # entry is minus the current objective value).  Internally we minimize.
+    phase2 = [Fraction(0)] * (total_cols + 1)
+    for j, c in enumerate(obj_y):
+        phase2[j] = -c  # minimize the negated objective
+    artificial = {a for a in art_col if a is not None}
+    if artificial:
+        phase1 = [Fraction(0)] * (total_cols + 1)
+        for a in artificial:
+            phase1[a] = Fraction(1)
+        for i in range(nrows):
+            if basis[i] in artificial:
+                _subtract(phase1, tab[i], Fraction(1))
+        status = _iterate(tab, basis, phase1, [phase2], total_cols, frozenset())
+        assert status == OPTIMAL, "phase 1 cannot be unbounded"
+        if -phase1[-1] != 0:
+            return LPOutcome(INFEASIBLE)
+        _expel_artificials(tab, basis, [phase1, phase2], artificial)
+    status = _iterate(tab, basis, phase2, [], total_cols, artificial)
+    if status == UNBOUNDED:
+        return LPOutcome(UNBOUNDED)
+
+    y = [Fraction(0)] * total_cols
+    for i, b in enumerate(basis):
+        if b >= 0:
+            y[b] = tab[i][-1]
+    x: list[Fraction] = []
+    for j in range(nv):
+        kind, idx, off = subst[j]
+        if kind == "shift":
+            x.append(off + y[idx])
+        elif kind == "flip":
+            x.append(off - y[idx])
+        else:
+            x.append(y[idx] - y[idx + 1])
+    value = sum((Fraction(c) * xj for c, xj in zip(objective, x)), Fraction(0))
+    _verify(lp, x)
+    return LPOutcome(OPTIMAL, value, tuple(x))
+
+
+def _subtract(row: list[Fraction], other: list[Fraction], factor: Fraction) -> None:
+    if not factor:
+        return
+    for j, a in enumerate(other):
+        if a:
+            row[j] -= factor * a
+
+
+def _pivot(
+    tab: list[list[Fraction]],
+    basis: list[int],
+    cost_rows: list[list[Fraction]],
+    leave: int,
+    enter: int,
+) -> None:
+    prow = tab[leave]
+    pval = prow[enter]
+    if pval != 1:
+        inv = 1 / pval
+        for j, a in enumerate(prow):
+            if a:
+                prow[j] = a * inv
+    for i, row in enumerate(tab):
+        if i != leave:
+            _subtract(row, prow, row[enter])
+    for row in cost_rows:
+        _subtract(row, prow, row[enter])
+    basis[leave] = enter
+
+
+def _iterate(
+    tab: list[list[Fraction]],
+    basis: list[int],
+    cost: list[Fraction],
+    shadow_costs: list[list[Fraction]],
+    ncols: int,
+    forbidden: frozenset[int],
+) -> str:
+    """Minimize ``cost`` with Bland's rule; ``shadow_costs`` are co-pivoted."""
+    while True:
+        enter = None
+        for j in range(ncols):
+            if j not in forbidden and cost[j] < 0:
+                enter = j
+                break
+        if enter is None:
+            return OPTIMAL
+        leave = None
+        best: Fraction | None = None
+        for i, row in enumerate(tab):
+            a = row[enter]
+            if a > 0:
+                ratio = row[-1] / a
+                if (
+                    best is None
+                    or ratio < best
+                    or (ratio == best and basis[i] < basis[leave])
+                ):
+                    best = ratio
+                    leave = i
+        if leave is None:
+            return UNBOUNDED
+        _pivot(tab, basis, [cost] + shadow_costs, leave, enter)
+
+
+def _expel_artificials(
+    tab: list[list[Fraction]],
+    basis: list[int],
+    cost_rows: list[list[Fraction]],
+    artificial: set[int],
+) -> None:
+    """Pivot zero-valued artificial variables out of the basis.
+
+    After a successful phase 1 any artificial still in the basis sits at
+    value 0.  Pivot it out on any non-artificial column; if none exists the
+    row is redundant (all-zero) and can stay -- it will never be selected as
+    a pivot row because all its entries are zero.
+    """
+    for i in range(len(tab)):
+        if basis[i] in artificial and tab[i][-1] == 0:
+            for j in range(len(tab[i]) - 1):
+                if j not in artificial and tab[i][j] != 0:
+                    _pivot(tab, basis, cost_rows, i, j)
+                    break
+
+
+def _verify(lp: LinearProgram, x: Sequence[Fraction]) -> None:
+    """Exact sanity check of a claimed-optimal assignment."""
+    for j in range(lp.num_variables):
+        lo, hi = lp.lower_bounds[j], lp.upper_bounds[j]
+        assert lo is None or x[j] >= lo, "assignment violates a lower bound"
+        assert hi is None or x[j] <= hi, "assignment violates an upper bound"
+    for coeffs, rel, rhs in lp.constraints:
+        lhs = sum((Fraction(a) * xj for a, xj in zip(coeffs, x)), Fraction(0))
+        ok = lhs <= rhs if rel == LE else lhs >= rhs if rel == GE else lhs == rhs
+        assert ok, "assignment violates a constraint"

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +15,6 @@ from hypothesis import strategies as st
 
 from abcvote.lp import (
     EQ,
-    GE,
     INFEASIBLE,
     LE,
     OPTIMAL,
@@ -22,19 +25,10 @@ from abcvote.lp import (
 )
 
 
-def test_single_variable_upper_bound():
-    lp = LinearProgram(1, objective=[Fraction(1)])
-    lp.add_constraint([Fraction(1)], LE, Fraction(3))
-    out = lp_maximize(lp)
-    assert out.status == OPTIMAL
-    assert out.value == Fraction(3)
-    assert out.assignment == (Fraction(3),)
-
-
 def test_infeasible_pair_of_constraints():
     lp = LinearProgram(1)
     lp.add_constraint([Fraction(1)], LE, Fraction(1))
-    lp.add_constraint([Fraction(1)], GE, Fraction(2))
+    lp.add_constraint([Fraction(-1)], LE, Fraction(-2))  # x >= 2
     assert lp_maximize(lp).status == INFEASIBLE
     assert lp_feasible(lp).status == INFEASIBLE
 
@@ -42,43 +36,6 @@ def test_infeasible_pair_of_constraints():
 def test_unbounded():
     lp = LinearProgram(1, objective=[Fraction(1)])
     assert lp_maximize(lp).status == UNBOUNDED
-
-
-def test_equality_and_free_variable():
-    # max y  s.t.  x + y = 2,  x >= 0,  y free  ->  y = 2 at x = 0
-    lp = LinearProgram(2, objective=[Fraction(0), Fraction(1)])
-    lp.set_bounds(1, None, None)
-    lp.add_constraint([Fraction(1), Fraction(1)], EQ, Fraction(2))
-    out = lp_maximize(lp)
-    assert out.status == OPTIMAL
-    assert out.value == Fraction(2)
-    assert out.assignment == (Fraction(0), Fraction(2))
-
-
-def test_negative_rhs_and_ge_rows():
-    # max -x - y  s.t.  x + y >= 3/2, both >= 0  ->  -3/2
-    lp = LinearProgram(2, objective=[Fraction(-1), Fraction(-1)])
-    lp.add_constraint([Fraction(1), Fraction(1)], GE, Fraction(3, 2))
-    out = lp_maximize(lp)
-    assert out.status == OPTIMAL
-    assert out.value == Fraction(-3, 2)
-
-
-def test_conflicting_bounds_infeasible():
-    lp = LinearProgram(1)
-    lp.set_bounds(0, Fraction(2), Fraction(1))
-    assert lp_maximize(lp).status == INFEASIBLE
-
-
-def test_double_bounded_variables():
-    lp = LinearProgram(2, objective=[Fraction(2), Fraction(1)])
-    lp.set_bounds(0, Fraction(-1), Fraction(1))
-    lp.set_bounds(1, Fraction(0), Fraction(5, 2))
-    lp.add_constraint([Fraction(1), Fraction(1)], LE, Fraction(3))
-    out = lp_maximize(lp)
-    assert out.status == OPTIMAL
-    assert out.value == Fraction(2) + Fraction(2)  # x=1, y=2
-    assert out.assignment == (Fraction(1), Fraction(2))
 
 
 def test_exact_rational_answer():
@@ -124,11 +81,11 @@ def _random_lp(rng: random.Random) -> LinearProgram:
     lp = LinearProgram(nv, objective=[Fraction(rng.randint(-3, 3)) for _ in range(nv)])
     for _ in range(rng.randint(1, 5)):
         coeffs = [Fraction(rng.randint(-3, 3)) for _ in range(nv)]
-        rel = rng.choice([LE, GE, EQ])
-        lp.add_constraint(coeffs, rel, Fraction(rng.randint(-4, 4)))
-    for j in range(nv):
-        if rng.random() < 0.3:
-            lp.set_bounds(j, None, Fraction(rng.randint(0, 4)))
+        rel = rng.choice([LE, ">=", EQ])
+        rhs = Fraction(rng.randint(-4, 4))
+        if rel == ">=":  # a.x >= b as -a.x <= -b
+            coeffs, rel, rhs = [-c for c in coeffs], LE, -rhs
+        lp.add_constraint(coeffs, rel, rhs)
     return lp
 
 
@@ -145,23 +102,16 @@ def test_against_scipy_reference(seed):
         if rel == LE:
             a_ub.append(row)
             b_ub.append(float(rhs))
-        elif rel == GE:
-            a_ub.append([-c for c in row])
-            b_ub.append(-float(rhs))
         else:
             a_eq.append(row)
             b_eq.append(float(rhs))
-    bounds = [
-        (None if lo is None else float(lo), None if hi is None else float(hi))
-        for lo, hi in zip(lp.lower_bounds, lp.upper_bounds)
-    ]
     ref = scipy_opt.linprog(
         c=[-float(c) for c in lp.objective],
         A_ub=a_ub or None,
         b_ub=b_ub or None,
         A_eq=a_eq or None,
         b_eq=b_eq or None,
-        bounds=bounds,
+        bounds=(0, None),
         method="highs",
     )
     if mine.status == OPTIMAL:
@@ -186,8 +136,6 @@ def test_value_invariant_under_permutation(seed):
     rng.shuffle(perm)
     permuted = LinearProgram(lp.num_variables)
     permuted.set_objective([lp.objective[perm[j]] for j in range(lp.num_variables)])
-    for j in range(lp.num_variables):
-        permuted.set_bounds(j, lp.lower_bounds[perm[j]], lp.upper_bounds[perm[j]])
     rows = list(lp.constraints)
     rng.shuffle(rows)
     for coeffs, rel, rhs in rows:
@@ -207,3 +155,42 @@ def test_dimension_mismatch_rejected():
         lp.set_objective([Fraction(1)])
     with pytest.raises(ValueError):
         LinearProgram(0)
+
+
+#: Run under ``python -O``: ``_verify`` is fed assignments that break a row
+#: of the program as given or the sign constraints, and must raise without
+#: relying on ``assert``.
+CORRUPTED_ASSIGNMENT_SCRIPT = """
+import sys
+from fractions import Fraction
+from abcvote.lp import EQ, LE, LinearProgram, _verify
+from abcvote.model import InternalInvariantError
+
+if __debug__:
+    sys.exit("expected python -O")
+lp = LinearProgram(2)
+lp.add_constraint([1, 1], LE, Fraction(3, 2))
+lp.add_constraint([Fraction(1, 2), Fraction(-1, 2)], EQ, 0)
+_verify(lp, (Fraction(3, 4), Fraction(3, 4)))
+for x in ((Fraction(1), Fraction(1)), (Fraction(3, 4), Fraction(1, 2)), (Fraction(-1), Fraction(-1))):
+    try:
+        _verify(lp, x)
+    except InternalInvariantError as exc:
+        print(exc)
+"""
+
+
+def test_verify_raises_under_optimize():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(src), os.environ.get("PYTHONPATH")))
+    ))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", CORRUPTED_ASSIGNMENT_SCRIPT],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert done.stdout.splitlines() == [
+        "LP assignment violates a constraint",
+        "LP assignment violates a constraint",
+        "LP assignment has a negative variable",
+    ]

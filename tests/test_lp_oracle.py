@@ -1,0 +1,110 @@
+"""Differential tests: the integer simplex of ``abcvote.lp`` against the
+``Fraction`` simplex kept in ``tests/oracles.py``.
+
+Both must report the same status and, at an optimum, the same value and
+the same assignment: the same vertex, not just the same optimum, since
+both pivot by Bland's rule and the same ratio test.  Inputs are
+Hypothesis programs of the shape ``check_priceable`` builds and the
+programs it builds on the catalogue fixtures.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from abcvote import axioms, lp
+from abcvote.generators import FIXTURE_NAMES, fixture
+from abcvote.lp import EQ, LE, LinearProgram, LPOutcome, lp_maximize
+from abcvote.rules import phragmen_sequential, rule_x
+from tests import oracles
+
+#: Fixtures whose priceability programs take the oracle 20-60 s each
+#: (m=669 on the fig2 profiles, m=200 on overlapping_parties).
+SLOW_FOR_ORACLE = ("fig2_profile1", "fig2_profile2", "overlapping_parties")
+
+
+def solve_both(program: LinearProgram) -> LPOutcome:
+    """The oracle's outcome on ``program``, after checking that
+    ``abcvote.lp`` returns the same one."""
+    reference = oracles.LinearProgram(program.num_variables, objective=program.objective)
+    for coeffs, rel, rhs in program.constraints:
+        reference.add_constraint(coeffs, rel, rhs)
+    fast, ref = lp_maximize(program), oracles.lp_maximize(reference)
+    assert (fast.status, fast.value, fast.assignment) == (ref.status, ref.value, ref.assignment)
+    return ref
+
+
+coefficients = st.one_of(
+    st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4)
+)
+
+
+@st.composite
+def programs(draw):
+    """A small program of the production shape: LE and EQ rows over
+    nonnegative variables, int and Fraction coefficients, negative and
+    zero right-hand sides (zero ones make ratio-test ties), and rows
+    repeated at another scale (redundant equalities).  Half of them cap
+    the sum of the variables, as the spending rows do, so that more of
+    them have an optimum."""
+    nv = draw(st.integers(1, 5))
+    row = st.lists(coefficients, min_size=nv, max_size=nv)
+    program = LinearProgram(nv, objective=draw(row))
+    if draw(st.booleans()):
+        program.add_constraint([1] * nv, LE, draw(st.integers(1, 3)))
+    for _ in range(draw(st.integers(0, 6))):
+        coeffs, rel = draw(row), draw(st.sampled_from((LE, EQ)))
+        rhs = draw(st.one_of(st.just(0), coefficients))
+        program.add_constraint(coeffs, rel, rhs)
+        if draw(st.booleans()):
+            scale = draw(st.sampled_from((1, 2, Fraction(1, 3))))
+            if rel == EQ and draw(st.booleans()):
+                scale = -scale
+            program.add_constraint([scale * c for c in coeffs], rel, scale * rhs)
+    return program
+
+
+@settings(max_examples=300, deadline=None)
+@given(programs())
+def test_programs_match_oracle(program):
+    solve_both(program)
+
+
+@pytest.mark.parametrize(
+    "name", [name for name in FIXTURE_NAMES if name not in SLOW_FOR_ORACLE]
+)
+def test_priceability_programs_match_oracle(name, monkeypatch):
+    inst = fixture(name)
+    committees = {phragmen_sequential(inst).committee, rule_x(inst).committee}
+    for committee in sorted(committees, key=sorted):
+        expected = axioms.check_priceable(inst, committee)
+        with monkeypatch.context() as patch:
+            patch.setattr(axioms, "lp_maximize", solve_both)
+            # payments included: the systems come from the same vertex
+            assert axioms.check_priceable(inst, committee) == expected
+
+
+def test_expel_artificials_pivots_on_a_negative_entry(monkeypatch):
+    # max x0 + x1  s.t.  x0 <= 2,  -x1 = 0,  x1 = 0.  Phase 1 ends at once
+    # with the artificial of -x1 = 0 basic at 0; the only non-artificial
+    # nonzero of its row is the -1 of x1, so it leaves on a negative
+    # pivot, and the redundant row x1 = 0 is left all zero.
+    pivots = []
+    pivot = lp._Tableau.pivot
+
+    def spy(tableau, leave, enter):
+        pivots.append(tableau.rows[leave][enter])
+        pivot(tableau, leave, enter)
+
+    monkeypatch.setattr(lp._Tableau, "pivot", spy)
+    program = LinearProgram(2, objective=[1, 1])
+    program.add_constraint([1, 0], LE, 2)
+    program.add_constraint([0, -1], EQ, 0)
+    program.add_constraint([0, 1], EQ, 0)
+    out = solve_both(program)
+    assert pivots[0] < 0
+    assert (out.value, out.assignment) == (2, (2, 0))
