@@ -222,7 +222,17 @@ def check_pjr(
     A voter set S violates the axiom when, for some level l: the voters
     share at least l candidates, |S| >= l*n/size (size = |W|, or k for an
     empty committee), yet W covers fewer than l candidates approved by
-    anyone in S.  Exhaustive over all voter subsets.
+    anyone in S.  Exhaustive over all voter subsets, within a budget of
+    2^n.
+
+    Voter sets are walked depth-first in sorted-tuple lexicographic
+    order, carrying int bitmasks of the candidates all of S approve and of
+    those anyone in S approves.  A set whose shared candidates are no more
+    than W's coverage of the union is skipped with everything below it:
+    adding voters only shrinks the first and grows the second, so no
+    extension has a level to offer.  The first witness is the one the
+    plain enumeration finds, and it is re-checked against the definition
+    before it is returned.
     """
     members = frozenset(committee)
     size = len(members) or instance.committee_size
@@ -231,21 +241,57 @@ def check_pjr(
         raise SearchBudgetExceeded(
             f"2^{n} voter subsets exceed the search budget of {budget}"
         )
-    for group in _subsets_lex(tuple(instance.voters)):
-        ballots = [instance.approvals[i] for i in group]
-        shared = frozenset.intersection(*ballots)
-        if not shared:
-            continue
-        covered = len(members & frozenset.union(*ballots))
-        # any l with covered < l <= min(|shared|, floor(|S|*size/n)) works
-        level = max(covered + 1, 1)
-        if level > min(len(shared), len(group) * size // n):
-            continue
-        witness = frozenset(sorted(shared)[:level])
-        return Deviation(
-            coalition=frozenset(group), alternative=witness, kind=PJR
-        )
-    return None
+    member_mask = sum(1 << c for c in members)
+    ballots = [sum(1 << c for c in ballot) for ballot in instance.approvals]
+    group: list[int] = []
+
+    def first_group(start: int, shared: int, union: int) -> tuple[int, int] | None:
+        for i in range(start, n):
+            now_shared = shared & ballots[i]
+            now_union = union | ballots[i]
+            covered = (now_union & member_mask).bit_count()
+            if now_shared.bit_count() <= covered:
+                continue
+            group.append(i)
+            # the smallest level covered + 1 works once |S| reaches level*n/size
+            if (covered + 1) * n <= len(group) * size:
+                return now_shared, covered + 1
+            found = first_group(i + 1, now_shared, now_union)
+            if found is not None:
+                return found
+            group.pop()
+        return None
+
+    found = first_group(0, (1 << instance.num_candidates) - 1, 0)
+    if found is None:
+        return None
+    shared, level = found
+    alternative = [c for c in range(instance.num_candidates) if shared >> c & 1]
+    deviation = Deviation(
+        coalition=frozenset(group),
+        alternative=frozenset(alternative[:level]),
+        kind=PJR,
+    )
+    _require(
+        _is_pjr_witness(instance, members, deviation),
+        "PJR witness fails its re-check",
+    )
+    return deviation
+
+
+def _is_pjr_witness(
+    instance: ElectionInstance, members: Committee, deviation: Deviation
+) -> bool:
+    """The PJR definition, checked directly on one (S, T)."""
+    ballots = [instance.approvals[i] for i in deviation.coalition]
+    level = len(deviation.alternative)
+    size = len(members) or instance.committee_size
+    if not ballots or not level or len(ballots) * size < level * instance.num_voters:
+        return False
+    return (
+        deviation.alternative <= frozenset.intersection(*ballots)
+        and len(members & frozenset.union(*ballots)) < level
+    )
 
 
 def check_ejr(
@@ -688,15 +734,3 @@ def _same_size_committees(
         )
     for combo in combinations(instance.candidates, size):
         yield frozenset(combo)
-
-
-def _subsets_lex(universe: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """Non-empty subsets in sorted-tuple lexicographic order."""
-
-    def descend(prefix: tuple[int, ...], start: int) -> Iterator[tuple[int, ...]]:
-        for pos in range(start, len(universe)):
-            extended = prefix + (universe[pos],)
-            yield extended
-            yield from descend(extended, pos + 1)
-
-    yield from descend((), 0)

@@ -697,6 +697,15 @@ def _desk_matrix(report: _Report) -> None:
         ("phragmen", SEARCH_RULES["phragmen"]),
         ("rulex", SEARCH_RULES["rulex"]),
     ]
+
+    def elect(pool: list[ElectionInstance]):
+        return {
+            name: [(instance, run_rule(instance)) for instance in pool]
+            for name, run_rule in rules
+        }
+
+    # each rule's committee on each instance, computed once for every row
+    on_suite, on_laminar = elect(suite), elect(laminar_suite)
     guaranteed = {
         ("pav", "pjr"),
         ("pav", "ejr"),
@@ -734,11 +743,10 @@ def _desk_matrix(report: _Report) -> None:
         "pigou-dalton",
     ):
         cells = []
-        pool = laminar_suite if axiom == "laminar-prop" else suite
-        for rule_name, run_rule in rules:
+        runs = on_laminar if axiom == "laminar-prop" else on_suite
+        for rule_name, _ in rules:
             violations = []
-            for pos, instance in enumerate(pool):
-                committee = run_rule(instance)
+            for pos, (instance, committee) in enumerate(runs[rule_name]):
                 if axiom == "laminar-prop":
                     bad = not check_laminar_proportional(instance, committee)
                 else:
@@ -751,7 +759,7 @@ def _desk_matrix(report: _Report) -> None:
                     f"FAIL {rule_name}/{axiom} violated at desk scale: "
                     + violations[0]
                 )
-            cells.append(_matrix_cell(violations, len(pool)))
+            cells.append(_matrix_cell(violations, len(runs[rule_name])))
         rows.append((axiom, cells))
 
     # Welfarist row: two profiles with identical welfare possibilities
@@ -767,11 +775,11 @@ def _desk_matrix(report: _Report) -> None:
     rows.append(("welfarist", cells))
 
     lam_cells = []
-    for rule_name, run_rule in rules:
+    for rule_name, _ in rules:
         worst = Fraction(1)
         unstable = False
-        for instance in suite:
-            lam = minimal_core_lambda(instance, run_rule(instance))
+        for instance, committee in on_suite[rule_name]:
+            lam = minimal_core_lambda(instance, committee)
             if lam is None:
                 unstable = True
             else:

@@ -22,7 +22,9 @@ seq-PAV score with the weights lcm(1..k)/(u+1), and the two money-based
 rules keep every balance, budget and the clock as an int numerator over
 one running denominator, which grows only at a purchase.  Every value a
 rule returns is an exact ``Fraction``, equal to what the plain
-``Fraction`` computation gives.
+``Fraction`` computation gives.  ``rule_x`` recomputes a candidate's
+price cap only when the candidate reaches the top of a lazy heap, as
+budgets only shrink and an old cap is a lower bound.
 
 Ties are always broken lexicographically (smallest candidate index), which
 makes every rule fully deterministic.
@@ -33,6 +35,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import lcm
 from typing import Mapping, Sequence
 
@@ -345,34 +348,59 @@ def rule_x(
     price n/k is ``n`` at the start, when ``den`` is k); each purchase
     multiplies ``den`` by the denominator of its scaled q, which makes the
     payments ints.
+
+    Candidates wait in a heap keyed by (q, index), with q in units of the
+    starting budget.  Budgets only shrink, so a candidate's minimal
+    affordable q never drops and a key computed at an earlier step is a
+    lower bound.  The popped candidate's q is recomputed: if it still
+    equals the key, no other candidate can be cheaper, nor as cheap with a
+    smaller index, so it is the lexicographic choice; if it grew, the
+    candidate goes back with its new key; if it is no longer affordable,
+    it never will be again and is dropped.
     """
     n, k = instance.num_voters, instance.committee_size
     den = k
     price = n
     budget = [k] * n
     approvers = _approver_lists(instance)
-    remaining = list(instance.candidates)
+
+    def q_of(c: int) -> Rational | None:
+        return min_affordable_q([budget[i] for i in approvers[c]], price)
+
+    heap = []
+    for c in instance.candidates:
+        q = q_of(c)
+        if q is not None:
+            heap.append((q / den, c))
+    heapify(heap)
     elected: list[int] = []
     qs: list[Rational] = []
     snapshots: list[tuple[Rational, ...]] = []
-    while len(elected) < k:
-        options: dict[int, Rational] = {}
-        for c in remaining:
-            q = min_affordable_q([budget[i] for i in approvers[c]], price)
-            if q is not None:
-                options[c] = q
-        if not options:
-            break
-        best_q = min(options.values())
-        best_c = next(c for c, q in options.items() if q == best_q)
+    while len(elected) < k and heap:
+        key, best_c = heappop(heap)
+        if best_c in elected:
+            continue  # elected through a tie choice
+        best_q = q_of(best_c)
+        if best_q is None:
+            continue  # unaffordable for good
+        if best_q / den != key:
+            heappush(heap, (best_q / den, best_c))
+            continue
         if tie_choices is not None and len(elected) in tie_choices:
             wanted = tie_choices[len(elected)]
-            if options.get(wanted) != best_q:
-                raise ValueError(
-                    f"step {len(elected)}: candidate {wanted} is not in the "
-                    f"minimal-q tie set"
+            if wanted != best_c:
+                tied = (
+                    wanted in instance.candidates
+                    and wanted not in elected
+                    and q_of(wanted) == best_q
                 )
-            best_c = wanted
+                if not tied:
+                    raise ValueError(
+                        f"step {len(elected)}: candidate {wanted} is not in the "
+                        f"minimal-q tie set"
+                    )
+                heappush(heap, (key, best_c))
+                best_c = wanted
         step = best_q.denominator
         if step > 1:
             den *= step
@@ -381,7 +409,6 @@ def rule_x(
         q = best_q.numerator
         for i in approvers[best_c]:
             budget[i] = max(budget[i] - q, 0)
-        remaining.remove(best_c)
         elected.append(best_c)
         qs.append(Fraction(q, den))
         snapshots.append(tuple(_fractions(budget, den)))

@@ -6,10 +6,11 @@ The rules are the plain ``Fraction`` versions of those in
 ``Fraction``, and every approver set is rebuilt from the ballots.  The
 checkers are the per-voter versions of those in ``abcvote.axioms``: one
 LP payment variable per (voter, elected candidate), every candidate set
-in the full lexicographic order, gainers recounted voter by voter.  The
-LP is the dense two-phase simplex over ``Fraction``s that the integer
-simplex of ``abcvote.lp`` replaced.  They are slow but short, and the
-fast paths must reproduce their results exactly
+and every voter set in the full lexicographic order, gainers recounted
+voter by voter.  The LP is the dense two-phase simplex over
+``Fraction``s that the integer simplex of ``abcvote.lp`` replaced.  They
+are slow but short, and the fast paths must reproduce their results
+exactly
 (``tests/test_rules_oracle.py``, ``tests/test_axioms_oracle.py``,
 ``tests/test_lp_oracle.py``).
 """
@@ -29,6 +30,7 @@ from abcvote.axioms import (
     EJR,
     LAMBDA_CORE,
     PRICE_EQ,
+    PJR,
     PRICEABLE,
     Deviation,
     PriceSystem,
@@ -419,6 +421,42 @@ def check_priceable(
     system = PriceSystem(price=outcome.assignment[0], payments=payments)
     assert validate_price_system(instance, committee, system)
     return system
+
+
+def check_pjr(
+    instance: ElectionInstance,
+    committee: Committee,
+    budget: int = DEFAULT_SUBSET_BUDGET,
+) -> Deviation | None:
+    """A group whose shared candidates outnumber its committee coverage.
+
+    A voter set S violates the axiom when, for some level l: the voters
+    share at least l candidates, |S| >= l*n/size (size = |W|, or k for an
+    empty committee), yet W covers fewer than l candidates approved by
+    anyone in S.  Exhaustive over all voter subsets.
+    """
+    members = frozenset(committee)
+    size = len(members) or instance.committee_size
+    n = instance.num_voters
+    if 1 << n > budget:
+        raise SearchBudgetExceeded(
+            f"2^{n} voter subsets exceed the search budget of {budget}"
+        )
+    for group in _subsets_lex(tuple(instance.voters)):
+        ballots = [instance.approvals[i] for i in group]
+        shared = frozenset.intersection(*ballots)
+        if not shared:
+            continue
+        covered = len(members & frozenset.union(*ballots))
+        # any l with covered < l <= min(|shared|, floor(|S|*size/n)) works
+        level = max(covered + 1, 1)
+        if level > min(len(shared), len(group) * size // n):
+            continue
+        witness = frozenset(sorted(shared)[:level])
+        return Deviation(
+            coalition=frozenset(group), alternative=witness, kind=PJR
+        )
+    return None
 
 
 def check_ejr(

@@ -590,11 +590,13 @@ def test_intro_committees_missing_the_shared_package_are_blocked():
 
 #: Run under ``python -O``: the search of each checker is fed corrupted
 #: data (no voter has any approved committee member, or the LP reports
-#: twice its optimal price), so its witness is wrong and only the re-check
-#: against the definition can catch it.
+#: twice its optimal price), or its witness is corrupted on the way out
+#: (PJR), so the witness is wrong and only the re-check against the
+#: definition can catch it.
 MUTATED_WITNESS_SCRIPT = """
 import sys
 from abcvote import axioms
+from abcvote.axioms import Deviation
 from abcvote.lp import LPOutcome
 from abcvote.model import ElectionInstance, InternalInvariantError
 
@@ -620,6 +622,16 @@ for name, extra in (
         getattr(axioms, name)(pair, frozenset({0}), *extra)
     except InternalInvariantError:
         print(name)
+
+# the pair really violates PJR under the empty committee, but the witness
+# now names an unshared candidate as well
+axioms.Deviation = lambda coalition, alternative, kind: Deviation(
+    coalition, alternative | {1}, kind
+)
+try:
+    axioms.check_pjr(pair, frozenset())
+except InternalInvariantError:
+    print("check_pjr")
 """
 
 
@@ -633,5 +645,9 @@ def test_mutated_witness_raises_under_optimize():
         env=env, capture_output=True, text=True, timeout=60, check=True,
     )
     assert done.stdout.split() == [
-        "check_priceable", "check_ejr", "find_core_deviation", "check_core_subject_to"
+        "check_priceable",
+        "check_ejr",
+        "find_core_deviation",
+        "check_core_subject_to",
+        "check_pjr",
     ]

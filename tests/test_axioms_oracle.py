@@ -32,6 +32,7 @@ F = Fraction
 CHECKS = {
     "priceable": lambda mod, inst, w, budget: mod.check_priceable(inst, w),
     "ejr": lambda mod, inst, w, budget: mod.check_ejr(inst, w, budget),
+    "pjr": lambda mod, inst, w, budget: mod.check_pjr(inst, w, budget),
     **{
         f"core{suffix}": (
             lambda mod, inst, w, budget, lam=lam:
@@ -73,6 +74,10 @@ FLAG_UNUSED = ("subject-cohesive-restricted", "subject-priceable-restricted")
 
 DEDUPED_FIXTURES = [name for name in FIXTURE_NAMES if name != "fig3"]  # fig3 is intro
 
+#: PJR walks voter sets, not candidate sets, so its fixtures and budgets
+#: are chosen by n, in tests of their own.
+BY_VOTERS = ("pjr",)
+
 
 def outcome(module, check: str, instance: ElectionInstance, committee, budget):
     """What a check returns, with a price system reduced to its price and
@@ -97,7 +102,8 @@ def assert_same(check: str, instance: ElectionInstance, committee, budget) -> No
         (name, check)
         for name in DEDUPED_FIXTURES
         for check in CHECKS
-        if (name, check) not in SLOW_FOR_ORACLE and check not in FLAG_UNUSED
+        if (name, check) not in SLOW_FOR_ORACLE
+        and check not in FLAG_UNUSED + BY_VOTERS
     ],
 )
 def test_fixture_matches_oracle(name, check):
@@ -119,13 +125,15 @@ def shared_ballot_instances(draw, max_voters: int = 9, max_candidates: int = 7):
 
 
 @st.composite
-def audits(draw):
+def audits(draw, searched=lambda inst: inst.num_candidates):
     """An instance, a committee of at most k members, and a subset budget
-    just below, at, or far above the 2^m the searches need."""
+    just below, at, or far above the 2^searched(instance) the search
+    needs (2^m by default).  Ballots may be empty, and committees
+    undersized or empty."""
     inst = draw(st.one_of(shared_ballot_instances(), instances(7, 7)))
     size = draw(st.integers(0, inst.committee_size))
     committee = frozenset(draw(st.permutations(range(inst.num_candidates)))[:size])
-    need = 1 << inst.num_candidates
+    need = 1 << searched(inst)
     budget = draw(st.sampled_from((need - 1, need, axioms.DEFAULT_SUBSET_BUDGET)))
     return inst, committee, budget
 
@@ -152,3 +160,23 @@ def test_core_matches_oracle(audit, check):
 @given(audits(), st.sampled_from([c for c in CHECKS if c.startswith("subject-")]))
 def test_core_subject_to_matches_oracle(audit, check):
     assert_same(check, *audit)
+
+
+@pytest.mark.parametrize(
+    "name", [name for name in DEDUPED_FIXTURES if fixture(name).num_voters <= 20]
+)
+def test_pjr_fixture_matches_oracle(name):
+    inst = fixture(name)
+    committees = {
+        frozenset(),
+        phragmen_sequential(inst).committee,
+        rule_x(inst).committee,
+    }
+    for committee in sorted(committees, key=sorted):
+        assert_same("pjr", inst, committee, axioms.DEFAULT_SUBSET_BUDGET)
+
+
+@settings(max_examples=200, deadline=None)
+@given(audits(lambda inst: inst.num_voters))
+def test_pjr_matches_oracle(audit):
+    assert_same("pjr", *audit)

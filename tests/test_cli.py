@@ -16,6 +16,7 @@ from abcvote.model import SearchBudgetExceeded, parse_instance
 from abcvote.rules import phragmen_sequential
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -389,6 +390,12 @@ def test_repro_is_green_and_deterministic(capsys):
     code, again, _ = run_cli(capsys, "repro")
     assert code == 0
     assert first == again
+
+
+def test_repro_matches_golden(capsys):
+    code, out, _ = run_cli(capsys, "repro")
+    assert code == 0
+    assert out.encode("utf-8") == (GOLDEN / "repro.txt").read_bytes()
 
 
 def test_repro_json_payload(capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -284,6 +285,34 @@ def test_rule_x_forced_tie_strands_money():
 def test_rule_x_force_must_be_tied():
     with pytest.raises(ValueError, match="tie set"):
         rule_x(BLOCKS_15, tie_choices={0: 2})
+
+
+# Everyone approves 0 and 2 (q = 1/2 each); voters 0 and 1 can also afford
+# 1 at q = 1, but not once they have paid 1/2 for candidate 0.
+LOSES_TWO = build(3, 2, [{0, 1, 2}] * 2 + [{0, 2}] * 2)
+
+
+def test_rule_x_lapsed_candidate_trace():
+    trace = rule_x(LOSES_TWO)
+    assert trace.elected == (0, 2)
+    assert trace.q_values == (F(1, 2), F(1, 2))
+    assert rule_x(LOSES_TWO, tie_choices={0: 2}).elected == (2, 0)
+
+
+@pytest.mark.parametrize(
+    "step,wanted",
+    [
+        (1, 0),  # already elected
+        (1, 1),  # affordable at step 0, no longer at step 1
+        (0, 1),  # affordable, but at q = 1 against 1/2
+        (0, 3),  # no such candidate
+        (0, -1),
+    ],
+)
+def test_rule_x_force_outside_tie_set(step, wanted):
+    message = f"step {step}: candidate {wanted} is not in the minimal-q tie set"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        rule_x(LOSES_TWO, tie_choices={step: wanted})
 
 
 def test_rule_x_force_other_tied_candidate():
