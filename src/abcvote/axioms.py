@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import floor
+from math import floor, lcm
 from typing import Iterator, Sequence
 
 from abcvote.lp import EQ, LE, LinearProgram, lp_maximize
@@ -84,33 +84,35 @@ def validate_price_system(
        money is at most the price (weak inequality).
     """
     members = frozenset(committee)
-    if len(system.payments) != instance.num_voters:
+    if len(system.payments) != instance.num_voters or system.price <= 0:
         return False
-    if system.price <= 0:
-        return False
-    for i, purse in enumerate(system.payments):
-        if any(amount < 0 for amount in purse.values()):
+    # every amount as an int numerator over the lcm of all denominators
+    den = lcm(
+        system.price.denominator,
+        *[a.denominator for purse in system.payments for a in purse.values()],
+    )
+    price = system.price.numerator * (den // system.price.denominator)
+    collected = [0] * instance.num_candidates
+    slack = [0] * instance.num_candidates  # leftover money of the approvers
+    for ballot, purse in zip(instance.approvals, system.payments):
+        if not purse.keys() <= ballot:
             return False
-        if not set(purse) <= instance.approvals[i]:
+        amounts = [a.numerator * (den // a.denominator) for a in purse.values()]
+        if any(amount < 0 for amount in amounts):
             return False
-        if sum(purse.values(), Fraction(0)) > 1:
+        left = den - sum(amounts)
+        if left < 0:
             return False
-    for c in instance.candidates:
-        collected = sum(
-            (purse.get(c, Fraction(0)) for purse in system.payments), Fraction(0)
-        )
-        if c in members and collected != system.price:
-            return False
-        if c not in members and collected != 0:
-            return False
-    leftovers = [
-        1 - sum(purse.values(), Fraction(0)) for purse in system.payments
-    ]
+        for c, amount in zip(purse, amounts):
+            collected[c] += amount
+        if left:
+            for c in ballot - members:
+                slack[c] += left
     for c in instance.candidates:
         if c in members:
-            continue
-        slack = sum((leftovers[i] for i in instance.approvers(c)), Fraction(0))
-        if slack > system.price:
+            if collected[c] != price:
+                return False
+        elif collected[c] != 0 or slack[c] > price:
             return False
     return True
 

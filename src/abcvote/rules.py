@@ -20,11 +20,15 @@ Implemented rules:
 The inner loops compute on Python ints over a common denominator: PAV and
 seq-PAV score with the weights lcm(1..k)/(u+1), and the two money-based
 rules keep every balance, budget and the clock as an int numerator over
-one running denominator, which grows only at a purchase.  Every value a
-rule returns is an exact ``Fraction``, equal to what the plain
-``Fraction`` computation gives.  ``rule_x`` recomputes a candidate's
-price cap only when the candidate reaches the top of a lazy heap, as
-budgets only shrink and an old cap is a lower bound.
+one running denominator.  Every value a rule returns is an exact
+``Fraction``, equal to what the plain ``Fraction`` computation gives.
+``rule_x`` recomputes a candidate's price cap only when the candidate
+reaches the top of a lazy heap, as budgets only shrink and an old cap is
+a lower bound.  ``phragmen_sequential`` keeps each candidate's group
+balance up to date instead of summing it at every step, and its trace
+holds the int numerators of each purchase, which become the ``Fraction``
+times and payments on their first access.  ``pav_score`` sums once per
+distinct ballot.
 
 Ties are always broken lexicographically (smallest candidate index), which
 makes every rule fully deterministic.
@@ -33,10 +37,11 @@ makes every rule fully deterministic.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
+from functools import cached_property
 from heapq import heapify, heappop, heappush
-from math import lcm
+from math import gcd, lcm
 from typing import Mapping, Sequence
 
 from abcvote.model import (
@@ -84,10 +89,15 @@ def _fractions(numerators: list[int], denominator: int) -> list[Rational]:
 
 
 def pav_score(instance: ElectionInstance, committee: Committee) -> Rational:
-    """Sum over voters of H(number of approved committee members)."""
+    """Sum over voters of H(number of approved committee members), taken
+    once per distinct ballot and weighted by the number of its voters."""
     members = frozenset(committee)
     return sum(
-        (harmonic(len(ballot & members)) for ballot in instance.approvals), Fraction(0)
+        (
+            count * harmonic(len(ballot & members))
+            for ballot, count in Counter(instance.approvals).items()
+        ),
+        Fraction(0),
     )
 
 
@@ -184,7 +194,6 @@ def seq_pav(instance: ElectionInstance) -> Committee:
     return frozenset(committee)
 
 
-@dataclass(frozen=True)
 class PhragmenTrace:
     """Full record of a money-earning run.
 
@@ -194,15 +203,64 @@ class PhragmenTrace:
     each step the payments add up to n/k.  Times are weakly increasing:
     several candidates can be bought at the same instant, in lexicographic
     order.
+
+    A trace made by the rule keeps each purchase as int numerators and
+    builds the ``Fraction`` times and payments on their first access.
+    Traces are read-only, and two are equal when their three values are.
     """
 
-    elected: tuple[int, ...]
-    election_times: tuple[Rational, ...]
-    payments: tuple[dict[int, Rational], ...]
+    def __init__(
+        self,
+        elected: tuple[int, ...],
+        election_times: tuple[Rational, ...],
+        payments: tuple[dict[int, Rational], ...],
+    ) -> None:
+        self.__dict__.update(
+            elected=elected, election_times=election_times, payments=payments
+        )
+
+    @classmethod
+    def _of_purchases(
+        cls, elected: list[int], purchases: list[tuple[int, int, list[int], list[int]]]
+    ) -> PhragmenTrace:
+        """A trace whose purchase ``j`` is ``(den, clock, payers, amounts)``:
+        time ``clock/den``, and ``amounts[x]/den`` paid by ``payers[x]``."""
+        trace = cls.__new__(cls)
+        trace.__dict__.update(elected=tuple(elected), _purchases=purchases)
+        return trace
+
+    @cached_property
+    def election_times(self) -> tuple[Rational, ...]:
+        return tuple(Fraction(clock, den) for den, clock, _, _ in self._purchases)
+
+    @cached_property
+    def payments(self) -> tuple[dict[int, Rational], ...]:
+        return tuple(
+            dict(zip(payers, _fractions(amounts, den)))
+            for den, _, payers, amounts in self._purchases
+        )
 
     @property
     def committee(self) -> Committee:
         return frozenset(self.elected)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PhragmenTrace):
+            return NotImplemented
+        return (self.elected, self.election_times, self.payments) == (
+            other.elected,
+            other.election_times,
+            other.payments,
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"PhragmenTrace(elected={self.elected!r}, "
+            f"election_times={self.election_times!r}, payments={self.payments!r})"
+        )
 
 
 def phragmen_sequential(instance: ElectionInstance) -> PhragmenTrace:
@@ -217,7 +275,8 @@ def phragmen_sequential(instance: ElectionInstance) -> PhragmenTrace:
     """
     trace, _ = _phragmen_run(
         instance,
-        balances=[0] * instance.num_voters,
+        den=instance.committee_size,
+        scaled=[0] * instance.num_voters,
         excluded=frozenset(),
         seats=instance.committee_size,
     )
@@ -226,61 +285,73 @@ def phragmen_sequential(instance: ElectionInstance) -> PhragmenTrace:
 
 def _phragmen_run(
     instance: ElectionInstance,
-    balances: Sequence[int | Rational],
+    den: int,
+    scaled: list[int],
     excluded: frozenset[int],
     seats: int,
 ) -> tuple[PhragmenTrace, list[tuple[int, list[int]]]]:
-    """Money-earning run from the given starting balances at time 0.
+    """Money-earning run at time 0 from the starting balances
+    ``scaled[i]/den``; ``den`` must be a multiple of k, and the run
+    updates ``scaled`` in place.
 
     Balances, the price and the clock are int numerators over a common
     denominator ``den``; each delay multiplies ``den`` (and every
-    numerator) by the denominator of its scaled value, which makes the
-    delay an int.  Returns the trace and, per purchase, ``(den, balances)``
-    right after it.
+    numerator) by the denominator of its reduced value, which makes the
+    delay an int.  ``held[c]`` is the balance of c's approvers: a delay
+    adds to it the growth of each approver, and a payment takes the
+    amount off every candidate on the payer's ballot.  Returns the trace
+    and, per purchase, ``(den, balances)`` right after it.
     """
     n, k = instance.num_voters, instance.committee_size
-    den = lcm(k, *(b.denominator for b in balances))
-    scaled = [b.numerator * (den // b.denominator) for b in balances]
     price = n * den // k
     clock = 0
     approvers = _approver_lists(instance)
-    remaining = [c for c in instance.candidates if c not in excluded and approvers[c]]
+    sizes = [len(group) for group in approvers]
+    ballots = instance.approvals
+    held = [0] * len(approvers)
+    for ballot, b in zip(ballots, scaled):
+        if b:
+            for c in ballot:
+                held[c] += b
+    remaining = [c for c in instance.candidates if c not in excluded and sizes[c]]
     elected: list[int] = []
-    times: list[Rational] = []
-    payments: list[dict[int, Rational]] = []
+    purchases: list[tuple[int, int, list[int], list[int]]] = []
     snapshots: list[tuple[int, list[int]]] = []
     while len(elected) < seats and remaining:
         # the smallest delay missing/size; 1/0 stands for "none seen yet"
         best_c, best_missing, best_size = -1, 1, 0
         for c in remaining:
-            group = approvers[c]
-            missing = price - sum([scaled[i] for i in group])
+            missing = price - held[c]
             if missing < 0:
                 missing = 0
-            if missing * best_size < best_missing * len(group):
-                best_c, best_missing, best_size = c, missing, len(group)
+            if missing * best_size < best_missing * sizes[c]:
+                best_c, best_missing, best_size = c, missing, sizes[c]
         if best_missing:
-            delay = Fraction(best_missing, best_size)
-            step, grow = delay.denominator, delay.numerator
+            g = gcd(best_missing, best_size)
+            step, grow = best_size // g, best_missing // g
             den, price, clock = den * step, price * step, clock * step + grow
             scaled = [b * step + grow for b in scaled]
-        group = approvers[best_c]
-        paid = [i for i in group if scaled[i] > 0]
-        owed = [scaled[i] for i in paid]
+            held = [h * step + grow * s for h, s in zip(held, sizes)]
+        paid: list[int] = []
+        owed: list[int] = []
+        for i in approvers[best_c]:
+            amount = scaled[i]
+            if amount:
+                paid.append(i)
+                owed.append(amount)
+                scaled[i] = 0
+                for c in ballots[i]:
+                    held[c] -= amount
         if sum(owed) != price:
             raise InternalInvariantError(
                 f"Phragmen step {len(elected)}: payments for candidate {best_c} "
                 "do not add up to the price"
             )
-        amounts = _fractions(owed, den)
-        for i in group:
-            scaled[i] = 0
         elected.append(best_c)
-        times.append(Fraction(clock, den))
-        payments.append(dict(zip(paid, amounts)))
+        purchases.append((den, clock, paid, owed))
         snapshots.append((den, scaled.copy()))
         remaining.remove(best_c)
-    return PhragmenTrace(tuple(elected), tuple(times), tuple(payments)), snapshots
+    return PhragmenTrace._of_purchases(elected, purchases), snapshots
 
 
 @dataclass(frozen=True)
@@ -440,9 +511,11 @@ def rule_x_complete(
     if strategy == "none" or len(trace.elected) == instance.committee_size:
         return trace
     leftovers = trace.budgets[-1] if trace.budgets else [1] * instance.num_voters
+    den = lcm(instance.committee_size, *[b.denominator for b in leftovers])
     continuation, balances = _phragmen_run(
         instance,
-        balances=leftovers,
+        den=den,
+        scaled=[b.numerator * (den // b.denominator) for b in leftovers],
         excluded=frozenset(trace.elected),
         seats=instance.committee_size - len(trace.elected),
     )

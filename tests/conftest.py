@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import strategies as st
 
 from abcvote.model import ElectionInstance
+
+# Pytest rewrites asserts only in test modules and conftest files; the
+# oracles' re-checks are plain asserts, which ``python -O`` would strip.
+# Registered before any test module imports ``tests.oracles``.
+pytest.register_assert_rewrite("tests.oracles")
 
 
 @st.composite
@@ -22,6 +28,17 @@ def instances(draw, max_voters: int = 6, max_candidates: int = 6, max_k: int | N
         )
     )
     return ElectionInstance(num_candidates=m, committee_size=k, approvals=tuple(ballots))
+
+
+@st.composite
+def shared_ballot_instances(draw, max_voters: int = 9, max_candidates: int = 7):
+    """An instance whose voters draw their ballots from a pool of at most
+    three, so that identical ballots are the rule."""
+    m = draw(st.integers(1, max_candidates))
+    k = draw(st.integers(1, m))
+    pool = draw(st.lists(st.frozensets(st.integers(0, m - 1)), min_size=1, max_size=3))
+    ballots = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=max_voters))
+    return ElectionInstance(m, k, tuple(ballots))
 
 
 @st.composite

@@ -1,16 +1,17 @@
 """Reference implementations of the rules and the exact axiom checkers,
 for differential tests.
 
-The rules are the plain ``Fraction`` versions of those in
-``abcvote.rules``: every balance, budget, price and score is a
-``Fraction``, and every approver set is rebuilt from the ballots.  The
-checkers are the per-voter versions of those in ``abcvote.axioms``: one
-LP payment variable per (voter, elected candidate), every candidate set
-and every voter set in the full lexicographic order, gainers recounted
-voter by voter.  The LP is the dense two-phase simplex over
-``Fraction``s that the integer simplex of ``abcvote.lp`` replaced.  They
-are slow but short, and the fast paths must reproduce their results
-exactly
+The rules and the PAV score are the plain ``Fraction`` versions of those
+in ``abcvote.rules``: every balance, budget, price and score is a
+``Fraction``, summed voter by voter, and every approver set is rebuilt
+from the ballots.  The checkers are the per-voter versions of those in
+``abcvote.axioms``: one LP payment variable per (voter, elected
+candidate), every candidate set and every voter set in the full
+lexicographic order, gainers recounted voter by voter, and each price
+system re-checked with ``Fraction`` sums per candidate over all voters.
+The LP is the dense two-phase simplex over ``Fraction``s that the
+integer simplex of ``abcvote.lp`` replaced.  They are slow but short,
+and the fast paths must reproduce their results exactly
 (``tests/test_rules_oracle.py``, ``tests/test_axioms_oracle.py``,
 ``tests/test_lp_oracle.py``).
 """
@@ -35,7 +36,6 @@ from abcvote.axioms import (
     Deviation,
     PriceSystem,
     _PROPERTY_KINDS,
-    validate_price_system,
     verify_deviation,
 )
 from abcvote.model import (
@@ -46,7 +46,15 @@ from abcvote.model import (
     restrict_profile,
     welfare_vector,
 )
-from abcvote.rules import DEFAULT_PAV_NODE_BUDGET, PhragmenTrace, RuleXTrace
+from abcvote.rules import DEFAULT_PAV_NODE_BUDGET, PhragmenTrace, RuleXTrace, harmonic
+
+
+def pav_score(instance: ElectionInstance, committee: Committee) -> Rational:
+    """Sum over voters of H(number of approved committee members)."""
+    members = frozenset(committee)
+    return sum(
+        (harmonic(len(ballot & members)) for ballot in instance.approvals), Fraction(0)
+    )
 
 
 def pav_winners(
@@ -326,27 +334,78 @@ def rule_x_complete(
         seats=instance.committee_size - len(trace.elected),
     )
     elected = trace.elected + continuation.elected
-    snapshots = list(trace.budgets)
-    balances = leftovers[:]
-    # reconstruct post-purchase budget snapshots for the continuation steps
-    prev_time = Fraction(0)
-    for step, (c, t) in enumerate(zip(continuation.elected, continuation.election_times)):
-        growth = t - prev_time
-        balances = [b + growth for b in balances]
-        for i, amount in continuation.payments[step].items():
-            balances[i] -= amount
-        prev_time = t
-        snapshots.append(tuple(balances))
     return RuleXTrace(
         elected=elected,
         q_values=trace.q_values,
-        budgets=tuple(snapshots),
+        budgets=trace.budgets + phragmen_balances(leftovers, continuation),
         completed=len(elected) > len(trace.elected),
     )
 
 
+def phragmen_balances(
+    start: Sequence[Rational], trace: PhragmenTrace
+) -> tuple[tuple[Rational, ...], ...]:
+    """Every voter's balance right after each purchase of a money-earning
+    run from the balances ``start`` at time 0, rebuilt from its trace."""
+    balances = list(start)
+    prev_time = Fraction(0)
+    snapshots = []
+    for t, step in zip(trace.election_times, trace.payments):
+        growth = t - prev_time
+        balances = [b + growth for b in balances]
+        for i, amount in step.items():
+            balances[i] -= amount
+        prev_time = t
+        snapshots.append(tuple(balances))
+    return tuple(snapshots)
+
+
 # ---------------------------------------------------------------------------
 # axiom checkers
+
+
+def validate_price_system(
+    instance: ElectionInstance, committee: Committee, system: PriceSystem
+) -> bool:
+    """Re-check a price system against the raw definition (no LP):
+
+    1. positive price;
+    2. voters pay only for candidates they approve, never negative amounts;
+    3. every voter spends at most her one dollar;
+    4. elected candidates collect exactly the price, others collect nothing;
+    5. for every non-elected candidate, its approvers' combined leftover
+       money is at most the price (weak inequality).
+    """
+    members = frozenset(committee)
+    if len(system.payments) != instance.num_voters:
+        return False
+    if system.price <= 0:
+        return False
+    for i, purse in enumerate(system.payments):
+        if any(amount < 0 for amount in purse.values()):
+            return False
+        if not set(purse) <= instance.approvals[i]:
+            return False
+        if sum(purse.values(), Fraction(0)) > 1:
+            return False
+    for c in instance.candidates:
+        collected = sum(
+            (purse.get(c, Fraction(0)) for purse in system.payments), Fraction(0)
+        )
+        if c in members and collected != system.price:
+            return False
+        if c not in members and collected != 0:
+            return False
+    leftovers = [
+        1 - sum(purse.values(), Fraction(0)) for purse in system.payments
+    ]
+    for c in instance.candidates:
+        if c in members:
+            continue
+        slack = sum((leftovers[i] for i in instance.approvers(c)), Fraction(0))
+        if slack > system.price:
+            return False
+    return True
 
 
 def check_priceable(

@@ -115,28 +115,33 @@ def test_unsupported_member_blocks_priceability():
     assert check_priceable(instance, frozenset({1})) is None
 
 
+#: A two-voter instance and committee, a valid price system for them, and
+#: systems that each break one condition of the definition.
+REJECTION_INSTANCE = build(2, 1, [{0}, {0, 1}])
+REJECTION_COMMITTEE = frozenset({0})
+_HALF = Fraction(1, 2)
+VALID_SYSTEM = PriceSystem(price=Fraction(1), payments=({0: _HALF}, {0: _HALF}))
+BROKEN_SYSTEMS = [
+    PriceSystem(price=Fraction(0), payments=({}, {})),
+    # negative payment
+    PriceSystem(price=Fraction(1), payments=({0: Fraction(3, 2)}, {0: -_HALF})),
+    # voter 0 pays for unapproved candidate 1
+    PriceSystem(price=Fraction(1), payments=({0: _HALF, 1: _HALF}, {0: _HALF})),
+    # voter 0 overspends
+    PriceSystem(price=Fraction(2), payments=({0: Fraction(2)}, {0: Fraction(0)})),
+    # elected candidate collects less than the price
+    PriceSystem(price=Fraction(1), payments=({0: _HALF}, {0: Fraction(1, 4)})),
+    # payment to a non-elected candidate
+    PriceSystem(price=Fraction(1), payments=({0: _HALF}, {0: _HALF, 1: _HALF})),
+    # leftover money above the price at candidate 1 (voter 1 idle)
+    PriceSystem(price=_HALF, payments=({0: _HALF}, {})),
+]
+
+
 def test_validate_price_system_rejections():
-    instance = build(2, 1, [{0}, {0, 1}])
-    committee = frozenset({0})
-    half = Fraction(1, 2)
-    good = PriceSystem(price=Fraction(1), payments=({0: half}, {0: half}))
-    assert validate_price_system(instance, committee, good)
-    bad = [
-        PriceSystem(price=Fraction(0), payments=({}, {})),
-        # negative payment
-        PriceSystem(price=Fraction(1), payments=({0: Fraction(3, 2)}, {0: -half})),
-        # voter 0 pays for unapproved candidate 1
-        PriceSystem(price=Fraction(1), payments=({0: half, 1: half}, {0: half})),
-        # voter 0 overspends
-        PriceSystem(price=Fraction(2), payments=({0: Fraction(2)}, {0: Fraction(0)})),
-        # elected candidate collects less than the price
-        PriceSystem(price=Fraction(1), payments=({0: half}, {0: Fraction(1, 4)})),
-        # payment to a non-elected candidate
-        PriceSystem(price=Fraction(1), payments=({0: half}, {0: half, 1: half})),
-        # leftover money above the price at candidate 1 (voter 1 idle)
-        PriceSystem(price=half, payments=({0: half}, {})),
-    ]
-    for system in bad:
+    instance, committee = REJECTION_INSTANCE, REJECTION_COMMITTEE
+    assert validate_price_system(instance, committee, VALID_SYSTEM)
+    for system in BROKEN_SYSTEMS:
         assert not validate_price_system(instance, committee, system)
 
 

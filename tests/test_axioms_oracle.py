@@ -2,8 +2,10 @@
 the per-voter reference versions kept in ``tests/oracles.py``.
 
 Deviations must be identical (the lexicographically-first witness),
-priceability must give the same verdict and the same optimal price, and
-``SearchBudgetExceeded`` must be raised at the same budgets.  Inputs are
+priceability must give the same verdict and the same optimal price,
+``SearchBudgetExceeded`` must be raised at the same budgets, and the
+price-system re-check must give the same verdict on valid and corrupted
+systems.  Inputs are
 the catalogue fixtures and Hypothesis instances, half of them drawn from
 a small pool of ballots so that most voters share their ballot with
 others.
@@ -23,7 +25,13 @@ from abcvote.generators import FIXTURE_NAMES, fixture
 from abcvote.model import ElectionInstance, SearchBudgetExceeded
 from abcvote.rules import phragmen_sequential, rule_x
 from tests import oracles
-from tests.conftest import instances
+from tests.conftest import instances, shared_ballot_instances
+from tests.test_axioms import (
+    BROKEN_SYSTEMS,
+    REJECTION_COMMITTEE,
+    REJECTION_INSTANCE,
+    VALID_SYSTEM,
+)
 
 F = Fraction
 
@@ -114,17 +122,6 @@ def test_fixture_matches_oracle(name, check):
 
 
 @st.composite
-def shared_ballot_instances(draw, max_voters: int = 9, max_candidates: int = 7):
-    """An instance whose voters draw their ballots from a pool of at most
-    three, so that identical ballots are the rule."""
-    m = draw(st.integers(1, max_candidates))
-    k = draw(st.integers(1, m))
-    pool = draw(st.lists(st.frozensets(st.integers(0, m - 1)), min_size=1, max_size=3))
-    ballots = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=max_voters))
-    return ElectionInstance(m, k, tuple(ballots))
-
-
-@st.composite
 def audits(draw, searched=lambda inst: inst.num_candidates):
     """An instance, a committee of at most k members, and a subset budget
     just below, at, or far above the 2^searched(instance) the search
@@ -180,3 +177,85 @@ def test_pjr_fixture_matches_oracle(name):
 @given(audits(lambda inst: inst.num_voters))
 def test_pjr_matches_oracle(audit):
     assert_same("pjr", *audit)
+
+
+# ---------------------------------------------------------------------------
+# price-system re-check
+
+
+def assert_same_verdict(instance: ElectionInstance, committee, system) -> bool:
+    verdict = axioms.validate_price_system(instance, committee, system)
+    assert verdict == oracles.validate_price_system(instance, committee, system)
+    return verdict
+
+
+def nudged(system: PriceSystem) -> list[PriceSystem]:
+    """The system with a higher and a lower price, and with the first
+    payment raised and removed."""
+    out = [
+        PriceSystem(system.price + F(1, 3), system.payments),
+        PriceSystem(system.price / 2, system.payments),
+    ]
+    payer = next((i for i, purse in enumerate(system.payments) if purse), None)
+    if payer is not None:
+        purse = system.payments[payer]
+        c = min(purse)
+        raised = {**purse, c: purse[c] + F(1, 5)}
+        removed = {d: amount for d, amount in purse.items() if d != c}
+        for changed in (raised, removed):
+            payments = list(system.payments)
+            payments[payer] = changed
+            out.append(PriceSystem(system.price, tuple(payments)))
+    return out
+
+
+def test_validate_price_system_matches_oracle_on_rejections():
+    assert assert_same_verdict(REJECTION_INSTANCE, REJECTION_COMMITTEE, VALID_SYSTEM)
+    for system in BROKEN_SYSTEMS:
+        assert not assert_same_verdict(REJECTION_INSTANCE, REJECTION_COMMITTEE, system)
+
+
+@pytest.mark.parametrize(
+    # the fig2 profiles (m=669) take about a minute per priceability LP
+    "name", [name for name in DEDUPED_FIXTURES if not name.startswith("fig2")]
+)
+def test_validate_price_system_matches_oracle_on_catalogue(name):
+    inst = fixture(name)
+    committees = {
+        frozenset(),
+        phragmen_sequential(inst).committee,
+        rule_x(inst).committee,
+    }
+    for committee in sorted(committees, key=sorted):
+        system = axioms.check_priceable(inst, committee)
+        assert system is not None
+        assert assert_same_verdict(inst, committee, system)
+        for changed in nudged(system):
+            assert_same_verdict(inst, committee, changed)
+
+
+amounts = st.fractions(min_value=-1, max_value=2, max_denominator=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(audits(), st.data())
+def test_validate_price_system_matches_oracle_on_corrupted_systems(audit, data):
+    inst, committee, _ = audit
+    system = axioms.check_priceable(inst, committee)
+    if system is None:
+        system = PriceSystem(F(1), tuple({} for _ in inst.voters))
+    payments = [dict(purse) for purse in system.payments]
+    price = system.price
+    for _ in range(data.draw(st.integers(1, 3))):
+        kind = data.draw(st.sampled_from(("price", "set", "drop", "voters")))
+        i = data.draw(st.integers(0, len(payments) - 1)) if payments else None
+        if kind == "price":
+            price += data.draw(amounts)
+        elif kind == "set" and i is not None:
+            c = data.draw(st.sampled_from(inst.candidates))
+            payments[i][c] = data.draw(amounts)
+        elif kind == "drop" and i is not None and payments[i]:
+            del payments[i][data.draw(st.sampled_from(sorted(payments[i])))]
+        elif kind == "voters":
+            payments = payments[:-1] if data.draw(st.booleans()) else payments + [{}]
+    assert_same_verdict(inst, committee, PriceSystem(price, tuple(payments)))

@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
 from abcvote.model import ElectionInstance, SearchBudgetExceeded, welfare_vector
 from abcvote.rules import (
+    PhragmenTrace,
     dhondt,
     harmonic,
     min_affordable_q,
@@ -210,6 +215,67 @@ def test_phragmen_stops_without_approvers():
     trace = phragmen_sequential(inst)
     assert trace.elected == (0,)
     assert trace.election_times == (F(1, 2),)
+
+
+@settings(deadline=None, max_examples=80)
+@given(instances())
+def test_phragmen_trace_reads_out_fractions_once(inst):
+    # payments first on one trace, times first on the other
+    for trace, read in (
+        (phragmen_sequential(inst), lambda t: (t.payments, t.election_times)),
+        (phragmen_sequential(inst), lambda t: (t.election_times, t.payments)),
+    ):
+        first = read(trace)
+        assert read(trace) == first
+        payments, times = (trace.payments, trace.election_times)
+        assert all(type(t) is Fraction for t in times)
+        assert all(type(v) is Fraction for step in payments for v in step.values())
+        assert len(times) == len(payments) == len(trace.elected)
+    built = PhragmenTrace(trace.elected, trace.election_times, trace.payments)
+    assert built == trace and trace == built
+    assert repr(built) == repr(trace)
+    with pytest.raises(AttributeError):
+        trace.payments = ()
+
+
+#: Run under ``python -O``: candidate 1 loses voter 0 from its approver
+#: list, so the kernel's group balance of candidate 1 misses voter 0's
+#: earnings but is still charged voter 0's payment for candidate 0; only
+#: the payment check can tell.
+DROPPED_APPROVER_SCRIPT = """
+import sys
+from abcvote import rules
+from abcvote.model import ElectionInstance, InternalInvariantError
+
+if __debug__:
+    sys.exit("expected python -O")
+inst = ElectionInstance(2, 2, (frozenset({0, 1}), frozenset({0, 1}), frozenset({1})))
+print(rules.phragmen_sequential(inst).elected)
+exact = rules._approver_lists
+
+def dropped(instance):
+    lists = exact(instance)
+    lists[1] = lists[1][1:]
+    return lists
+
+rules._approver_lists = dropped
+try:
+    rules.phragmen_sequential(inst)
+except InternalInvariantError:
+    print("raised")
+"""
+
+
+def test_phragmen_payment_check_catches_drift_under_optimize():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(src), os.environ.get("PYTHONPATH")))
+    ))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", DROPPED_APPROVER_SCRIPT],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert done.stdout.split("\n") == ["(1, 0)", "raised", ""]
 
 
 @settings(deadline=None, max_examples=80)

@@ -2,13 +2,17 @@
 plain ``Fraction`` implementations kept in ``tests/oracles.py``.
 
 Every trace must agree in full (committees, election times, payments,
-q-values, budget snapshots, ``completed``), and every rational in it must
-still be a ``Fraction``.
+q-values, budget snapshots, ``completed``), compared from either side,
+and every rational in it must still be a ``Fraction``.  Inputs are the
+catalogue, random instances, instances with pooled ballots, and
+money-earning runs from uneven starting balances; PAV scores are
+compared too.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -17,8 +21,9 @@ from hypothesis import strategies as st
 from abcvote import rules
 from abcvote.generators import FIXTURE_NAMES, fixture
 from abcvote.model import ElectionInstance, SearchBudgetExceeded
+from abcvote.rules import PhragmenTrace
 from tests import oracles
-from tests.conftest import instances
+from tests.conftest import instances, shared_ballot_instances
 
 F = Fraction
 
@@ -34,7 +39,8 @@ def assert_fractions(values) -> None:
 
 def assert_same_phragmen(inst: ElectionInstance) -> None:
     trace = rules.phragmen_sequential(inst)
-    assert trace == oracles.phragmen_sequential(inst)
+    expected = oracles.phragmen_sequential(inst)
+    assert trace == expected and expected == trace
     assert_fractions(trace.election_times)
     for step in trace.payments:
         assert_fractions(step.values())
@@ -116,6 +122,22 @@ def test_sequential_rules_match_oracle_on_catalogue(name):
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_pav_score_matches_oracle_on_catalogue(name):
+    inst = fixture(name)
+    committees = {
+        frozenset(),
+        frozenset(inst.candidates),
+        rules.phragmen_sequential(inst).committee,
+        rules.rule_x(inst).committee,
+        rules.seq_pav(inst),
+    }
+    for committee in committees:
+        score = rules.pav_score(inst, committee)
+        assert score == oracles.pav_score(inst, committee)
+        assert type(score) is Fraction
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_pav_matches_oracle_on_catalogue_small_budgets(name):
     for node_budget in (1, 10, 300):
         assert_same_pav(fixture(name), node_budget)
@@ -130,15 +152,21 @@ def test_pav_matches_oracle_on_catalogue(name):
 # random instances
 
 
-@settings(deadline=None, max_examples=150)
-@given(instances())
+#: Random ballots, or up to 30 voters drawing from a pool of three.
+random_or_pooled = st.one_of(
+    instances(), shared_ballot_instances(max_voters=30, max_candidates=8)
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(random_or_pooled)
 def test_phragmen_and_seq_pav_match_oracle(inst):
     assert_same_phragmen(inst)
     assert rules.seq_pav(inst) == oracles.seq_pav(inst)
 
 
-@settings(deadline=None, max_examples=150)
-@given(instances())
+@settings(deadline=None, max_examples=200)
+@given(random_or_pooled)
 def test_rule_x_matches_oracle_for_every_tie_choice(inst):
     assert_same_rule_x_ties(inst)
 
@@ -177,3 +205,81 @@ def test_min_affordable_q_matches_oracle(budgets, price):
         scaled_q = rules.min_affordable_q(scaled, int(price * den))
         assert scaled_q == (None if q is None else q * den)
         assert scaled_q is None or type(scaled_q) is Fraction
+
+
+# ---------------------------------------------------------------------------
+# PAV scores on pooled ballots, runs from uneven starting balances
+
+
+@settings(deadline=None, max_examples=150)
+@given(shared_ballot_instances(max_voters=30, max_candidates=8), st.data())
+def test_pav_score_matches_oracle_on_pooled_ballots(inst, data):
+    committee = data.draw(st.frozensets(st.sampled_from(inst.candidates)))
+    assert rules.pav_score(inst, committee) == oracles.pav_score(inst, committee)
+
+
+@st.composite
+def continuations(draw):
+    """An instance with pooled ballots, the candidates already elected, and
+    uneven starting balances under which every other candidate's
+    approvers hold less than the price n/k, as Rule X leaves them when it
+    stops short."""
+    inst = draw(shared_ballot_instances(max_voters=30, max_candidates=8))
+    n, k = inst.num_voters, inst.committee_size
+    order = draw(st.permutations(inst.candidates))
+    excluded = frozenset(order[: draw(st.integers(0, k - 1))])
+    start = draw(
+        st.lists(st.fractions(0, 1, max_denominator=12), min_size=n, max_size=n)
+    )
+    price = F(n, k)
+    top = max(
+        sum((start[i] for i in inst.approvers(c)), F(0))
+        for c in inst.candidates
+        if c not in excluded
+    )
+    if top >= price:
+        start = [b * price / (2 * top) for b in start]
+    return inst, start, excluded, k - len(excluded)
+
+
+@settings(deadline=None, max_examples=150)
+@given(continuations())
+def test_phragmen_continuation_matches_oracle_from_uneven_balances(run):
+    inst, start, excluded, seats = run
+    den = lcm(inst.committee_size, *[b.denominator for b in start])
+    scaled = [b.numerator * (den // b.denominator) for b in start]
+    trace, snapshots = rules._phragmen_run(inst, den, scaled, excluded, seats)
+    expected = oracles._phragmen_run(inst, list(start), F(0), excluded, seats)
+    assert trace == expected and expected == trace
+    assert tuple(
+        tuple(F(b, d) for b in balances) for d, balances in snapshots
+    ) == oracles.phragmen_balances(start, expected)
+
+
+def test_phragmen_traces_differ_in_any_value():
+    ballots = (frozenset({0}), frozenset({0, 1}), frozenset({1}), frozenset({2}))
+    inst = ElectionInstance(4, 2, ballots)
+    trace = rules.phragmen_sequential(inst)
+    built = PhragmenTrace(trace.elected, trace.election_times, trace.payments)
+    assert built == trace and trace == built
+    first, *rest = trace.payments
+    moved = {i: amount + F(1, 7) for i, amount in first.items()}
+    for other in (
+        PhragmenTrace(trace.elected[::-1], trace.election_times, trace.payments),
+        PhragmenTrace(trace.elected, (F(9), *trace.election_times[1:]), trace.payments),
+        PhragmenTrace(trace.elected, trace.election_times, (moved, *rest)),
+    ):
+        assert other != trace and trace != other
+    assert trace != trace.elected
+
+
+# ---------------------------------------------------------------------------
+# oracle re-checks are asserts; conftest has them rewritten, so they hold
+# under ``python -O`` too
+
+
+def test_oracle_payment_check_survives_optimize():
+    # the voter starts above the price, so the purchase overpays
+    pair = ElectionInstance(1, 1, (frozenset({0}), frozenset({0})))
+    with pytest.raises(AssertionError):
+        oracles._phragmen_run(pair, [F(3), F(0)], F(0), frozenset(), 1)
