@@ -49,6 +49,7 @@ from abcvote.model import (
     ElectionInstance,
     ParseError,
     SearchBudgetExceeded,
+    ballot_classes,
     format_committee,
     format_rational,
     instance_digest,
@@ -170,17 +171,17 @@ def _trace_lines(instance: ElectionInstance, rule: str, all_ties: bool):
                 )
             )
         return trace.committee, lines
-    # dhondt: the instance must be a party-list profile
-    if any(not ballot for ballot in instance.approvals):
+    # dhondt: the instance must be a party-list profile, each distinct
+    # ballot a party's slate and its voters the party
+    parties = ballot_classes(instance)
+    if any(not slate for slate, _ in parties):
         raise ParseError("apportionment needs non-empty ballots")
-    slates = sorted({b for b in instance.approvals}, key=min)
+    parties.sort(key=lambda party: min(party[0]))
+    slates = [slate for slate, _ in parties]
     members = [c for slate in slates for c in slate]
     if len(members) != len(set(members)):
         raise ParseError("apportionment needs disjoint party slates")
-    for ballot in instance.approvals:
-        if ballot not in slates:
-            raise ParseError("apportionment needs one slate per ballot")
-    sizes = tuple(sum(1 for b in instance.approvals if b == s) for s in slates)
+    sizes = tuple(len(voters) for _, voters in parties)
     seats = dhondt(sizes, instance.committee_size)
     committee = set()
     for slate, won in zip(slates, seats):

@@ -82,10 +82,14 @@ class ElectionInstance:
             )
         if len(self.approvals) < 1:
             raise ValueError("instance needs at least one voter")
-        object.__setattr__(
-            self, "approvals", tuple(frozenset(ballot) for ballot in self.approvals)
-        )
-        for voter, ballot in enumerate(self.approvals):
+        approvals = tuple(map(frozenset, self.approvals))
+        object.__setattr__(self, "approvals", approvals)
+        # One C-level union instead of a comparison per approval; anything
+        # not plainly in range (an index out of range, a float, a string)
+        # goes through the per-voter loop, which names the first offender.
+        if frozenset().union(*approvals) <= frozenset(range(self.num_candidates)):
+            return
+        for voter, ballot in enumerate(approvals):
             for c in ballot:
                 if not 0 <= c < self.num_candidates:
                     raise ValueError(
@@ -228,8 +232,16 @@ def parse_instance(text: str) -> ElectionInstance:
         if line.strip():
             raise ParseError(f"line {lineno}: unexpected content after {n} ballots")
 
+    # Ballot lines repeat (many voters cast the same few ballots): each
+    # distinct line is parsed once, at its first occurrence, so a malformed
+    # line is reported there.
+    parsed: dict[str, frozenset[int]] = {}
     approvals = []
     for lineno, line in body[:n]:
+        known = parsed.get(line)
+        if known is not None:
+            approvals.append(known)
+            continue
         ballot: set[int] = set()
         prev = 0
         for token in line.split():
@@ -251,7 +263,8 @@ def parse_instance(text: str) -> ElectionInstance:
                 )
             prev = c
             ballot.add(c - 1)
-        approvals.append(frozenset(ballot))
+        known = parsed[line] = frozenset(ballot)
+        approvals.append(known)
 
     return ElectionInstance(
         num_candidates=m, committee_size=k, approvals=tuple(approvals)
@@ -263,8 +276,17 @@ def serialize_instance(instance: ElectionInstance) -> str:
     lines = [
         f"{instance.num_candidates} {instance.num_voters} {instance.committee_size}"
     ]
+    names = [str(c + 1) for c in instance.candidates]
+    rendered: dict[frozenset[int], str] = {}
     for ballot in instance.approvals:
-        lines.append(" ".join(str(c + 1) for c in sorted(ballot)))
+        line = rendered.get(ballot)
+        if line is None:
+            try:
+                line = " ".join([names[c] for c in sorted(ballot)])
+            except TypeError:  # a non-int index the constructor let through
+                line = " ".join(str(c + 1) for c in sorted(ballot))
+            rendered[ballot] = line
+        lines.append(line)
     return "\n".join(lines) + "\n"
 
 

@@ -10,14 +10,17 @@ candidate), every candidate set and every voter set in the full
 lexicographic order, gainers recounted voter by voter, and each price
 system re-checked with ``Fraction`` sums per candidate over all voters.
 The LP is the dense two-phase simplex over ``Fraction``s that the
-integer simplex of ``abcvote.lp`` replaced.  They are slow but short,
-and the fast paths must reproduce their results exactly
+integer simplex of ``abcvote.lp`` replaced.  The input path parses,
+range-checks and renders every voter's ballot on its own, where
+``abcvote.model`` does so once per distinct ballot.  They are slow but
+short, and the fast paths must reproduce their results exactly
 (``tests/test_rules_oracle.py``, ``tests/test_axioms_oracle.py``,
-``tests/test_lp_oracle.py``).
+``tests/test_lp_oracle.py``, ``tests/test_model_oracle.py``).
 """
 
 from __future__ import annotations
 
+import hashlib
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -41,8 +44,10 @@ from abcvote.axioms import (
 from abcvote.model import (
     Committee,
     ElectionInstance,
+    ParseError,
     Rational,
     SearchBudgetExceeded,
+    _content_lines,
     restrict_profile,
     welfare_vector,
 )
@@ -766,6 +771,99 @@ def _subsets_lex(universe: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
             yield from descend(extended, pos + 1)
 
     yield from descend((), 0)
+
+
+# ---------------------------------------------------------------------------
+# input path: every voter's ballot parsed, range-checked and rendered on its
+# own (tests/test_model_oracle.py)
+
+
+def check_ballot_range(num_candidates: int, approvals) -> tuple[frozenset, ...]:
+    """The ballots as frozensets, each approval range-checked in voter
+    order, as ``ElectionInstance`` checked them one by one."""
+    approvals = tuple(frozenset(ballot) for ballot in approvals)
+    for voter, ballot in enumerate(approvals):
+        for c in ballot:
+            if not 0 <= c < num_candidates:
+                raise ValueError(
+                    f"ballot of voter {voter} mentions candidate {c}, "
+                    f"valid range is 0..{num_candidates - 1}"
+                )
+    return approvals
+
+
+def parse_instance(text: str) -> ElectionInstance:
+    """Parse the instance file format, tokenizing every ballot line."""
+    lines = _content_lines(text)
+    if not lines:
+        raise ParseError("line 1: missing header 'm n k'")
+    header_no, header = lines[0]
+    fields = header.split()
+    if len(fields) != 3:
+        raise ParseError(f"line {header_no}: header must be 'm n k', got {header!r}")
+    try:
+        m, n, k = (int(f) for f in fields)
+    except ValueError:
+        raise ParseError(
+            f"line {header_no}: header must hold three integers, got {header!r}"
+        ) from None
+    if m < 1 or n < 1 or k < 1:
+        raise ParseError(f"line {header_no}: m, n and k must be positive")
+    if k > m:
+        raise ParseError(f"line {header_no}: committee size k={k} exceeds m={m}")
+
+    body = lines[1:]
+    if len(body) < n:
+        raise ParseError(
+            f"line {header_no}: header announces {n} ballots, file has {len(body)}"
+        )
+    for lineno, line in body[n:]:
+        if line.strip():
+            raise ParseError(f"line {lineno}: unexpected content after {n} ballots")
+
+    approvals = []
+    for lineno, line in body[:n]:
+        ballot: set[int] = set()
+        prev = 0
+        for token in line.split():
+            try:
+                c = int(token)
+            except ValueError:
+                raise ParseError(
+                    f"line {lineno}: candidate index expected, got {token!r}"
+                ) from None
+            if not 1 <= c <= m:
+                raise ParseError(
+                    f"line {lineno}: candidate index {c} out of range 1..{m}"
+                )
+            if c == prev:
+                raise ParseError(f"line {lineno}: duplicate candidate {c}")
+            if c < prev:
+                raise ParseError(
+                    f"line {lineno}: candidate indices must be strictly increasing"
+                )
+            prev = c
+            ballot.add(c - 1)
+        approvals.append(frozenset(ballot))
+
+    return ElectionInstance(
+        num_candidates=m, committee_size=k, approvals=check_ballot_range(m, approvals)
+    )
+
+
+def serialize_instance(instance: ElectionInstance) -> str:
+    """Canonical text form, rendering every voter's ballot."""
+    lines = [
+        f"{instance.num_candidates} {instance.num_voters} {instance.committee_size}"
+    ]
+    for ballot in instance.approvals:
+        lines.append(" ".join(str(c + 1) for c in sorted(ballot)))
+    return "\n".join(lines) + "\n"
+
+
+def instance_digest(instance: ElectionInstance) -> str:
+    """SHA-256 hex digest of the canonical serialization."""
+    return hashlib.sha256(serialize_instance(instance).encode("ascii")).hexdigest()
 
 
 # ---------------------------------------------------------------------------

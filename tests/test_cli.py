@@ -70,6 +70,24 @@ def test_run_dhondt_party_list(capsys):
     assert lines["committee"] == "1,2,3,4,5,6,7,8"
 
 
+def test_run_dhondt_many_voters_on_two_slates(tmp_path, capsys):
+    # 500 voters on slate {1,2} and 300 on {3,4,5}, interleaved so that the
+    # slate seen first is not the one holding the smallest candidate
+    ballots = ["3 4 5" if i % 8 < 3 else "1 2" for i in range(800)]
+    path = tmp_path / "parties.txt"
+    path.write_text("5 800 3\n" + "\n".join(ballots) + "\n")
+    code, out, _ = run_cli(capsys, "run", "--rule", "dhondt", "--input", str(path))
+    assert code == 0
+    lines = dict(line.split(": ", 1) for line in out.splitlines())
+    assert lines["seats"] == "2,1"
+    assert lines["committee"] == "1,2,3"
+    assert lines["welfare"] == ",".join("2" if b == "1 2" else "1" for b in ballots)
+    path.write_text("5 801 3\n" + "\n".join(ballots) + "\n\n")
+    code, _, err = run_cli(capsys, "run", "--rule", "dhondt", "--input", str(path))
+    assert code == 2
+    assert "apportionment needs non-empty ballots" in err
+
+
 def test_run_dhondt_rejects_overlapping_slates(capsys):
     code, _, err = run_cli(
         capsys, "run", "--rule", "dhondt", "--input", fixture_path("intro")

@@ -70,6 +70,50 @@ def test_parse_rejects_missing_or_extra_ballots():
         parse_instance("3 2 1\n1\n2\n3\n")
 
 
+def test_repeated_malformed_line_fails_at_its_first_occurrence():
+    text = "3 4 1\n# ballots\n1\n2 2\n2 2\n2 2\n"
+    with pytest.raises(ParseError, match=r"^line 4: duplicate candidate 2$"):
+        parse_instance(text)
+
+
+def test_repeated_valid_line_around_a_bad_line():
+    with pytest.raises(ParseError, match=r"^line 3: candidate index expected, got 'x'$"):
+        parse_instance("3 3 1\n1 3\n1 x\n1 3\n")
+    # the same text with the bad line mended, and the repeated line also in
+    # leading- and trailing-whitespace variants
+    inst = parse_instance("3 5 1\n1 3\n1 2\n1 3\n  1 3\n1 3 \t\n")
+    assert inst.approvals == (
+        frozenset({0, 2}),
+        frozenset({0, 1}),
+        frozenset({0, 2}),
+        frozenset({0, 2}),
+        frozenset({0, 2}),
+    )
+
+
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_range_check_names_first_offending_voter(bad):
+    good = frozenset({0, 2})
+    ballots = (good, good, frozenset({1, bad}), frozenset({1, bad}), good)
+    message = (
+        f"^ballot of voter 2 mentions candidate {bad}, valid range is 0..2$"
+    )
+    with pytest.raises(ValueError, match=message):
+        ElectionInstance(num_candidates=3, committee_size=1, approvals=ballots)
+
+
+def test_range_check_on_non_integer_indices():
+    # A float inside 0..m-1 passes the comparison, as it always has; a
+    # string cannot be compared with an int.
+    inst = ElectionInstance(3, 1, (frozenset({0}), frozenset({1.5})))
+    assert inst.approvals == (frozenset({0}), frozenset({1.5}))
+    assert serialize_instance(inst) == "3 2 1\n1\n2.5\n"
+    with pytest.raises(ValueError, match="^ballot of voter 0 mentions candidate 3.5,"):
+        ElectionInstance(3, 1, (frozenset({3.5}),))
+    with pytest.raises(TypeError, match="'<=' not supported"):
+        ElectionInstance(3, 1, (frozenset({0}), frozenset({"a"})))
+
+
 def test_serialize_round_trips_by_hand():
     inst = ElectionInstance(
         num_candidates=5,
