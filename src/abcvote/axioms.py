@@ -405,6 +405,17 @@ def _blocking_sets(
     at least |T|*n/k.  ``counts`` is updated in place as the walk goes
     on, so read it before advancing.  Counts and the number of gainers
     change incrementally as candidates enter and leave T.
+
+    The walk skips a subtree that holds no such T, so it yields exactly
+    the sets the plain walk yields.  Below a prefix P, with ``nxt`` the
+    next candidate it may take, every set is P | Q for a nonempty Q drawn
+    from nxt..m-1.  A gainer of P still gains in P | Q, as counts only
+    grow.  Class j gains only if Q holds need_j = thresholds[j] + 1 -
+    counts[j] more of its own candidates, and nxt..m-1 holds only r_j of
+    them, so Q of size q has at most G(q) gainers: the classes with
+    need_j <= min(q, r_j).  The subtree is skipped when G(q)*k < (|P|+q)*n
+    for every size q it has.  When the gainers of P alone already fill
+    |P|+1 seats the test is skipped, as one more candidate blocks.
     """
     n, m, k = instance.num_voters, instance.num_candidates, instance.committee_size
     holders: list[list[int]] = [[] for _ in range(m)]
@@ -412,12 +423,41 @@ def _blocking_sets(
         for c in ballot:
             holders[c].append(j)
     sizes = [len(voters) for _, voters in classes]
+    # remaining[i][j] = |B_j & {i..m-1}|
+    remaining = [[0] * len(classes)]
+    for c in reversed(range(m)):
+        row = remaining[-1].copy()
+        for j in holders[c]:
+            row[j] += 1
+        remaining.append(row)
+    remaining.reverse()
     counts = [0] * len(classes)
+
+    def can_block(size: int, gaining: int, nxt: int) -> bool:
+        """Whether some P | Q below the prefix of ``size`` members, Q drawn
+        from nxt..m-1, has gainers enough to block (the bound above)."""
+        most = min(k - size, m - nxt)
+        extra = [0] * (most + 1)
+        rest = remaining[nxt]
+        for threshold, count, left, voters in zip(thresholds, counts, rest, sizes):
+            need = threshold + 1 - count
+            if 0 < need <= most and need <= left:
+                extra[need] += voters
+        for q in range(1, most + 1):
+            gaining += extra[q]
+            if gaining * k >= (size + q) * n:
+                return True
+        return False
+
     gaining = 0
     chosen: list[int] = []
     nxt = 0
     while True:
-        if nxt < m:
+        # chosen has fewer than k members here
+        if nxt < m and (
+            gaining * k >= (len(chosen) + 1) * n
+            or can_block(len(chosen), gaining, nxt)
+        ):
             c = nxt
             chosen.append(c)
             for j in holders[c]:

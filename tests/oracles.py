@@ -9,8 +9,9 @@ from the ballots.  The checkers are the per-voter versions of those in
 candidate), every candidate set and every voter set in the full
 lexicographic order, gainers recounted voter by voter, and each price
 system re-checked with ``Fraction`` sums per candidate over all voters.
-The LP is the dense two-phase simplex over ``Fraction``s that the
-integer simplex of ``abcvote.lp`` replaced.  The input path parses,
+``blocking_sets`` is the core T-walk of ``abcvote.axioms`` without its
+subtree bound.  The LP is the dense two-phase simplex over ``Fraction``s
+that the integer simplex of ``abcvote.lp`` replaced.  The input path parses,
 range-checks and renders every voter's ballot on its own, where
 ``abcvote.model`` does so once per distinct ballot.  They are slow but
 short, and the fast paths must reproduce their results exactly
@@ -771,6 +772,50 @@ def _subsets_lex(universe: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
             yield from descend(extended, pos + 1)
 
     yield from descend((), 0)
+
+
+def blocking_sets(
+    instance: ElectionInstance,
+    classes: list[tuple[frozenset[int], list[int]]],
+    thresholds: Sequence[int],
+) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+    """The walk of ``abcvote.axioms._blocking_sets`` without its subtree
+    bound: every T of at most k members is visited, and those whose
+    gainers could fill |T| seats are yielded as (T, counts) in
+    sorted-tuple lexicographic order (tests/test_axioms_oracle.py).
+    ``counts[j]`` is |B_j & T| for ballot class j and is updated in
+    place as the walk goes on."""
+    n, m, k = instance.num_voters, instance.num_candidates, instance.committee_size
+    holders: list[list[int]] = [[] for _ in range(m)]
+    for j, (ballot, _) in enumerate(classes):
+        for c in ballot:
+            holders[c].append(j)
+    sizes = [len(voters) for _, voters in classes]
+    counts = [0] * len(classes)
+    gaining = 0
+    chosen: list[int] = []
+    nxt = 0
+    while True:
+        if nxt < m:
+            c = nxt
+            chosen.append(c)
+            for j in holders[c]:
+                counts[j] += 1
+                if counts[j] == thresholds[j] + 1:
+                    gaining += sizes[j]
+            if gaining * k >= len(chosen) * n:
+                yield tuple(chosen), counts
+            nxt = c + 1
+            if len(chosen) < k:
+                continue
+        if not chosen:
+            return
+        c = chosen.pop()
+        for j in holders[c]:
+            if counts[j] == thresholds[j] + 1:
+                gaining -= sizes[j]
+            counts[j] -= 1
+        nxt = c + 1
 
 
 # ---------------------------------------------------------------------------

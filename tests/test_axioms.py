@@ -20,6 +20,8 @@ from hypothesis import given, settings, strategies as st
 from abcvote.axioms import (
     Deviation,
     PriceSystem,
+    _blocking_sets,
+    _class_welfare,
     check_core_subject_to,
     check_ejr,
     check_pareto,
@@ -285,6 +287,30 @@ def test_lambda_must_be_at_least_one():
 def test_core_budget_guard():
     with pytest.raises(SearchBudgetExceeded):
         find_core_deviation(BLOC_SNUB, frozenset({0, 1}), budget=4)
+
+
+# 21 candidates, one shared three-candidate slate, all of it elected: nobody
+# can gain from at most k = 3 candidates, so the core walk skips its whole
+# tree at the root; the 2^m guard still decides first
+SLATE_OF_21 = build(21, 3, [{0, 1, 2}] * 6)
+
+
+@pytest.mark.parametrize(
+    "search",
+    [
+        lambda inst, w: find_core_deviation(inst, w),
+        lambda inst, w: find_core_deviation(inst, w, Fraction(3, 2)),
+        minimal_core_lambda,
+        lambda inst, w: check_core_subject_to(inst, w, "cohesive"),
+    ],
+    ids=["core", "lambda-core", "minimal-lambda", "core-subject"],
+)
+def test_core_guard_holds_where_the_walk_would_finish(search):
+    committee = frozenset({0, 1, 2})
+    classes, welfare = _class_welfare(SLATE_OF_21, committee)
+    assert list(_blocking_sets(SLATE_OF_21, classes, welfare)) == []
+    with pytest.raises(SearchBudgetExceeded):
+        search(SLATE_OF_21, committee)
 
 
 def test_verify_deviation_conditions():

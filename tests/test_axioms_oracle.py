@@ -5,7 +5,8 @@ Deviations must be identical (the lexicographically-first witness),
 priceability must give the same verdict and the same optimal price,
 ``SearchBudgetExceeded`` must be raised at the same budgets, and the
 price-system re-check must give the same verdict on valid and corrupted
-systems.  Inputs are
+systems.  The pruned core walk must yield the same sets with the same
+counts, in the same order, as the full walk.  Inputs are
 the catalogue fixtures and Hypothesis instances, half of them drawn from
 a small pool of ballots so that most voters share their ballot with
 others.
@@ -14,6 +15,7 @@ others.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import floor
 
 import pytest
 from hypothesis import given, settings
@@ -177,6 +179,59 @@ def test_pjr_fixture_matches_oracle(name):
 @given(audits(lambda inst: inst.num_voters))
 def test_pjr_matches_oracle(audit):
     assert_same("pjr", *audit)
+
+
+# ---------------------------------------------------------------------------
+# core T-walk: the pruned walk against the full one, yield by yield
+
+
+def walk_thresholds(welfare) -> dict[str, list[int]]:
+    """The gain thresholds the core family walks with: lam = 1, 3/2 and 2
+    as ``find_core_deviation`` sets them, and ``minimal_core_lambda``'s
+    max(u, 1)."""
+    return {
+        "lam=1": welfare,
+        **{
+            f"lam={lam}": [floor(max(lam * u, 1)) for u in welfare]
+            for lam in (F(3, 2), F(2))
+        },
+        "max(u,1)": [max(u, 1) for u in welfare],
+    }
+
+
+def assert_same_walk(inst: ElectionInstance, committee) -> None:
+    classes, welfare = axioms._class_welfare(inst, frozenset(committee))
+    for name, thresholds in walk_thresholds(welfare).items():
+        fast, full = (
+            [(t, tuple(counts)) for t, counts in walk(inst, classes, thresholds)]
+            for walk in (axioms._blocking_sets, oracles.blocking_sets)
+        )
+        assert fast == full, name
+
+
+@pytest.mark.parametrize(
+    "name", [name for name in DEDUPED_FIXTURES if fixture(name).num_candidates <= 20]
+)
+def test_fixture_walk_matches_oracle(name):
+    inst = fixture(name)
+    for committee in {phragmen_sequential(inst).committee, rule_x(inst).committee}:
+        assert_same_walk(inst, committee)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(shared_ballot_instances(12, 12), instances(12, 12)),
+    st.randoms(use_true_random=False),
+)
+def test_walk_matches_oracle(inst, rng):
+    committees = {
+        frozenset(),
+        phragmen_sequential(inst).committee,
+        rule_x(inst).committee,
+        frozenset(rng.sample(inst.candidates, rng.randint(1, inst.committee_size))),
+    }
+    for committee in committees:
+        assert_same_walk(inst, committee)
 
 
 # ---------------------------------------------------------------------------
