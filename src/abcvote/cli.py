@@ -25,6 +25,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from abcvote.axioms import (
+    DEFAULT_SUBSET_BUDGET,
     Deviation,
     PriceSystem,
     check_core_subject_to,
@@ -53,8 +54,10 @@ from abcvote.model import (
     format_committee,
     format_rational,
     instance_digest,
+    parse_committee,
     parse_instance,
     serialize_instance,
+    validate_committee,
     welfare_vector,
 )
 from abcvote.rules import (
@@ -68,45 +71,11 @@ from abcvote.rules import (
 )
 
 RULES = ("pav", "seqpav", "phragmen", "rulex", "rulex-complete", "dhondt")
-AXIOMS = (
-    "priceable",
-    "laminar",
-    "laminar-prop",
-    "pjr",
-    "ejr",
-    "core",
-    "lambda-core",
-    "core-subject",
-    "pigou-dalton",
-    "pareto",
-)
 
 
 def _read_instance(path: str) -> ElectionInstance:
     with open(path, "r", encoding="ascii") as handle:
         return parse_instance(handle.read())
-
-
-def _committee_flag(text: str, num_candidates: int) -> Committee:
-    """Committee as typed on the command line: 1-based indices in any
-    order (reports always render the canonical increasing form)."""
-    members: set[int] = set()
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        try:
-            c = int(token)
-        except ValueError:
-            raise ParseError(f"committee flag: bad index {token!r}") from None
-        if not 1 <= c <= num_candidates:
-            raise ParseError(
-                f"committee flag: index {c} out of range 1..{num_candidates}"
-            )
-        if c - 1 in members:
-            raise ParseError(f"committee flag: duplicate index {c}")
-        members.add(c - 1)
-    return frozenset(members)
 
 
 def _fractions(values: Iterable[Fraction]) -> str:
@@ -157,7 +126,7 @@ def _trace_lines(instance: ElectionInstance, rule: str, all_ties: bool):
         if rule == "rulex":
             trace = rule_x(instance)
         else:
-            trace = rule_x_complete(instance, strategy="phragmen_continuation")
+            trace = rule_x_complete(instance)
         lines = [
             ("committee", format_committee(trace.committee)),
             ("elected", ",".join(str(c + 1) for c in trace.elected)),
@@ -216,82 +185,131 @@ def cmd_run(args) -> int:
 # check
 
 
-def _deviation_lines(deviation: Deviation) -> list[tuple[str, str]]:
-    return [
+#: (violated, witness lines) of one committee against one axiom.
+Verdict = tuple[bool, list[tuple[str, str]]]
+
+
+def _deviation(deviation: Deviation | None) -> Verdict:
+    if deviation is None:
+        return False, []
+    return True, [
         ("S", "{" + _voters(deviation.coalition) + "}"),
         ("T", "{" + format_committee(deviation.alternative) + "}"),
     ]
 
 
+def _better(label: str, better: Committee | None) -> Verdict:
+    if better is None:
+        return False, []
+    return True, [(label, format_committee(better))]
+
+
+def _priceable(instance, committee, options) -> Verdict:
+    system = check_priceable(instance, committee)
+    if system is None:
+        return True, []
+    return False, [("price", format_rational(system.price))]
+
+
+def _lambda_core(instance, committee, options) -> Verdict:
+    if options.lam is None:
+        raise ParseError("lambda-core requires --lambda")
+    return _deviation(
+        find_core_deviation(instance, committee, options.lam, budget=options.budget)
+    )
+
+
+def _core_subject(instance, committee, options) -> Verdict:
+    if options.deviation_property is None:
+        raise ParseError("core-subject requires --property")
+    return _deviation(
+        check_core_subject_to(
+            instance, committee, options.deviation_property, budget=options.budget
+        )
+    )
+
+
+#: Every committee axiom by name: a function of (instance, committee,
+#: options) returning (violated, witness lines).  ``options`` carries
+#: ``budget`` (and, for ``check``, ``lam`` and ``deviation_property``).
+#: Entries reach the checkers through this module's globals, so a tracer
+#: that replaces them here sees every call.
+AXIOM_CHECKS: dict[
+    str, Callable[[ElectionInstance, Committee, argparse.Namespace], Verdict]
+] = {
+    "priceable": _priceable,
+    "laminar-prop": lambda inst, w, opts: (not check_laminar_proportional(inst, w), []),
+    "pjr": lambda inst, w, opts: _deviation(check_pjr(inst, w, budget=opts.budget)),
+    "ejr": lambda inst, w, opts: _deviation(check_ejr(inst, w, budget=opts.budget)),
+    "core": lambda inst, w, opts: _deviation(
+        find_core_deviation(inst, w, budget=opts.budget)
+    ),
+    "core2": lambda inst, w, opts: _deviation(
+        find_core_deviation(inst, w, Fraction(2), budget=opts.budget)
+    ),
+    "lambda-core": _lambda_core,
+    "core-subject": _core_subject,
+    "constrained-core": lambda inst, w, opts: _deviation(
+        check_core_subject_to(inst, w, "price_eq", budget=opts.budget)
+    ),
+    "pigou-dalton": lambda inst, w, opts: _better(
+        "transfer", check_pigou_dalton(inst, w, budget=opts.budget)
+    ),
+    "pareto": lambda inst, w, opts: _better(
+        "dominating", check_pareto(inst, w, budget=opts.budget)
+    ),
+}
+
+#: The names each subcommand offers; ``laminar`` is a property of the
+#: instance alone, so it is ``check``'s own and not in the table.
+CHECK_AXIOMS = (
+    "priceable",
+    "laminar",
+    "laminar-prop",
+    "pjr",
+    "ejr",
+    "core",
+    "lambda-core",
+    "core-subject",
+    "pigou-dalton",
+    "pareto",
+)
+SEARCH_AXIOMS = ("ejr", "pjr", "pareto", "pigou-dalton", "core", "core2", "priceable")
+MATRIX_AXIOMS = (
+    "laminar-prop",
+    "priceable",
+    "pjr",
+    "ejr",
+    "constrained-core",
+    "pareto",
+    "pigou-dalton",
+)
+
+#: The options ``search`` and ``repro`` check with: the default budget.
+DEFAULT_OPTIONS = argparse.Namespace(budget=DEFAULT_SUBSET_BUDGET)
+
+
 def cmd_check(args) -> int:
     instance = _read_instance(args.input)
-    committee = (
-        _committee_flag(args.committee, instance.num_candidates)
-        if args.committee is not None
-        else None
-    )
-    if args.axiom != "laminar" and committee is None:
-        raise ParseError(f"--axiom {args.axiom} requires --committee")
-    budget = args.budget
-    witness: list[tuple[str, str]] = []
-    if args.axiom == "priceable":
-        system = check_priceable(instance, committee)
-        passed = system is not None
-        if passed:
-            witness.append(("price", format_rational(system.price)))
-    elif args.axiom == "laminar":
-        passed = check_laminar(instance) is not None
-    elif args.axiom == "laminar-prop":
-        if check_laminar(instance) is None:
-            raise ParseError("laminar-prop: the instance is not laminar")
-        passed = check_laminar_proportional(instance, committee)
-    elif args.axiom == "pjr":
-        deviation = check_pjr(instance, committee, budget=budget)
-        passed = deviation is None
-        if not passed:
-            witness = _deviation_lines(deviation)
-    elif args.axiom == "ejr":
-        deviation = check_ejr(instance, committee, budget=budget)
-        passed = deviation is None
-        if not passed:
-            witness = _deviation_lines(deviation)
-    elif args.axiom in ("core", "lambda-core"):
-        lam = Fraction(1)
-        if args.axiom == "lambda-core":
-            if args.lam is None:
-                raise ParseError("lambda-core requires --lambda")
-            lam = args.lam
-        deviation = find_core_deviation(instance, committee, lam, budget=budget)
-        passed = deviation is None
-        if not passed:
-            witness = _deviation_lines(deviation)
-    elif args.axiom == "core-subject":
-        if args.deviation_property is None:
-            raise ParseError("core-subject requires --property")
-        deviation = check_core_subject_to(
-            instance, committee, args.deviation_property, budget=budget
+    committee = None
+    if args.committee is not None:
+        committee = validate_committee(
+            instance, parse_committee(args.committee, instance.num_candidates)
         )
-        passed = deviation is None
-        if not passed:
-            witness = _deviation_lines(deviation)
-    elif args.axiom == "pigou-dalton":
-        better = check_pigou_dalton(instance, committee, budget=budget)
-        passed = better is None
-        if not passed:
-            witness = [("transfer", format_committee(better))]
-    else:  # pareto
-        better = check_pareto(instance, committee, budget=budget)
-        passed = better is None
-        if not passed:
-            witness = [("dominating", format_committee(better))]
+    if args.axiom == "laminar":
+        violated, witness = check_laminar(instance) is None, []
+    elif committee is None:
+        raise ParseError(f"--axiom {args.axiom} requires --committee")
+    else:
+        violated, witness = AXIOM_CHECKS[args.axiom](instance, committee, args)
     lines = [
         ("instance", instance_digest(instance)),
         ("axiom", args.axiom),
-        ("verdict", "PASS" if passed else "FAIL"),
+        ("verdict", "FAIL" if violated else "PASS"),
     ]
     lines += witness
     _emit(lines, args.json)
-    return 0 if passed else 1
+    return 1 if violated else 0
 
 
 # ---------------------------------------------------------------------------
@@ -305,35 +323,10 @@ SEARCH_RULES: dict[str, Callable[[ElectionInstance], Committee]] = {
 }
 
 
-def _axiom_checker(axiom: str):
-    """Map an axiom name to a checker returning a witness or None."""
-    if axiom == "ejr":
-        return check_ejr
-    if axiom == "pjr":
-        return check_pjr
-    if axiom == "pareto":
-        return check_pareto
-    if axiom == "pigou-dalton":
-        return check_pigou_dalton
-    if axiom == "core":
-        return lambda inst, committee: find_core_deviation(inst, committee)
-    if axiom == "core2":
-        return lambda inst, committee: find_core_deviation(
-            inst, committee, Fraction(2)
-        )
-    if axiom == "priceable":
-        return lambda inst, committee: (
-            None if check_priceable(inst, committee) is not None else "unpriceable"
-        )
-    raise ParseError(f"search: unknown axiom {axiom!r}")
-
-
 def _search_candidates(rng, max_n: int, max_m: int, max_k: int, planted: bool):
     """One trial instance: either independent-approval random or, for the
     planted variant, a random structured profile built around a sharing
     group (top-indexed shared block, booster/drain/filler candidates)."""
-    import random as _random
-
     n = rng.randint(2, max_n)
     m = rng.randint(2, max_m)
     k = rng.randint(1, min(max_k, m))
@@ -439,8 +432,10 @@ def cmd_search(args) -> int:
             raise ParseError(f"search: unknown violation {args.violation!r}")
     if rule not in SEARCH_RULES:
         raise ParseError(f"search: unknown rule {rule!r}")
+    if axiom not in SEARCH_AXIOMS:
+        raise ParseError(f"search: unknown axiom {axiom!r}")
     run_rule = SEARCH_RULES[rule]
-    checker = _axiom_checker(axiom)
+    check = AXIOM_CHECKS[axiom]
     found: list[ElectionInstance] = []
     probes = undecided = 0
 
@@ -448,11 +443,11 @@ def cmd_search(args) -> int:
         nonlocal probes, undecided
         probes += 1
         try:
-            witness = checker(instance, run_rule(instance))
+            violated, _ = check(instance, run_rule(instance), DEFAULT_OPTIONS)
         except SearchBudgetExceeded:
             undecided += 1  # the rule or the checker could not decide
             return
-        if witness is not None:
+        if violated:
             found.append(instance)
 
     for instance in _exhaustive_small(args.max_n, args.max_m, args.max_k):
@@ -721,38 +716,15 @@ def _desk_matrix(report: _Report) -> None:
         ("rulex", "ejr"),
         ("rulex", "constrained-core"),
     }
-    checkers: dict[str, Callable[[ElectionInstance, Committee], object]] = {
-        "pjr": check_pjr,
-        "ejr": check_ejr,
-        "pareto": check_pareto,
-        "pigou-dalton": check_pigou_dalton,
-        "constrained-core": lambda inst, c: check_core_subject_to(
-            inst, c, "price_eq"
-        ),
-        "priceable": lambda inst, c: (
-            None if check_priceable(inst, c) is not None else "no price system"
-        ),
-    }
     rows = []
-    for axiom in (
-        "laminar-prop",
-        "priceable",
-        "pjr",
-        "ejr",
-        "constrained-core",
-        "pareto",
-        "pigou-dalton",
-    ):
+    for axiom in MATRIX_AXIOMS:
         cells = []
+        check = AXIOM_CHECKS[axiom]
         runs = on_laminar if axiom == "laminar-prop" else on_suite
         for rule_name, _ in rules:
             violations = []
             for pos, (instance, committee) in enumerate(runs[rule_name]):
-                if axiom == "laminar-prop":
-                    bad = not check_laminar_proportional(instance, committee)
-                else:
-                    bad = checkers[axiom](instance, committee) is not None
-                if bad:
+                if check(instance, committee, DEFAULT_OPTIONS)[0]:
                     violations.append(f"instance {pos}")
             if violations and (rule_name, axiom) in guaranteed:
                 report.failures += 1
@@ -827,7 +799,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.set_defaults(handler=cmd_run)
 
     check = sub.add_parser("check", help="test a committee against an axiom")
-    check.add_argument("--axiom", choices=AXIOMS, required=True)
+    check.add_argument("--axiom", choices=CHECK_AXIOMS, required=True)
     check.add_argument("--input", required=True)
     check.add_argument("--committee")
     check.add_argument("--lambda", dest="lam", type=Fraction)
@@ -836,7 +808,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="deviation_property",
         choices=("cohesive", "price_eq", "priceable"),
     )
-    check.add_argument("--budget", type=int, default=1 << 20)
+    check.add_argument("--budget", type=int, default=DEFAULT_SUBSET_BUDGET)
     check.add_argument("--json", action="store_true")
     check.set_defaults(handler=cmd_check)
 

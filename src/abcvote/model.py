@@ -117,13 +117,6 @@ class ElectionInstance:
             i for i, ballot in enumerate(self.approvals) if candidate in ballot
         )
 
-    def approved_candidates(self) -> frozenset[int]:
-        """Union of all ballots (candidates approved by at least one voter)."""
-        out: set[int] = set()
-        for ballot in self.approvals:
-            out |= ballot
-        return frozenset(out)
-
 
 def welfare_vector(instance: ElectionInstance, committee: Iterable[int]) -> tuple[int, ...]:
     """Number of approved committee members, per voter.
@@ -296,29 +289,27 @@ def instance_digest(instance: ElectionInstance) -> str:
 
 
 def parse_committee(text: str, num_candidates: int) -> Committee:
-    """Parse a committee literal: comma-separated 1-based indices, increasing.
+    """Parse a committee literal: comma-separated 1-based indices in any
+    order (``format_committee`` renders the increasing form).
 
-    The empty string denotes the empty committee.
+    Blank tokens are skipped, so the empty string is the empty committee;
+    duplicate, out-of-range and non-integer indices raise ParseError.
     """
-    text = text.strip()
-    if not text:
-        return frozenset()
     members: set[int] = set()
-    prev = 0
     for token in text.split(","):
+        token = token.strip()
+        if not token:
+            continue
         try:
-            c = int(token.strip())
+            c = int(token)
         except ValueError:
-            raise ParseError(f"committee literal: bad index {token!r}") from None
+            raise ParseError(f"committee flag: bad index {token!r}") from None
         if not 1 <= c <= num_candidates:
             raise ParseError(
-                f"committee literal: index {c} out of range 1..{num_candidates}"
+                f"committee flag: index {c} out of range 1..{num_candidates}"
             )
-        if c <= prev:
-            raise ParseError(
-                "committee literal: indices must be strictly increasing"
-            )
-        prev = c
+        if c - 1 in members:
+            raise ParseError(f"committee flag: duplicate index {c}")
         members.add(c - 1)
     return frozenset(members)
 
@@ -332,7 +323,3 @@ def format_rational(x: Rational) -> str:
     """Lowest-terms ``num/den`` rendering; integers render without ``/1``."""
     return str(Fraction(x))
 
-
-def sorted_committees(committees: Iterable[Iterable[int]]) -> list[Committee]:
-    """Deterministic order for sets of committees: by sorted member tuple."""
-    return sorted((frozenset(c) for c in committees), key=lambda c: tuple(sorted(c)))

@@ -12,8 +12,8 @@ Implemented rules:
   balances reset.  Simulated event-by-event, so election times are exact.
 * ``rule_x`` -- every voter starts with budget 1; electing a candidate costs
   n/k, split as evenly as the supporters' remaining budgets allow.  The rule
-  can exhaust all affordable candidates before reaching k seats; an optional
-  completion strategy continues with the money-earning rule from the
+  can exhaust all affordable candidates before reaching k seats;
+  ``rule_x_complete`` then continues with the money-earning rule from the
   leftover budgets.
 * ``dhondt`` -- highest-averages apportionment for party vote counts.
 
@@ -360,10 +360,10 @@ class RuleXTrace:
 
     ``q_values[j]`` is the per-voter payment cap with which ``elected[j]``
     was bought during the budget phase; ``budgets[j]`` is the full vector of
-    voter budgets right after that purchase.  When a completion strategy
+    voter budgets right after that purchase.  When ``rule_x_complete``
     appends further candidates, those appear in ``elected`` (and contribute
-    budget snapshots) but have no q-value.  ``completed`` records whether a
-    completion strategy actually appended members; it is False for a plain
+    budget snapshots) but have no q-value.  ``completed`` records whether
+    the completion actually appended members; it is False for a plain
     budget-phase run even when that run fills all k seats.
     """
 
@@ -493,22 +493,15 @@ def rule_x(
 
 def rule_x_complete(
     instance: ElectionInstance,
-    strategy: str = "none",
     tie_choices: Mapping[int, int] | None = None,
 ) -> RuleXTrace:
-    """Budget-spending rule plus an optional committee completion strategy.
-
-    ``strategy``:
-      * ``"none"``: identical to ``rule_x``.
-      * ``"phragmen_continuation"``: if the budget phase stops short of k,
-        keep going with the money-earning rule, seeded with the leftover
-        budgets (voters continue to earn at unit speed; already elected
-        candidates are excluded).
+    """Budget-spending rule completed by Phragmen continuation: if the
+    budget phase stops short of k, keep going with the money-earning rule,
+    seeded with the leftover budgets (voters continue to earn at unit
+    speed; already elected candidates are excluded).
     """
-    if strategy not in ("none", "phragmen_continuation"):
-        raise ValueError(f"unknown completion strategy {strategy!r}")
     trace = rule_x(instance, tie_choices=tie_choices)
-    if strategy == "none" or len(trace.elected) == instance.committee_size:
+    if len(trace.elected) == instance.committee_size:
         return trace
     leftovers = trace.budgets[-1] if trace.budgets else [1] * instance.num_voters
     den = lcm(instance.committee_size, *[b.denominator for b in leftovers])

@@ -7,13 +7,32 @@ fixture files under fixtures/ are the same ones the generators write.
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from abcvote import cli
-from abcvote.axioms import check_ejr
+from abcvote.axioms import (
+    check_core_subject_to,
+    check_ejr,
+    check_pareto,
+    check_pigou_dalton,
+    check_pjr,
+    check_priceable,
+    find_core_deviation,
+)
 from abcvote.cli import main
-from abcvote.model import SearchBudgetExceeded, parse_instance
-from abcvote.rules import phragmen_sequential
+from abcvote.generators import fixture, gen_laminar
+from abcvote.laminar import check_laminar, check_laminar_proportional
+from abcvote.model import (
+    SearchBudgetExceeded,
+    format_committee,
+    format_rational,
+    parse_instance,
+    serialize_instance,
+)
+from abcvote.rules import phragmen_sequential, rule_x, seq_pav
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -249,6 +268,138 @@ def test_check_budget_exhaustion_is_exit_three(capsys):
     assert "budget" in err
 
 
+def test_check_rejects_committee_above_size_bound(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "check",
+        "--axiom",
+        "core",
+        "--input",
+        fixture_path("example21"),
+        "--committee",
+        "1,2,3,4,5",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: committee has 5 members, size bound is 4\n"
+
+
+def test_check_laminar_still_validates_a_given_committee(capsys):
+    code, _, err = run_cli(
+        capsys,
+        "check",
+        "--axiom",
+        "laminar",
+        "--input",
+        fixture_path("example31"),
+        "--committee",
+        "1,1",
+    )
+    assert code == 2
+    assert "duplicate" in err
+
+
+def test_check_laminar_prop_rejects_non_laminar_instance(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "check",
+        "--axiom",
+        "laminar-prop",
+        "--input",
+        fixture_path("example21"),
+        "--committee",
+        "1,2,4,5",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: the instance is not laminar\n"
+
+
+COMMITTEE_RULES = {
+    "phragmen": lambda inst: phragmen_sequential(inst).committee,
+    "rulex": lambda inst: rule_x(inst).committee,
+    "seqpav": seq_pav,  # welfarist: gives the FAIL verdicts their witnesses
+}
+LAMINAR_SEEDS = (0, 1, 3)
+
+
+def library_verdict(axiom, inst, committee):
+    """The library checker's result, formatted the way ``check`` reports it."""
+
+    def deviation(found):
+        if found is None:
+            return "PASS", []
+        voters = ",".join(str(i + 1) for i in sorted(found.coalition))
+        alternative = format_committee(found.alternative)
+        return "FAIL", [f"S: {{{voters}}}", f"T: {{{alternative}}}"]
+
+    def better(label, found):
+        if found is None:
+            return "PASS", []
+        return "FAIL", [f"{label}: {format_committee(found)}"]
+
+    if axiom == "priceable":
+        system = check_priceable(inst, committee)
+        if system is None:
+            return "FAIL", []
+        return "PASS", [f"price: {format_rational(system.price)}"]
+    if axiom == "laminar":
+        return ("PASS" if check_laminar(inst) is not None else "FAIL"), []
+    if axiom == "laminar-prop":
+        return ("PASS" if check_laminar_proportional(inst, committee) else "FAIL"), []
+    if axiom == "pjr":
+        return deviation(check_pjr(inst, committee))
+    if axiom == "ejr":
+        return deviation(check_ejr(inst, committee))
+    if axiom == "core":
+        return deviation(find_core_deviation(inst, committee))
+    if axiom == "lambda-core":
+        return deviation(find_core_deviation(inst, committee, Fraction(3, 2)))
+    if axiom == "core-subject":
+        return deviation(check_core_subject_to(inst, committee, "price_eq"))
+    if axiom == "pigou-dalton":
+        return better("transfer", check_pigou_dalton(inst, committee))
+    assert axiom == "pareto"
+    return better("dominating", check_pareto(inst, committee))
+
+
+@pytest.mark.parametrize("rule", sorted(COMMITTEE_RULES))
+@pytest.mark.parametrize(
+    "axiom,source",
+    [
+        (axiom, source)
+        for axiom in cli.CHECK_AXIOMS
+        for source in (
+            [f"laminar{seed}" for seed in LAMINAR_SEEDS]
+            if axiom == "laminar-prop"
+            else ["intro", "example21", "example32"]
+        )
+    ],
+)
+def test_check_reports_the_library_verdict(axiom, source, rule, tmp_path, capsys):
+    if source.startswith("laminar"):
+        inst = gen_laminar(int(source[len("laminar"):]), 3, 10, 4)
+        path = tmp_path / "laminar.txt"
+        path.write_text(serialize_instance(inst), encoding="ascii")
+        path = str(path)
+    else:
+        inst, path = fixture(source), fixture_path(source)
+    committee = COMMITTEE_RULES[rule](inst)
+    typed = ",".join(str(c + 1) for c in sorted(committee, reverse=True))
+    argv = ["check", "--axiom", axiom, "--input", path, "--committee", typed]
+    if axiom == "lambda-core":
+        argv += ["--lambda", "3/2"]
+    if axiom == "core-subject":
+        argv += ["--property", "price_eq"]
+    code, out, err = run_cli(capsys, *argv)
+    verdict, witness = library_verdict(axiom, inst, committee)
+    assert err == ""
+    assert code == (0 if verdict == "PASS" else 1)
+    lines = out.splitlines()
+    assert lines[1:3] == [f"axiom: {axiom}", f"verdict: {verdict}"]
+    assert lines[3:] == witness
+
+
 def test_search_finds_sequential_rule_representation_gap(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -398,6 +549,22 @@ def test_search_unknown_violation_is_input_error(capsys):
     code, _, err = run_cli(capsys, "search", "--violation", "sorcery")
     assert code == 2
     assert "unknown violation" in err
+
+
+@pytest.mark.parametrize(
+    "violation,message",
+    [
+        ("sorcery+pav", "error: search: unknown axiom 'sorcery'\n"),
+        ("ejr+borda", "error: search: unknown rule 'borda'\n"),
+        ("lambda-core+pav", "error: search: unknown axiom 'lambda-core'\n"),
+        ("constrained-core+rulex", "error: search: unknown axiom 'constrained-core'\n"),
+    ],
+)
+def test_search_unknown_axiom_or_rule_is_input_error(violation, message, capsys):
+    code, out, err = run_cli(capsys, "search", "--violation", violation)
+    assert code == 2
+    assert out == ""
+    assert err == message
 
 
 def test_repro_is_green_and_deterministic(capsys):

@@ -227,11 +227,12 @@ def test_welfare_sum_equals_approver_sum(pair):
 def test_committee_literals():
     assert parse_committee("1,2,4,5", 6) == frozenset({0, 1, 3, 4})
     assert parse_committee("", 6) == frozenset()
+    # any order, blank tokens skipped; reports render the increasing form
+    assert parse_committee("2,1", 6) == frozenset({0, 1})
+    assert parse_committee(" 5, ,1,", 6) == frozenset({0, 4})
     assert format_committee({3, 0, 1, 4}) == "1,2,4,5"
     assert format_committee(set()) == ""
-    with pytest.raises(ParseError):
-        parse_committee("2,1", 6)
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="duplicate"):
         parse_committee("1,1", 6)
     with pytest.raises(ParseError):
         parse_committee("0,1", 6)

@@ -388,9 +388,7 @@ def test_rule_x_force_other_tied_candidate():
 
 
 def test_rule_x_complete_appends_after_forced_tie():
-    trace = rule_x_complete(
-        BLOCKS_15, strategy="phragmen_continuation", tie_choices={2: 3}
-    )
+    trace = rule_x_complete(BLOCKS_15, tie_choices={2: 3})
     assert trace.elected == (0, 1, 3, 2)
     assert trace.q_values == (F(5, 16), F(5, 16), F(3, 8))
     assert trace.completed is True
@@ -404,20 +402,9 @@ def test_rule_x_complete_appends_after_forced_tie():
 
 
 def test_rule_x_complete_passthrough_when_full():
-    trace = rule_x_complete(BLOCKS_15, strategy="phragmen_continuation")
+    trace = rule_x_complete(BLOCKS_15)
     assert trace == rule_x(BLOCKS_15)
     assert trace.completed is False
-
-
-def test_rule_x_complete_none_leaves_undersized():
-    trace = rule_x_complete(BLOCKS_15, strategy="none", tie_choices={2: 3})
-    assert trace.elected == (0, 1, 3)
-    assert trace.completed is False
-
-
-def test_rule_x_complete_rejects_unknown_strategy():
-    with pytest.raises(ValueError, match="strategy"):
-        rule_x_complete(BLOCKS_15, strategy="borda")
 
 
 def test_rule_x_undersized_then_continued():
@@ -425,7 +412,7 @@ def test_rule_x_undersized_then_continued():
     plain = rule_x(inst)
     assert plain.elected == (0,)
     assert plain.completed is False
-    full = rule_x_complete(inst, strategy="phragmen_continuation")
+    full = rule_x_complete(inst)
     assert full.elected == (0, 1)
     assert full.completed is True
     assert full.budgets[-1] == (F(1), F(1), F(0), F(2))
@@ -451,7 +438,7 @@ def test_rule_x_invariants(inst):
 @settings(deadline=None, max_examples=40)
 @given(instances())
 def test_rule_x_complete_reaches_k_when_possible(inst):
-    trace = rule_x_complete(inst, strategy="phragmen_continuation")
+    trace = rule_x_complete(inst)
     approved = {c for c in inst.candidates if inst.approvers(c)}
     assert len(trace.elected) == min(inst.committee_size, len(approved))
     plain = rule_x(inst)
@@ -540,6 +527,4 @@ def test_rules_are_deterministic(inst):
     assert seq_pav(inst) == seq_pav(inst)
     assert phragmen_sequential(inst) == phragmen_sequential(inst)
     assert rule_x(inst) == rule_x(inst)
-    assert rule_x_complete(inst, "phragmen_continuation") == rule_x_complete(
-        inst, "phragmen_continuation"
-    )
+    assert rule_x_complete(inst) == rule_x_complete(inst)
