@@ -612,7 +612,6 @@ def check_core_subject_to(
     committee: Committee,
     deviation_property: str,
     budget: int = DEFAULT_SUBSET_BUDGET,
-    restricted_price: bool = False,
 ) -> Deviation | None:
     """A blocking pair (S, T) whose alternative additionally carries the
     given property inside the restricted instance (S's ballots, |T| seats).
@@ -621,18 +620,17 @@ def check_core_subject_to(
       * ``cohesive``: every coalition member approves all of T.
       * ``price_eq``: T is supportable by equal per-candidate payments
         from its coalition approvers, each candidate collecting the full
-        instance's per-seat price n/k (with ``restricted_price``, the
-        restricted ratio |S|/|T| instead), nobody spending more than 1.
+        instance's per-seat price n/k, nobody spending more than 1.
       * ``priceable``: T is priceable in the restricted instance.
 
     The coalition tried for each T is the full gaining set (for cohesive:
-    the gaining voters approving all of T).  For cohesive and the default
-    price_eq this is lossless: growing the coalition only adds payers and
-    lowers equal shares.  For priceable and the restricted-ratio price_eq
-    variant a smaller coalition could in principle succeed where the
-    maximal one fails; the checker is then a sound witness-finder rather
-    than a complete decision procedure.  Only sets T whose gainers block
-    are examined, and sets of more than k candidates never block.
+    the gaining voters approving all of T).  For cohesive and price_eq
+    this is lossless: growing the coalition only adds payers and lowers
+    equal shares.  For priceable a smaller coalition could in principle
+    succeed where the maximal one fails; the checker is then a sound
+    witness-finder rather than a complete decision procedure.  Only sets T
+    whose gainers block are examined, and sets of more than k candidates
+    never block.
     """
     if deviation_property not in _PROPERTY_KINDS:
         raise ValueError(f"unknown deviation property {deviation_property!r}")
@@ -648,11 +646,7 @@ def check_core_subject_to(
         if len(group) * k < len(combo) * n:
             continue
         if deviation_property == PRICE_EQ:
-            price = (
-                Fraction(len(group), len(combo))
-                if restricted_price
-                else Fraction(n, k)
-            )
+            price = Fraction(n, k)
             if not _equal_payment_support(instance, group, alternative, price):
                 continue
         elif deviation_property == PRICEABLE:

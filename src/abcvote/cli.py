@@ -102,14 +102,13 @@ def _trace_lines(instance: ElectionInstance, rule: str, all_ties: bool):
     """Rule-specific report fields: committee plus trace summary."""
     if rule == "pav":
         winners = pav_winners(instance)
-        first = min(winners, key=sorted)
+        first = winners[0]
         lines = [
             ("score", format_rational(pav_score(instance, first))),
             ("committee", format_committee(first)),
         ]
         if all_ties:
-            ordered = sorted(winners, key=sorted)
-            lines.append(("ties", ";".join(format_committee(w) for w in ordered)))
+            lines.append(("ties", ";".join(format_committee(w) for w in winners)))
         return first, lines
     if rule == "seqpav":
         committee = seq_pav(instance)
@@ -289,7 +288,14 @@ MATRIX_AXIOMS = (
 DEFAULT_OPTIONS = argparse.Namespace(budget=DEFAULT_SUBSET_BUDGET)
 
 
+def _at_least(value: int, low: int, flag: str) -> None:
+    """Reject a numeric flag below the smallest value it can work with."""
+    if value < low:
+        raise ParseError(f"{flag} must be at least {low}, got {value}")
+
+
 def cmd_check(args) -> int:
+    _at_least(args.budget, 1, "--budget")
     instance = _read_instance(args.input)
     committee = None
     if args.committee is not None:
@@ -316,7 +322,7 @@ def cmd_check(args) -> int:
 # search
 
 SEARCH_RULES: dict[str, Callable[[ElectionInstance], Committee]] = {
-    "pav": lambda inst: min(pav_winners(inst), key=sorted),
+    "pav": lambda inst: pav_winners(inst)[0],
     "seqpav": seq_pav,
     "phragmen": lambda inst: phragmen_sequential(inst).committee,
     "rulex": lambda inst: rule_x(inst).committee,
@@ -424,6 +430,10 @@ def _instance_key(instance: ElectionInstance):
 def cmd_search(args) -> int:
     import random as _random
 
+    _at_least(args.max_n, 2, "--max-n")
+    _at_least(args.max_m, 2, "--max-m")
+    _at_least(args.max_k, 1, "--max-k")
+    _at_least(args.trials, 0, "--trials")
     if "+" in args.violation:
         axiom, _, rule = args.violation.partition("+")
     else:
@@ -491,9 +501,6 @@ class _Report:
         else:
             self.failures += 1
             self.lines.append(f"FAIL {label}: expected {want}, got {got}")
-
-    def note(self, label: str, value) -> None:
-        self.lines.append(f"     {label}: {value}")
 
 
 def _welfare_sorted(instance: ElectionInstance, committee: Committee):

@@ -1,19 +1,19 @@
 """Exact linear programming over Python ints, for the priceability check.
 
 Solves ``maximize c.x`` subject to rows ``a.x <= b`` or ``a.x = b`` and
-``x >= 0``: the only shape ``axioms.check_priceable`` builds.  Coefficients
-are ints or Fractions; each row and the objective are scaled once to ints
-by the lcm of their denominators.
+``x >= 0``: the only shape ``axioms.check_priceable`` builds.  Every
+coefficient, right-hand side and objective entry is an int, as that
+caller's are.
 
 The solver is a dense two-phase simplex with Bland's smallest-index rule in
 both phases, which terminates on degenerate programs.  Its tableau is
 fraction-free (Edmonds 1967; Bareiss 1968): it holds int numerators only,
 each row keeps the positive denominator it was last rewritten at, and
-``det`` is |det B| of the current basis in the int-scaled program.  A pivot
-brings the pivot row to ``det`` and rewrites every row with a nonzero entry
-``f`` in the entering column as ``(p*a - f*b) // d_row``, exact by
-Bareiss's identity; ``p``, the pivot, becomes the row's denominator and the
-new ``det``.  Rows with a zero in the entering column are left alone.
+``det`` is |det B| of the current basis.  A pivot brings the pivot row to
+``det`` and rewrites every row with a nonzero entry ``f`` in the entering
+column as ``(p*a - f*b) // d_row``, exact by Bareiss's identity; ``p``,
+the pivot, becomes the row's denominator and the new ``det``.  Rows with a
+zero in the entering column are left alone.
 
 The entering rule and the ratio test (cross-multiplied, ties broken by the
 smallest basic index) decide by sign and order only, so the solver visits
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm, prod
+from math import lcm
 from typing import Sequence
 
 from abcvote.model import InternalInvariantError, Rational
@@ -44,32 +44,34 @@ class LinearProgram:
     """maximize ``objective . x`` subject to ``constraints`` and ``x >= 0``.
 
     Variables are indexed ``0 .. num_variables-1``; a constraint is
-    ``(coeffs, relation, rhs)`` with relation LE or EQ.  Coefficients are
-    kept as given (ints or Fractions).
+    ``(coeffs, relation, rhs)`` with relation LE or EQ.  Every value is an
+    int; any other type raises TypeError rather than being floor-divided
+    silently.
     """
 
     num_variables: int
-    objective: list[Rational] = field(default_factory=list)
-    constraints: list[tuple[list[Rational], str, Rational]] = field(default_factory=list)
+    objective: list[int] = field(default_factory=list)
+    constraints: list[tuple[list[int], str, int]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if self.num_variables < 1:
             raise ValueError("need at least one variable")
         self.set_objective(self.objective or [0] * self.num_variables)
 
-    def set_objective(self, coeffs: Sequence[Rational]) -> None:
+    def set_objective(self, coeffs: Sequence[int]) -> None:
         if len(coeffs) != self.num_variables:
             raise ValueError("objective has wrong length")
-        self.objective = list(coeffs)
+        self.objective = _ints(coeffs)
 
-    def add_constraint(self, coeffs: Sequence[Rational], rel: str, rhs: Rational) -> None:
+    def add_constraint(self, coeffs: Sequence[int], rel: str, rhs: int) -> None:
         if len(coeffs) != self.num_variables:
             raise ValueError(
                 f"constraint has {len(coeffs)} coefficients, expected {self.num_variables}"
             )
         if rel not in (LE, EQ):
             raise ValueError(f"unknown relation {rel!r}")
-        self.constraints.append((list(coeffs), rel, rhs))
+        *row, rhs = _ints([*coeffs, rhs])
+        self.constraints.append((row, rel, rhs))
 
 
 @dataclass(frozen=True)
@@ -101,62 +103,55 @@ def lp_feasible(lp: LinearProgram) -> LPOutcome:
 # internals
 
 
-def _integral(values: Sequence[Rational]) -> tuple[list[int], int]:
-    """``values`` times the lcm of their denominators, and that lcm."""
-    scale = lcm(*(v.denominator for v in values))
-    return [v.numerator * (scale // v.denominator) for v in values], scale
+def _ints(values: Sequence[int]) -> list[int]:
+    """``values`` as a list, after checking that every one is an int."""
+    if not all(isinstance(v, int) for v in values):
+        raise TypeError("LP coefficients must be ints")
+    return list(values)
 
 
-def _solve(lp: LinearProgram, objective: Sequence[Rational]) -> LPOutcome:
+def _solve(lp: LinearProgram, objective: Sequence[int]) -> LPOutcome:
     # Standard form: one slack column per LE row, rows flipped to rhs >= 0,
     # and an artificial column for every row whose slack cannot start in
-    # the basis (EQ rows and LE rows with a negative rhs).  Row i is scaled
-    # by s_i, its slack and artificial entries are s_i too, and it starts
-    # at denominator s_i, so it stands for the unscaled row.
+    # the basis (EQ rows and LE rows with a negative rhs).
     nv = lp.num_variables
     nrows = len(lp.constraints)
     needs_art = [rel == EQ or rhs < 0 for _, rel, rhs in lp.constraints]
     ncols = nv + sum(rel == LE for _, rel, _ in lp.constraints)
     total_cols = ncols + sum(needs_art)
     rows: list[list[int]] = []
-    dens: list[int] = []
     basis: list[int] = []
     slack, art = nv, ncols
     for (coeffs, rel, rhs), artificial in zip(lp.constraints, needs_art):
-        nums, scale = _integral([*coeffs, rhs])
-        row = nums[:nv] + [0] * (total_cols - nv) + nums[nv:]
+        row = coeffs + [0] * (total_cols - nv) + [rhs]
         if rel == LE:
-            row[slack] = scale
+            row[slack] = 1
         if rhs < 0:
             row = [-a for a in row]
         if artificial:
-            row[art] = scale
+            row[art] = 1
             basis.append(art)
             art += 1
         else:
             basis.append(slack)
         slack += rel == LE
         rows.append(row)
-        dens.append(scale)
 
-    # The starting basis is diagonal, with entries s_i.  Cost rows follow
-    # the constraint rows (reduced costs; the last entry is minus the
-    # objective value).  Internally we minimize.
-    tab = _Tableau(rows, dens, basis, prod(dens))
-    obj, _ = _integral(objective)
-    rows.append([-c for c in obj] + [0] * (total_cols + 1 - nv))
-    dens.append(1)
+    # The starting basis is the identity.  Cost rows follow the constraint
+    # rows (reduced costs; the last entry is minus the objective value).
+    # Internally we minimize.
+    rows.append([-c for c in objective] + [0] * (total_cols + 1 - nv))
+    dens = [1] * len(rows)
+    tab = _Tableau(rows, dens, basis, 1)
     if ncols < total_cols:
-        arts = [i for i in range(nrows) if needs_art[i]]
-        scale = lcm(*(dens[i] for i in arts))
-        phase1 = [0] * ncols + [scale] * (total_cols - ncols) + [0]
-        for i in arts:
-            weight = scale // dens[i]
-            for j, a in enumerate(rows[i]):
-                if a:
-                    phase1[j] -= weight * a
+        phase1 = [0] * ncols + [1] * (total_cols - ncols) + [0]
+        for row, artificial in zip(rows, needs_art):
+            if artificial:
+                for j, a in enumerate(row):
+                    if a:
+                        phase1[j] -= a
         rows.append(phase1)
-        dens.append(scale)
+        dens.append(1)
         if tab.iterate(nrows + 1, total_cols) != OPTIMAL:
             raise InternalInvariantError("phase 1 of the simplex reported unbounded")
         if rows.pop()[-1] != 0:

@@ -37,7 +37,7 @@ makes every rule fully deterministic.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
@@ -104,7 +104,9 @@ def pav_score(instance: ElectionInstance, committee: Committee) -> Rational:
 def pav_winners(
     instance: ElectionInstance, node_budget: int = DEFAULT_PAV_NODE_BUDGET
 ) -> list[Committee]:
-    """All committees of size exactly k with maximal PAV score.
+    """All committees of size exactly k with maximal PAV score, in the
+    order of their sorted member tuples (the first is the lexicographically
+    smallest optimum).
 
     Branch-and-bound over candidates in index order.  The optimistic bound
     adds, for the remaining seats, the largest "solo" marginal gains at the
@@ -194,6 +196,7 @@ def seq_pav(instance: ElectionInstance) -> Committee:
     return frozenset(committee)
 
 
+@dataclass(frozen=True)
 class PhragmenTrace:
     """Full record of a money-earning run.
 
@@ -204,63 +207,29 @@ class PhragmenTrace:
     several candidates can be bought at the same instant, in lexicographic
     order.
 
-    A trace made by the rule keeps each purchase as int numerators and
-    builds the ``Fraction`` times and payments on their first access.
-    Traces are read-only, and two are equal when their three values are.
+    ``purchases[j]`` is the kernel's record ``(den, clock, payers,
+    amounts)`` of purchase j: time ``clock/den``, and ``amounts[x]/den``
+    paid by ``payers[x]``.  The ``Fraction`` times and payments are built
+    from it on their first access.
     """
 
-    def __init__(
-        self,
-        elected: tuple[int, ...],
-        election_times: tuple[Rational, ...],
-        payments: tuple[dict[int, Rational], ...],
-    ) -> None:
-        self.__dict__.update(
-            elected=elected, election_times=election_times, payments=payments
-        )
-
-    @classmethod
-    def _of_purchases(
-        cls, elected: list[int], purchases: list[tuple[int, int, list[int], list[int]]]
-    ) -> PhragmenTrace:
-        """A trace whose purchase ``j`` is ``(den, clock, payers, amounts)``:
-        time ``clock/den``, and ``amounts[x]/den`` paid by ``payers[x]``."""
-        trace = cls.__new__(cls)
-        trace.__dict__.update(elected=tuple(elected), _purchases=purchases)
-        return trace
+    elected: tuple[int, ...]
+    purchases: list[tuple[int, int, list[int], list[int]]] = field(repr=False)
 
     @cached_property
     def election_times(self) -> tuple[Rational, ...]:
-        return tuple(Fraction(clock, den) for den, clock, _, _ in self._purchases)
+        return tuple(Fraction(clock, den) for den, clock, _, _ in self.purchases)
 
     @cached_property
     def payments(self) -> tuple[dict[int, Rational], ...]:
         return tuple(
             dict(zip(payers, _fractions(amounts, den)))
-            for den, _, payers, amounts in self._purchases
+            for den, _, payers, amounts in self.purchases
         )
 
     @property
     def committee(self) -> Committee:
         return frozenset(self.elected)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PhragmenTrace):
-            return NotImplemented
-        return (self.elected, self.election_times, self.payments) == (
-            other.elected,
-            other.election_times,
-            other.payments,
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"PhragmenTrace(elected={self.elected!r}, "
-            f"election_times={self.election_times!r}, payments={self.payments!r})"
-        )
 
 
 def phragmen_sequential(instance: ElectionInstance) -> PhragmenTrace:
@@ -351,7 +320,7 @@ def _phragmen_run(
         purchases.append((den, clock, paid, owed))
         snapshots.append((den, scaled.copy()))
         remaining.remove(best_c)
-    return PhragmenTrace._of_purchases(elected, purchases), snapshots
+    return PhragmenTrace(tuple(elected), purchases), snapshots
 
 
 @dataclass(frozen=True)

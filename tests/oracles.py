@@ -52,7 +52,7 @@ from abcvote.model import (
     restrict_profile,
     welfare_vector,
 )
-from abcvote.rules import DEFAULT_PAV_NODE_BUDGET, PhragmenTrace, RuleXTrace, harmonic
+from abcvote.rules import DEFAULT_PAV_NODE_BUDGET, RuleXTrace, harmonic
 
 
 def pav_score(instance: ElectionInstance, committee: Committee) -> Rational:
@@ -158,6 +158,16 @@ def seq_pav(instance: ElectionInstance) -> Committee:
         for i in approvers[best_c]:
             utilities[i] += 1
     return frozenset(committee)
+
+
+@dataclass(frozen=True)
+class PhragmenTrace:
+    """A money-earning run in ``Fraction``s: ``elected`` in election order,
+    and the time and the payments (voter -> amount) of each purchase."""
+
+    elected: tuple[int, ...]
+    election_times: tuple[Rational, ...]
+    payments: tuple[dict[int, Rational], ...]
 
 
 def phragmen_sequential(instance: ElectionInstance) -> PhragmenTrace:

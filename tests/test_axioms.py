@@ -433,11 +433,6 @@ def test_price_eq_deviation_for_committee_b():
         alternative=frozenset(range(6)),
         kind="price_eq",
     )
-    # the restricted-ratio price 3/6 halves every share and stays feasible
-    restricted = check_core_subject_to(
-        INTRO, COMMITTEE_B, "price_eq", restricted_price=True
-    )
-    assert restricted == deviation
 
 
 def test_price_eq_none_for_committee_a():

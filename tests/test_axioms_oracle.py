@@ -52,12 +52,11 @@ CHECKS = {
     },
     "lambda": lambda mod, inst, w, budget: mod.minimal_core_lambda(inst, w, budget),
     **{
-        f"subject-{prop}{'-restricted' if restricted else ''}": (
-            lambda mod, inst, w, budget, prop=prop, restricted=restricted:
-            mod.check_core_subject_to(inst, w, prop, budget, restricted)
+        f"subject-{prop}": (
+            lambda mod, inst, w, budget, prop=prop:
+            mod.check_core_subject_to(inst, w, prop, budget)
         )
         for prop in ("cohesive", "price_eq", "priceable")
-        for restricted in (False, True)
     },
 }
 
@@ -77,10 +76,6 @@ SLOW_FOR_ORACLE = (
                      "overlapping_parties")
     }
 )
-
-#: ``restricted_price`` changes only the price_eq property; these two
-#: variants repeat another check, and the Hypothesis tests still run them.
-FLAG_UNUSED = ("subject-cohesive-restricted", "subject-priceable-restricted")
 
 DEDUPED_FIXTURES = [name for name in FIXTURE_NAMES if name != "fig3"]  # fig3 is intro
 
@@ -113,7 +108,7 @@ def assert_same(check: str, instance: ElectionInstance, committee, budget) -> No
         for name in DEDUPED_FIXTURES
         for check in CHECKS
         if (name, check) not in SLOW_FOR_ORACLE
-        and check not in FLAG_UNUSED + BY_VOTERS
+        and check not in BY_VOTERS
     ],
 )
 def test_fixture_matches_oracle(name, check):

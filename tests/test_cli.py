@@ -567,6 +567,25 @@ def test_search_unknown_axiom_or_rule_is_input_error(violation, message, capsys)
     assert err == message
 
 
+def test_check_budget_below_one_is_input_error(capsys):
+    code, out, err = run_cli(
+        capsys, "check", "--axiom", "pjr", "--input", fixture_path("example21"),
+        "--committee", "1", "--budget", "-1",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: --budget must be at least 1, got -1\n"
+
+
+@pytest.mark.parametrize(
+    "flag,value,low",
+    [("--max-n", "1", 2), ("--max-m", "1", 2), ("--max-k", "0", 1), ("--trials", "-1", 0)],
+)
+def test_search_flag_below_its_range_is_input_error(flag, value, low, capsys):
+    code, out, err = run_cli(capsys, "search", "--violation", "ejr-phragmen", flag, value)
+    assert (code, out) == (2, "")
+    assert err == f"error: {flag} must be at least {low}, got {value}\n"
+
+
 def test_repro_is_green_and_deterministic(capsys):
     code, first, _ = run_cli(capsys, "repro")
     assert code == 0

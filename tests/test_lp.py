@@ -27,22 +27,22 @@ from abcvote.lp import (
 
 def test_infeasible_pair_of_constraints():
     lp = LinearProgram(1)
-    lp.add_constraint([Fraction(1)], LE, Fraction(1))
-    lp.add_constraint([Fraction(-1)], LE, Fraction(-2))  # x >= 2
+    lp.add_constraint([1], LE, 1)
+    lp.add_constraint([-1], LE, -2)  # x >= 2
     assert lp_maximize(lp).status == INFEASIBLE
     assert lp_feasible(lp).status == INFEASIBLE
 
 
 def test_unbounded():
-    lp = LinearProgram(1, objective=[Fraction(1)])
+    lp = LinearProgram(1, objective=[1])
     assert lp_maximize(lp).status == UNBOUNDED
 
 
 def test_exact_rational_answer():
     # max x + y  s.t.  3x + y <= 1,  x + 4y <= 1  ->  x=3/11, y=2/11
-    lp = LinearProgram(2, objective=[Fraction(1), Fraction(1)])
-    lp.add_constraint([Fraction(3), Fraction(1)], LE, Fraction(1))
-    lp.add_constraint([Fraction(1), Fraction(4)], LE, Fraction(1))
+    lp = LinearProgram(2, objective=[1, 1])
+    lp.add_constraint([3, 1], LE, 1)
+    lp.add_constraint([1, 4], LE, 1)
     out = lp_maximize(lp)
     assert out.value == Fraction(5, 11)
     assert out.assignment == (Fraction(3, 11), Fraction(2, 11))
@@ -50,39 +50,34 @@ def test_exact_rational_answer():
 
 def test_beale_cycling_example_terminates():
     # A classic degenerate program that cycles under naive pivoting; Bland's
-    # rule must terminate with the optimum 1/20.
-    lp = LinearProgram(
-        4,
-        objective=[Fraction(3, 4), Fraction(-150), Fraction(1, 50), Fraction(-6)],
-    )
-    lp.add_constraint(
-        [Fraction(1, 4), Fraction(-60), Fraction(-1, 25), Fraction(9)], LE, Fraction(0)
-    )
-    lp.add_constraint(
-        [Fraction(1, 2), Fraction(-90), Fraction(-1, 50), Fraction(3)], LE, Fraction(0)
-    )
-    lp.add_constraint([Fraction(0), Fraction(0), Fraction(1), Fraction(0)], LE, Fraction(1))
+    # rule must terminate with the optimum.  Beale's rows are scaled by 100
+    # and 50 and his objective by 100 to make them ints, so the optimum is
+    # 100 * 1/20.
+    lp = LinearProgram(4, objective=[75, -15000, 2, -600])
+    lp.add_constraint([25, -6000, -4, 900], LE, 0)
+    lp.add_constraint([25, -4500, -1, 150], LE, 0)
+    lp.add_constraint([0, 0, 1, 0], LE, 1)
     out = lp_maximize(lp)
     assert out.status == OPTIMAL
-    assert out.value == Fraction(1, 20)
+    assert out.value == 5
 
 
 def test_redundant_equalities():
-    lp = LinearProgram(2, objective=[Fraction(1), Fraction(0)])
-    lp.add_constraint([Fraction(1), Fraction(1)], EQ, Fraction(1))
-    lp.add_constraint([Fraction(2), Fraction(2)], EQ, Fraction(2))
+    lp = LinearProgram(2, objective=[1, 0])
+    lp.add_constraint([1, 1], EQ, 1)
+    lp.add_constraint([2, 2], EQ, 2)
     out = lp_maximize(lp)
     assert out.status == OPTIMAL
-    assert out.value == Fraction(1)
+    assert out.value == 1
 
 
 def _random_lp(rng: random.Random) -> LinearProgram:
     nv = rng.randint(1, 4)
-    lp = LinearProgram(nv, objective=[Fraction(rng.randint(-3, 3)) for _ in range(nv)])
+    lp = LinearProgram(nv, objective=[rng.randint(-3, 3) for _ in range(nv)])
     for _ in range(rng.randint(1, 5)):
-        coeffs = [Fraction(rng.randint(-3, 3)) for _ in range(nv)]
+        coeffs = [rng.randint(-3, 3) for _ in range(nv)]
         rel = rng.choice([LE, ">=", EQ])
-        rhs = Fraction(rng.randint(-4, 4))
+        rhs = rng.randint(-4, 4)
         if rel == ">=":  # a.x >= b as -a.x <= -b
             coeffs, rel, rhs = [-c for c in coeffs], LE, -rhs
         lp.add_constraint(coeffs, rel, rhs)
@@ -150,11 +145,26 @@ def test_value_invariant_under_permutation(seed):
 def test_dimension_mismatch_rejected():
     lp = LinearProgram(2)
     with pytest.raises(ValueError):
-        lp.add_constraint([Fraction(1)], LE, Fraction(1))
+        lp.add_constraint([1], LE, 1)
     with pytest.raises(ValueError):
-        lp.set_objective([Fraction(1)])
+        lp.set_objective([1])
     with pytest.raises(ValueError):
         LinearProgram(0)
+
+
+@pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(2), 1.0])
+def test_non_int_coefficients_rejected(bad):
+    # the solver floor-divides its rows, so even a whole Fraction is refused
+    lp = LinearProgram(2)
+    with pytest.raises(TypeError):
+        lp.add_constraint([bad, 1], LE, 1)
+    with pytest.raises(TypeError):
+        lp.add_constraint([1, 1], EQ, bad)
+    with pytest.raises(TypeError):
+        lp.set_objective([1, bad])
+    with pytest.raises(TypeError):
+        LinearProgram(2, objective=[bad, 0])
+    assert lp.constraints == [] and lp.objective == [0, 0]
 
 
 #: Run under ``python -O``: ``_verify`` is fed assignments that break a row
@@ -169,8 +179,8 @@ from abcvote.model import InternalInvariantError
 if __debug__:
     sys.exit("expected python -O")
 lp = LinearProgram(2)
-lp.add_constraint([1, 1], LE, Fraction(3, 2))
-lp.add_constraint([Fraction(1, 2), Fraction(-1, 2)], EQ, 0)
+lp.add_constraint([2, 2], LE, 3)
+lp.add_constraint([1, -1], EQ, 0)
 _verify(lp, (Fraction(3, 4), Fraction(3, 4)))
 for x in ((Fraction(1), Fraction(1)), (Fraction(3, 4), Fraction(1, 2)), (Fraction(-1), Fraction(-1))):
     try:

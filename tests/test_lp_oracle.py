@@ -5,12 +5,16 @@ Both must report the same status and, at an optimum, the same value and
 the same assignment: the same vertex, not just the same optimum, since
 both pivot by Bland's rule and the same ratio test.  Inputs are
 Hypothesis programs of the shape ``check_priceable`` builds and the
-programs it builds on the catalogue fixtures.
+programs it builds on the catalogue fixtures.  The oracle takes rows with
+``Fraction`` coefficients as drawn; ``abcvote.lp`` takes int rows only and
+is given each row times the lcm of its denominators, which moves no
+vertex.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -27,13 +31,23 @@ from tests import oracles
 SLOW_FOR_ORACLE = ("fig2_profile1", "fig2_profile2", "overlapping_parties")
 
 
-def solve_both(program: LinearProgram) -> LPOutcome:
+def integral(values: list) -> list[int]:
+    """``values`` times the lcm of their denominators."""
+    scale = lcm(*(Fraction(v).denominator for v in values))
+    return [int(v * scale) for v in values]
+
+
+def solve_both(program) -> LPOutcome:
     """The oracle's outcome on ``program``, after checking that
-    ``abcvote.lp`` returns the same one."""
+    ``abcvote.lp`` returns the same one on its rows scaled to ints.  The
+    objective must be whole already: scaling it would scale the value."""
     reference = oracles.LinearProgram(program.num_variables, objective=program.objective)
+    scaled = LinearProgram(program.num_variables, objective=integral(program.objective))
     for coeffs, rel, rhs in program.constraints:
         reference.add_constraint(coeffs, rel, rhs)
-    fast, ref = lp_maximize(program), oracles.lp_maximize(reference)
+        *row, rhs = integral([*coeffs, rhs])
+        scaled.add_constraint(row, rel, rhs)
+    fast, ref = lp_maximize(scaled), oracles.lp_maximize(reference)
     assert (fast.status, fast.value, fast.assignment) == (ref.status, ref.value, ref.assignment)
     return ref
 
@@ -50,10 +64,11 @@ def programs(draw):
     zero right-hand sides (zero ones make ratio-test ties), and rows
     repeated at another scale (redundant equalities).  Half of them cap
     the sum of the variables, as the spending rows do, so that more of
-    them have an optimum."""
+    them have an optimum.  The objective is int, as the production one is."""
     nv = draw(st.integers(1, 5))
     row = st.lists(coefficients, min_size=nv, max_size=nv)
-    program = LinearProgram(nv, objective=draw(row))
+    objective = draw(st.lists(st.integers(-3, 3), min_size=nv, max_size=nv))
+    program = oracles.LinearProgram(nv, objective=objective)
     if draw(st.booleans()):
         program.add_constraint([1] * nv, LE, draw(st.integers(1, 3)))
     for _ in range(draw(st.integers(0, 6))):

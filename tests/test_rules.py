@@ -13,9 +13,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
+from abcvote.generators import FIXTURE_NAMES, fixture
 from abcvote.model import ElectionInstance, SearchBudgetExceeded, welfare_vector
 from abcvote.rules import (
-    PhragmenTrace,
     dhondt,
     harmonic,
     min_affordable_q,
@@ -154,6 +154,16 @@ def test_pav_winners_match_brute_force(inst):
     winners = pav_winners(inst)
     assert as_sorted_tuples(winners) == sorted(expected)
     assert all(pav_score(inst, w) == best for w in winners)
+    # the CLI takes the first optimum as the lexicographically smallest
+    assert winners == sorted(winners, key=sorted)
+
+
+@pytest.mark.parametrize(
+    "name", [name for name in FIXTURE_NAMES if fixture(name).num_candidates <= 30]
+)
+def test_pav_winners_come_in_sorted_tuple_order_on_catalogue(name):
+    winners = pav_winners(fixture(name))
+    assert winners == sorted(winners, key=sorted)
 
 
 # ---------------------------------------------------------------------------
@@ -231,11 +241,14 @@ def test_phragmen_trace_reads_out_fractions_once(inst):
         assert all(type(t) is Fraction for t in times)
         assert all(type(v) is Fraction for step in payments for v in step.values())
         assert len(times) == len(payments) == len(trace.elected)
-    built = PhragmenTrace(trace.elected, trace.election_times, trace.payments)
-    assert built == trace and trace == built
-    assert repr(built) == repr(trace)
     with pytest.raises(AttributeError):
         trace.payments = ()
+
+
+def test_phragmen_trace_committee_builds_no_fractions():
+    trace = phragmen_sequential(BLOCKS_15)
+    assert trace.committee == frozenset({0, 1, 3, 4})
+    assert "election_times" not in vars(trace) and "payments" not in vars(trace)
 
 
 #: Run under ``python -O``: candidate 1 loses voter 0 from its approver
