@@ -36,7 +36,6 @@ from abcvote.generators import (
     gen_random,
     gen_rulex_lower_bound,
     gen_theorem51_family,
-    minimal_lower_bound_budget,
 )
 from abcvote.laminar import (
     check_laminar,
@@ -44,6 +43,7 @@ from abcvote.laminar import (
     laminar_proportional_committees,
 )
 from abcvote.model import (
+    BallotClasses,
     Committee,
     ElectionInstance,
     InternalInvariantError,
@@ -73,6 +73,7 @@ from abcvote.rules import (
 )
 
 __all__ = [
+    "BallotClasses",
     "Committee",
     "Deviation",
     "ElectionInstance",
@@ -107,7 +108,6 @@ __all__ = [
     "instance_digest",
     "laminar_proportional_committees",
     "minimal_core_lambda",
-    "minimal_lower_bound_budget",
     "parse_committee",
     "parse_instance",
     "pav_score",

@@ -23,6 +23,7 @@ from typing import Iterator, Sequence
 
 from abcvote.lp import EQ, LE, LinearProgram, lp_maximize
 from abcvote.model import (
+    BallotClasses,
     Committee,
     ElectionInstance,
     InternalInvariantError,
@@ -45,9 +46,6 @@ PJR = "pjr"
 EJR = "ejr"
 
 _PROPERTY_KINDS = (COHESIVE, PRICE_EQ, PRICEABLE)
-
-#: Distinct ballots with their voters, as ``model.ballot_classes`` returns.
-_Classes = list[tuple[frozenset[int], list[int]]]
 
 
 @dataclass(frozen=True)
@@ -136,10 +134,8 @@ def check_priceable(
     """
     members = frozenset(committee)
     classes = ballot_classes(instance)
-    support = [0] * instance.num_candidates  # |N(c)|
-    for ballot, voters in classes:
-        for c in ballot:
-            support[c] += len(voters)
+    holders, sizes = classes.holders, classes.sizes
+    support = [sum([sizes[j] for j in held]) for held in holders]  # |N(c)|
     if not members:
         # Nothing is bought, so any price beyond every candidate's total
         # support works; no LP needed (the maximization is unbounded).
@@ -155,7 +151,7 @@ def check_priceable(
 
     slots = [
         (j, c)
-        for j, (ballot, _) in enumerate(classes)
+        for j, ballot in enumerate(classes.ballots)
         for c in sorted(ballot & members)
     ]
     index = {slot: 1 + pos for pos, slot in enumerate(slots)}
@@ -167,16 +163,12 @@ def check_priceable(
             coeffs[var] = coeff
         return coeffs
 
-    for j, (ballot, _) in enumerate(classes):
+    for j, ballot in enumerate(classes.ballots):
         spend = {index[(j, c)]: 1 for c in ballot & members}
         if spend:
             lp.add_constraint(row(spend), LE, 1)
     for c in sorted(members):
-        collected = {
-            index[(j, c)]: len(voters)
-            for j, (ballot, voters) in enumerate(classes)
-            if c in ballot
-        }
+        collected = {index[(j, c)]: sizes[j] for j in holders[c]}
         collected[0] = -1
         lp.add_constraint(row(collected), EQ, 0)
     for c in instance.candidates:
@@ -185,10 +177,9 @@ def check_priceable(
         # leftover money of c's approvers stays at or below the price:
         # |N(c)| - (their total spending) <= p
         entries = {0: -1}
-        for j, (ballot, voters) in enumerate(classes):
-            if c in ballot:
-                for spent in ballot & members:
-                    entries[index[(j, spent)]] = -len(voters)
+        for j in holders[c]:
+            for spent in classes.ballots[j] & members:
+                entries[index[(j, spent)]] = -sizes[j]
         lp.add_constraint(row(entries), LE, -support[c])
     lp.set_objective(row({0: 1}))
     outcome = lp_maximize(lp)
@@ -200,7 +191,7 @@ def check_priceable(
     for (j, c), var in index.items():
         amount = outcome.assignment[var]
         if amount:
-            for i in classes[j][1]:
+            for i in classes.voters[j]:
                 payments[i][c] = amount
     system = PriceSystem(price=outcome.assignment[0], payments=payments)
     _require(
@@ -385,16 +376,16 @@ def _is_ejr_witness(
 
 def _class_welfare(
     instance: ElectionInstance, members: Committee
-) -> tuple[_Classes, list[int]]:
+) -> tuple[BallotClasses, list[int]]:
     """The ballot classes and the committee welfare of each class."""
     utilities = welfare_vector(instance, members)
     classes = ballot_classes(instance)
-    return classes, [utilities[voters[0]] for _, voters in classes]
+    return classes, [utilities[voters[0]] for voters in classes.voters]
 
 
 def _blocking_sets(
     instance: ElectionInstance,
-    classes: _Classes,
+    classes: BallotClasses,
     thresholds: Sequence[int],
 ) -> Iterator[tuple[tuple[int, ...], list[int]]]:
     """Every T with at most k members whose gainers could fill |T| seats.
@@ -418,20 +409,16 @@ def _blocking_sets(
     |P|+1 seats the test is skipped, as one more candidate blocks.
     """
     n, m, k = instance.num_voters, instance.num_candidates, instance.committee_size
-    holders: list[list[int]] = [[] for _ in range(m)]
-    for j, (ballot, _) in enumerate(classes):
-        for c in ballot:
-            holders[c].append(j)
-    sizes = [len(voters) for _, voters in classes]
+    holders, sizes = classes.holders, classes.sizes
     # remaining[i][j] = |B_j & {i..m-1}|
-    remaining = [[0] * len(classes)]
+    remaining = [[0] * len(sizes)]
     for c in reversed(range(m)):
         row = remaining[-1].copy()
         for j in holders[c]:
             row[j] += 1
         remaining.append(row)
     remaining.reverse()
-    counts = [0] * len(classes)
+    counts = [0] * len(sizes)
 
     def can_block(size: int, gaining: int, nxt: int) -> bool:
         """Whether some P | Q below the prefix of ``size`` members, Q drawn
@@ -480,14 +467,14 @@ def _blocking_sets(
 
 
 def _gainers(
-    classes: _Classes,
+    classes: BallotClasses,
     counts: Sequence[int],
     thresholds: Sequence[int],
 ) -> list[int]:
     """The voters of every class whose count beats its threshold."""
     return [
         i
-        for j, (_, voters) in enumerate(classes)
+        for j, voters in enumerate(classes.voters)
         if counts[j] > thresholds[j]
         for i in voters
     ]
@@ -585,13 +572,13 @@ def minimal_core_lambda(
     for combo, counts in _blocking_sets(instance, classes, thresholds):
         needed = len(combo) * n  # |S|*k must reach this to block
         always, ratios = 0, []
-        for j, (_, voters) in enumerate(classes):
+        for j, size in enumerate(classes.sizes):
             if counts[j] <= thresholds[j]:
                 continue  # gains at no lam
             if welfare[j] == 0:
-                always += len(voters)
+                always += size
             else:
-                ratios.append((Fraction(counts[j], welfare[j]), len(voters)))
+                ratios.append((Fraction(counts[j], welfare[j]), size))
         if always * k >= needed:
             return None
         for lam in [Fraction(1)] + sorted({t for t, _ in ratios}):

@@ -141,16 +141,14 @@ def _trace_lines(instance: ElectionInstance, rule: str, all_ties: bool):
         return trace.committee, lines
     # dhondt: the instance must be a party-list profile, each distinct
     # ballot a party's slate and its voters the party
-    parties = ballot_classes(instance)
-    if any(not slate for slate, _ in parties):
+    classes = ballot_classes(instance)
+    if not all(classes.ballots):
         raise ParseError("apportionment needs non-empty ballots")
-    parties.sort(key=lambda party: min(party[0]))
-    slates = [slate for slate, _ in parties]
-    members = [c for slate in slates for c in slate]
-    if len(members) != len(set(members)):
+    if any(len(held) > 1 for held in classes.holders):
         raise ParseError("apportionment needs disjoint party slates")
-    sizes = tuple(len(voters) for _, voters in parties)
-    seats = dhondt(sizes, instance.committee_size)
+    parties = sorted(zip(classes.ballots, classes.sizes), key=lambda p: min(p[0]))
+    slates = [slate for slate, _ in parties]
+    seats = dhondt(tuple(size for _, size in parties), instance.committee_size)
     committee = set()
     for slate, won in zip(slates, seats):
         if won > len(slate):
@@ -274,6 +272,7 @@ CHECK_AXIOMS = (
     "pareto",
 )
 SEARCH_AXIOMS = ("ejr", "pjr", "pareto", "pigou-dalton", "core", "core2", "priceable")
+MATRIX_RULES = ("pav", "phragmen", "rulex")
 MATRIX_AXIOMS = (
     "laminar-prop",
     "priceable",
@@ -695,16 +694,11 @@ def _desk_matrix(report: _Report) -> None:
     suite = _desk_suite()
     laminar_suite = [gen_laminar(seed, 3, 10, 4) for seed in range(10)]
     laminar_suite += [fixture("thm32_instance1"), fixture("thm32_instance2")]
-    rules: list[tuple[str, Callable[[ElectionInstance], Committee]]] = [
-        ("pav", SEARCH_RULES["pav"]),
-        ("phragmen", SEARCH_RULES["phragmen"]),
-        ("rulex", SEARCH_RULES["rulex"]),
-    ]
 
     def elect(pool: list[ElectionInstance]):
         return {
-            name: [(instance, run_rule(instance)) for instance in pool]
-            for name, run_rule in rules
+            name: [(instance, SEARCH_RULES[name](instance)) for instance in pool]
+            for name in MATRIX_RULES
         }
 
     # each rule's committee on each instance, computed once for every row
@@ -728,7 +722,7 @@ def _desk_matrix(report: _Report) -> None:
         cells = []
         check = AXIOM_CHECKS[axiom]
         runs = on_laminar if axiom == "laminar-prop" else on_suite
-        for rule_name, _ in rules:
+        for rule_name in MATRIX_RULES:
             violations = []
             for pos, (instance, committee) in enumerate(runs[rule_name]):
                 if check(instance, committee, DEFAULT_OPTIONS)[0]:
@@ -746,16 +740,16 @@ def _desk_matrix(report: _Report) -> None:
     # must get equal welfare vectors from a purely welfare-based rule.
     pair = fixture("fig2_profile1"), fixture("fig2_profile2")
     swap = list(range(6, 12)) + list(range(0, 6))
-    cells = ["✓ by definition"]
-    for run_rule in (SEARCH_RULES["phragmen"], SEARCH_RULES["rulex"]):
-        first = welfare_vector(pair[0], run_rule(pair[0]))
-        second = welfare_vector(pair[1], run_rule(pair[1]))
+    cells = ["✓ by definition"]  # pav, the first of MATRIX_RULES
+    for name in MATRIX_RULES[1:]:
+        first = welfare_vector(pair[0], SEARCH_RULES[name](pair[0]))
+        second = welfare_vector(pair[1], SEARCH_RULES[name](pair[1]))
         mirrored = tuple(second[v] for v in swap)
         cells.append("✓ pair agrees" if first == mirrored else "✗ paired profiles")
     rows.append(("welfarist", cells))
 
     lam_cells = []
-    for rule_name, _ in rules:
+    for rule_name in MATRIX_RULES:
         worst = Fraction(1)
         unstable = False
         for instance, committee in on_suite[rule_name]:
@@ -779,9 +773,7 @@ def _desk_matrix(report: _Report) -> None:
         "instances); welfarist row over the 12-voter paired profiles"
     )
     width = max(len(r[0]) for r in rows)
-    header = " " * (width + 2) + "  ".join(
-        f"{name:<18}" for name, _ in (("pav", 0), ("phragmen", 0), ("rulex", 0))
-    )
+    header = " " * (width + 2) + "  ".join(f"{name:<18}" for name in MATRIX_RULES)
     report.lines.append(header.rstrip())
     for name, cells in rows:
         row = f"{name:<{width}}  " + "  ".join(f"{cell:<18}" for cell in cells)

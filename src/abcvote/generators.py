@@ -440,31 +440,6 @@ def gen_theorem51_family(x: int, y: int) -> ElectionInstance:
     return _instance(nxt, y * y * x + y, ballots)
 
 
-def minimal_lower_bound_budget(x: int) -> int:
-    """Smallest per-seat voter budget L accepted by gen_rulex_lower_bound.
-
-    The construction needs three divisibility properties: within each
-    voter group the pool coverage L*x**(i-1) must be whole, the per-level
-    candidate counts (x**level - 1)/(x - 1) must be whole, and the final
-    padded block must keep the voter total a multiple of L.  The cyclic
-    run assignment below satisfies all three for every L >= 1, so the
-    computed minimum is 1; the search is kept explicit so a change to the
-    assignment cannot silently ship an infeasible default.
-    """
-    if x < 2:
-        raise ValueError("x must be at least 2")
-    pool = x**x
-    budget = 1
-    while True:
-        group = budget * x ** (x - 1)
-        if all(
-            group * x**i % pool == 0 and (x**i - 1) % (x - 1) == 0
-            for i in range(1, x + 1)
-        ):
-            return budget
-        budget += 1
-
-
 def gen_rulex_lower_bound(x: int, L: int) -> ElectionInstance:
     """Adversarial instance where unit-budget spending wastes support.
 
@@ -480,11 +455,16 @@ def gen_rulex_lower_bound(x: int, L: int) -> ElectionInstance:
     decoys, while the pool would have given x**i — a ratio of at least
     x - 1.
 
-    Raises ValueError for x < 2 or L below minimal_lower_bound_budget(x).
+    Every L >= 1 works: x**(x-1+i) is a multiple of the pool size x**x
+    for i >= 1, so each group covers the pool evenly, and x - 1 divides
+    x**i - 1, so each level's decoy count is whole.
+
+    Raises ValueError for x < 2 or L < 1.
     """
-    minimal = minimal_lower_bound_budget(x)
-    if L < minimal:
-        raise ValueError(f"per-seat budget L must be at least {minimal}")
+    if x < 2:
+        raise ValueError("x must be at least 2")
+    if L < 1:
+        raise ValueError("per-seat budget L must be at least 1")
     pergroup = L * x ** (x - 1)
     pool = x**x
     # s[level] voters approve each pool candidate once groups above

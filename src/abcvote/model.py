@@ -1,4 +1,4 @@
-"""Core data model: election instances, committees, welfare vectors.
+"""Core data model: instances, committees, welfare vectors, ballot classes.
 
 An election instance consists of ``m`` candidates, ``n`` voters and a target
 committee size ``k``.  Every voter approves an arbitrary subset of the
@@ -131,13 +131,43 @@ def welfare_vector(instance: ElectionInstance, committee: Iterable[int]) -> tupl
     return tuple(len(ballot & members) for ballot in instance.approvals)
 
 
-def ballot_classes(instance: ElectionInstance) -> list[tuple[frozenset[int], list[int]]]:
-    """The distinct ballots in order of first appearance, each with the
-    increasing list of the voters who cast it."""
-    voters: dict[frozenset[int], list[int]] = {}
+@dataclass(frozen=True)
+class BallotClasses:
+    """The voters grouped by ballot, the only view of a profile an
+    anonymous rule or axiom needs.
+
+    Attributes:
+        ballots: The distinct ballots, in order of first appearance.
+        voters: ``voters[j]`` is the increasing list of the voters who
+            cast ``ballots[j]``.
+        sizes: ``sizes[j]`` is ``len(voters[j])``.
+        holders: ``holders[c]`` is the increasing list of the classes
+            whose ballot approves candidate ``c``.
+    """
+
+    ballots: tuple[frozenset[int], ...]
+    voters: tuple[list[int], ...]
+    sizes: tuple[int, ...]
+    holders: tuple[list[int], ...]
+
+
+def ballot_classes(instance: ElectionInstance) -> BallotClasses:
+    """Group the voters by ballot: one pass over the voters, one over the
+    distinct ballots."""
+    groups: dict[frozenset[int], list[int]] = {}
     for i, ballot in enumerate(instance.approvals):
-        voters.setdefault(ballot, []).append(i)
-    return list(voters.items())
+        groups.setdefault(ballot, []).append(i)
+    holders: list[list[int]] = [[] for _ in instance.candidates]
+    for j, ballot in enumerate(groups):
+        for c in ballot:
+            holders[c].append(j)
+    voters = tuple(groups.values())
+    return BallotClasses(
+        ballots=tuple(groups),
+        voters=voters,
+        sizes=tuple(map(len, voters)),
+        holders=tuple(holders),
+    )
 
 
 def validate_committee(instance: ElectionInstance, committee: Iterable[int]) -> Committee:

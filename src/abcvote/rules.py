@@ -27,8 +27,9 @@ reaches the top of a lazy heap, as budgets only shrink and an old cap is
 a lower bound.  ``phragmen_sequential`` keeps each candidate's group
 balance up to date instead of summing it at every step, and its trace
 holds the int numerators of each purchase, which become the ``Fraction``
-times and payments on their first access.  ``pav_score`` sums once per
-distinct ballot.
+times and payments on their first access.  ``pav_score`` and
+``pav_winners`` read the profile through ``model.ballot_classes``, so
+they work once per distinct ballot.
 
 Ties are always broken lexicographically (smallest candidate index), which
 makes every rule fully deterministic.
@@ -36,7 +37,6 @@ makes every rule fully deterministic.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -50,6 +50,7 @@ from abcvote.model import (
     InternalInvariantError,
     Rational,
     SearchBudgetExceeded,
+    ballot_classes,
 )
 
 #: Node budget for the exact PAV optimum search.
@@ -92,10 +93,11 @@ def pav_score(instance: ElectionInstance, committee: Committee) -> Rational:
     """Sum over voters of H(number of approved committee members), taken
     once per distinct ballot and weighted by the number of its voters."""
     members = frozenset(committee)
+    classes = ballot_classes(instance)
     return sum(
         (
-            count * harmonic(len(ballot & members))
-            for ballot, count in Counter(instance.approvals).items()
+            size * harmonic(len(ballot & members))
+            for ballot, size in zip(classes.ballots, classes.sizes)
         ),
         Fraction(0),
     )
@@ -112,8 +114,8 @@ def pav_winners(
     adds, for the remaining seats, the largest "solo" marginal gains at the
     current utilities; joint gains can only be smaller (diminishing returns),
     so no optimum is pruned, and ties are never pruned either (only strictly
-    dominated branches are cut).  Identical ballots are grouped into weight
-    classes, so many voters with few distinct ballots cost nothing extra.
+    dominated branches are cut).  The search runs on the ballot classes,
+    so many voters with few distinct ballots cost nothing extra.
     Scores are ints scaled by lcm(1..k), which changes no comparison.
 
     Raises SearchBudgetExceeded when the search tree outgrows ``node_budget``
@@ -121,13 +123,9 @@ def pav_winners(
     """
     m, k = instance.num_candidates, instance.committee_size
     weights = _pav_weights(k)
-    classes = list(Counter(instance.approvals).items())  # (ballot, weight)
-    supporters = [
-        [j for j, (ballot, _) in enumerate(classes) if c in ballot]
-        for c in instance.candidates
-    ]
-    sizes = [size for _, size in classes]
-    utilities = [0] * len(classes)
+    classes = ballot_classes(instance)
+    supporters, sizes = classes.holders, classes.sizes
+    utilities = [0] * len(sizes)
     best = -1
     winners: list[tuple[int, ...]] = []
     chosen: list[int] = []

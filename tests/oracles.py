@@ -670,7 +670,6 @@ def check_core_subject_to(
     committee: Committee,
     deviation_property: str,
     budget: int = DEFAULT_SUBSET_BUDGET,
-    restricted_price: bool = False,
 ) -> Deviation | None:
     """A blocking pair (S, T) whose alternative additionally carries the
     given property inside the restricted instance (S's ballots, |T| seats).
@@ -679,17 +678,15 @@ def check_core_subject_to(
       * ``cohesive``: every coalition member approves all of T.
       * ``price_eq``: T is supportable by equal per-candidate payments
         from its coalition approvers, each candidate collecting the full
-        instance's per-seat price n/k (with ``restricted_price``, the
-        restricted ratio |S|/|T| instead), nobody spending more than 1.
+        instance's per-seat price n/k, nobody spending more than 1.
       * ``priceable``: T is priceable in the restricted instance.
 
     The coalition tried for each T is the full gaining set (for cohesive:
-    the gaining voters approving all of T).  For cohesive and the default
-    price_eq this is lossless: growing the coalition only adds payers and
-    lowers equal shares.  For priceable and the restricted-ratio price_eq
-    variant a smaller coalition could in principle succeed where the
-    maximal one fails; the checker is then a sound witness-finder rather
-    than a complete decision procedure.
+    the gaining voters approving all of T).  For cohesive and price_eq
+    this is lossless: growing the coalition only adds payers and lowers
+    equal shares.  For priceable a smaller coalition could in principle
+    succeed where the maximal one fails; the checker is then a sound
+    witness-finder rather than a complete decision procedure.
     """
     if deviation_property not in _PROPERTY_KINDS:
         raise ValueError(f"unknown deviation property {deviation_property!r}")
@@ -709,11 +706,7 @@ def check_core_subject_to(
         if len(group) * k < len(combo) * n:
             continue
         if deviation_property == PRICE_EQ:
-            price = (
-                Fraction(len(group), len(combo))
-                if restricted_price
-                else Fraction(n, k)
-            )
+            price = Fraction(n, k)
             if not _equal_payment_support(instance, group, alternative, price):
                 continue
         elif deviation_property == PRICEABLE:
@@ -923,12 +916,12 @@ def instance_digest(instance: ElectionInstance) -> str:
 
 # ---------------------------------------------------------------------------
 # exact LP: the dense two-phase simplex over Fractions that abcvote.lp
-# replaced, with its bound substitution layer, kept as the reference for
-# abcvote.lp (tests/test_lp_oracle.py) and solving the checkers' LPs above
+# replaced, kept as the reference for abcvote.lp (tests/test_lp_oracle.py)
+# and solving the checkers' LPs above
 
 
 #: Constraint relations.
-LE, EQ, GE = "<=", "=", ">="
+LE, EQ = "<=", "="
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -937,32 +930,20 @@ UNBOUNDED = "unbounded"
 
 @dataclass
 class LinearProgram:
-    """maximize ``objective . x`` subject to linear constraints and bounds.
-
-    Variables are indexed ``0 .. num_variables-1``.  The default bounds are
-    ``0 <= x_j`` (no upper bound); ``None`` means unbounded on that side.
-    """
+    """maximize ``objective . x`` subject to linear constraints and
+    ``x >= 0``.  Variables are indexed ``0 .. num_variables-1``."""
 
     num_variables: int
     objective: list[Rational] = field(default_factory=list)
     constraints: list[tuple[list[Rational], str, Rational]] = field(default_factory=list)
-    lower_bounds: list[Rational | None] = field(default_factory=list)
-    upper_bounds: list[Rational | None] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if self.num_variables < 1:
             raise ValueError("need at least one variable")
         if not self.objective:
             self.objective = [Fraction(0)] * self.num_variables
-        if not self.lower_bounds:
-            self.lower_bounds = [Fraction(0)] * self.num_variables
-        if not self.upper_bounds:
-            self.upper_bounds = [None] * self.num_variables
-        for name, vec in (("objective", self.objective),
-                          ("lower_bounds", self.lower_bounds),
-                          ("upper_bounds", self.upper_bounds)):
-            if len(vec) != self.num_variables:
-                raise ValueError(f"{name} has wrong length")
+        if len(self.objective) != self.num_variables:
+            raise ValueError("objective has wrong length")
         self.objective = [Fraction(c) for c in self.objective]
 
     def set_objective(self, coeffs: Sequence[Rational]) -> None:
@@ -970,16 +951,12 @@ class LinearProgram:
             raise ValueError("objective has wrong length")
         self.objective = [Fraction(c) for c in coeffs]
 
-    def set_bounds(self, var: int, lower: Rational | None, upper: Rational | None) -> None:
-        self.lower_bounds[var] = None if lower is None else Fraction(lower)
-        self.upper_bounds[var] = None if upper is None else Fraction(upper)
-
     def add_constraint(self, coeffs: Sequence[Rational], rel: str, rhs: Rational) -> None:
         if len(coeffs) != self.num_variables:
             raise ValueError(
                 f"constraint has {len(coeffs)} coefficients, expected {self.num_variables}"
             )
-        if rel not in (LE, EQ, GE):
+        if rel not in (LE, EQ):
             raise ValueError(f"unknown relation {rel!r}")
         self.constraints.append(([Fraction(c) for c in coeffs], rel, Fraction(rhs)))
 
@@ -990,7 +967,7 @@ class LPOutcome:
 
     ``value`` and ``assignment`` are present exactly when ``status`` is
     ``"optimal"``.  The assignment has been verified against all constraints
-    and bounds, and ``value`` is recomputed from it directly, independently
+    and ``x >= 0``, and ``value`` is recomputed from it directly, independently
     of the tableau bookkeeping.
     """
 
@@ -1014,92 +991,28 @@ def lp_feasible(lp: LinearProgram) -> LPOutcome:
 
 
 def _solve(lp: LinearProgram, objective: Sequence[Rational]) -> LPOutcome:
-    # Substitute x_j by shifted/split nonnegative variables y:
-    #   lower l only:      x = l + y
-    #   upper u only:      x = u - y
-    #   both:              x = l + y  plus a row  y <= u - l
-    #   neither:           x = y+ - y-
-    # ``subst[j]`` describes how to recover x_j from y.
     nv = lp.num_variables
-    subst: list[tuple[str, int, Rational]] = []  # (kind, y-index, offset)
-    ny = 0
-    extra_rows: list[tuple[dict[int, Fraction], str, Fraction]] = []
-    for j in range(nv):
-        lo, hi = lp.lower_bounds[j], lp.upper_bounds[j]
-        if lo is not None and hi is not None and hi < lo:
-            return LPOutcome(INFEASIBLE)
-        if lo is not None:
-            subst.append(("shift", ny, Fraction(lo)))
-            if hi is not None:
-                extra_rows.append(({ny: Fraction(1)}, LE, Fraction(hi) - Fraction(lo)))
-            ny += 1
-        elif hi is not None:
-            subst.append(("flip", ny, Fraction(hi)))
-            ny += 1
-        else:
-            subst.append(("free", ny, Fraction(0)))
-            ny += 2
+    rows = [list(coeffs) for coeffs, _, _ in lp.constraints]
+    rels = [rel for _, rel, _ in lp.constraints]
+    rhss = [rhs for _, _, rhs in lp.constraints]
 
-    def to_y(coeffs: Sequence[Rational]) -> list[Fraction]:
-        row = [Fraction(0)] * ny
-        for j, a in enumerate(coeffs):
-            if not a:
-                continue
-            kind, idx, _ = subst[j]
-            a = Fraction(a)
-            if kind == "shift":
-                row[idx] += a
-            elif kind == "flip":
-                row[idx] -= a
-            else:
-                row[idx] += a
-                row[idx + 1] -= a
-        return row
-
-    def offset_of(coeffs: Sequence[Rational]) -> Fraction:
-        total = Fraction(0)
-        for j, a in enumerate(coeffs):
-            if not a:
-                continue
-            kind, _, off = subst[j]
-            if kind != "free":
-                total += Fraction(a) * off
-        return total
-
-    rows: list[list[Fraction]] = []
-    rels: list[str] = []
-    rhss: list[Fraction] = []
-    for coeffs, rel, rhs in lp.constraints:
-        rows.append(to_y(coeffs))
-        rels.append(rel)
-        rhss.append(Fraction(rhs) - offset_of(coeffs))
-    for sparse, rel, rhs in extra_rows:
-        row = [Fraction(0)] * ny
-        for idx, a in sparse.items():
-            row[idx] = a
-        rows.append(row)
-        rels.append(rel)
-        rhss.append(rhs)
-
-    obj_y = to_y(objective)
-
-    # Standard form: append slack/surplus columns, flip rows to rhs >= 0,
-    # add artificials where no slack can serve as the initial basic variable.
+    # Standard form: append slack columns, flip rows to rhs >= 0, add
+    # artificials where no slack can serve as the initial basic variable.
     nrows = len(rows)
     slack_col: list[int | None] = [None] * nrows
-    ncols = ny
+    ncols = nv
     for i, rel in enumerate(rels):
-        if rel in (LE, GE):
+        if rel == LE:
             slack_col[i] = ncols
             ncols += 1
     art_col: list[int | None] = [None] * nrows
     basis: list[int] = [-1] * nrows
     tab: list[list[Fraction]] = []
     for i in range(nrows):
-        row = rows[i] + [Fraction(0)] * (ncols - ny)
+        row = rows[i] + [Fraction(0)] * (ncols - nv)
         rhs = rhss[i]
         if slack_col[i] is not None:
-            row[slack_col[i]] = Fraction(1) if rels[i] == LE else Fraction(-1)
+            row[slack_col[i]] = Fraction(1)
         if rhs < 0:
             row = [-a for a in row]
             rhs = -rhs
@@ -1127,7 +1040,7 @@ def _solve(lp: LinearProgram, objective: Sequence[Rational]) -> LPOutcome:
     # Cost rows share the tableau's column layout (reduced costs; the last
     # entry is minus the current objective value).  Internally we minimize.
     phase2 = [Fraction(0)] * (total_cols + 1)
-    for j, c in enumerate(obj_y):
+    for j, c in enumerate(objective):
         phase2[j] = -c  # minimize the negated objective
     artificial = {a for a in art_col if a is not None}
     if artificial:
@@ -1150,15 +1063,7 @@ def _solve(lp: LinearProgram, objective: Sequence[Rational]) -> LPOutcome:
     for i, b in enumerate(basis):
         if b >= 0:
             y[b] = tab[i][-1]
-    x: list[Fraction] = []
-    for j in range(nv):
-        kind, idx, off = subst[j]
-        if kind == "shift":
-            x.append(off + y[idx])
-        elif kind == "flip":
-            x.append(off - y[idx])
-        else:
-            x.append(y[idx] - y[idx + 1])
+    x = y[:nv]
     value = sum((Fraction(c) * xj for c, xj in zip(objective, x)), Fraction(0))
     _verify(lp, x)
     return LPOutcome(OPTIMAL, value, tuple(x))
@@ -1252,11 +1157,8 @@ def _expel_artificials(
 
 def _verify(lp: LinearProgram, x: Sequence[Fraction]) -> None:
     """Exact sanity check of a claimed-optimal assignment."""
-    for j in range(lp.num_variables):
-        lo, hi = lp.lower_bounds[j], lp.upper_bounds[j]
-        assert lo is None or x[j] >= lo, "assignment violates a lower bound"
-        assert hi is None or x[j] <= hi, "assignment violates an upper bound"
+    assert all(xj >= 0 for xj in x), "assignment violates x >= 0"
     for coeffs, rel, rhs in lp.constraints:
         lhs = sum((Fraction(a) * xj for a, xj in zip(coeffs, x)), Fraction(0))
-        ok = lhs <= rhs if rel == LE else lhs >= rhs if rel == GE else lhs == rhs
+        ok = lhs <= rhs if rel == LE else lhs == rhs
         assert ok, "assignment violates a constraint"

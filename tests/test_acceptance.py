@@ -38,7 +38,6 @@ from abcvote.generators import (
     gen_party_list,
     gen_random,
     gen_rulex_lower_bound,
-    minimal_lower_bound_budget,
 )
 from abcvote.laminar import (
     check_laminar_proportional,
@@ -330,9 +329,9 @@ def test_criterion_11_budget_rule_core_gap(random_suite):
     logarithmic upper bound is out of desk range; instead, on all 200
     random instances the brute-force search finds the smallest scaling
     that clears the committee and it never exceeds 2*log2(2k) + 1."""
-    budget = minimal_lower_bound_budget(2)
-    assert budget == 1
-    inst = gen_rulex_lower_bound(2, budget)
+    with pytest.raises(ValueError, match="per-seat budget L must be at least 1"):
+        gen_rulex_lower_bound(2, 0)
+    inst = gen_rulex_lower_bound(2, 1)
     committee = rule_x(inst).committee
     pool = frozenset(range(inst.num_candidates - 4, inst.num_candidates))
     assert committee == frozenset(range(inst.num_candidates)) - pool

@@ -18,7 +18,6 @@ from abcvote.generators import (
     gen_random,
     gen_rulex_lower_bound,
     gen_theorem51_family,
-    minimal_lower_bound_budget,
 )
 from abcvote.laminar import check_laminar, laminar_proportional_committees
 from abcvote.model import parse_instance, serialize_instance, welfare_vector
@@ -293,10 +292,13 @@ def test_theorem51_family_errors():
 
 
 def test_lower_bound_minimal_budget():
-    assert minimal_lower_bound_budget(2) == 1
-    assert minimal_lower_bound_budget(3) == 1
-    with pytest.raises(ValueError):
-        minimal_lower_bound_budget(1)
+    # L = 1 is the smallest budget, and it is accepted for every x
+    assert gen_rulex_lower_bound(2, 1).committee_size == 5
+    assert gen_rulex_lower_bound(3, 1).num_candidates == 61
+    with pytest.raises(ValueError, match="^x must be at least 2$"):
+        gen_rulex_lower_bound(1, 1)
+    with pytest.raises(ValueError, match="^per-seat budget L must be at least 1$"):
+        gen_rulex_lower_bound(2, 0)
 
 
 def test_lower_bound_smallest_instance():

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
+from abcvote.generators import FIXTURE_NAMES, fixture
 from abcvote.model import (
+    BallotClasses,
     ElectionInstance,
     ParseError,
     ballot_classes,
@@ -18,7 +21,7 @@ from abcvote.model import (
     validate_committee,
     welfare_vector,
 )
-from tests.conftest import instances, instances_with_committee
+from tests.conftest import instances, instances_with_committee, shared_ballot_instances
 
 
 def test_parse_small_instance():
@@ -181,11 +184,40 @@ def test_approvers():
 
 def test_ballot_classes_in_first_appearance_order():
     inst = parse_instance("3 5 1\n2\n1 3\n2\n\n1 3\n")
-    assert ballot_classes(inst) == [
-        (frozenset({1}), [0, 2]),
-        (frozenset({0, 2}), [1, 4]),
-        (frozenset(), [3]),
+    assert ballot_classes(inst) == BallotClasses(
+        ballots=(frozenset({1}), frozenset({0, 2}), frozenset()),
+        voters=([0, 2], [1, 4], [3]),
+        sizes=(2, 2, 1),
+        holders=([1], [0], [1]),
+    )
+
+
+def assert_ballot_classes_by_definition(inst: ElectionInstance) -> None:
+    classes = ballot_classes(inst)
+    ballots = classes.ballots
+    # the voters partition range(n), grouped by ballot equality
+    assert sorted(i for voters in classes.voters for i in voters) == list(inst.voters)
+    for ballot, voters in zip(ballots, classes.voters, strict=True):
+        assert voters == [i for i in inst.voters if inst.approvals[i] == ballot]
+    assert len(set(ballots)) == len(ballots)
+    # first-appearance order
+    assert [voters[0] for voters in classes.voters] == sorted(
+        inst.approvals.index(ballot) for ballot in ballots
+    )
+    assert list(classes.sizes) == [len(voters) for voters in classes.voters]
+    assert list(classes.holders) == [
+        [j for j, b in enumerate(ballots) if c in b] for c in inst.candidates
     ]
+
+
+@given(st.one_of(instances(12, 8), shared_ballot_instances(12, 8)))
+def test_ballot_classes_match_definition(inst):
+    assert_ballot_classes_by_definition(inst)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_ballot_classes_match_definition_on_fixture(name):
+    assert_ballot_classes_by_definition(fixture(name))
 
 
 def test_restrict_profile_keeps_candidate_universe():
