@@ -834,7 +834,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ParseError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except SearchBudgetExceeded as exc:
+    except (SearchBudgetExceeded, RecursionError) as exc:
+        # a walk that ran out of stack is as undecided as one over budget
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

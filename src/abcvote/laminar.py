@@ -8,20 +8,30 @@ groups with disjoint candidates is laminar when the seats divide among the
 groups exactly proportionally to their sizes and each part is laminar.
 
 Recognition is deterministic: a unanimous profile only matches the first
-rule, a connected non-unanimous profile only the second (stripping any
-common candidate leads to the same residual profile, so the order is
-immaterial), and a disconnected one only the third, where any nested
-binary split must separate whole connected components and forces every
-component's seat share to be k*n_j/n.  The decomposition is therefore
-unique up to choices that do not affect which committees it validates.
+rule, a connected non-unanimous profile only the second, and a
+disconnected one only the third, where any nested binary split must
+separate whole connected components and forces every component's seat
+share to be k*n_j/n.  Removing the same candidates from every ballot never
+makes distinct ballots equal, so once a profile needs stripping it stays
+non-unanimous until all its common candidates are gone: stripping them one
+at a time is the same as stripping them all at once, which needs at least
+that many seats.
+
+What a derivation says about committees is therefore flat.  The stripped
+candidates are forced, each unanimous leaf is a pool with a seat count,
+and the forced set and the pools are pairwise disjoint (a stripped
+candidate leaves every ballot below it, and split components share no
+candidate).  A committee of size k respects the derivation exactly when it
+holds every forced candidate and the leaf's seat count from every pool:
+the forced candidates and the seat counts add up to k, so such a
+committee has no member outside them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from math import comb
-from typing import Union
+from itertools import combinations, product
+from math import comb, prod
 
 from abcvote.model import Committee, ElectionInstance, SearchBudgetExceeded
 
@@ -32,96 +42,54 @@ DEFAULT_ENUMERATION_BUDGET = 200_000
 
 
 @dataclass(frozen=True)
-class Unanimous:
-    """Leaf: ``voters`` all approve exactly ``candidates``; any ``seats``
-    of those candidates are fine."""
+class LaminarSeats:
+    """The seat constraints of a laminar instance.
 
-    voters: tuple[int, ...]
-    seats: int
-    candidates: frozenset[int]
+    ``forced`` holds the candidates stripped as common candidates; every
+    proportional committee contains them.  ``pools`` has one
+    ``(candidates, seats)`` pair per unanimous leaf, in depth-first order
+    of the derivation: a split's blocks come in order of their smallest
+    voter, and all pools of one block before those of the next.  A
+    proportional committee takes exactly ``seats`` members from
+    ``candidates``.
+    """
 
-
-@dataclass(frozen=True)
-class CommonCandidate:
-    """``candidate`` is approved by every voter here and takes one seat;
-    ``child`` covers the profile with the candidate removed."""
-
-    voters: tuple[int, ...]
-    seats: int
-    candidate: int
-    child: "LaminarDecomposition"
+    forced: frozenset[int]
+    pools: tuple[tuple[frozenset[int], int], ...]
 
 
-@dataclass(frozen=True)
-class Split:
-    """Two voter groups approving disjoint candidates, with seats split in
-    exact proportion to group sizes."""
-
-    voters: tuple[int, ...]
-    seats: int
-    first: "LaminarDecomposition"
-    second: "LaminarDecomposition"
-
-
-LaminarDecomposition = Union[Unanimous, CommonCandidate, Split]
-
-
-def check_laminar(instance: ElectionInstance) -> LaminarDecomposition | None:
-    """The decomposition tree of a laminar instance, or None."""
-    return _decompose(
-        instance.approvals,
-        tuple(range(instance.num_voters)),
-        instance.committee_size,
-    )
-
-
-def _decompose(
-    ballots: Ballots, voters: tuple[int, ...], seats: int
-) -> LaminarDecomposition | None:
-    if all(ballot == ballots[0] for ballot in ballots):
-        if len(ballots[0]) >= seats:
-            return Unanimous(voters=voters, seats=seats, candidates=ballots[0])
-        return None
-    common = frozenset.intersection(*ballots)
-    if common:
-        # connected through the common candidate, so splitting is out;
-        # stripping is the only applicable rule
-        if seats == 0:
+def check_laminar(instance: ElectionInstance) -> LaminarSeats | None:
+    """The seat constraints of a laminar instance, or None."""
+    forced: set[int] = set()
+    pools: list[tuple[frozenset[int], int]] = []
+    # a stack of sub-profiles; a split pushes its blocks in reverse, so
+    # the leaves come off depth first
+    todo: list[tuple[Ballots, int]] = [(instance.approvals, instance.committee_size)]
+    while todo:
+        ballots, seats = todo.pop()
+        if all(ballot == ballots[0] for ballot in ballots):
+            if len(ballots[0]) < seats:
+                return None
+            pools.append((ballots[0], seats))
+            continue
+        common = frozenset.intersection(*ballots)
+        if len(common) > seats:
             return None
-        candidate = min(common)
-        child = _decompose(
-            tuple(ballot - {candidate} for ballot in ballots), voters, seats - 1
-        )
-        if child is None:
+        if common:
+            forced |= common
+            seats -= len(common)
+            ballots = tuple(ballot - common for ballot in ballots)
+        groups = _components(ballots)
+        if len(groups) < 2:
             return None
-        return CommonCandidate(
-            voters=voters, seats=seats, candidate=candidate, child=child
-        )
-    groups = _components(ballots)
-    if len(groups) < 2:
-        return None
-    total = len(ballots)
-    parts: list[LaminarDecomposition] = []
-    for group in groups:
-        if seats * len(group) % total:
-            return None
-        part = _decompose(
-            tuple(ballots[i] for i in group),
-            tuple(voters[i] for i in group),
-            seats * len(group) // total,
-        )
-        if part is None:
-            return None
-        parts.append(part)
-    node = parts[-1]
-    for part in reversed(parts[:-1]):
-        node = Split(
-            voters=tuple(sorted(part.voters + node.voters)),
-            seats=part.seats + node.seats,
-            first=part,
-            second=node,
-        )
-    return node
+        total = len(ballots)
+        for group in reversed(groups):
+            if seats * len(group) % total:
+                return None
+            todo.append(
+                (tuple(ballots[i] for i in group), seats * len(group) // total)
+            )
+    return LaminarSeats(frozenset(forced), tuple(pools))
 
 
 def _components(ballots: Ballots) -> list[list[int]]:
@@ -148,84 +116,45 @@ def _components(ballots: Ballots) -> list[list[int]]:
     return sorted(groups.values(), key=lambda group: group[0])
 
 
-def candidate_pool(node: LaminarDecomposition) -> frozenset[int]:
-    """All candidates approved anywhere below ``node``."""
-    if isinstance(node, Unanimous):
-        return node.candidates
-    if isinstance(node, CommonCandidate):
-        return candidate_pool(node.child) | {node.candidate}
-    return candidate_pool(node.first) | candidate_pool(node.second)
+def _seats(instance: ElectionInstance) -> LaminarSeats:
+    seats = check_laminar(instance)
+    if seats is None:
+        raise ValueError("the instance is not laminar")
+    return seats
 
 
 def check_laminar_proportional(
     instance: ElectionInstance, committee: Committee
 ) -> bool:
     """Whether the committee respects the instance's laminar structure:
-    exactly the proportional number of seats inside every part.
+    every forced candidate and exactly the proportional number of seats
+    inside every pool.
 
     Raises ValueError when the instance itself is not laminar.
     """
-    tree = check_laminar(instance)
-    if tree is None:
-        raise ValueError("the instance is not laminar")
+    seats = _seats(instance)
     members = frozenset(committee)
-    if len(members) != instance.committee_size:
-        return False
-    return _fits(tree, members)
-
-
-def _fits(node: LaminarDecomposition, members: frozenset[int]) -> bool:
-    if isinstance(node, Unanimous):
-        return len(members) == node.seats and members <= node.candidates
-    if isinstance(node, CommonCandidate):
-        return node.candidate in members and _fits(
-            node.child, members - {node.candidate}
-        )
-    first_pool = candidate_pool(node.first)
-    second_pool = candidate_pool(node.second)
-    first_part = members & first_pool
-    second_part = members & second_pool
-    if first_part | second_part != members:
-        return False
-    return _fits(node.first, first_part) and _fits(node.second, second_part)
+    return (
+        len(members) == instance.committee_size
+        and seats.forced <= members
+        and all(len(members & pool) == size for pool, size in seats.pools)
+    )
 
 
 def laminar_proportional_committees(
     instance: ElectionInstance, limit: int = DEFAULT_ENUMERATION_BUDGET
 ) -> list[Committee]:
-    """All committees accepted by check_laminar_proportional, read off the
-    decomposition tree; SearchBudgetExceeded when more than ``limit``."""
-    tree = check_laminar(instance)
-    if tree is None:
-        raise ValueError("the instance is not laminar")
-    count = _count(tree)
+    """All committees accepted by check_laminar_proportional, in sorted
+    order; SearchBudgetExceeded when more than ``limit``."""
+    seats = _seats(instance)
+    count = prod(comb(len(pool), size) for pool, size in seats.pools)
     if count > limit:
         raise SearchBudgetExceeded(
             f"{count} laminar proportional committees exceed the "
             f"enumeration budget of {limit}"
         )
-    committees = _enumerate(tree)
+    picks = product(
+        *(combinations(sorted(pool), size) for pool, size in seats.pools)
+    )
+    committees = [seats.forced.union(*pick) for pick in picks]
     return sorted(committees, key=sorted)
-
-
-def _count(node: LaminarDecomposition) -> int:
-    if isinstance(node, Unanimous):
-        return comb(len(node.candidates), node.seats)
-    if isinstance(node, CommonCandidate):
-        return _count(node.child)
-    return _count(node.first) * _count(node.second)
-
-
-def _enumerate(node: LaminarDecomposition) -> list[frozenset[int]]:
-    if isinstance(node, Unanimous):
-        return [
-            frozenset(pick)
-            for pick in combinations(sorted(node.candidates), node.seats)
-        ]
-    if isinstance(node, CommonCandidate):
-        return [pick | {node.candidate} for pick in _enumerate(node.child)]
-    return [
-        left | right
-        for left in _enumerate(node.first)
-        for right in _enumerate(node.second)
-    ]

@@ -329,19 +329,22 @@ class RuleXTrace:
     was bought during the budget phase; ``budgets[j]`` is the full vector of
     voter budgets right after that purchase.  When ``rule_x_complete``
     appends further candidates, those appear in ``elected`` (and contribute
-    budget snapshots) but have no q-value.  ``completed`` records whether
-    the completion actually appended members; it is False for a plain
-    budget-phase run even when that run fills all k seats.
+    budget snapshots) but have no q-value.
     """
 
     elected: tuple[int, ...]
     q_values: tuple[Rational, ...]
     budgets: tuple[tuple[Rational, ...], ...]
-    completed: bool
 
     @property
     def committee(self) -> Committee:
         return frozenset(self.elected)
+
+    @property
+    def completed(self) -> bool:
+        """Whether the completion appended members: False for a plain
+        budget-phase run even when that run fills all k seats."""
+        return len(self.elected) > len(self.q_values)
 
 
 def min_affordable_q(
@@ -375,8 +378,7 @@ def rule_x(
     the smallest per-voter cap q (ties to the smallest index).  Supporters
     pay min(q, remaining budget).  The rule stops when no remaining
     candidate's supporters can raise n/k; this can leave the committee
-    undersized.  ``completed`` is always False here — only
-    :func:`rule_x_complete` appends members.
+    undersized; only :func:`rule_x_complete` appends members.
 
     ``tie_choices`` may map a 0-based step number to a candidate that should
     be picked at that step instead of the lexicographic default; the choice
@@ -454,7 +456,6 @@ def rule_x(
         elected=tuple(elected),
         q_values=tuple(qs),
         budgets=tuple(snapshots),
-        completed=False,
     )
 
 
@@ -484,7 +485,6 @@ def rule_x_complete(
         elected=elected,
         q_values=trace.q_values,
         budgets=trace.budgets + tuple(tuple(_fractions(b, den)) for den, b in balances),
-        completed=len(elected) > len(trace.elected),
     )
 
 

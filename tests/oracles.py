@@ -13,10 +13,13 @@ system re-checked with ``Fraction`` sums per candidate over all voters.
 subtree bound.  The LP is the dense two-phase simplex over ``Fraction``s
 that the integer simplex of ``abcvote.lp`` replaced.  The input path parses,
 range-checks and renders every voter's ballot on its own, where
-``abcvote.model`` does so once per distinct ballot.  They are slow but
-short, and the fast paths must reproduce their results exactly
-(``tests/test_rules_oracle.py``, ``tests/test_axioms_oracle.py``,
-``tests/test_lp_oracle.py``, ``tests/test_model_oracle.py``).
+``abcvote.model`` does so once per distinct ballot.  The laminar
+recognizer builds the recursive derivation tree that ``abcvote.laminar``
+flattened into seat constraints, and checks and enumerates committees
+along it.  They are slow but short, and the fast paths must reproduce
+their results exactly (``tests/test_rules_oracle.py``,
+``tests/test_axioms_oracle.py``, ``tests/test_lp_oracle.py``,
+``tests/test_model_oracle.py``, ``tests/test_laminar_oracle.py``).
 """
 
 from __future__ import annotations
@@ -26,7 +29,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator, Mapping, Sequence
+from math import comb
+from typing import Iterator, Mapping, Sequence, Union
 
 from abcvote.axioms import (
     COHESIVE,
@@ -271,8 +275,7 @@ def rule_x(
     the smallest per-voter cap q (ties to the smallest index).  Supporters
     pay min(q, remaining budget).  The rule stops when no remaining
     candidate's supporters can raise n/k; this can leave the committee
-    undersized.  ``completed`` is always False here — only
-    :func:`rule_x_complete` appends members.
+    undersized; only :func:`rule_x_complete` appends members.
 
     ``tie_choices`` may map a 0-based step number to a candidate that should
     be picked at that step instead of the lexicographic default; the choice
@@ -318,28 +321,20 @@ def rule_x(
         elected=tuple(elected),
         q_values=tuple(qs),
         budgets=tuple(snapshots),
-        completed=False,
     )
 
 
 def rule_x_complete(
     instance: ElectionInstance,
-    strategy: str = "none",
     tie_choices: Mapping[int, int] | None = None,
 ) -> RuleXTrace:
-    """Budget-spending rule plus an optional committee completion strategy.
-
-    ``strategy``:
-      * ``"none"``: identical to ``rule_x``.
-      * ``"phragmen_continuation"``: if the budget phase stops short of k,
-        keep going with the money-earning rule, seeded with the leftover
-        budgets (voters continue to earn at unit speed; already elected
-        candidates are excluded).
+    """Budget-spending rule completed by Phragmen continuation: if the
+    budget phase stops short of k, keep going with the money-earning rule,
+    seeded with the leftover budgets (voters continue to earn at unit
+    speed; already elected candidates are excluded).
     """
-    if strategy not in ("none", "phragmen_continuation"):
-        raise ValueError(f"unknown completion strategy {strategy!r}")
     trace = rule_x(instance, tie_choices=tie_choices)
-    if strategy == "none" or len(trace.elected) == instance.committee_size:
+    if len(trace.elected) == instance.committee_size:
         return trace
     leftovers = list(trace.budgets[-1]) if trace.budgets else [Fraction(1)] * instance.num_voters
     continuation = _phragmen_run(
@@ -354,7 +349,6 @@ def rule_x_complete(
         elected=elected,
         q_values=trace.q_values,
         budgets=trace.budgets + phragmen_balances(leftovers, continuation),
-        completed=len(elected) > len(trace.elected),
     )
 
 
@@ -1162,3 +1156,209 @@ def _verify(lp: LinearProgram, x: Sequence[Fraction]) -> None:
         lhs = sum((Fraction(a) * xj for a, xj in zip(coeffs, x)), Fraction(0))
         ok = lhs <= rhs if rel == LE else lhs == rhs
         assert ok, "assignment violates a constraint"
+
+
+# ---------------------------------------------------------------------------
+# laminar instances: the derivation tree that abcvote.laminar flattened into
+# seat constraints, kept as the reference for it
+# (tests/test_laminar_oracle.py)
+
+
+@dataclass(frozen=True)
+class Unanimous:
+    """Leaf: ``voters`` all approve exactly ``candidates``; any ``seats``
+    of those candidates are fine."""
+
+    voters: tuple[int, ...]
+    seats: int
+    candidates: frozenset[int]
+
+
+@dataclass(frozen=True)
+class CommonCandidate:
+    """``candidate`` is approved by every voter here and takes one seat;
+    ``child`` covers the profile with the candidate removed."""
+
+    voters: tuple[int, ...]
+    seats: int
+    candidate: int
+    child: "LaminarDecomposition"
+
+
+@dataclass(frozen=True)
+class Split:
+    """Two voter groups approving disjoint candidates, with seats split in
+    exact proportion to group sizes."""
+
+    voters: tuple[int, ...]
+    seats: int
+    first: "LaminarDecomposition"
+    second: "LaminarDecomposition"
+
+
+LaminarDecomposition = Union[Unanimous, CommonCandidate, Split]
+
+
+def check_laminar(instance: ElectionInstance) -> LaminarDecomposition | None:
+    """The decomposition tree of a laminar instance, or None."""
+    return _decompose(
+        instance.approvals,
+        tuple(range(instance.num_voters)),
+        instance.committee_size,
+    )
+
+
+def _decompose(
+    ballots: tuple[frozenset[int], ...], voters: tuple[int, ...], seats: int
+) -> LaminarDecomposition | None:
+    if all(ballot == ballots[0] for ballot in ballots):
+        if len(ballots[0]) >= seats:
+            return Unanimous(voters=voters, seats=seats, candidates=ballots[0])
+        return None
+    common = frozenset.intersection(*ballots)
+    if common:
+        # connected through the common candidate, so splitting is out;
+        # stripping is the only applicable rule
+        if seats == 0:
+            return None
+        candidate = min(common)
+        child = _decompose(
+            tuple(ballot - {candidate} for ballot in ballots), voters, seats - 1
+        )
+        if child is None:
+            return None
+        return CommonCandidate(
+            voters=voters, seats=seats, candidate=candidate, child=child
+        )
+    groups = _components(ballots)
+    if len(groups) < 2:
+        return None
+    total = len(ballots)
+    parts: list[LaminarDecomposition] = []
+    for group in groups:
+        if seats * len(group) % total:
+            return None
+        part = _decompose(
+            tuple(ballots[i] for i in group),
+            tuple(voters[i] for i in group),
+            seats * len(group) // total,
+        )
+        if part is None:
+            return None
+        parts.append(part)
+    node = parts[-1]
+    for part in reversed(parts[:-1]):
+        node = Split(
+            voters=tuple(sorted(part.voters + node.voters)),
+            seats=part.seats + node.seats,
+            first=part,
+            second=node,
+        )
+    return node
+
+
+def _components(ballots: tuple[frozenset[int], ...]) -> list[list[int]]:
+    """Groups of ballot positions connected through shared candidates,
+    ordered by their smallest position."""
+    parent = list(range(len(ballots)))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    owner: dict[int, int] = {}
+    for pos, ballot in enumerate(ballots):
+        for candidate in ballot:
+            if candidate in owner:
+                parent[find(owner[candidate])] = find(pos)
+            else:
+                owner[candidate] = pos
+    groups: dict[int, list[int]] = {}
+    for pos in range(len(ballots)):
+        groups.setdefault(find(pos), []).append(pos)
+    return sorted(groups.values(), key=lambda group: group[0])
+
+
+def candidate_pool(node: LaminarDecomposition) -> frozenset[int]:
+    """All candidates approved anywhere below ``node``."""
+    if isinstance(node, Unanimous):
+        return node.candidates
+    if isinstance(node, CommonCandidate):
+        return candidate_pool(node.child) | {node.candidate}
+    return candidate_pool(node.first) | candidate_pool(node.second)
+
+
+def check_laminar_proportional(
+    instance: ElectionInstance, committee: Committee
+) -> bool:
+    """Whether the committee respects the instance's laminar structure:
+    exactly the proportional number of seats inside every part.
+
+    Raises ValueError when the instance itself is not laminar.
+    """
+    tree = check_laminar(instance)
+    if tree is None:
+        raise ValueError("the instance is not laminar")
+    members = frozenset(committee)
+    if len(members) != instance.committee_size:
+        return False
+    return _fits(tree, members)
+
+
+def _fits(node: LaminarDecomposition, members: frozenset[int]) -> bool:
+    if isinstance(node, Unanimous):
+        return len(members) == node.seats and members <= node.candidates
+    if isinstance(node, CommonCandidate):
+        return node.candidate in members and _fits(
+            node.child, members - {node.candidate}
+        )
+    first_pool = candidate_pool(node.first)
+    second_pool = candidate_pool(node.second)
+    first_part = members & first_pool
+    second_part = members & second_pool
+    if first_part | second_part != members:
+        return False
+    return _fits(node.first, first_part) and _fits(node.second, second_part)
+
+
+def laminar_proportional_committees(
+    instance: ElectionInstance, limit: int = 200_000
+) -> list[Committee]:
+    """All committees accepted by check_laminar_proportional, read off the
+    decomposition tree; SearchBudgetExceeded when more than ``limit``."""
+    tree = check_laminar(instance)
+    if tree is None:
+        raise ValueError("the instance is not laminar")
+    count = _count(tree)
+    if count > limit:
+        raise SearchBudgetExceeded(
+            f"{count} laminar proportional committees exceed the "
+            f"enumeration budget of {limit}"
+        )
+    committees = _enumerate(tree)
+    return sorted(committees, key=sorted)
+
+
+def _count(node: LaminarDecomposition) -> int:
+    if isinstance(node, Unanimous):
+        return comb(len(node.candidates), node.seats)
+    if isinstance(node, CommonCandidate):
+        return _count(node.child)
+    return _count(node.first) * _count(node.second)
+
+
+def _enumerate(node: LaminarDecomposition) -> list[frozenset[int]]:
+    if isinstance(node, Unanimous):
+        return [
+            frozenset(pick)
+            for pick in combinations(sorted(node.candidates), node.seats)
+        ]
+    if isinstance(node, CommonCandidate):
+        return [pick | {node.candidate} for pick in _enumerate(node.child)]
+    return [
+        left | right
+        for left in _enumerate(node.first)
+        for right in _enumerate(node.second)
+    ]

@@ -189,6 +189,25 @@ def test_check_laminar_needs_no_committee(capsys):
     assert "verdict: PASS" in out
 
 
+def test_check_laminar_on_a_thousand_shared_candidates(tmp_path, capsys):
+    shared = " ".join(str(c) for c in range(1, 1001))
+    path = tmp_path / "shared.txt"
+    path.write_text(f"1002 2 1000\n{shared} 1001\n{shared} 1002\n")
+    code, out, err = run_cli(capsys, "check", "--axiom", "laminar", "--input", str(path))
+    assert (code, err) == (0, "")
+    assert "verdict: PASS" in out.splitlines()
+
+
+def test_run_pav_out_of_stack_is_undecided(tmp_path, capsys):
+    """The PAV branch-and-bound recurses once per candidate; on 1000
+    candidates it runs out of stack, which is exit 3, not a traceback."""
+    path = tmp_path / "deep.txt"
+    path.write_text("1000 2 1\n1000\n\n")
+    code, out, err = run_cli(capsys, "run", "--rule", "pav", "--input", str(path))
+    assert (code, out) == (3, "")
+    assert err.startswith("error: maximum recursion depth exceeded")
+
+
 def test_check_lambda_core_requires_lambda(capsys):
     code, _, err = run_cli(
         capsys,

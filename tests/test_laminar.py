@@ -10,10 +10,7 @@ from hypothesis import given, settings
 
 from abcvote.model import ElectionInstance, SearchBudgetExceeded
 from abcvote.laminar import (
-    CommonCandidate,
-    Split,
-    Unanimous,
-    candidate_pool,
+    LaminarSeats,
     check_laminar,
     check_laminar_proportional,
     laminar_proportional_committees,
@@ -45,21 +42,12 @@ SHARED_THEN_SPLIT = build(8, 4, [{0, 1, 2, 3}] * 4 + [{0, 4, 5, 6, 7}] * 2)
 
 
 def test_shared_then_split_structure():
-    tree = check_laminar(SHARED_THEN_SPLIT)
-    assert isinstance(tree, CommonCandidate)
-    assert tree.candidate == 0
-    assert tree.seats == 4
-    assert tree.voters == (0, 1, 2, 3, 4, 5)
-    inner = tree.child
-    assert isinstance(inner, Split)
-    assert inner.seats == 3
-    assert inner.first == Unanimous(
-        voters=(0, 1, 2, 3), seats=2, candidates=frozenset({1, 2, 3})
+    seats = check_laminar(SHARED_THEN_SPLIT)
+    assert seats == LaminarSeats(
+        forced=frozenset({0}),
+        pools=((frozenset({1, 2, 3}), 2), (frozenset({4, 5, 6, 7}), 1)),
     )
-    assert inner.second == Unanimous(
-        voters=(4, 5), seats=1, candidates=frozenset({4, 5, 6, 7})
-    )
-    assert candidate_pool(tree) == frozenset(range(8))
+    assert seats.forced.union(*(pool for pool, _ in seats.pools)) == frozenset(range(8))
 
 
 def test_shared_then_split_committees():
@@ -80,8 +68,14 @@ def test_shared_then_split_committees():
 
 def test_integral_party_list_is_laminar():
     inst = party_list((3, 3, 2), (4, 4, 3), 8)
-    tree = check_laminar(inst)
-    assert isinstance(tree, Split)
+    assert check_laminar(inst) == LaminarSeats(
+        forced=frozenset(),
+        pools=(
+            (frozenset(range(0, 4)), 3),
+            (frozenset(range(4, 8)), 3),
+            (frozenset(range(8, 11)), 2),
+        ),
+    )
     accepted = laminar_proportional_committees(inst)
     assert len(accepted) == 4 * 4 * 3  # C(4,3) * C(4,3) * C(3,2)
     seats_per_party = [
@@ -97,8 +91,8 @@ def test_non_integral_party_list_is_not_laminar():
 
 def test_unanimous_leaf():
     inst = build(3, 2, [{0, 1, 2}] * 4)
-    assert check_laminar(inst) == Unanimous(
-        voters=(0, 1, 2, 3), seats=2, candidates=frozenset({0, 1, 2})
+    assert check_laminar(inst) == LaminarSeats(
+        forced=frozenset(), pools=((frozenset({0, 1, 2}), 2),)
     )
     assert sorted(laminar_proportional_committees(inst), key=sorted) == [
         frozenset({0, 1}),
@@ -117,9 +111,47 @@ def test_empty_ballot_blocks_laminarity():
 
 def test_strip_chain():
     inst = build(3, 3, [{0, 1}, {0, 2}])
-    tree = check_laminar(inst)
-    assert isinstance(tree, CommonCandidate) and tree.candidate == 0
+    assert check_laminar(inst) == LaminarSeats(
+        forced=frozenset({0}), pools=((frozenset({1}), 1), (frozenset({2}), 1))
+    )
     assert laminar_proportional_committees(inst) == [frozenset({0, 1, 2})]
+
+
+def test_all_common_candidates_are_stripped_at_once():
+    # stripping {0, 1, 2} takes three seats: k = 2 leaves too few, and
+    # k = 4 leaves one seat, which two equal blocks cannot share
+    ballots = [{0, 1, 2, 3}, {0, 1, 2, 4}]
+    assert check_laminar(build(5, 4, ballots)) is None
+    assert check_laminar(build(5, 5, ballots)) == LaminarSeats(
+        forced=frozenset({0, 1, 2}), pools=((frozenset({3}), 1), (frozenset({4}), 1))
+    )
+    assert check_laminar(build(5, 3, ballots)) == LaminarSeats(
+        forced=frozenset({0, 1, 2}), pools=((frozenset({3}), 0), (frozenset({4}), 0))
+    )
+    assert check_laminar(build(5, 2, ballots)) is None
+
+
+def test_pools_in_depth_first_order():
+    # the blocks of voters {0, 3} and {1, 2} come in order of their smallest
+    # voter, and the pools inside the first block before the second block's
+    inst = build(6, 4, [{0, 1, 2}, {4, 5}, {4, 5}, {0, 1, 3}])
+    assert check_laminar(inst) == LaminarSeats(
+        forced=frozenset({0, 1}),
+        pools=((frozenset({2}), 0), (frozenset({3}), 0), (frozenset({4, 5}), 2)),
+    )
+
+
+def test_thousand_shared_candidates():
+    # one stripped candidate per seat: a recursive recognizer runs out of
+    # stack here
+    shared = set(range(1000))
+    inst = build(1002, 1000, [shared | {1000}, shared | {1001}])
+    assert check_laminar(inst) == LaminarSeats(
+        forced=frozenset(shared), pools=((frozenset({1000}), 0), (frozenset({1001}), 0))
+    )
+    assert laminar_proportional_committees(inst) == [frozenset(shared)]
+    assert check_laminar_proportional(inst, frozenset(shared))
+    assert not check_laminar_proportional(inst, frozenset(range(1, 1001)))
 
 
 def test_connected_without_common_candidate():

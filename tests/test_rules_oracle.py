@@ -51,7 +51,7 @@ def assert_same_phragmen(inst: ElectionInstance) -> None:
 
 def assert_same_rule_x(inst: ElectionInstance, tie_choices=None) -> None:
     full = rules.rule_x_complete(inst, tie_choices=tie_choices)
-    assert full == oracles.rule_x_complete(inst, "phragmen_continuation", tie_choices)
+    assert full == oracles.rule_x_complete(inst, tie_choices)
     assert_fractions(full.q_values)
     for snapshot in full.budgets:
         assert_fractions(snapshot)
