@@ -223,9 +223,10 @@ def check_pjr(
     those anyone in S approves.  A set whose shared candidates are no more
     than W's coverage of the union is skipped with everything below it:
     adding voters only shrinks the first and grows the second, so no
-    extension has a level to offer.  The first witness is the one the
-    plain enumeration finds, and it is re-checked against the definition
-    before it is returned.
+    extension has a level to offer.  One loop over the stack ``group``
+    pushes voter i, or pops the last voter and goes on after it: the
+    plain enumeration's order at any depth, so the first witness is the
+    one it finds.  The witness is re-checked against the definition.
     """
     members = frozenset(committee)
     size = len(members) or instance.committee_size
@@ -237,32 +238,31 @@ def check_pjr(
     member_mask = sum(1 << c for c in members)
     ballots = [sum(1 << c for c in ballot) for ballot in instance.approvals]
     group: list[int] = []
-
-    def first_group(start: int, shared: int, union: int) -> tuple[int, int] | None:
-        for i in range(start, n):
-            now_shared = shared & ballots[i]
-            now_union = union | ballots[i]
-            covered = (now_union & member_mask).bit_count()
-            if now_shared.bit_count() <= covered:
-                continue
-            group.append(i)
-            # the smallest level covered + 1 works once |S| reaches level*n/size
-            if (covered + 1) * n <= len(group) * size:
-                return now_shared, covered + 1
-            found = first_group(i + 1, now_shared, now_union)
-            if found is not None:
-                return found
-            group.pop()
-        return None
-
-    found = first_group(0, (1 << instance.num_candidates) - 1, 0)
-    if found is None:
-        return None
-    shared, level = found
+    # (shared, union) of the empty set and of each prefix of group
+    masks = [((1 << instance.num_candidates) - 1, 0)]
+    i = 0
+    while True:
+        if i < n:
+            shared, union = masks[-1]
+            shared &= ballots[i]
+            union |= ballots[i]
+            covered = (union & member_mask).bit_count()
+            if shared.bit_count() > covered:
+                group.append(i)
+                # the smallest level covered + 1 works once |S| reaches level*n/size
+                if (covered + 1) * n <= len(group) * size:
+                    break
+                masks.append((shared, union))
+            i += 1
+        elif group:
+            i = group.pop() + 1
+            masks.pop()
+        else:
+            return None
     alternative = [c for c in range(instance.num_candidates) if shared >> c & 1]
     deviation = Deviation(
         coalition=frozenset(group),
-        alternative=frozenset(alternative[:level]),
+        alternative=frozenset(alternative[: covered + 1]),
         kind=PJR,
     )
     _require(
@@ -302,8 +302,9 @@ def check_ejr(
     the prefix.  A prefix is dropped once that set is too small for l*n/k:
     extending the prefix only removes approvers, so no l-set through it
     can qualify, and the first qualifying l-set is the one the plain
-    enumeration would find.  The witness is re-checked against the
-    definition before it is returned.
+    enumeration would find.  One loop over the stack ``combo`` pushes c,
+    or pops the last candidate and goes on after it: ``combinations``
+    order at any depth.  The witness is re-checked against the definition.
     """
     members = frozenset(committee)
     n, k = instance.num_voters, instance.committee_size
@@ -314,29 +315,26 @@ def check_ejr(
     for i, ballot in enumerate(instance.approvals):
         for c in ballot:
             approvers[c] |= 1 << i
-
-    def first_set(
-        level: int, prefix: tuple[int, ...], start: int, group: int
-    ) -> tuple[tuple[int, ...], int] | None:
-        for c in range(start, m - level + len(prefix) + 1):
-            shared = group & approvers[c]
-            if shared.bit_count() * k < level * n:
-                continue
-            combo = prefix + (c,)
-            if len(combo) == level:
-                return combo, shared
-            found = first_set(level, combo, c + 1, shared)
-            if found is not None:
-                return found
-        return None
-
     for level in range(1, k + 1):
-        deprived = sum(1 << i for i, u in enumerate(utilities) if u < level)
-        found = first_set(level, (), 0, deprived)
-        if found is not None:
-            combo, group = found
+        combo: list[int] = []
+        # the deprived approvers of the empty prefix and of each longer one
+        groups = [sum(1 << i for i, u in enumerate(utilities) if u < level)]
+        c = 0
+        while len(combo) < level:
+            if c <= m - level + len(combo):
+                shared = groups[-1] & approvers[c]
+                if shared.bit_count() * k >= level * n:
+                    combo.append(c)
+                    groups.append(shared)
+                c += 1
+            elif combo:
+                c = combo.pop() + 1
+                groups.pop()
+            else:
+                break
+        else:
             deviation = Deviation(
-                coalition=frozenset(i for i in instance.voters if group >> i & 1),
+                coalition=frozenset(i for i in instance.voters if shared >> i & 1),
                 alternative=frozenset(combo),
                 kind=EJR,
             )

@@ -834,8 +834,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ParseError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SearchBudgetExceeded, RecursionError) as exc:
-        # a walk that ran out of stack is as undecided as one over budget
+    except SearchBudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -118,6 +118,10 @@ def pav_winners(
     so many voters with few distinct ballots cost nothing extra.
     Scores are ints scaled by lcm(1..k), which changes no comparison.
 
+    One loop over the stack ``chosen`` takes ``pos`` (push), or pops the
+    last taken c and goes on at c + 1 without it: the "skip" child that
+    an include-first recursion visits next, so the nodes come in its order.
+
     Raises SearchBudgetExceeded when the search tree outgrows ``node_budget``
     -- the instance is then too large for exact PAV.
     """
@@ -128,14 +132,14 @@ def pav_winners(
     utilities = [0] * len(sizes)
     best = -1
     winners: list[tuple[int, ...]] = []
-    chosen: list[int] = []
+    chosen: list[tuple[int, int]] = []  # (candidate, score before it)
     nodes = 0
 
     def solo_gain(c: int) -> int:
         return sum([sizes[j] * weights[utilities[j]] for j in supporters[c]])
 
-    def walk(pos: int, score: int) -> None:
-        nonlocal nodes, best
+    pos, score = 0, 0
+    while True:
         nodes += 1
         if nodes > node_budget:
             raise SearchBudgetExceeded(
@@ -143,34 +147,31 @@ def pav_winners(
                 "the instance is too large for exact optimization"
             )
         seats_left = k - len(chosen)
+        take = 0 < seats_left <= m - pos
         if seats_left == 0:
             if score > best:
                 best = score
                 winners.clear()
             if score == best:
-                winners.append(tuple(chosen))
-            return
-        if m - pos < seats_left:
-            return
-        if m - pos > seats_left:
+                winners.append(tuple(c for c, _ in chosen))
+        elif take and m - pos > seats_left:
             # branch-and-bound cut (never cuts ties: strict comparison)
             gains = sorted((solo_gain(c) for c in range(pos, m)), reverse=True)
-            if score + sum(gains[:seats_left]) < best:
-                return
-        # include pos
-        chosen.append(pos)
-        gained = solo_gain(pos)
-        for j in supporters[pos]:
-            utilities[j] += 1
-        walk(pos + 1, score + gained)
-        for j in supporters[pos]:
+            take = score + sum(gains[:seats_left]) >= best
+        if take:
+            chosen.append((pos, score))
+            score += solo_gain(pos)
+            for j in supporters[pos]:
+                utilities[j] += 1
+            pos += 1
+            continue
+        # a leaf, a cut or too few candidates left: skip the last one taken
+        if not chosen:
+            return [frozenset(w) for w in sorted(winners)]
+        c, score = chosen.pop()
+        for j in supporters[c]:
             utilities[j] -= 1
-        chosen.pop()
-        # skip pos
-        walk(pos + 1, score)
-
-    walk(0, 0)
-    return [frozenset(w) for w in sorted(winners)]
+        pos = c + 1
 
 
 def seq_pav(instance: ElectionInstance) -> Committee:

@@ -25,7 +25,7 @@ from abcvote import axioms
 from abcvote.axioms import PriceSystem
 from abcvote.generators import FIXTURE_NAMES, fixture
 from abcvote.model import ElectionInstance, SearchBudgetExceeded
-from abcvote.rules import phragmen_sequential, rule_x
+from abcvote.rules import phragmen_sequential, rule_x, seq_pav
 from tests import oracles
 from tests.conftest import instances, shared_ballot_instances
 from tests.test_axioms import (
@@ -230,6 +230,56 @@ def test_walk_matches_oracle(inst, rng):
     }
     for committee in committees:
         assert_same_walk(inst, committee)
+
+
+# ---------------------------------------------------------------------------
+# EJR and PJR against the cohesive core walk.  A cohesive blocking pair is
+# a deprived cohesive group: every member approves all of T, so it gains
+# exactly when |T| exceeds its utility.  A PJR group is one too: each
+# member's utility is at most W's coverage of the group's union, below the
+# level, and |W| <= k.
+
+
+def assert_ejr_agrees_with_cohesive_core(inst: ElectionInstance, committee) -> None:
+    """EJR finds a witness exactly when the cohesive core walk does, and
+    wherever PJR finds one (PJR walks voter sets, so only for n <= 20)."""
+    budget = axioms.DEFAULT_SUBSET_BUDGET
+    ejr = axioms.check_ejr(inst, committee, budget)
+    cohesive = axioms.check_core_subject_to(inst, committee, "cohesive", budget)
+    assert (ejr is None) == (cohesive is None)
+    if inst.num_voters <= 20 and axioms.check_pjr(inst, committee, budget):
+        assert ejr is not None
+
+
+@pytest.mark.parametrize(
+    "name", [name for name in DEDUPED_FIXTURES if fixture(name).num_candidates <= 20]
+)
+def test_fixture_ejr_agrees_with_cohesive_core(name):
+    inst = fixture(name)
+    committees = {
+        frozenset(),
+        phragmen_sequential(inst).committee,
+        rule_x(inst).committee,
+        seq_pav(inst),
+    }
+    for committee in sorted(committees, key=sorted):
+        assert_ejr_agrees_with_cohesive_core(inst, committee)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(shared_ballot_instances(12, 12), instances(12, 12)),
+    st.randoms(use_true_random=False),
+)
+def test_ejr_agrees_with_cohesive_core(inst, rng):
+    committees = {
+        frozenset(),
+        phragmen_sequential(inst).committee,
+        rule_x(inst).committee,
+        frozenset(rng.sample(inst.candidates, rng.randint(1, inst.committee_size))),
+    }
+    for committee in committees:
+        assert_ejr_agrees_with_cohesive_core(inst, committee)
 
 
 # ---------------------------------------------------------------------------

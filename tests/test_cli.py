@@ -1,12 +1,17 @@
 """Command-line interface: golden outputs and exit codes.
 
-Every test drives ``abcvote.cli.main`` in-process with capsys; the
-fixture files under fixtures/ are the same ones the generators write.
+Every test but one drives ``abcvote.cli.main`` in-process with capsys;
+the fixture files under fixtures/ are the same ones the generators
+write.  The one exception runs the walks on inputs a thousand entries
+deep in a child process with a low recursion limit.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -198,14 +203,109 @@ def test_check_laminar_on_a_thousand_shared_candidates(tmp_path, capsys):
     assert "verdict: PASS" in out.splitlines()
 
 
-def test_run_pav_out_of_stack_is_undecided(tmp_path, capsys):
-    """The PAV branch-and-bound recurses once per candidate; on 1000
-    candidates it runs out of stack, which is exit 3, not a traceback."""
+# ---------------------------------------------------------------------------
+# deep walks: inputs on which a walk stacks a thousand entries or more, as
+# many as Python's default recursion limit has frames
+
+#: One voter approves candidate 1000 and the other nothing; k = 1.
+DEEP_PAV = "1000 2 1\n1000\n\n"
+#: 1,200 voters all approve 1 and 2; k = 1.  Against committee {3} the
+#: PJR walk stacks all 1,200 voters before the group is large enough.
+DEEP_PJR = "3 1200 1\n" + "1 2\n" * 1200
+DEEP_PJR_BUDGET = str(1 << 1200)
+#: 2 voters both approve all 1,100 candidates; k = 1100.  Against committee
+#: 1..999 the EJR walk stacks a prefix of 1,000 candidates.
+DEEP_EJR = "1100 2 1100\n" + (" ".join(map(str, range(1, 1101))) + "\n") * 2
+DEEP_EJR_BUDGET = str(1 << 1100)
+DEEP_EJR_COMMITTEE = ",".join(map(str, range(1, 1000)))
+
+
+def test_run_pav_on_a_thousand_candidates(tmp_path, capsys):
     path = tmp_path / "deep.txt"
-    path.write_text("1000 2 1\n1000\n\n")
+    path.write_text(DEEP_PAV)
     code, out, err = run_cli(capsys, "run", "--rule", "pav", "--input", str(path))
-    assert (code, out) == (3, "")
-    assert err.startswith("error: maximum recursion depth exceeded")
+    assert (code, err) == (0, "")
+    lines = dict(line.split(": ", 1) for line in out.splitlines())
+    assert (lines["score"], lines["committee"]) == ("1", "1000")
+
+
+def test_check_pjr_stacks_twelve_hundred_voters(tmp_path, capsys):
+    path = tmp_path / "deep.txt"
+    path.write_text(DEEP_PJR)
+    code, out, err = run_cli(
+        capsys, "check", "--axiom", "pjr", "--input", str(path),
+        "--committee", "3", "--budget", DEEP_PJR_BUDGET,
+    )
+    assert (code, err) == (1, "")
+    lines = dict(line.split(": ", 1) for line in out.splitlines())
+    assert lines["verdict"] == "FAIL"
+    assert lines["S"] == "{" + ",".join(map(str, range(1, 1201))) + "}"
+    assert lines["T"] == "{1}"
+
+
+def test_check_ejr_stacks_a_thousand_candidates(tmp_path, capsys):
+    path = tmp_path / "deep.txt"
+    path.write_text(DEEP_EJR)
+    code, out, err = run_cli(
+        capsys, "check", "--axiom", "ejr", "--input", str(path),
+        "--committee", DEEP_EJR_COMMITTEE, "--budget", DEEP_EJR_BUDGET,
+    )
+    assert (code, err) == (1, "")
+    lines = dict(line.split(": ", 1) for line in out.splitlines())
+    assert lines["verdict"] == "FAIL"
+    assert lines["S"] == "{1,2}"
+    assert lines["T"] == "{" + ",".join(map(str, range(1, 1001))) + "}"
+
+
+LOW_RECURSION_LIMIT_SCRIPT = """
+import sys
+from abcvote.axioms import check_ejr, check_pjr, find_core_deviation
+from abcvote.model import format_committee, parse_instance
+from abcvote.rules import pav_winners
+
+pav, pjr, ejr = (parse_instance(text) for text in sys.argv[1:4])
+sys.setrecursionlimit(120)
+(winner,) = pav_winners(pav)
+runs = (
+    ("pav", pav, winner),
+    ("pjr", pjr, frozenset({2})),
+    ("ejr", ejr, frozenset(range(999))),
+)
+print("pav_winners", format_committee(winner))
+for name, inst, committee in runs:
+    budget = 1 << max(inst.num_voters, inst.num_candidates)
+    for check in (check_pjr, check_ejr, find_core_deviation):
+        found = check(inst, committee, budget=budget)
+        sizes = "-" if found is None else f"{len(found.coalition)}x{len(found.alternative)}"
+        print(name, check.__name__, sizes)
+"""
+
+
+def test_deep_walks_run_under_a_low_recursion_limit():
+    """pav_winners and the PJR, EJR and core walks loop instead of
+    recursing, so a recursion limit of 120 frames does not stop them on
+    inputs a thousand entries deep."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(src), os.environ.get("PYTHONPATH")))
+    ))
+    done = subprocess.run(
+        [sys.executable, "-c", LOW_RECURSION_LIMIT_SCRIPT, DEEP_PAV, DEEP_PJR, DEEP_EJR],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    # |S| x |T| of each witness, "-" for none
+    assert done.stdout.splitlines() == [
+        "pav_winners 1000",
+        "pav check_pjr -",
+        "pav check_ejr -",
+        "pav find_core_deviation -",
+        "pjr check_pjr 1200x1",
+        "pjr check_ejr 1200x1",
+        "pjr find_core_deviation 1200x1",
+        "ejr check_pjr -",
+        "ejr check_ejr 2x1000",
+        "ejr find_core_deviation 2x1000",
+    ]
 
 
 def test_check_lambda_core_requires_lambda(capsys):
