@@ -302,7 +302,8 @@ def check_ejr(
     the prefix.  A prefix is dropped once that set is too small for l*n/k:
     extending the prefix only removes approvers, so no l-set through it
     can qualify, and the first qualifying l-set is the one the plain
-    enumeration would find.  One loop over the stack ``combo`` pushes c,
+    enumeration would find; a level with too few deprived voters is skipped
+    before its walk.  One loop over the stack ``combo`` pushes c,
     or pops the last candidate and goes on after it: ``combinations``
     order at any depth.  The witness is re-checked against the definition.
     """
@@ -316,9 +317,12 @@ def check_ejr(
         for c in ballot:
             approvers[c] |= 1 << i
     for level in range(1, k + 1):
+        deprived = sum(1 << i for i, u in enumerate(utilities) if u < level)
+        if deprived.bit_count() * k < level * n:
+            continue  # even the empty prefix is too small: no witness here
         combo: list[int] = []
         # the deprived approvers of the empty prefix and of each longer one
-        groups = [sum(1 << i for i, u in enumerate(utilities) if u < level)]
+        groups = [deprived]
         c = 0
         while len(combo) < level:
             if c <= m - level + len(combo):

@@ -428,6 +428,7 @@ def _instance_key(instance: ElectionInstance):
 
 def cmd_search(args) -> int:
     import random as _random
+    from itertools import chain
 
     _at_least(args.max_n, 2, "--max-n")
     _at_least(args.max_m, 2, "--max-m")
@@ -448,22 +449,38 @@ def cmd_search(args) -> int:
     found: list[ElectionInstance] = []
     probes = undecided = 0
 
-    def probe(instance: ElectionInstance) -> None:
+    def decide(instance: ElectionInstance) -> bool | None:
+        """Whether the rule's committee violates the axiom; None when the
+        rule or the checker could not decide within its budget."""
+        try:
+            return check(instance, run_rule(instance), DEFAULT_OPTIONS)[0]
+        except SearchBudgetExceeded:
+            return None
+
+    def tally(instance: ElectionInstance, violated: bool | None) -> None:
         nonlocal probes, undecided
         probes += 1
-        try:
-            violated, _ = check(instance, run_rule(instance), DEFAULT_OPTIONS)
-        except SearchBudgetExceeded:
-            undecided += 1  # the rule or the checker could not decide
-            return
-        if violated:
+        if violated is None:
+            undecided += 1
+        elif violated:
             found.append(instance)
 
-    for instance in _exhaustive_small(args.max_n, args.max_m, args.max_k):
-        probe(instance)
+    # The enumerated families repeat profiles up to voter order (most of
+    # their probes).  Every search rule and axiom is anonymous, and every
+    # budget guard reads only n, m and k, so a reordering takes the outcome
+    # of its first-seen twin.  It still counts as a probe and still joins
+    # ``found``, where ``min`` keeps the twin that came first.
+    enumerated = _exhaustive_small(args.max_n, args.max_m, args.max_k)
     if axiom == "ejr" and rule == "phragmen":
-        for instance in _paired_rotation_family(args.max_n, args.max_m, args.max_k):
-            probe(instance)
+        enumerated = chain(
+            enumerated, _paired_rotation_family(args.max_n, args.max_m, args.max_k)
+        )
+    outcomes: dict[tuple, bool | None] = {}
+    for instance in enumerated:
+        key = _instance_key(instance)
+        if key not in outcomes:
+            outcomes[key] = decide(instance)
+        tally(instance, outcomes[key])
     rng = _random.Random(args.seed)
     for trial in range(args.trials):
         planted = rule == "phragmen" and axiom == "ejr" and trial % 2 == 1
@@ -471,7 +488,7 @@ def cmd_search(args) -> int:
             rng, args.max_n, args.max_m, args.max_k, planted
         )
         if instance is not None:
-            probe(instance)
+            tally(instance, decide(instance))
     if not found:
         if undecided:
             raise SearchBudgetExceeded(

@@ -16,10 +16,14 @@ range-checks and renders every voter's ballot on its own, where
 ``abcvote.model`` does so once per distinct ballot.  The laminar
 recognizer builds the recursive derivation tree that ``abcvote.laminar``
 flattened into seat constraints, and checks and enumerates committees
-along it.  They are slow but short, and the fast paths must reproduce
+along it.  ``search_probing_everything`` is the ``search`` handler that
+runs the rule and the checker on every generated instance, where
+``abcvote.cli`` answers a voter reordering of an enumerated profile from
+its twin.  They are slow but short, and the fast paths must reproduce
 their results exactly (``tests/test_rules_oracle.py``,
 ``tests/test_axioms_oracle.py``, ``tests/test_lp_oracle.py``,
-``tests/test_model_oracle.py``, ``tests/test_laminar_oracle.py``).
+``tests/test_model_oracle.py``, ``tests/test_laminar_oracle.py``,
+``tests/test_search_oracle.py``).
 """
 
 from __future__ import annotations
@@ -1362,3 +1366,69 @@ def _enumerate(node: LaminarDecomposition) -> list[frozenset[int]]:
         for left in _enumerate(node.first)
         for right in _enumerate(node.second)
     ]
+
+
+# ---------------------------------------------------------------------------
+# search
+
+
+def search_probing_everything(args) -> int:
+    """``abcvote search`` as a handler for ``cli.main`` that runs the rule
+    and the checker on every instance it generates, voter reorderings of an
+    enumerated profile included, where ``cli.cmd_search`` answers each
+    enumerated profile once."""
+    import random
+
+    from abcvote import cli
+
+    cli._at_least(args.max_n, 2, "--max-n")
+    cli._at_least(args.max_m, 2, "--max-m")
+    cli._at_least(args.max_k, 1, "--max-k")
+    cli._at_least(args.trials, 0, "--trials")
+    if "+" in args.violation:
+        axiom, _, rule = args.violation.partition("+")
+    else:
+        axiom, rule = "ejr", "phragmen"
+        if args.violation != "ejr-phragmen":
+            raise ParseError(f"search: unknown violation {args.violation!r}")
+    if rule not in cli.SEARCH_RULES:
+        raise ParseError(f"search: unknown rule {rule!r}")
+    if axiom not in cli.SEARCH_AXIOMS:
+        raise ParseError(f"search: unknown axiom {axiom!r}")
+    run_rule = cli.SEARCH_RULES[rule]
+    check = cli.AXIOM_CHECKS[axiom]
+    found: list[ElectionInstance] = []
+    probes = undecided = 0
+
+    def probe(instance: ElectionInstance) -> None:
+        nonlocal probes, undecided
+        probes += 1
+        try:
+            violated, _ = check(instance, run_rule(instance), cli.DEFAULT_OPTIONS)
+        except SearchBudgetExceeded:
+            undecided += 1
+            return
+        if violated:
+            found.append(instance)
+
+    for instance in cli._exhaustive_small(args.max_n, args.max_m, args.max_k):
+        probe(instance)
+    if axiom == "ejr" and rule == "phragmen":
+        for instance in cli._paired_rotation_family(args.max_n, args.max_m, args.max_k):
+            probe(instance)
+    rng = random.Random(args.seed)
+    for trial in range(args.trials):
+        planted = rule == "phragmen" and axiom == "ejr" and trial % 2 == 1
+        instance = cli._search_candidates(rng, args.max_n, args.max_m, args.max_k, planted)
+        if instance is not None:
+            probe(instance)
+    if not found:
+        if undecided:
+            raise SearchBudgetExceeded(
+                f"nothing found, but {undecided} of {probes} probes exceeded "
+                "the search budget"
+            )
+        print("none found")
+        return 0
+    print(serialize_instance(min(found, key=cli._instance_key)), end="")
+    return 0

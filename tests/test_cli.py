@@ -544,6 +544,16 @@ def test_search_finds_sequential_rule_representation_gap(capsys):
     assert check_ejr(instance, committee) is not None
 
 
+def test_search_benchmark_command_matches_golden(capsys):
+    """The search the benchmark times, at its limits and seed 7."""
+    code, out, err = run_cli(
+        capsys, "search", "--violation", "ejr-phragmen", "--max-n", "12",
+        "--max-m", "10", "--max-k", "6", "--seed", "7", "--trials", "4000",
+    )
+    assert (code, err) == (0, "")
+    assert out.encode("utf-8") == (GOLDEN / "search_ejr_phragmen.txt").read_bytes()
+
+
 def test_search_is_deterministic_for_a_seed(capsys):
     args = (
         "search", "--violation", "ejr-phragmen",
@@ -635,7 +645,9 @@ def test_search_with_undecided_probes_and_no_hit_is_exit_three(capsys):
     )
     assert code == 3
     assert out == ""
-    assert "budget" in err
+    assert err == (
+        "error: nothing found, but 9 of 1298 probes exceeded the search budget\n"
+    )
 
 
 def test_search_counts_a_rule_over_budget_as_undecided(capsys, monkeypatch):
