@@ -801,6 +801,14 @@ def _desk_matrix(report: _Report) -> None:
 # entry point
 
 
+def _rational(text: str) -> Fraction:
+    """A flag value such as ``3/2``; a zero denominator is a bad value too."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="abcvote", description="committee elections with exact arithmetic"
@@ -818,7 +826,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--axiom", choices=CHECK_AXIOMS, required=True)
     check.add_argument("--input", required=True)
     check.add_argument("--committee")
-    check.add_argument("--lambda", dest="lam", type=Fraction)
+    check.add_argument("--lambda", dest="lam", type=_rational)
     check.add_argument(
         "--property",
         dest="deviation_property",
@@ -848,7 +856,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ParseError, FileNotFoundError, ValueError) as exc:
+    except (ParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SearchBudgetExceeded as exc:

@@ -29,7 +29,11 @@ balance up to date instead of summing it at every step, and its trace
 holds the int numerators of each purchase, which become the ``Fraction``
 times and payments on their first access.  ``pav_score`` and
 ``pav_winners`` read the profile through ``model.ballot_classes``, so
-they work once per distinct ballot.
+they work once per distinct ballot.  ``pav_winners`` keeps every
+candidate's solo gain up to date as candidates are taken, rather than
+re-scoring all remaining candidates at every node, and settles a forced
+chain (as many candidates left as seats) in one step, counting the nodes
+that taking them one by one would visit.
 
 Ties are always broken lexicographically (smallest candidate index), which
 makes every rule fully deterministic.
@@ -37,10 +41,13 @@ makes every rule fully deterministic.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
+from itertools import accumulate
 from math import gcd, lcm
 from typing import Mapping, Sequence
 
@@ -122,54 +129,107 @@ def pav_winners(
     last taken c and goes on at c + 1 without it: the "skip" child that
     an include-first recursion visits next, so the nodes come in its order.
 
+    The solo gains are kept in a list, which the bound sorts (or takes the
+    maximum of, with one seat left).  Taking c lowers the gain of every
+    later candidate on the ballot of each class j approving c by
+    ``sizes[j] * (w[u] - w[u+1])``, u being the class's utility before c;
+    the push saves the old list and the pop restores it.  Two kinds of
+    take push nothing.  On the last seat, the take is the leaf itself,
+    counted with its node.  With exactly as many candidates left as
+    seats s, the node heads a forced chain: the recursion would take all
+    of them, one node each, score one leaf and back out through the dead
+    skip child of each take, 2s + 1 nodes.  The loop scores that leaf from
+    the joint gain of the rest and counts all 2s + 1 nodes before the
+    budget test, so the node count, and with it the budget at which the
+    search gives up, is the recursion's.
+
     Raises SearchBudgetExceeded when the search tree outgrows ``node_budget``
     -- the instance is then too large for exact PAV.
     """
     m, k = instance.num_candidates, instance.committee_size
     weights = _pav_weights(k)
+    below = list(accumulate(weights, initial=0))  # below[u] = w[0] + ... + w[u-1]
     classes = ballot_classes(instance)
-    supporters, sizes = classes.holders, classes.sizes
+    holders, sizes = classes.holders, classes.sizes
+    rows = [sorted(ballot) for ballot in classes.ballots]
     utilities = [0] * len(sizes)
+    gains = [weights[0] * sum([sizes[j] for j in holders[c]]) for c in range(m)]
     best = -1
     winners: list[tuple[int, ...]] = []
-    chosen: list[tuple[int, int]] = []  # (candidate, score before it)
+    chosen: list[tuple[int, int, list[int]]] = []  # (candidate, score, gains before it)
     nodes = 0
+    # per chain head: (class, chain candidates on its ballot) pairs
+    chain_counts: dict[int, list[tuple[int, int]]] = {}
 
-    def solo_gain(c: int) -> int:
-        return sum([sizes[j] * weights[utilities[j]] for j in supporters[c]])
-
-    pos, score = 0, 0
-    while True:
-        nodes += 1
+    def visit(count: int) -> None:
+        nonlocal nodes
+        nodes += count
         if nodes > node_budget:
             raise SearchBudgetExceeded(
                 f"PAV optimum search exceeded {node_budget} nodes; "
                 "the instance is too large for exact optimization"
             )
+
+    def settle(leaf: int, members: Sequence[int]) -> None:
+        nonlocal best
+        if leaf > best:
+            best = leaf
+            winners.clear()
+        if leaf == best:
+            # built in one step: a freed short tuple would stay in the
+            # interpreter's tuple cache
+            winners.append((*(c for c, _, _ in chosen), *members))
+
+    def chain_gain(head: int) -> int:
+        """Joint gain of the candidates head..m-1 at the current utilities."""
+        if head not in chain_counts:
+            counts = Counter(j for c in range(head, m) for j in holders[c])
+            chain_counts[head] = list(counts.items())
+        return sum(
+            [
+                sizes[j] * (below[utilities[j] + t] - below[utilities[j]])
+                for j, t in chain_counts[head]
+            ]
+        )
+
+    pos, score = 0, 0
+    while True:
         seats_left = k - len(chosen)
-        take = 0 < seats_left <= m - pos
-        if seats_left == 0:
-            if score > best:
-                best = score
-                winners.clear()
-            if score == best:
-                winners.append(tuple(c for c, _ in chosen))
-        elif take and m - pos > seats_left:
+        if seats_left == m - pos:
+            # a forced chain: its takes, leaf and dead skips in one step
+            visit(2 * seats_left + 1)
+            settle(score + chain_gain(pos), range(pos, m))
+        elif seats_left == 1:
+            # the last seat: a take is the leaf, counted with its node
+            if score + max(gains[pos:]) >= best:
+                visit(2)
+                settle(score + gains[pos], (pos,))
+                pos += 1
+                continue
+            visit(1)
+        else:
+            visit(1)
+            top = gains[pos:]
+            top.sort()
             # branch-and-bound cut (never cuts ties: strict comparison)
-            gains = sorted((solo_gain(c) for c in range(pos, m)), reverse=True)
-            take = score + sum(gains[:seats_left]) >= best
-        if take:
-            chosen.append((pos, score))
-            score += solo_gain(pos)
-            for j in supporters[pos]:
-                utilities[j] += 1
-            pos += 1
-            continue
-        # a leaf, a cut or too few candidates left: skip the last one taken
+            if score + sum(top[-seats_left:]) >= best:
+                chosen.append((pos, score, gains))
+                score += gains[pos]
+                gains = gains.copy()
+                for j in holders[pos]:
+                    u = utilities[j]
+                    utilities[j] = u + 1
+                    drop = sizes[j] * (weights[u] - weights[u + 1])
+                    row = rows[j]
+                    for c in row[bisect_right(row, pos) :]:
+                        gains[c] -= drop
+                pos += 1
+                continue
+        # a cut or a settled chain: skip the last one taken
         if not chosen:
             return [frozenset(w) for w in sorted(winners)]
-        c, score = chosen.pop()
-        for j in supporters[c]:
+        c, score, gains = chosen.pop()
+        for j in holders[c]:
             utilities[j] -= 1
         pos = c + 1
 

@@ -146,6 +146,12 @@ def test_run_missing_file_is_input_error(capsys):
     assert err.startswith("error:")
 
 
+def test_run_directory_input_is_input_error(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "run", "--rule", "pav", "--input", str(tmp_path))
+    assert code == 2
+    assert err.startswith("error:")
+
+
 def test_run_malformed_file_is_input_error(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("bogus\n", encoding="ascii")
@@ -321,6 +327,26 @@ def test_check_lambda_core_requires_lambda(capsys):
     )
     assert code == 2
     assert "lambda" in err
+
+
+@pytest.mark.parametrize("lam", ["1/0", "x"])
+def test_check_lambda_core_bad_lambda_is_flag_error(capsys, lam):
+    with pytest.raises(SystemExit) as exc:
+        main(
+            [
+                "check",
+                "--axiom",
+                "lambda-core",
+                "--input",
+                fixture_path("intro"),
+                "--committee",
+                "1,2,3,4,5,6,7,8,9,10,11,12",
+                "--lambda",
+                lam,
+            ]
+        )
+    assert exc.value.code == 2
+    assert "argument --lambda" in capsys.readouterr().err
 
 
 def test_check_lambda_core_scaled_endowment_passes(capsys):

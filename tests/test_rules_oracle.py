@@ -110,6 +110,20 @@ def assert_same_pav(inst: ElectionInstance, node_budget: int) -> None:
     )
 
 
+def pav_node_count(inst: ElectionInstance) -> int:
+    """The least node budget at which ``rules.pav_winners`` finishes, by
+    bisection: it raises at ``low`` and finishes at ``high``."""
+    low, high = 0, rules.DEFAULT_PAV_NODE_BUDGET
+    assert isinstance(pav_outcome(rules.pav_winners, inst, high), list)
+    while high - low > 1:
+        mid = (low + high) // 2
+        if isinstance(pav_outcome(rules.pav_winners, inst, mid), list):
+            high = mid
+        else:
+            low = mid
+    return high
+
+
 # ---------------------------------------------------------------------------
 # catalogue
 
@@ -151,6 +165,15 @@ def test_pav_matches_oracle_on_catalogue(name):
     assert_same_pav(fixture(name), rules.DEFAULT_PAV_NODE_BUDGET)
 
 
+@pytest.mark.parametrize("name", FULL_PAV_FIXTURES)
+def test_pav_node_count_matches_oracle_at_threshold(name):
+    # one node short, the oracle gives up too; at the count, both finish
+    inst = fixture(name)
+    nodes = pav_node_count(inst)
+    assert_same_pav(inst, nodes - 1)
+    assert oracles.pav_winners(inst, nodes) == rules.pav_winners(inst, nodes)
+
+
 # ---------------------------------------------------------------------------
 # random instances
 
@@ -175,7 +198,12 @@ def test_rule_x_matches_oracle_for_every_tie_choice(inst):
 
 
 @settings(deadline=None, max_examples=60)
-@given(instances(max_voters=5, max_candidates=6))
+@given(
+    st.one_of(
+        instances(max_voters=5, max_candidates=6),
+        shared_ballot_instances(max_candidates=6),
+    )
+)
 def test_pav_raises_exactly_when_oracle_raises(inst):
     # raise at every budget below the oracle's node count, agree from it on
     node_budget = 1
