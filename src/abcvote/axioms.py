@@ -1,7 +1,8 @@
 """Proportionality axiom checkers, each returning an explicit witness.
 
-The checkers are exhaustive within an explicit subset budget and fail
-loudly (SearchBudgetExceeded) beyond it; witnesses are re-validated
+The checkers are exhaustive within an explicit node budget: every walk
+counts the sets it visits and fails loudly (SearchBudgetExceeded) once
+they outnumber the budget.  Witnesses are re-validated
 against the raw definition in plain rational arithmetic before they are
 returned, and a failed re-check raises InternalInvariantError.  Where a
 search skips work (identical ballots grouped, sets that cannot block or
@@ -23,19 +24,17 @@ from typing import Iterator, Sequence
 
 from abcvote.lp import EQ, LE, LinearProgram, lp_maximize
 from abcvote.model import (
+    DEFAULT_NODE_BUDGET,
     BallotClasses,
     Committee,
     ElectionInstance,
     InternalInvariantError,
+    NodeCounter,
     Rational,
-    SearchBudgetExceeded,
     ballot_classes,
     restrict_profile,
     welfare_vector,
 )
-
-#: Cap on the number of enumerated subsets in exhaustive searches.
-DEFAULT_SUBSET_BUDGET = 1 << 20
 
 CORE = "core"
 LAMBDA_CORE = "lambda_core"
@@ -208,15 +207,15 @@ def check_priceable(
 def check_pjr(
     instance: ElectionInstance,
     committee: Committee,
-    budget: int = DEFAULT_SUBSET_BUDGET,
+    budget: int = DEFAULT_NODE_BUDGET,
 ) -> Deviation | None:
     """A group whose shared candidates outnumber its committee coverage.
 
     A voter set S violates the axiom when, for some level l: the voters
     share at least l candidates, |S| >= l*n/size (size = |W|, or k for an
     empty committee), yet W covers fewer than l candidates approved by
-    anyone in S.  Exhaustive over all voter subsets, within a budget of
-    2^n.
+    anyone in S.  Exhaustive over all voter subsets; each set visited is
+    one node of the budget, at most 2^n - 1 in all.
 
     Voter sets are walked depth-first in sorted-tuple lexicographic
     order, carrying int bitmasks of the candidates all of S approve and of
@@ -231,10 +230,7 @@ def check_pjr(
     members = frozenset(committee)
     size = len(members) or instance.committee_size
     n = instance.num_voters
-    if 1 << n > budget:
-        raise SearchBudgetExceeded(
-            f"2^{n} voter subsets exceed the search budget of {budget}"
-        )
+    tick = NodeCounter(budget).tick
     member_mask = sum(1 << c for c in members)
     ballots = [sum(1 << c for c in ballot) for ballot in instance.approvals]
     group: list[int] = []
@@ -243,6 +239,7 @@ def check_pjr(
     i = 0
     while True:
         if i < n:
+            tick()
             shared, union = masks[-1]
             shared &= ballots[i]
             union |= ballots[i]
@@ -290,7 +287,7 @@ def _is_pjr_witness(
 def check_ejr(
     instance: ElectionInstance,
     committee: Committee,
-    budget: int = DEFAULT_SUBSET_BUDGET,
+    budget: int = DEFAULT_NODE_BUDGET,
 ) -> Deviation | None:
     """A deprived cohesive group: all of S approve every candidate of some
     l-set T, |S| >= l*n/k, yet every voter in S has fewer than l approved
@@ -305,11 +302,12 @@ def check_ejr(
     enumeration would find; a level with too few deprived voters is skipped
     before its walk.  One loop over the stack ``combo`` pushes c,
     or pops the last candidate and goes on after it: ``combinations``
-    order at any depth.  The witness is re-checked against the definition.
+    order at any depth.  Each prefix tried, at any level, is one node.
+    The witness is re-checked against the definition.
     """
     members = frozenset(committee)
     n, k = instance.num_voters, instance.committee_size
-    _check_candidate_budget(instance, budget)
+    tick = NodeCounter(budget).tick
     utilities = welfare_vector(instance, members)
     m = instance.num_candidates
     approvers = [0] * m
@@ -326,6 +324,7 @@ def check_ejr(
         c = 0
         while len(combo) < level:
             if c <= m - level + len(combo):
+                tick()
                 shared = groups[-1] & approvers[c]
                 if shared.bit_count() * k >= level * n:
                     combo.append(c)
@@ -389,6 +388,7 @@ def _blocking_sets(
     instance: ElectionInstance,
     classes: BallotClasses,
     thresholds: Sequence[int],
+    budget: int = DEFAULT_NODE_BUDGET,
 ) -> Iterator[tuple[tuple[int, ...], list[int]]]:
     """Every T with at most k members whose gainers could fill |T| seats.
 
@@ -408,7 +408,8 @@ def _blocking_sets(
     them, so Q of size q has at most G(q) gainers: the classes with
     need_j <= min(q, r_j).  The subtree is skipped when G(q)*k < (|P|+q)*n
     for every size q it has.  When the gainers of P alone already fill
-    |P|+1 seats the test is skipped, as one more candidate blocks.
+    |P|+1 seats the test is skipped, as one more candidate blocks.  Each
+    set entered is one node; the empty root is not.
     """
     n, m, k = instance.num_voters, instance.num_candidates, instance.committee_size
     holders, sizes = classes.holders, classes.sizes
@@ -421,6 +422,7 @@ def _blocking_sets(
         remaining.append(row)
     remaining.reverse()
     counts = [0] * len(sizes)
+    tick = NodeCounter(budget).tick
 
     def can_block(size: int, gaining: int, nxt: int) -> bool:
         """Whether some P | Q below the prefix of ``size`` members, Q drawn
@@ -447,6 +449,7 @@ def _blocking_sets(
             gaining * k >= (len(chosen) + 1) * n
             or can_block(len(chosen), gaining, nxt)
         ):
+            tick()
             c = nxt
             chosen.append(c)
             for j in holders[c]:
@@ -486,7 +489,7 @@ def find_core_deviation(
     instance: ElectionInstance,
     committee: Committee,
     lam: Rational = Fraction(1),
-    budget: int = DEFAULT_SUBSET_BUDGET,
+    budget: int = DEFAULT_NODE_BUDGET,
 ) -> Deviation | None:
     """The lexicographically-first blocking pair (S, T), or None.
 
@@ -501,10 +504,9 @@ def find_core_deviation(
     if lam < 1:
         raise ValueError("lambda must be at least 1")
     members = frozenset(committee)
-    _check_candidate_budget(instance, budget)
     classes, welfare = _class_welfare(instance, members)
     thresholds = [u if lam == 1 else floor(max(lam * u, 1)) for u in welfare]
-    for combo, counts in _blocking_sets(instance, classes, thresholds):
+    for combo, counts in _blocking_sets(instance, classes, thresholds, budget):
         deviation = Deviation(
             coalition=frozenset(_gainers(classes, counts, thresholds)),
             alternative=frozenset(combo),
@@ -553,7 +555,7 @@ def verify_deviation(
 def minimal_core_lambda(
     instance: ElectionInstance,
     committee: Committee,
-    budget: int = DEFAULT_SUBSET_BUDGET,
+    budget: int = DEFAULT_NODE_BUDGET,
 ) -> Rational | None:
     """The smallest lam >= 1 at which no lambda-core deviation remains.
 
@@ -567,11 +569,10 @@ def minimal_core_lambda(
     """
     members = frozenset(committee)
     n, k = instance.num_voters, instance.committee_size
-    _check_candidate_budget(instance, budget)
     classes, welfare = _class_welfare(instance, members)
     thresholds = [max(u, 1) for u in welfare]
     best = Fraction(1)
-    for combo, counts in _blocking_sets(instance, classes, thresholds):
+    for combo, counts in _blocking_sets(instance, classes, thresholds, budget):
         needed = len(combo) * n  # |S|*k must reach this to block
         always, ratios = 0, []
         for j, size in enumerate(classes.sizes):
@@ -600,7 +601,7 @@ def check_core_subject_to(
     instance: ElectionInstance,
     committee: Committee,
     deviation_property: str,
-    budget: int = DEFAULT_SUBSET_BUDGET,
+    budget: int = DEFAULT_NODE_BUDGET,
 ) -> Deviation | None:
     """A blocking pair (S, T) whose alternative additionally carries the
     given property inside the restricted instance (S's ballots, |T| seats).
@@ -625,9 +626,8 @@ def check_core_subject_to(
         raise ValueError(f"unknown deviation property {deviation_property!r}")
     members = frozenset(committee)
     n, k = instance.num_voters, instance.committee_size
-    _check_candidate_budget(instance, budget)
     classes, thresholds = _class_welfare(instance, members)
-    for combo, counts in _blocking_sets(instance, classes, thresholds):
+    for combo, counts in _blocking_sets(instance, classes, thresholds, budget):
         alternative = frozenset(combo)
         group = _gainers(classes, counts, thresholds)
         if deviation_property == COHESIVE:
@@ -682,14 +682,6 @@ def _equal_payment_support(
     )
 
 
-def _check_candidate_budget(instance: ElectionInstance, budget: int) -> None:
-    if 1 << instance.num_candidates > budget:
-        raise SearchBudgetExceeded(
-            f"2^{instance.num_candidates} candidate subsets exceed the "
-            f"search budget of {budget}"
-        )
-
-
 def _require(holds: bool, what: str) -> None:
     """Raise InternalInvariantError unless a re-check holds (unlike
     ``assert``, this also runs under ``python -O``)."""
@@ -704,7 +696,7 @@ def _require(holds: bool, what: str) -> None:
 def check_pigou_dalton(
     instance: ElectionInstance,
     committee: Committee,
-    budget: int = DEFAULT_SUBSET_BUDGET,
+    budget: int = DEFAULT_NODE_BUDGET,
 ) -> Committee | None:
     """A same-size committee obtained by transferring welfare from a
     better-off voter to a worse-off one: exactly two entries change, the
@@ -734,7 +726,7 @@ def check_pigou_dalton(
 def check_pareto(
     instance: ElectionInstance,
     committee: Committee,
-    budget: int = DEFAULT_SUBSET_BUDGET,
+    budget: int = DEFAULT_NODE_BUDGET,
 ) -> Committee | None:
     """A same-size committee at least as good for everyone and strictly
     better for someone, or None."""
@@ -750,12 +742,7 @@ def check_pareto(
 def _same_size_committees(
     instance: ElectionInstance, size: int, budget: int
 ) -> Iterator[frozenset[int]]:
-    from math import comb
-
-    total = comb(instance.num_candidates, size)
-    if total > budget:
-        raise SearchBudgetExceeded(
-            f"{total} same-size committees exceed the search budget of {budget}"
-        )
+    tick = NodeCounter(budget).tick
     for combo in combinations(instance.candidates, size):
+        tick()
         yield frozenset(combo)

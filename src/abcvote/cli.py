@@ -25,7 +25,6 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from abcvote.axioms import (
-    DEFAULT_SUBSET_BUDGET,
     Deviation,
     PriceSystem,
     check_core_subject_to,
@@ -46,6 +45,7 @@ from abcvote.laminar import (
     laminar_proportional_committees,
 )
 from abcvote.model import (
+    DEFAULT_NODE_BUDGET,
     Committee,
     ElectionInstance,
     ParseError,
@@ -284,7 +284,7 @@ MATRIX_AXIOMS = (
 )
 
 #: The options ``search`` and ``repro`` check with: the default budget.
-DEFAULT_OPTIONS = argparse.Namespace(budget=DEFAULT_SUBSET_BUDGET)
+DEFAULT_OPTIONS = argparse.Namespace(budget=DEFAULT_NODE_BUDGET)
 
 
 def _at_least(value: int, low: int, flag: str) -> None:
@@ -466,10 +466,12 @@ def cmd_search(args) -> int:
             found.append(instance)
 
     # The enumerated families repeat profiles up to voter order (most of
-    # their probes).  Every search rule and axiom is anonymous, and every
-    # budget guard reads only n, m and k, so a reordering takes the outcome
-    # of its first-seen twin.  It still counts as a probe and still joins
-    # ``found``, where ``min`` keeps the twin that came first.
+    # their probes).  Every search rule and axiom is anonymous, every walk
+    # but PJR's visits the same nodes under any voter order, and PJR's
+    # visits at most 2^n - 1, within budget as these n are at most 12, so
+    # a reordering takes the outcome of its first-seen twin.  It still
+    # counts as a probe and still joins ``found``, where ``min`` keeps the
+    # twin that came first.
     enumerated = _exhaustive_small(args.max_n, args.max_m, args.max_k)
     if axiom == "ejr" and rule == "phragmen":
         enumerated = chain(
@@ -832,7 +834,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="deviation_property",
         choices=("cohesive", "price_eq", "priceable"),
     )
-    check.add_argument("--budget", type=int, default=DEFAULT_SUBSET_BUDGET)
+    check.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
     check.add_argument("--json", action="store_true")
     check.set_defaults(handler=cmd_check)
 

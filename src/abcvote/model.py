@@ -48,6 +48,27 @@ class SearchBudgetExceeded(RuntimeError):
     """
 
 
+#: Nodes an exhaustive search may visit before it gives up.
+DEFAULT_NODE_BUDGET = 1 << 20
+
+
+class NodeCounter:
+    """The nodes a walk has visited: ``tick`` raises SearchBudgetExceeded
+    once more than ``budget`` have been, so a walk of N nodes finishes at
+    budget N and gives up at N - 1."""
+
+    def __init__(self, budget: int) -> None:
+        self.budget, self.nodes = budget, 0
+
+    def tick(self, count: int = 1) -> None:
+        self.nodes += count
+        if self.nodes > self.budget:
+            raise SearchBudgetExceeded(
+                f"search visited more nodes than its budget of {self.budget}; "
+                "the instance is too large for exact analysis"
+            )
+
+
 class InternalInvariantError(RuntimeError):
     """Raised when a re-check of a result against its definition fails.
 

@@ -52,16 +52,14 @@ from math import gcd, lcm
 from typing import Mapping, Sequence
 
 from abcvote.model import (
+    DEFAULT_NODE_BUDGET,
     Committee,
     ElectionInstance,
     InternalInvariantError,
+    NodeCounter,
     Rational,
-    SearchBudgetExceeded,
     ballot_classes,
 )
-
-#: Node budget for the exact PAV optimum search.
-DEFAULT_PAV_NODE_BUDGET = 2_000_000
 
 _harmonic_cache = [Fraction(0)]
 
@@ -111,7 +109,7 @@ def pav_score(instance: ElectionInstance, committee: Committee) -> Rational:
 
 
 def pav_winners(
-    instance: ElectionInstance, node_budget: int = DEFAULT_PAV_NODE_BUDGET
+    instance: ElectionInstance, budget: int = DEFAULT_NODE_BUDGET
 ) -> list[Committee]:
     """All committees of size exactly k with maximal PAV score, in the
     order of their sorted member tuples (the first is the lexicographically
@@ -143,8 +141,8 @@ def pav_winners(
     budget test, so the node count, and with it the budget at which the
     search gives up, is the recursion's.
 
-    Raises SearchBudgetExceeded when the search tree outgrows ``node_budget``
-    -- the instance is then too large for exact PAV.
+    Raises SearchBudgetExceeded when the search tree outgrows ``budget``
+    nodes -- the instance is then too large for exact PAV.
     """
     m, k = instance.num_candidates, instance.committee_size
     weights = _pav_weights(k)
@@ -157,18 +155,9 @@ def pav_winners(
     best = -1
     winners: list[tuple[int, ...]] = []
     chosen: list[tuple[int, int, list[int]]] = []  # (candidate, score, gains before it)
-    nodes = 0
+    tick = NodeCounter(budget).tick
     # per chain head: (class, chain candidates on its ballot) pairs
     chain_counts: dict[int, list[tuple[int, int]]] = {}
-
-    def visit(count: int) -> None:
-        nonlocal nodes
-        nodes += count
-        if nodes > node_budget:
-            raise SearchBudgetExceeded(
-                f"PAV optimum search exceeded {node_budget} nodes; "
-                "the instance is too large for exact optimization"
-            )
 
     def settle(leaf: int, members: Sequence[int]) -> None:
         nonlocal best
@@ -197,18 +186,18 @@ def pav_winners(
         seats_left = k - len(chosen)
         if seats_left == m - pos:
             # a forced chain: its takes, leaf and dead skips in one step
-            visit(2 * seats_left + 1)
+            tick(2 * seats_left + 1)
             settle(score + chain_gain(pos), range(pos, m))
         elif seats_left == 1:
             # the last seat: a take is the leaf, counted with its node
             if score + max(gains[pos:]) >= best:
-                visit(2)
+                tick(2)
                 settle(score + gains[pos], (pos,))
                 pos += 1
                 continue
-            visit(1)
+            tick(1)
         else:
-            visit(1)
+            tick(1)
             top = gains[pos:]
             top.sort()
             # branch-and-bound cut (never cuts ties: strict comparison)

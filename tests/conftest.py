@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from typing import Callable
+
 import pytest
 from hypothesis import strategies as st
 
-from abcvote.model import ElectionInstance
+from abcvote.model import DEFAULT_NODE_BUDGET, ElectionInstance, SearchBudgetExceeded
 
 # Pytest rewrites asserts only in test modules and conftest files; the
 # oracles' re-checks are plain asserts, which ``python -O`` would strip.
@@ -51,3 +53,40 @@ def instances_with_committee(draw, max_voters: int = 6, max_candidates: int = 6)
         )
     )
     return instance, members
+
+
+def finishes(search: Callable[[int], object], budget: int) -> bool:
+    """Whether ``search(budget)`` finishes within ``budget`` nodes."""
+    try:
+        search(budget)
+    except SearchBudgetExceeded:
+        return False
+    return True
+
+
+def node_count(search: Callable[[int], object]) -> int:
+    """The least budget at which ``search(budget)`` finishes: double the
+    budget until it does, then bisect, with ``search`` giving up at
+    ``low`` (or ``low`` is -1) and finishing at ``high``."""
+    low, high = -1, 0
+    while not finishes(search, high):
+        assert high < DEFAULT_NODE_BUDGET
+        low, high = high, 2 * high + 1
+    while high - low > 1:
+        mid = (low + high) // 2
+        if finishes(search, mid):
+            high = mid
+        else:
+            low = mid
+    return high
+
+
+def assert_counts_nodes(search: Callable[[int], object]) -> int:
+    """``search(budget)`` gives up one node short of its node count N and
+    at N returns what it returns at the default budget; gives N."""
+    nodes = node_count(search)
+    if nodes:
+        with pytest.raises(SearchBudgetExceeded, match="budget.*too large"):
+            search(nodes - 1)
+    assert search(nodes) == search(DEFAULT_NODE_BUDGET)
+    return nodes

@@ -9,6 +9,9 @@ from the ballots.  The checkers are the per-voter versions of those in
 candidate), every candidate set and every voter set in the full
 lexicographic order, gainers recounted voter by voter, and each price
 system re-checked with ``Fraction`` sums per candidate over all voters.
+They keep the up-front guards (2^m candidate sets, 2^n voter sets) that
+``abcvote.axioms`` replaced by counting the nodes each walk visits, so
+the tests compare them with the fast checkers only where they decide.
 ``blocking_sets`` is the core T-walk of ``abcvote.axioms`` without its
 subtree bound.  The LP is the dense two-phase simplex over ``Fraction``s
 that the integer simplex of ``abcvote.lp`` replaced.  The input path parses,
@@ -39,7 +42,6 @@ from typing import Iterator, Mapping, Sequence, Union
 from abcvote.axioms import (
     COHESIVE,
     CORE,
-    DEFAULT_SUBSET_BUDGET,
     EJR,
     LAMBDA_CORE,
     PRICE_EQ,
@@ -51,6 +53,7 @@ from abcvote.axioms import (
     verify_deviation,
 )
 from abcvote.model import (
+    DEFAULT_NODE_BUDGET,
     Committee,
     ElectionInstance,
     ParseError,
@@ -60,7 +63,7 @@ from abcvote.model import (
     restrict_profile,
     welfare_vector,
 )
-from abcvote.rules import DEFAULT_PAV_NODE_BUDGET, RuleXTrace, harmonic
+from abcvote.rules import RuleXTrace, harmonic
 
 
 def pav_score(instance: ElectionInstance, committee: Committee) -> Rational:
@@ -72,7 +75,7 @@ def pav_score(instance: ElectionInstance, committee: Committee) -> Rational:
 
 
 def pav_winners(
-    instance: ElectionInstance, node_budget: int = DEFAULT_PAV_NODE_BUDGET
+    instance: ElectionInstance, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> list[Committee]:
     """All committees of size exactly k with maximal PAV score.
 
@@ -499,7 +502,7 @@ def check_priceable(
 def check_pjr(
     instance: ElectionInstance,
     committee: Committee,
-    budget: int = DEFAULT_SUBSET_BUDGET,
+    budget: int = DEFAULT_NODE_BUDGET,
 ) -> Deviation | None:
     """A group whose shared candidates outnumber its committee coverage.
 
@@ -535,7 +538,7 @@ def check_pjr(
 def check_ejr(
     instance: ElectionInstance,
     committee: Committee,
-    budget: int = DEFAULT_SUBSET_BUDGET,
+    budget: int = DEFAULT_NODE_BUDGET,
 ) -> Deviation | None:
     """A deprived cohesive group: all of S approve every candidate of some
     l-set T, |S| >= l*n/k, yet every voter in S has fewer than l approved
@@ -587,7 +590,7 @@ def find_core_deviation(
     instance: ElectionInstance,
     committee: Committee,
     lam: Rational = Fraction(1),
-    budget: int = DEFAULT_SUBSET_BUDGET,
+    budget: int = DEFAULT_NODE_BUDGET,
 ) -> Deviation | None:
     """The lexicographically-first blocking pair (S, T), or None.
 
@@ -622,7 +625,7 @@ def find_core_deviation(
 def minimal_core_lambda(
     instance: ElectionInstance,
     committee: Committee,
-    budget: int = DEFAULT_SUBSET_BUDGET,
+    budget: int = DEFAULT_NODE_BUDGET,
 ) -> Rational | None:
     """The smallest lam >= 1 at which no lambda-core deviation remains.
 
@@ -667,7 +670,7 @@ def check_core_subject_to(
     instance: ElectionInstance,
     committee: Committee,
     deviation_property: str,
-    budget: int = DEFAULT_SUBSET_BUDGET,
+    budget: int = DEFAULT_NODE_BUDGET,
 ) -> Deviation | None:
     """A blocking pair (S, T) whose alternative additionally carries the
     given property inside the restricted instance (S's ballots, |T| seats).

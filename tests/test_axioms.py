@@ -34,9 +34,9 @@ from abcvote.axioms import (
     verify_deviation,
 )
 from abcvote.generators import fixture
-from abcvote.model import ElectionInstance, SearchBudgetExceeded, welfare_vector
+from abcvote.model import ElectionInstance, welfare_vector
 from abcvote.rules import dhondt, pav_winners, rule_x
-from tests.conftest import instances, instances_with_committee
+from tests.conftest import assert_counts_nodes, instances, instances_with_committee
 
 
 def build(num_candidates, committee_size, ballots):
@@ -179,8 +179,17 @@ def test_pjr_none_on_priceable_committees():
 
 
 def test_pjr_budget_guard():
-    with pytest.raises(SearchBudgetExceeded):
-        check_pjr(BLOC_SNUB, frozenset({0, 1}), budget=4)
+    search = lambda budget: check_pjr(BLOC_SNUB, frozenset({0, 1}), budget=budget)
+    assert assert_counts_nodes(search) == 4
+
+
+@settings(deadline=None, max_examples=50)
+@given(instances_with_committee(max_voters=12, max_candidates=6))
+def test_pjr_visits_fewer_nodes_than_voter_subsets(case):
+    # each nonempty voter set is one node at most, so PJR decides every
+    # instance of n voters within a budget of 2^n - 1
+    instance, committee = case
+    check_pjr(instance, committee, budget=(1 << instance.num_voters) - 1)
 
 
 def test_ejr_bloc_snub():
@@ -196,8 +205,8 @@ def test_ejr_unanimous_none():
 
 
 def test_ejr_budget_guard():
-    with pytest.raises(SearchBudgetExceeded):
-        check_ejr(BLOC_SNUB, frozenset({0, 1}), budget=4)
+    search = lambda budget: check_ejr(INTRO, COMMITTEE_A, budget=budget)
+    assert assert_counts_nodes(search) == 222
 
 
 @settings(deadline=None, max_examples=60)
@@ -285,32 +294,33 @@ def test_lambda_must_be_at_least_one():
 
 
 def test_core_budget_guard():
-    with pytest.raises(SearchBudgetExceeded):
-        find_core_deviation(BLOC_SNUB, frozenset({0, 1}), budget=4)
+    search = lambda budget: find_core_deviation(INTRO, COMMITTEE_B, budget=budget)
+    assert assert_counts_nodes(search) == 6
 
 
 # 21 candidates, one shared three-candidate slate, all of it elected: nobody
 # can gain from at most k = 3 candidates, so the core walk skips its whole
-# tree at the root; the 2^m guard still decides first
+# tree at the root and visits no node, whatever the number of candidates
 SLATE_OF_21 = build(21, 3, [{0, 1, 2}] * 6)
 
 
 @pytest.mark.parametrize(
     "search",
     [
-        lambda inst, w: find_core_deviation(inst, w),
-        lambda inst, w: find_core_deviation(inst, w, Fraction(3, 2)),
+        lambda inst, w, budget: find_core_deviation(inst, w, budget=budget),
+        lambda inst, w, budget: find_core_deviation(inst, w, Fraction(3, 2), budget),
         minimal_core_lambda,
-        lambda inst, w: check_core_subject_to(inst, w, "cohesive"),
+        lambda inst, w, budget: check_core_subject_to(inst, w, "cohesive", budget),
     ],
     ids=["core", "lambda-core", "minimal-lambda", "core-subject"],
 )
 def test_core_guard_holds_where_the_walk_would_finish(search):
     committee = frozenset({0, 1, 2})
     classes, welfare = _class_welfare(SLATE_OF_21, committee)
-    assert list(_blocking_sets(SLATE_OF_21, classes, welfare)) == []
-    with pytest.raises(SearchBudgetExceeded):
-        search(SLATE_OF_21, committee)
+    assert list(_blocking_sets(SLATE_OF_21, classes, welfare, budget=0)) == []
+    assert search(SLATE_OF_21, committee, 0) == (
+        1 if search is minimal_core_lambda else None
+    )
 
 
 def test_verify_deviation_conditions():
@@ -403,8 +413,8 @@ def test_minimal_lambda_unbounded():
 
 
 def test_minimal_lambda_budget_guard():
-    with pytest.raises(SearchBudgetExceeded):
-        minimal_core_lambda(BLOC_SNUB, frozenset({0, 1}), budget=4)
+    search = lambda budget: minimal_core_lambda(INTRO, COMMITTEE_A, budget=budget)
+    assert assert_counts_nodes(search) == 155
 
 
 @settings(deadline=None, max_examples=40)
@@ -472,8 +482,10 @@ def test_core_subject_to_rejects_unknown_property():
 
 
 def test_core_subject_to_budget_guard():
-    with pytest.raises(SearchBudgetExceeded):
-        check_core_subject_to(BLOC_SNUB, frozenset({0, 1}), "cohesive", budget=4)
+    search = lambda budget: check_core_subject_to(
+        ONE_PLUS_SLATE, PRIVATE_FOUR, "cohesive", budget=budget
+    )
+    assert assert_counts_nodes(search) == 122
 
 
 @settings(deadline=None, max_examples=40)
@@ -515,8 +527,8 @@ def test_pav_committee_admits_no_transfer():
 
 
 def test_pigou_dalton_budget_guard():
-    with pytest.raises(SearchBudgetExceeded):
-        check_pigou_dalton(INTRO, COMMITTEE_A, budget=4)
+    search = lambda budget: check_pigou_dalton(INTRO, COMMITTEE_A, budget=budget)
+    assert assert_counts_nodes(search) == 88
 
 
 def test_private_committee_is_dominated():
@@ -536,8 +548,8 @@ def test_pareto_empty_profile():
 
 
 def test_pareto_budget_guard():
-    with pytest.raises(SearchBudgetExceeded):
-        check_pareto(INTRO, COMMITTEE_A, budget=4)
+    search = lambda budget: check_pareto(INTRO, COMMITTEE_A, budget=budget)
+    assert assert_counts_nodes(search) == 455
 
 
 @settings(deadline=None, max_examples=30)

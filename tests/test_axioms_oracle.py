@@ -2,12 +2,14 @@
 the per-voter reference versions kept in ``tests/oracles.py``.
 
 Deviations must be identical (the lexicographically-first witness),
-priceability must give the same verdict and the same optimal price,
-``SearchBudgetExceeded`` must be raised at the same budgets, and the
-price-system re-check must give the same verdict on valid and corrupted
-systems.  The pruned core walk must yield the same sets with the same
-counts, in the same order, as the full walk.  Inputs are
-the catalogue fixtures and Hypothesis instances, half of them drawn from
+priceability must give the same verdict and the same optimal price, and
+the price-system re-check must give the same verdict on valid and
+corrupted systems.  The oracles keep the up-front 2^m and 2^n guards, so
+answers are compared where the oracle decides; on random instances each
+fast walk must also give up one node short of its node count and, at
+that count, give the answer.  The pruned core walk must yield the same
+sets with the same counts, in the same order, as the full walk.  Inputs
+are the catalogue fixtures and Hypothesis instances, half of them drawn from
 a small pool of ballots so that most voters share their ballot with
 others.
 """
@@ -24,10 +26,10 @@ from hypothesis import strategies as st
 from abcvote import axioms
 from abcvote.axioms import PriceSystem
 from abcvote.generators import FIXTURE_NAMES, fixture
-from abcvote.model import ElectionInstance, SearchBudgetExceeded
+from abcvote.model import DEFAULT_NODE_BUDGET, ElectionInstance, SearchBudgetExceeded
 from abcvote.rules import phragmen_sequential, rule_x, seq_pav
 from tests import oracles
-from tests.conftest import instances, shared_ballot_instances
+from tests.conftest import assert_counts_nodes, instances, shared_ballot_instances
 from tests.test_axioms import (
     BROKEN_SYSTEMS,
     REJECTION_COMMITTEE,
@@ -38,7 +40,7 @@ from tests.test_axioms import (
 F = Fraction
 
 #: Each check, given a checker module, an instance, a committee and a
-#: subset budget (priceability has no budget).
+#: budget (priceability has no budget).
 CHECKS = {
     "priceable": lambda mod, inst, w, budget: mod.check_priceable(inst, w),
     "ejr": lambda mod, inst, w, budget: mod.check_ejr(inst, w, budget),
@@ -79,6 +81,12 @@ SLOW_FOR_ORACLE = (
 
 DEDUPED_FIXTURES = [name for name in FIXTURE_NAMES if name != "fig3"]  # fig3 is intro
 
+#: The budget for fixtures with more than 20 candidates, where the
+#: oracle's 2^m guard leaves no answer to compare: the fast walks use it
+#: up in milliseconds, where the default takes up to about 15 s on a
+#: 2-CPU x86-64 host.
+QUICK_BUDGET = 1 << 8
+
 #: PJR walks voter sets, not candidate sets, so its fixtures and budgets
 #: are chosen by n, in tests of their own.
 BY_VOTERS = ("pjr",)
@@ -96,9 +104,24 @@ def outcome(module, check: str, instance: ElectionInstance, committee, budget):
     return result
 
 
-def assert_same(check: str, instance: ElectionInstance, committee, budget) -> None:
+def assert_same(
+    check: str, instance: ElectionInstance, committee, budget=DEFAULT_NODE_BUDGET
+) -> None:
+    """The fast check at ``budget`` answers as the oracle does, wherever
+    the oracle decides at the default budget."""
     fast = outcome(axioms, check, instance, committee, budget)
-    assert fast == outcome(oracles, check, instance, committee, budget)
+    reference = outcome(oracles, check, instance, committee, DEFAULT_NODE_BUDGET)
+    if reference != "budget exceeded":
+        assert fast == reference
+
+
+def assert_same_at_node_count(check: str, instance: ElectionInstance, committee) -> None:
+    """The fast check gives up one node short of its node count and, at
+    that count, answers as the oracle does."""
+    nodes = assert_counts_nodes(
+        lambda budget: CHECKS[check](axioms, instance, committee, budget)
+    )
+    assert_same(check, instance, committee, nodes)
 
 
 @pytest.mark.parametrize(
@@ -113,23 +136,20 @@ def assert_same(check: str, instance: ElectionInstance, committee, budget) -> No
 )
 def test_fixture_matches_oracle(name, check):
     inst = fixture(name)
+    budget = DEFAULT_NODE_BUDGET if inst.num_candidates <= 20 else QUICK_BUDGET
     committees = {phragmen_sequential(inst).committee, rule_x(inst).committee}
     for committee in sorted(committees, key=sorted):
-        assert_same(check, inst, committee, axioms.DEFAULT_SUBSET_BUDGET)
+        assert_same(check, inst, committee, budget)
 
 
 @st.composite
-def audits(draw, searched=lambda inst: inst.num_candidates):
-    """An instance, a committee of at most k members, and a subset budget
-    just below, at, or far above the 2^searched(instance) the search
-    needs (2^m by default).  Ballots may be empty, and committees
-    undersized or empty."""
+def audits(draw):
+    """An instance and a committee of at most k members.  Ballots may be
+    empty, and committees undersized or empty."""
     inst = draw(st.one_of(shared_ballot_instances(), instances(7, 7)))
     size = draw(st.integers(0, inst.committee_size))
     committee = frozenset(draw(st.permutations(range(inst.num_candidates)))[:size])
-    need = 1 << searched(inst)
-    budget = draw(st.sampled_from((need - 1, need, axioms.DEFAULT_SUBSET_BUDGET)))
-    return inst, committee, budget
+    return inst, committee
 
 
 @settings(max_examples=100, deadline=None)
@@ -141,19 +161,19 @@ def test_priceable_matches_oracle(audit):
 @settings(max_examples=150, deadline=None)
 @given(audits())
 def test_ejr_matches_oracle(audit):
-    assert_same("ejr", *audit)
+    assert_same_at_node_count("ejr", *audit)
 
 
 @settings(max_examples=100, deadline=None)
 @given(audits(), st.sampled_from(("core", "core-3/2", "core-2", "lambda")))
 def test_core_matches_oracle(audit, check):
-    assert_same(check, *audit)
+    assert_same_at_node_count(check, *audit)
 
 
 @settings(max_examples=120, deadline=None)
 @given(audits(), st.sampled_from([c for c in CHECKS if c.startswith("subject-")]))
 def test_core_subject_to_matches_oracle(audit, check):
-    assert_same(check, *audit)
+    assert_same_at_node_count(check, *audit)
 
 
 @pytest.mark.parametrize(
@@ -167,13 +187,13 @@ def test_pjr_fixture_matches_oracle(name):
         rule_x(inst).committee,
     }
     for committee in sorted(committees, key=sorted):
-        assert_same("pjr", inst, committee, axioms.DEFAULT_SUBSET_BUDGET)
+        assert_same("pjr", inst, committee)
 
 
 @settings(max_examples=200, deadline=None)
-@given(audits(lambda inst: inst.num_voters))
+@given(audits())
 def test_pjr_matches_oracle(audit):
-    assert_same("pjr", *audit)
+    assert_same_at_node_count("pjr", *audit)
 
 
 # ---------------------------------------------------------------------------
@@ -243,11 +263,10 @@ def test_walk_matches_oracle(inst, rng):
 def assert_ejr_agrees_with_cohesive_core(inst: ElectionInstance, committee) -> None:
     """EJR finds a witness exactly when the cohesive core walk does, and
     wherever PJR finds one (PJR walks voter sets, so only for n <= 20)."""
-    budget = axioms.DEFAULT_SUBSET_BUDGET
-    ejr = axioms.check_ejr(inst, committee, budget)
-    cohesive = axioms.check_core_subject_to(inst, committee, "cohesive", budget)
+    ejr = axioms.check_ejr(inst, committee)
+    cohesive = axioms.check_core_subject_to(inst, committee, "cohesive")
     assert (ejr is None) == (cohesive is None)
-    if inst.num_voters <= 20 and axioms.check_pjr(inst, committee, budget):
+    if inst.num_voters <= 20 and axioms.check_pjr(inst, committee):
         assert ejr is not None
 
 
@@ -340,7 +359,7 @@ amounts = st.fractions(min_value=-1, max_value=2, max_denominator=6)
 @settings(max_examples=200, deadline=None)
 @given(audits(), st.data())
 def test_validate_price_system_matches_oracle_on_corrupted_systems(audit, data):
-    inst, committee, _ = audit
+    inst, committee = audit
     system = axioms.check_priceable(inst, committee)
     if system is None:
         system = PriceSystem(F(1), tuple({} for _ in inst.voters))

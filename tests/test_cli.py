@@ -8,6 +8,7 @@ deep in a child process with a low recursion limit.
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import subprocess
@@ -28,7 +29,12 @@ from abcvote.axioms import (
     find_core_deviation,
 )
 from abcvote.cli import main
-from abcvote.generators import fixture, gen_laminar
+from abcvote.generators import (
+    fixture,
+    gen_laminar,
+    gen_rulex_lower_bound,
+    gen_theorem51_family,
+)
 from abcvote.laminar import check_laminar, check_laminar_proportional
 from abcvote.model import (
     SearchBudgetExceeded,
@@ -218,11 +224,9 @@ DEEP_PAV = "1000 2 1\n1000\n\n"
 #: 1,200 voters all approve 1 and 2; k = 1.  Against committee {3} the
 #: PJR walk stacks all 1,200 voters before the group is large enough.
 DEEP_PJR = "3 1200 1\n" + "1 2\n" * 1200
-DEEP_PJR_BUDGET = str(1 << 1200)
 #: 2 voters both approve all 1,100 candidates; k = 1100.  Against committee
 #: 1..999 the EJR walk stacks a prefix of 1,000 candidates.
 DEEP_EJR = "1100 2 1100\n" + (" ".join(map(str, range(1, 1101))) + "\n") * 2
-DEEP_EJR_BUDGET = str(1 << 1100)
 DEEP_EJR_COMMITTEE = ",".join(map(str, range(1, 1000)))
 
 
@@ -240,7 +244,7 @@ def test_check_pjr_stacks_twelve_hundred_voters(tmp_path, capsys):
     path.write_text(DEEP_PJR)
     code, out, err = run_cli(
         capsys, "check", "--axiom", "pjr", "--input", str(path),
-        "--committee", "3", "--budget", DEEP_PJR_BUDGET,
+        "--committee", "3",
     )
     assert (code, err) == (1, "")
     lines = dict(line.split(": ", 1) for line in out.splitlines())
@@ -254,7 +258,7 @@ def test_check_ejr_stacks_a_thousand_candidates(tmp_path, capsys):
     path.write_text(DEEP_EJR)
     code, out, err = run_cli(
         capsys, "check", "--axiom", "ejr", "--input", str(path),
-        "--committee", DEEP_EJR_COMMITTEE, "--budget", DEEP_EJR_BUDGET,
+        "--committee", DEEP_EJR_COMMITTEE,
     )
     assert (code, err) == (1, "")
     lines = dict(line.split(": ", 1) for line in out.splitlines())
@@ -279,9 +283,8 @@ runs = (
 )
 print("pav_winners", format_committee(winner))
 for name, inst, committee in runs:
-    budget = 1 << max(inst.num_voters, inst.num_candidates)
     for check in (check_pjr, check_ejr, find_core_deviation):
-        found = check(inst, committee, budget=budget)
+        found = check(inst, committee)
         sizes = "-" if found is None else f"{len(found.coalition)}x{len(found.alternative)}"
         print(name, check.__name__, sizes)
 """
@@ -408,9 +411,68 @@ def test_check_budget_exhaustion_is_exit_three(capsys):
         ",".join(str(c) for c in range(1, 21)),
         "--property",
         "price_eq",
+        "--budget",
+        "1000",
     )
     assert code == 3
-    assert "budget" in err
+    assert err == (
+        "error: search visited more nodes than its budget of 1000; "
+        "the instance is too large for exact analysis\n"
+    )
+
+
+#: Checker cells (instance, rule whose committee is checked, axiom) that
+#: a refusal of more than 2^m candidate sets (2^n voter sets for PJR) up
+#: front left at exit 3, and that their walks decide within the default
+#: node budget.  The instances are catalogue fixtures and two of the
+#: paper's families.  On a 2-CPU x86-64 host all take milliseconds but
+#: six: propB1's Rule X 3/2-core about 3 s, and propB1's Phragmen core
+#: and the four core and 3/2-core cells of gen_theorem51_family(4, 2)
+#: 0.1-0.8 s each.
+NODE_BUDGET_DECIDES = [
+    (source, rule, axiom)
+    for source, axioms, rules in (
+        ("thm32_instance1", ("ejr", "core", "3/2"), ("phragmen", "rulex")),
+        ("thm32_instance2", ("ejr", "core", "3/2"), ("phragmen", "rulex")),
+        ("fig2_profile1", ("ejr",), ("phragmen", "rulex")),
+        ("fig2_profile2", ("ejr",), ("phragmen", "rulex")),
+        ("fig4_profile1", ("ejr", "3/2"), ("phragmen", "rulex")),
+        ("fig4_profile2", ("ejr", "core", "3/2"), ("phragmen", "rulex")),
+        ("fig4_profile3", ("ejr", "core", "3/2"), ("phragmen", "rulex")),
+        ("propB1", ("ejr", "3/2"), ("phragmen", "rulex")),
+        ("propB1", ("core",), ("phragmen",)),
+        ("overlapping_parties", ("ejr", "3/2"), ("phragmen", "rulex")),
+        ("overlapping_parties", ("core",), ("rulex",)),
+        ("gen_rulex_lower_bound(3, 1)", ("pjr", "ejr"), ("phragmen", "rulex")),
+        ("gen_rulex_lower_bound(3, 1)", ("3/2",), ("phragmen",)),
+        ("gen_theorem51_family(4, 2)", ("ejr", "core", "3/2"), ("phragmen", "rulex")),
+    )
+    for axiom in axioms
+    for rule in rules
+]
+PAPER_FAMILIES = {
+    "gen_rulex_lower_bound(3, 1)": lambda: gen_rulex_lower_bound(3, 1),
+    "gen_theorem51_family(4, 2)": lambda: gen_theorem51_family(4, 2),
+}
+AXIOM_FLAGS = {
+    "pjr": ("--axiom", "pjr"),
+    "ejr": ("--axiom", "ejr"),
+    "core": ("--axiom", "core"),
+    "3/2": ("--axiom", "lambda-core", "--lambda", "3/2"),
+}
+
+
+@pytest.mark.parametrize("source,rule,axiom", NODE_BUDGET_DECIDES)
+def test_node_budget_decides_the_cell(source, rule, axiom, tmp_path, capsys):
+    inst = PAPER_FAMILIES[source]() if source in PAPER_FAMILIES else fixture(source)
+    path = tmp_path / "instance.txt"
+    path.write_text(serialize_instance(inst))
+    committee = format_committee(cli.SEARCH_RULES[rule](inst))
+    code, out, err = run_cli(
+        capsys, "check", *AXIOM_FLAGS[axiom], "--input", str(path), "--committee", committee
+    )
+    assert (code, err) == (0, "")
+    assert "verdict: PASS" in out.splitlines()
 
 
 def test_check_rejects_committee_above_size_bound(capsys):
@@ -654,25 +716,20 @@ def test_search_pav_doubled_endowment_core_hunt_comes_up_empty(capsys):
     assert out.strip() == "none found"
 
 
-def test_search_with_undecided_probes_and_no_hit_is_exit_three(capsys):
-    """Trials with more than 20 candidates exceed the core checker's subset
-    budget; with no hit among the rest, the search cannot say none exists."""
-    code, out, err = run_cli(
-        capsys,
-        "search",
-        "--violation",
-        "core+rulex",
-        "--max-m",
-        "40",
-        "--trials",
-        "20",
-        "--seed",
-        "1",
-    )
+def test_search_with_undecided_probes_and_no_hit_is_exit_three(capsys, monkeypatch):
+    """The core checker decides every probe, up to 40 candidates, within
+    the default budget, and none is a hit.  At a budget of one node the
+    checker leaves probes undecided; with no hit among the rest, the
+    search cannot say none exists."""
+    argv = ("search", "--violation", "core+rulex", "--max-m", "40",
+            "--trials", "20", "--seed", "1")
+    assert run_cli(capsys, *argv) == (0, "none found\n", "")
+    monkeypatch.setattr(cli, "DEFAULT_OPTIONS", argparse.Namespace(budget=1))
+    code, out, err = run_cli(capsys, *argv)
     assert code == 3
     assert out == ""
     assert err == (
-        "error: nothing found, but 9 of 1298 probes exceeded the search budget\n"
+        "error: nothing found, but 167 of 1298 probes exceeded the search budget\n"
     )
 
 

@@ -138,7 +138,7 @@ def test_pav_winners_symmetric_tie():
 
 def test_pav_budget_exceeded():
     with pytest.raises(SearchBudgetExceeded, match="too large"):
-        pav_winners(SIX_GROUPS, node_budget=3)
+        pav_winners(SIX_GROUPS, budget=3)
 
 
 @settings(deadline=None, max_examples=60)
