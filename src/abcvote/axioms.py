@@ -36,15 +36,12 @@ from abcvote.model import (
     welfare_vector,
 )
 
-CORE = "core"
-LAMBDA_CORE = "lambda_core"
 COHESIVE = "cohesive"
 PRICE_EQ = "price_eq"
 PRICEABLE = "priceable"
-PJR = "pjr"
-EJR = "ejr"
 
-_PROPERTY_KINDS = (COHESIVE, PRICE_EQ, PRICEABLE)
+#: The deviation properties ``check_core_subject_to`` accepts.
+PROPERTY_KINDS = (COHESIVE, PRICE_EQ, PRICEABLE)
 
 
 @dataclass(frozen=True)
@@ -61,7 +58,6 @@ class Deviation:
 
     coalition: frozenset[int]
     alternative: frozenset[int]
-    kind: str
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +256,6 @@ def check_pjr(
     deviation = Deviation(
         coalition=frozenset(group),
         alternative=frozenset(alternative[: covered + 1]),
-        kind=PJR,
     )
     _require(
         _is_pjr_witness(instance, members, deviation),
@@ -339,7 +334,6 @@ def check_ejr(
             deviation = Deviation(
                 coalition=frozenset(i for i in instance.voters if shared >> i & 1),
                 alternative=frozenset(combo),
-                kind=EJR,
             )
             _require(
                 _is_ejr_witness(instance, members, deviation),
@@ -510,7 +504,6 @@ def find_core_deviation(
         deviation = Deviation(
             coalition=frozenset(_gainers(classes, counts, thresholds)),
             alternative=frozenset(combo),
-            kind=CORE if lam == 1 else LAMBDA_CORE,
         )
         _require(
             verify_deviation(instance, committee, deviation, lam),
@@ -527,7 +520,8 @@ def verify_deviation(
     lam: Rational = Fraction(1),
 ) -> bool:
     """Check the given (S, T) without any search: the coalition must be
-    populous enough for |T| seats and every member must strictly gain."""
+    populous enough for |T| seats and every member must gain, strictly at
+    ``lam`` = 1 and beyond max(lam*utility, 1) at a larger ``lam``."""
     coalition = sorted(deviation.coalition)
     alternative = sorted(deviation.alternative)
     if any(not 0 <= i < instance.num_voters for i in coalition):
@@ -622,7 +616,7 @@ def check_core_subject_to(
     whose gainers block are examined, and sets of more than k candidates
     never block.
     """
-    if deviation_property not in _PROPERTY_KINDS:
+    if deviation_property not in PROPERTY_KINDS:
         raise ValueError(f"unknown deviation property {deviation_property!r}")
     members = frozenset(committee)
     n, k = instance.num_voters, instance.committee_size
@@ -643,11 +637,7 @@ def check_core_subject_to(
             restricted = restrict_profile(instance, group, len(combo))
             if check_priceable(restricted, alternative) is None:
                 continue
-        deviation = Deviation(
-            coalition=frozenset(group),
-            alternative=alternative,
-            kind=deviation_property,
-        )
+        deviation = Deviation(coalition=frozenset(group), alternative=alternative)
         _require(
             verify_deviation(instance, committee, deviation, Fraction(1)),
             "core deviation fails its re-check",

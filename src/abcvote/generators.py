@@ -24,19 +24,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from abcvote.model import ElectionInstance
-
-
-def _instance(
-    num_candidates: int, committee_size: int, ballots: Iterable[Iterable[int]]
-) -> ElectionInstance:
-    return ElectionInstance(
-        num_candidates=num_candidates,
-        committee_size=committee_size,
-        approvals=tuple(frozenset(b) for b in ballots),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -55,7 +45,7 @@ def _intro() -> ElectionInstance:
         {9, 10, 11},
         {12, 13, 14},
     ]
-    return _instance(15, 12, ballots)
+    return ElectionInstance(15, 12, ballots)
 
 
 def _phragmen1899() -> ElectionInstance:
@@ -63,7 +53,7 @@ def _phragmen1899() -> ElectionInstance:
     4000 voters; five seats.  The score-maximizing committee takes the
     whole large party, a sequential spend elects 1 + 3 + 1."""
     ballots = [{0, 1, 2, 3, 4}] * 3000 + [{0, 5, 6, 7, 8}] * 1000
-    return _instance(9, 5, ballots)
+    return ElectionInstance(9, 5, ballots)
 
 
 def _blocks_fifteen() -> ElectionInstance:
@@ -74,7 +64,7 @@ def _blocks_fifteen() -> ElectionInstance:
     ballots = (
         [{0, 1, 2}] * 5 + [{0, 1, 2, 3, 4}] * 5 + [{0, 1, 3, 4}] * 2 + [{3, 4}] * 3
     )
-    return _instance(5, 4, ballots)
+    return ElectionInstance(5, 4, ballots)
 
 
 def _example31() -> ElectionInstance:
@@ -87,7 +77,7 @@ def _example32() -> ElectionInstance:
     split 4:2 over disjoint slates of three and four.  k = 4 forces the
     seats to go 1 (leader) + 2 + 1."""
     ballots = [{0, 1, 2, 3}] * 4 + [{0, 4, 5, 6, 7}] * 2
-    return _instance(8, 4, ballots)
+    return ElectionInstance(8, 4, ballots)
 
 
 def _example33() -> ElectionInstance:
@@ -101,7 +91,7 @@ def _example33() -> ElectionInstance:
         + [{10, 11, 12, 13, 14, 15, 16}] * 2
         + [{10, 17, 18, 19}]
     )
-    return _instance(20, 12, ballots)
+    return ElectionInstance(20, 12, ballots)
 
 
 def _example41() -> ElectionInstance:
@@ -109,7 +99,7 @@ def _example41() -> ElectionInstance:
     four-candidate slate; k = 4.  The all-private committee is priceable
     but Pareto-dominated by the slate."""
     ballots = [{i, 4, 5, 6, 7} for i in range(4)]
-    return _instance(8, 4, ballots)
+    return ElectionInstance(8, 4, ballots)
 
 
 def _thm32_instance1() -> ElectionInstance:
@@ -127,7 +117,7 @@ def _thm32_instance1() -> ElectionInstance:
         {2, 3} | set(range(18, 22)),
         {2, 3} | set(range(18, 22)),
     ]
-    return _instance(22, 20, ballots)
+    return ElectionInstance(22, 20, ballots)
 
 
 def _thm32_instance2() -> ElectionInstance:
@@ -138,7 +128,7 @@ def _thm32_instance2() -> ElectionInstance:
     ballots = [set(range(0, 6)) | {16 + i} for i in range(4)]
     ballots += [set(range(6, 11)) | {20}, set(range(6, 11)) | {21}]
     ballots += [set(range(11, 16)) | {22}, set(range(11, 16)) | {23}]
-    return _instance(24, 20, ballots)
+    return ElectionInstance(24, 20, ballots)
 
 
 def _fig2_profile(sharing: range) -> ElectionInstance:
@@ -153,7 +143,7 @@ def _fig2_profile(sharing: range) -> ElectionInstance:
         privates = 57 - len(ballots[v])
         ballots[v] |= set(range(nxt, nxt + privates))
         nxt += privates
-    return _instance(nxt, 57, ballots)
+    return ElectionInstance(nxt, 57, ballots)
 
 
 def _fig4_profile1() -> ElectionInstance:
@@ -173,7 +163,7 @@ def _fig4_profile1() -> ElectionInstance:
     for v in range(4, 16):
         ballots[v].add(nxt)
         nxt += 1
-    return _instance(nxt + 2, 48, ballots)
+    return ElectionInstance(nxt + 2, 48, ballots)
 
 
 def _fig4_pairs(bridge: bool) -> ElectionInstance:
@@ -195,7 +185,7 @@ def _fig4_pairs(bridge: bool) -> ElectionInstance:
             nxt += 1
     ballots[14].add(nxt)
     nxt += 1
-    return _instance(nxt + 3, 48, ballots)
+    return ElectionInstance(nxt + 3, 48, ballots)
 
 
 def _prop_b1() -> ElectionInstance:
@@ -216,7 +206,7 @@ def _prop_b1() -> ElectionInstance:
         ballots.append(ballot)
     for i in range(48):
         ballots.append({14 + i // 8, 20 + i // 6, 28 + i // 6})
-    return _instance(36, 20, ballots)
+    return ElectionInstance(36, 20, ballots)
 
 
 def _overlapping_parties() -> ElectionInstance:
@@ -225,7 +215,7 @@ def _overlapping_parties() -> ElectionInstance:
     rules differ on how to credit the middle group's support."""
     first, second = set(range(0, 100)), set(range(100, 200))
     ballots = [first, first, first | second, second]
-    return _instance(200, 100, ballots)
+    return ElectionInstance(200, 100, ballots)
 
 
 def _remark_a1() -> ElectionInstance:
@@ -234,7 +224,7 @@ def _remark_a1() -> ElectionInstance:
     (2/3 each for the small parties), so the instance is not laminar,
     yet sequential rules still have to pick some sixth member."""
     ballots = [{0}] * 2 + [{1}] * 2 + [{2}] * 2 + [{3, 4, 5, 6, 7}] * 12
-    return _instance(8, 6, ballots)
+    return ElectionInstance(8, 6, ballots)
 
 
 _FIXTURES = {
@@ -333,7 +323,7 @@ def gen_party_list(
         nxt += size
         parties.append(slate)
         ballots.extend([slate] * n_z)
-    instance = _instance(nxt, k, ballots)
+    instance = ElectionInstance(nxt, k, ballots)
     return PartyListInstance(instance, tuple(parties), integral)
 
 
@@ -363,7 +353,7 @@ def gen_laminar(seed: int, max_depth: int, max_voters: int, k: int) -> ElectionI
     n = rng.randint(1, max_voters)
     alloc = [0]
     ballots = _laminar_node(rng, k, n, max_depth, alloc)
-    return _instance(alloc[0], k, ballots)
+    return ElectionInstance(alloc[0], k, ballots)
 
 
 def _fresh_block(alloc: list[int], size: int) -> range:
@@ -437,7 +427,7 @@ def gen_theorem51_family(x: int, y: int) -> ElectionInstance:
     for _ in range(y * x):
         ballots.append(set(range(nxt, nxt + y)))
         nxt += y
-    return _instance(nxt, y * y * x + y, ballots)
+    return ElectionInstance(nxt, y * y * x + y, ballots)
 
 
 def gen_rulex_lower_bound(x: int, L: int) -> ElectionInstance:
@@ -506,7 +496,7 @@ def gen_rulex_lower_bound(x: int, L: int) -> ElectionInstance:
             for t in range(run):
                 ballots[voter].add(pool_start + (j * run + t) % pool)
     n = len(ballots)
-    return _instance(pool_start + pool, n // L, ballots)
+    return ElectionInstance(pool_start + pool, n // L, ballots)
 
 
 def gen_random(
@@ -531,4 +521,4 @@ def gen_random(
     ballots = [
         {c for c in range(m) if rng.random() < density} for _ in range(n)
     ]
-    return _instance(m, k, ballots)
+    return ElectionInstance(m, k, ballots)

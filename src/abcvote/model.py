@@ -85,8 +85,10 @@ class ElectionInstance:
         num_candidates: Number of candidates ``m``; candidates are the
             indices ``0 .. m-1``.
         committee_size: Target committee size ``k`` with ``1 <= k <= m``.
-        approvals: One frozenset of candidate indices per voter, in voter
-            order.  Empty ballots are allowed.
+        approvals: One ballot per voter, in voter order.  The constructor
+            accepts a sequence of ballots, each any iterable of candidate
+            indices, and stores them as a tuple of frozensets.  Empty
+            ballots are allowed.
     """
 
     num_candidates: int

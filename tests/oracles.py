@@ -16,7 +16,10 @@ the tests compare them with the fast checkers only where they decide.
 subtree bound.  The LP is the dense two-phase simplex over ``Fraction``s
 that the integer simplex of ``abcvote.lp`` replaced.  The input path parses,
 range-checks and renders every voter's ballot on its own, where
-``abcvote.model`` does so once per distinct ballot.  The laminar
+``abcvote.model`` does so once per distinct ballot.  The harmonic
+numbers of the PAV score and the comment and line splitter of the
+parser are written out here too, not imported, so a bug in the
+package's own helpers shows as a difference.  The laminar
 recognizer builds the recursive derivation tree that ``abcvote.laminar``
 flattened into seat constraints, and checks and enumerates committees
 along it.  ``search_probing_everything`` is the ``search`` handler that
@@ -41,15 +44,11 @@ from typing import Iterator, Mapping, Sequence, Union
 
 from abcvote.axioms import (
     COHESIVE,
-    CORE,
-    EJR,
-    LAMBDA_CORE,
     PRICE_EQ,
-    PJR,
     PRICEABLE,
+    PROPERTY_KINDS,
     Deviation,
     PriceSystem,
-    _PROPERTY_KINDS,
     verify_deviation,
 )
 from abcvote.model import (
@@ -59,11 +58,15 @@ from abcvote.model import (
     ParseError,
     Rational,
     SearchBudgetExceeded,
-    _content_lines,
     restrict_profile,
     welfare_vector,
 )
-from abcvote.rules import RuleXTrace, harmonic
+from abcvote.rules import RuleXTrace
+
+
+def harmonic(t: int) -> Fraction:
+    """1 + 1/2 + ... + 1/t, summed term by term."""
+    return sum((Fraction(1, j) for j in range(1, t + 1)), Fraction(0))
 
 
 def pav_score(instance: ElectionInstance, committee: Committee) -> Rational:
@@ -529,9 +532,7 @@ def check_pjr(
         if level > min(len(shared), len(group) * size // n):
             continue
         witness = frozenset(sorted(shared)[:level])
-        return Deviation(
-            coalition=frozenset(group), alternative=witness, kind=PJR
-        )
+        return Deviation(coalition=frozenset(group), alternative=witness)
     return None
 
 
@@ -560,9 +561,7 @@ def check_ejr(
                 if wanted <= instance.approvals[i] and utilities[i] < level
             ]
             if len(group) * k >= level * n:
-                return Deviation(
-                    coalition=frozenset(group), alternative=wanted, kind=EJR
-                )
+                return Deviation(coalition=frozenset(group), alternative=wanted)
     return None
 
 
@@ -615,7 +614,6 @@ def find_core_deviation(
             deviation = Deviation(
                 coalition=frozenset(group),
                 alternative=alternative,
-                kind=CORE if lam == 1 else LAMBDA_CORE,
             )
             assert verify_deviation(instance, committee, deviation, lam)
             return deviation
@@ -689,7 +687,7 @@ def check_core_subject_to(
     succeed where the maximal one fails; the checker is then a sound
     witness-finder rather than a complete decision procedure.
     """
-    if deviation_property not in _PROPERTY_KINDS:
+    if deviation_property not in PROPERTY_KINDS:
         raise ValueError(f"unknown deviation property {deviation_property!r}")
     members = frozenset(committee)
     n, k = instance.num_voters, instance.committee_size
@@ -718,7 +716,6 @@ def check_core_subject_to(
         deviation = Deviation(
             coalition=frozenset(group),
             alternative=alternative,
-            kind=deviation_property,
         )
         assert verify_deviation(instance, committee, deviation, Fraction(1))
         return deviation
@@ -841,9 +838,24 @@ def check_ballot_range(num_candidates: int, approvals) -> tuple[frozenset, ...]:
     return approvals
 
 
+def content_lines(text: str) -> list[tuple[int, str]]:
+    """(1-based line number, line without trailing whitespace) of every
+    line whose first non-blank character is not ``#``.  Lines end at a
+    newline, and a final newline ends the last line: it opens no empty
+    one."""
+    lines = []
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.rstrip()
+        if not line.lstrip().startswith("#"):
+            lines.append((lineno, line))
+    if not text or text.endswith("\n"):
+        lines.pop()  # the empty piece after the last newline
+    return lines
+
+
 def parse_instance(text: str) -> ElectionInstance:
     """Parse the instance file format, tokenizing every ballot line."""
-    lines = _content_lines(text)
+    lines = content_lines(text)
     if not lines:
         raise ParseError("line 1: missing header 'm n k'")
     header_no, header = lines[0]

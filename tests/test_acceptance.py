@@ -283,7 +283,7 @@ def test_criterion_09_priceable_deviation_reproduction():
         | frozenset(range(112, 160))
     )
     alternative = frozenset(range(20, 36))
-    deviation = Deviation(coalition=coalition, alternative=alternative, kind="core")
+    deviation = Deviation(coalition=coalition, alternative=alternative)
     assert verify_deviation(inst, committee, deviation)
     payments = []
     for voter in sorted(coalition):
@@ -336,7 +336,7 @@ def test_criterion_11_budget_rule_core_gap(random_suite):
     pool = frozenset(range(inst.num_candidates - 4, inst.num_candidates))
     assert committee == frozenset(range(inst.num_candidates)) - pool
     groups = frozenset(range(4))
-    deviation = Deviation(coalition=groups, alternative=pool, kind="core")
+    deviation = Deviation(coalition=groups, alternative=pool)
     assert verify_deviation(inst, committee, deviation, F(1))
     failures = []
     for index, inst in enumerate(random_suite):

@@ -161,15 +161,13 @@ def test_pjr_single_voter_cases():
     instance = build(1, 1, [{0}])
     assert check_pjr(instance, frozenset({0})) is None
     violation = check_pjr(instance, frozenset())
-    assert violation == Deviation(
-        coalition=frozenset({0}), alternative=frozenset({0}), kind="pjr"
-    )
+    assert violation == Deviation(coalition=frozenset({0}), alternative=frozenset({0}))
 
 
 def test_pjr_bloc_snub():
     violation = check_pjr(BLOC_SNUB, frozenset({2, 3}))
     assert violation == Deviation(
-        coalition=frozenset({0, 1}), alternative=frozenset({0}), kind="pjr"
+        coalition=frozenset({0, 1}), alternative=frozenset({0})
     )
 
 
@@ -195,7 +193,7 @@ def test_pjr_visits_fewer_nodes_than_voter_subsets(case):
 def test_ejr_bloc_snub():
     violation = check_ejr(BLOC_SNUB, frozenset({2, 3}))
     assert violation == Deviation(
-        coalition=frozenset({0, 1, 2}), alternative=frozenset({0}), kind="ejr"
+        coalition=frozenset({0, 1, 2}), alternative=frozenset({0})
     )
 
 
@@ -263,7 +261,6 @@ def test_committee_b_core_deviation():
     assert deviation == Deviation(
         coalition=frozenset({0, 1, 2}),
         alternative=frozenset(range(6)),
-        kind="core",
     )
 
 
@@ -273,7 +270,6 @@ def test_committee_without_shared_prefix_blocks_early():
     assert deviation == Deviation(
         coalition=frozenset({0, 1, 2}),
         alternative=frozenset({0, 1}),
-        kind="core",
     )
 
 
@@ -327,34 +323,27 @@ def test_verify_deviation_conditions():
     witness = Deviation(
         coalition=frozenset({0, 1, 2}),
         alternative=frozenset(range(6)),
-        kind="core",
     )
     assert verify_deviation(INTRO, COMMITTEE_B, witness)
     too_big = Deviation(
         coalition=frozenset({0, 1, 2}),
         alternative=frozenset(range(7)),
-        kind="core",
     )
     assert not verify_deviation(INTRO, COMMITTEE_B, too_big)
     no_gain = Deviation(
         coalition=frozenset({0, 1, 2, 3}),
         alternative=frozenset(range(6)),
-        kind="core",
     )
     assert not verify_deviation(INTRO, COMMITTEE_B, no_gain)
-    empty = Deviation(coalition=frozenset(), alternative=frozenset({0}), kind="core")
+    empty = Deviation(coalition=frozenset(), alternative=frozenset({0}))
     assert not verify_deviation(INTRO, COMMITTEE_B, empty)
 
 
 def test_verify_deviation_index_errors():
-    witness = Deviation(
-        coalition=frozenset({99}), alternative=frozenset({0}), kind="core"
-    )
+    witness = Deviation(coalition=frozenset({99}), alternative=frozenset({0}))
     with pytest.raises(ValueError):
         verify_deviation(INTRO, COMMITTEE_B, witness)
-    witness = Deviation(
-        coalition=frozenset({0}), alternative=frozenset({99}), kind="core"
-    )
+    witness = Deviation(coalition=frozenset({0}), alternative=frozenset({99}))
     with pytest.raises(ValueError):
         verify_deviation(INTRO, COMMITTEE_B, witness)
 
@@ -363,16 +352,13 @@ def test_verify_deviation_lambda_gain_rule():
     # one voter, committee {0}, alternative {1,2}: welfare 1 -> 2
     instance = build(3, 3, [{0, 1, 2}])
     committee = frozenset({0})
-    pair = Deviation(
-        coalition=frozenset({0}), alternative=frozenset({1, 2}), kind="lambda_core"
-    )
+    pair = Deviation(coalition=frozenset({0}), alternative=frozenset({1, 2}))
     assert verify_deviation(instance, committee, pair, lam=Fraction(1))
     # at lambda=2 the voter needs welfare above max(2*1, 1) = 2
     assert not verify_deviation(instance, committee, pair, lam=Fraction(2))
     triple = Deviation(
         coalition=frozenset({0}),
         alternative=frozenset({0, 1, 2}),
-        kind="lambda_core",
     )
     assert verify_deviation(instance, committee, triple, lam=Fraction(2))
 
@@ -441,7 +427,6 @@ def test_price_eq_deviation_for_committee_b():
     assert deviation == Deviation(
         coalition=frozenset({0, 1, 2}),
         alternative=frozenset(range(6)),
-        kind="price_eq",
     )
 
 
@@ -452,7 +437,7 @@ def test_price_eq_none_for_committee_a():
 def test_cohesive_deviation_bloc_snub():
     deviation = check_core_subject_to(BLOC_SNUB, frozenset({2, 3}), "cohesive")
     assert deviation == Deviation(
-        coalition=frozenset({0, 1, 2}), alternative=frozenset({0}), kind="cohesive"
+        coalition=frozenset({0, 1, 2}), alternative=frozenset({0})
     )
 
 
@@ -470,7 +455,6 @@ def test_property_kinds_disagree():
     assert priceable == Deviation(
         coalition=frozenset({0, 1, 2, 3}),
         alternative=frozenset({5, 6, 7, 8}),
-        kind="priceable",
     )
     assert check_core_subject_to(instance, committee, "price_eq") is None
     assert check_core_subject_to(instance, committee, "cohesive") is None
@@ -663,8 +647,8 @@ for name, extra in (
 
 # the pair really violates PJR under the empty committee, but the witness
 # now names an unshared candidate as well
-axioms.Deviation = lambda coalition, alternative, kind: Deviation(
-    coalition, alternative | {1}, kind
+axioms.Deviation = lambda coalition, alternative: Deviation(
+    coalition, alternative | {1}
 )
 try:
     axioms.check_pjr(pair, frozenset())

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -47,6 +48,7 @@ from abcvote.rules import phragmen_sequential, rule_x, seq_pav
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 GOLDEN = Path(__file__).resolve().parent / "golden"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -520,6 +522,31 @@ def test_check_laminar_prop_rejects_non_laminar_instance(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: the instance is not laminar\n"
+
+
+def test_check_axioms_are_the_readme_list_in_order():
+    text = README.read_text(encoding="utf-8")
+    sentence = text.split("`--axiom` is one of ", 1)[1].split(".", 1)[0]
+    assert cli.CHECK_AXIOMS == tuple(re.findall(r"`([a-z-]+)`", sentence))
+
+
+def test_check_help_and_unknown_axiom_list_the_axioms_in_order(capsys):
+    with pytest.raises(SystemExit):
+        main(["check", "--help"])
+    assert "{" + ",".join(cli.CHECK_AXIOMS) + "}" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exited:
+        main(["check", "--axiom", "bogus", "--input", fixture_path("intro")])
+    assert exited.value.code == 2
+    offered = capsys.readouterr().err.split("choose from", 1)[1]
+    assert re.findall(r"[a-z][a-z-]*", offered) == list(cli.CHECK_AXIOMS)
+
+
+def test_axiom_tables_name_known_axioms_and_rules():
+    for name in (*cli.CHECK_AXIOMS, *cli.SEARCH_AXIOMS, *cli.MATRIX):
+        assert name in cli.AXIOM_CHECKS
+    assert set(cli.MATRIX_RULES) <= set(cli.SEARCH_RULES)
+    for rules in cli.MATRIX.values():
+        assert set(rules) <= set(cli.MATRIX_RULES)
 
 
 COMMITTEE_RULES = {

@@ -327,7 +327,6 @@ def test_lower_bound_ratio_scales():
         deviation = Deviation(
             coalition=frozenset(range(groups)),
             alternative=frozenset(range(inst.num_candidates - pool, inst.num_candidates)),
-            kind="core",
         )
         assert verify_deviation(inst, committee, deviation, lam=F(1))
         ratios = [

@@ -5,10 +5,12 @@ Both must report the same status and, at an optimum, the same value and
 the same assignment: the same vertex, not just the same optimum, since
 both pivot by Bland's rule and the same ratio test.  Inputs are
 Hypothesis programs of the shape ``check_priceable`` builds and the
-programs it builds on the catalogue fixtures.  The oracle takes rows with
-``Fraction`` coefficients as drawn; ``abcvote.lp`` takes int rows only and
-is given each row times the lcm of its denominators, which moves no
-vertex.
+programs it builds on the catalogue fixtures.  ``abcvote.lp`` takes int
+rows only, so both solvers are given each drawn row times the lcm of its
+denominators: the int rows ``check_priceable`` builds.  Scaling a row
+keeps the feasible set, but not the path: scaling an ``=`` row reweights
+its artificial in phase 1, so Bland's rule can end at another optimal
+vertex.  The two solvers must therefore see the same rows.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from abcvote import axioms, lp
@@ -38,14 +40,16 @@ def integral(values: list) -> list[int]:
 
 
 def solve_both(program) -> LPOutcome:
-    """The oracle's outcome on ``program``, after checking that
-    ``abcvote.lp`` returns the same one on its rows scaled to ints.  The
-    objective must be whole already: scaling it would scale the value."""
-    reference = oracles.LinearProgram(program.num_variables, objective=program.objective)
-    scaled = LinearProgram(program.num_variables, objective=integral(program.objective))
+    """The oracle's outcome on ``program`` with its rows scaled to ints,
+    after checking that ``abcvote.lp`` returns the same one on the same
+    rows.  The objective must be whole already: scaling it would scale
+    the value."""
+    objective = integral(program.objective)
+    reference = oracles.LinearProgram(program.num_variables, objective=objective)
+    scaled = LinearProgram(program.num_variables, objective=objective)
     for coeffs, rel, rhs in program.constraints:
-        reference.add_constraint(coeffs, rel, rhs)
         *row, rhs = integral([*coeffs, rhs])
+        reference.add_constraint(row, rel, rhs)
         scaled.add_constraint(row, rel, rhs)
     fast, ref = lp_maximize(scaled), oracles.lp_maximize(reference)
     assert (fast.status, fast.value, fast.assignment) == (ref.status, ref.value, ref.assignment)
@@ -83,8 +87,24 @@ def programs(draw):
     return program
 
 
+#: A program on which the two solvers end at different optimal vertices
+#: when only ``abcvote.lp`` gets the ``x1 = 1/2`` rows scaled to ints.
+SCALED_EQUALITY = oracles.LinearProgram(
+    5,
+    constraints=[
+        ([0, -2, 2, 0, -1], EQ, 0),
+        ([0, 0, 0, 0, 0], LE, 0),
+        ([0, 0, 0, 0, 0], LE, 0),
+        ([0, -1, Fraction(1, 2), 0, 0], LE, 0),
+        ([0, 1, 0, 0, 0], EQ, Fraction(1, 2)),
+        ([0, 1, 0, 0, 0], EQ, Fraction(1, 2)),
+    ],
+)
+
+
 @settings(max_examples=300, deadline=None)
 @given(programs())
+@example(SCALED_EQUALITY)
 def test_programs_match_oracle(program):
     solve_both(program)
 
