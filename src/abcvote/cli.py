@@ -161,6 +161,8 @@ def _trace_lines(instance: ElectionInstance, rule: str, all_ties: bool):
 
 
 def cmd_run(args) -> int:
+    if args.all_ties and args.rule != "pav":
+        raise ParseError("--all-ties applies only to --rule pav")
     instance = _read_instance(args.input)
     committee, trace = _trace_lines(instance, args.rule, args.all_ties)
     lines = [

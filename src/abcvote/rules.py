@@ -22,12 +22,19 @@ seq-PAV score with the weights lcm(1..k)/(u+1), and the two money-based
 rules keep every balance, budget and the clock as an int numerator over
 one running denominator.  Every value a rule returns is an exact
 ``Fraction``, equal to what the plain ``Fraction`` computation gives.
-``rule_x`` recomputes a candidate's price cap only when the candidate
-reaches the top of a lazy heap, as budgets only shrink and an old cap is
-a lower bound.  ``phragmen_sequential`` keeps each candidate's group
-balance up to date instead of summing it at every step, and its trace
-holds the int numerators of each purchase, which become the ``Fraction``
-times and payments on their first access.  ``pav_score`` and
+``rule_x`` and ``seq_pav`` evaluate only the smallest unelected member
+(the "head") of each clone class, the candidates with the same approvers:
+clones have the same price cap and the same PAV gain at every step, and
+ties go to the smallest index, so the choice is always a head.  The
+party-built profiles of the paper have many clones.  Phragmén's rule
+stays per candidate: on the small profiles ``search`` probes, building
+the classes cost more than the shorter scan saved.  ``rule_x``
+recomputes a class's price cap only when it reaches the top of a lazy
+heap, as budgets only shrink and an old cap is a lower bound.
+``phragmen_sequential`` keeps each candidate's group balance up to date
+instead of summing it at every step, and its trace holds the int
+numerators of each purchase, which become the ``Fraction`` times and
+payments on their first access.  ``pav_score`` and
 ``pav_winners`` read the profile through ``model.ballot_classes``, so
 they work once per distinct ballot.  ``pav_winners`` keeps every
 candidate's solo gain up to date as candidates are taken, rather than
@@ -86,6 +93,15 @@ def _approver_lists(instance: ElectionInstance) -> list[list[int]]:
         for c in ballot:
             out[c].append(i)
     return out
+
+
+def _clone_classes(lists: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Indices grouped by equal list ("clones"): each class in increasing
+    order, the classes in order of their smallest member."""
+    classes: dict[tuple[int, ...], list[int]] = {}
+    for c, members in enumerate(lists):
+        classes.setdefault(tuple(members), []).append(c)
+    return list(classes.values())
 
 
 def _fractions(numerators: list[int], denominator: int) -> list[Rational]:
@@ -225,19 +241,28 @@ def pav_winners(
 
 def seq_pav(instance: ElectionInstance) -> Committee:
     """Greedy PAV: repeatedly add the candidate with the largest marginal
-    contribution to the PAV score (smallest index on ties)."""
+    contribution to the PAV score (smallest index on ties).
+
+    Clones (candidates with the same approvers) have the same gain at
+    every step, so the smallest-index best candidate is always the
+    smallest unelected member, the "head", of its clone class: each step
+    scores one head per class.
+    """
     weights = _pav_weights(instance.committee_size)
     approvers = _approver_lists(instance)
     utilities = [0] * instance.num_voters
-    remaining = list(instance.candidates)
+    classes = _clone_classes(approvers)
     committee: set[int] = set()
 
-    def gain(c: int) -> int:
-        return sum([weights[utilities[i]] for i in approvers[c]])
+    def gain(members: list[int]) -> tuple[int, int]:
+        head = members[0]
+        return sum([weights[utilities[i]] for i in approvers[head]]), -head
 
     for _ in range(instance.committee_size):
-        best_c = max(remaining, key=gain)  # max keeps the first, smallest index
-        remaining.remove(best_c)
+        members = max(classes, key=gain)
+        best_c = members.pop(0)
+        if not members:
+            classes.remove(members)
         committee.add(best_c)
         for i in approvers[best_c]:
             utilities[i] += 1
@@ -439,14 +464,20 @@ def rule_x(
     multiplies ``den`` by the denominator of its scaled q, which makes the
     payments ints.
 
-    Candidates wait in a heap keyed by (q, index), with q in units of the
-    starting budget.  Budgets only shrink, so a candidate's minimal
-    affordable q never drops and a key computed at an earlier step is a
-    lower bound.  The popped candidate's q is recomputed: if it still
-    equals the key, no other candidate can be cheaper, nor as cheap with a
-    smaller index, so it is the lexicographic choice; if it grew, the
-    candidate goes back with its new key; if it is no longer affordable,
-    it never will be again and is dropped.
+    Clones (candidates with the same approvers) have the same q at every
+    step, so the smallest-index cheapest candidate is always the smallest
+    unelected member, the "head", of its clone class.  The heap holds one
+    entry (q, head, class) per class, with q in units of the starting
+    budget.  Budgets only shrink, so a minimal affordable q never drops
+    and a key computed at an earlier step is a lower bound.  The popped
+    head's q is recomputed: if it still equals the key, no other
+    candidate can be cheaper, nor as cheap with a smaller index, so it is
+    the lexicographic choice; if it grew, the class goes back with its new
+    key; if it is no longer affordable, it never will be again and the
+    class is dropped.  After a purchase the bought candidate leaves its
+    class, and the popped class goes back with its old key, still a lower
+    bound.  A tie choice may buy another class's head: that class's entry
+    then goes back with its new head when popped, or is dropped if empty.
     """
     n, k = instance.num_voters, instance.committee_size
     den = k
@@ -457,24 +488,30 @@ def rule_x(
     def q_of(c: int) -> Rational | None:
         return min_affordable_q([budget[i] for i in approvers[c]], price)
 
+    classes = _clone_classes(approvers)
+    class_of = {c: members for members in classes for c in members}
     heap = []
-    for c in instance.candidates:
-        q = q_of(c)
+    for members in classes:
+        q = q_of(members[0])
         if q is not None:
-            heap.append((q / den, c))
+            heap.append((q / den, members[0], members))
     heapify(heap)
     elected: list[int] = []
     qs: list[Rational] = []
     snapshots: list[tuple[Rational, ...]] = []
     while len(elected) < k and heap:
-        key, best_c = heappop(heap)
-        if best_c in elected:
-            continue  # elected through a tie choice
+        key, best_c, members = heappop(heap)
+        if not members:
+            continue  # every clone elected through tie choices
+        if members[0] != best_c:
+            # the head was elected through a tie choice
+            heappush(heap, (key, members[0], members))
+            continue
         best_q = q_of(best_c)
         if best_q is None:
             continue  # unaffordable for good
         if best_q / den != key:
-            heappush(heap, (best_q / den, best_c))
+            heappush(heap, (best_q / den, best_c, members))
             continue
         if tie_choices is not None and len(elected) in tie_choices:
             wanted = tie_choices[len(elected)]
@@ -489,8 +526,10 @@ def rule_x(
                         f"step {len(elected)}: candidate {wanted} is not in the "
                         f"minimal-q tie set"
                     )
-                heappush(heap, (key, best_c))
                 best_c = wanted
+        class_of[best_c].remove(best_c)
+        if members:
+            heappush(heap, (key, members[0], members))
         step = best_q.denominator
         if step > 1:
             den *= step

@@ -44,6 +44,27 @@ def shared_ballot_instances(draw, max_voters: int = 9, max_candidates: int = 7):
 
 
 @st.composite
+def cloned_instances(draw, max_voters: int = 6, max_candidates: int = 5, max_copies: int = 5):
+    """An ``instances()`` draw with some candidate columns copied: the
+    copies are appended and then every column moves to a shuffled index,
+    so a clone class is spread over the indices and its smallest member
+    need not be the original.  k is drawn again over the larger candidate
+    set, so runs can elect several members of one class."""
+    base = draw(instances(max_voters=max_voters, max_candidates=max_candidates))
+    sources = draw(
+        st.lists(st.sampled_from(base.candidates), min_size=1, max_size=max_copies)
+    )
+    columns = [*base.candidates, *sources]  # columns[c]: the base column of c
+    order = draw(st.permutations(range(len(columns))))  # c moves to order[c]
+    ballots = tuple(
+        frozenset(order[c] for c, source in enumerate(columns) if source in ballot)
+        for ballot in base.approvals
+    )
+    k = draw(st.integers(1, len(columns)))
+    return ElectionInstance(len(columns), k, ballots)
+
+
+@st.composite
 def instances_with_committee(draw, max_voters: int = 6, max_candidates: int = 6):
     """An instance together with a random size-k committee."""
     instance = draw(instances(max_voters=max_voters, max_candidates=max_candidates))

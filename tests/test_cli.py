@@ -9,6 +9,7 @@ deep in a child process with a low recursion limit.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -144,6 +145,33 @@ def test_run_json_matches_text_fields(capsys):
     assert payload["score"] == "11"
     assert payload["committee"] == "1,2,3,7,8,9,10,11,12,13,14,15"
     assert payload["welfare"] == "3,3,3,3,3,3"
+
+
+def test_run_catalogue_matches_golden(capsys):
+    """The sequential rules' full reports on every fixture: one line per
+    command, its argv with the fixture as ``fixtures/<name>.txt``, a tab,
+    and the SHA-256 of its stdout."""
+    lines = []
+    for rule in ("seqpav", "phragmen", "rulex", "rulex-complete"):
+        for path in sorted(FIXTURES.glob("*.txt")):
+            argv = ["run", "--json", "--rule", rule, "--input", str(path)]
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, err) == (0, ""), argv
+            argv[-1] = f"fixtures/{path.name}"
+            digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+            lines.append(f"{' '.join(argv)}\t{digest}\n")
+    golden = (GOLDEN / "run_catalogue.txt").read_text(encoding="utf-8")
+    assert "".join(lines) == golden
+
+
+def test_run_all_ties_needs_pav(capsys):
+    for rule in ("seqpav", "phragmen", "rulex", "rulex-complete", "dhondt"):
+        code, out, err = run_cli(
+            capsys, "run", "--rule", rule, "--all-ties",
+            "--input", fixture_path("example21"),
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: --all-ties applies only to --rule pav\n"
 
 
 def test_run_missing_file_is_input_error(capsys):

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
+from abcvote import rules
 from abcvote.generators import FIXTURE_NAMES, fixture
 from abcvote.model import ElectionInstance, SearchBudgetExceeded, welfare_vector
 from abcvote.rules import (
@@ -457,6 +458,33 @@ def test_rule_x_complete_reaches_k_when_possible(inst):
     plain = rule_x(inst)
     assert trace.elected[: len(plain.elected)] == plain.elected
     assert trace.completed is (len(trace.elected) > len(plain.elected))
+
+
+def test_clone_classes_group_equal_lists_by_first_member():
+    lists = [[0, 2], [1], [0, 2], [], [1], [0, 2], []]
+    assert rules._clone_classes(lists) == [[0, 2, 5], [1, 4], [3, 6]]
+
+
+def test_seq_pav_tie_goes_to_smaller_head_after_a_class_loses_its_first():
+    # 0 and 3 are clones; once 0 is in, 3 ties with 1 and the smaller wins
+    inst = build(4, 2, [{0, 3}, {0, 3}, {1}])
+    assert seq_pav(inst) == frozenset({0, 1})
+
+
+def test_rule_x_prices_one_head_per_clone_class(monkeypatch):
+    # fig2_profile1: 669 candidates in 13 clone classes; pricing every
+    # candidate instead of each class's head takes 1338 calls
+    calls = []
+
+    def counted(budgets, price):
+        calls.append(None)
+        return min_affordable_q(budgets, price)
+
+    monkeypatch.setattr(rules, "min_affordable_q", counted)
+    trace = rule_x(fixture("fig2_profile1"))
+    assert len(calls) == 76
+    monkeypatch.undo()
+    assert trace == rule_x(fixture("fig2_profile1"))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,12 @@ from abcvote import rules
 from abcvote.generators import FIXTURE_NAMES, fixture
 from abcvote.model import DEFAULT_NODE_BUDGET, ElectionInstance, SearchBudgetExceeded
 from tests import oracles
-from tests.conftest import instances, node_count, shared_ballot_instances
+from tests.conftest import (
+    cloned_instances,
+    instances,
+    node_count,
+    shared_ballot_instances,
+)
 
 F = Fraction
 
@@ -57,24 +62,26 @@ def assert_same_rule_x(inst: ElectionInstance, tie_choices=None) -> None:
         assert_fractions(snapshot)
 
 
+def tied_at(inst: ElectionInstance, trace, step: int) -> list[int]:
+    """The minimal-q tie set at ``step`` of an oracle Rule X trace, from
+    the budgets it had before that step."""
+    budgets = trace.budgets[step - 1] if step else (F(1),) * inst.num_voters
+    price = F(inst.num_voters, inst.committee_size)
+    return [
+        c
+        for c in inst.candidates
+        if c not in trace.elected[:step]
+        and oracles.min_affordable_q([budgets[i] for i in inst.approvers(c)], price)
+        == trace.q_values[step]
+    ]
+
+
 def tie_sets(inst: ElectionInstance) -> list[tuple[int, list[int]]]:
     """(step, minimal-q tie set) along the default Rule X run, computed with
     the Fraction oracle."""
     trace = oracles.rule_x(inst)
     assert rules.rule_x(inst) == trace
-    price = F(inst.num_voters, inst.committee_size)
-    budgets = (F(1),) * inst.num_voters
-    out = []
-    for step, q in enumerate(trace.q_values):
-        tied = [
-            c
-            for c in inst.candidates
-            if c not in trace.elected[:step]
-            and oracles.min_affordable_q([budgets[i] for i in inst.approvers(c)], price) == q
-        ]
-        out.append((step, tied))
-        budgets = trace.budgets[step]
-    return out
+    return [(step, tied_at(inst, trace, step)) for step in range(len(trace.q_values))]
 
 
 def assert_same_rule_x_ties(inst: ElectionInstance, sample: int | None = None) -> None:
@@ -181,6 +188,33 @@ def test_phragmen_and_seq_pav_match_oracle(inst):
 @given(random_or_pooled)
 def test_rule_x_matches_oracle_for_every_tie_choice(inst):
     assert_same_rule_x_ties(inst)
+
+
+# ---------------------------------------------------------------------------
+# planted clones: one head per clone class must give every candidate's answer
+
+
+@settings(deadline=None, max_examples=200)
+@given(cloned_instances())
+def test_sequential_rules_match_oracle_with_clones(inst):
+    assert rules.seq_pav(inst) == oracles.seq_pav(inst)
+    # every single-step tie choice, non-head clones among them
+    assert_same_rule_x_ties(inst)
+
+
+@settings(deadline=None, max_examples=100)
+@given(cloned_instances())
+def test_rule_x_matches_oracle_choosing_last_tied_at_every_step(inst):
+    # the largest tied index at every step: the pick is a non-head clone
+    # whenever its class has two unelected members; a pick can strand
+    # money and end the run sooner
+    choices: dict[int, int] = {}
+    trace = oracles.rule_x(inst)
+    while len(choices) < len(trace.q_values):
+        step = len(choices)
+        choices[step] = max(tied_at(inst, trace, step))
+        trace = oracles.rule_x(inst, choices)
+    assert_same_rule_x(inst, choices)
 
 
 @settings(deadline=None, max_examples=60)
