@@ -479,6 +479,13 @@ def _gainers(
     ]
 
 
+def _gain_threshold(welfare: int, lam: Rational) -> int:
+    """A voter gains when its new welfare beats this: its committee
+    welfare u at lam = 1, and beyond, max(lam*u, 1) or, as welfare is a
+    whole number, the floor of that."""
+    return welfare if lam == 1 else floor(max(lam * welfare, 1))
+
+
 def find_core_deviation(
     instance: ElectionInstance,
     committee: Committee,
@@ -489,17 +496,15 @@ def find_core_deviation(
 
     T runs over candidate sets in sorted-tuple order; S is always the full
     set of gaining voters (enlarging S only helps the size condition, so
-    this loses nothing).  A pair blocks when |S|*k >= |T|*n.  At lam=1 a
-    voter gains with any improvement; beyond 1 the voter must beat
-    max(lam*utility, 1), and as welfare is a whole number that is the same
-    as beating its floor.  Sets of more than k candidates are skipped, as
-    they cannot block.
+    this loses nothing).  A pair blocks when |S|*k >= |T|*n, and a voter
+    gains by ``_gain_threshold``'s rule.  Sets of more than k candidates
+    are skipped, as they cannot block.
     """
     if lam < 1:
         raise ValueError("lambda must be at least 1")
     members = frozenset(committee)
     classes, welfare = _class_welfare(instance, members)
-    thresholds = [u if lam == 1 else floor(max(lam * u, 1)) for u in welfare]
+    thresholds = [_gain_threshold(u, lam) for u in welfare]
     for combo, counts in _blocking_sets(instance, classes, thresholds, budget):
         deviation = Deviation(
             coalition=frozenset(_gainers(classes, counts, thresholds)),
@@ -520,8 +525,8 @@ def verify_deviation(
     lam: Rational = Fraction(1),
 ) -> bool:
     """Check the given (S, T) without any search: the coalition must be
-    populous enough for |T| seats and every member must gain, strictly at
-    ``lam`` = 1 and beyond max(lam*utility, 1) at a larger ``lam``."""
+    populous enough for |T| seats and every member must gain by
+    ``_gain_threshold``'s rule."""
     coalition = sorted(deviation.coalition)
     alternative = sorted(deviation.alternative)
     if any(not 0 <= i < instance.num_voters for i in coalition):
@@ -537,11 +542,7 @@ def verify_deviation(
     wanted = frozenset(alternative)
     for i in coalition:
         old = len(instance.approvals[i] & members)
-        new = len(instance.approvals[i] & wanted)
-        if lam == 1:
-            if new <= old:
-                return False
-        elif new <= max(lam * old, Fraction(1)):
+        if len(instance.approvals[i] & wanted) <= _gain_threshold(old, lam):
             return False
     return True
 
@@ -607,14 +608,24 @@ def check_core_subject_to(
         instance's per-seat price n/k, nobody spending more than 1.
       * ``priceable``: T is priceable in the restricted instance.
 
-    The coalition tried for each T is the full gaining set (for cohesive:
-    the gaining voters approving all of T).  For cohesive and price_eq
-    this is lossless: growing the coalition only adds payers and lowers
-    equal shares.  For priceable a smaller coalition could in principle
-    succeed where the maximal one fails; the checker is then a sound
-    witness-finder rather than a complete decision procedure.  Only sets T
-    whose gainers block are examined, and sets of more than k candidates
-    never block.
+    The coalition tried for each T:
+      * ``cohesive``: the gainers who approve all of T.  Exact: any
+        cohesive coalition is part of this one, and more members only
+        help the size condition.
+      * ``price_eq``: the largest part of the gainers that pays in equal
+        shares, found by dropping every voter whose shares exceed 1 until
+        none does.  Exact: a voter's shares only grow as other payers
+        leave, so a voter dropped at some round overspends in every
+        sub-coalition of the voters then left, and no qualifying
+        coalition holds it.  What is left therefore contains every
+        qualifying coalition; as it pays its own shares, it qualifies
+        itself (the size condition and a payer for every candidate of
+        T) exactly when some coalition does, and it is then their union.
+      * ``priceable``: the whole gaining group only.  A smaller
+        coalition could succeed where it fails, so for this property
+        the checker finds witnesses but a pass is not certain.
+    Only sets T whose gainers block are examined, and sets of more than
+    k candidates never block.
     """
     if deviation_property not in PROPERTY_KINDS:
         raise ValueError(f"unknown deviation property {deviation_property!r}")
@@ -626,13 +637,13 @@ def check_core_subject_to(
         group = _gainers(classes, counts, thresholds)
         if deviation_property == COHESIVE:
             group = [i for i in group if alternative <= instance.approvals[i]]
+        elif deviation_property == PRICE_EQ:
+            group = _equal_share_payers(instance, group, combo, Fraction(n, k))
+            if not all(any(c in instance.approvals[i] for i in group) for c in combo):
+                continue
         if len(group) * k < len(combo) * n:
             continue
-        if deviation_property == PRICE_EQ:
-            price = Fraction(n, k)
-            if not _equal_payment_support(instance, group, alternative, price):
-                continue
-        elif deviation_property == PRICEABLE:
+        if deviation_property == PRICEABLE:
             # the restricted profile keeps candidate numbering
             restricted = restrict_profile(instance, group, len(combo))
             if check_priceable(restricted, alternative) is None:
@@ -646,30 +657,33 @@ def check_core_subject_to(
     return None
 
 
-def _equal_payment_support(
+def _equal_share_payers(
     instance: ElectionInstance,
-    coalition: Sequence[int],
-    alternative: frozenset[int],
+    coalition: list[int],
+    alternative: Sequence[int],
     price: Rational,
-) -> bool:
-    """Every candidate of the alternative collects ``price`` in equal
-    payments from its approvers within the coalition, and no coalition
-    voter spends more than 1.  Equal payments leave no freedom: each
-    share is the price over the candidate's payer count, so the check is
-    direct arithmetic on those shares."""
-    order = sorted(alternative)
-    payers = {c: [i for i in coalition if c in instance.approvals[i]] for c in order}
-    if any(not payers[c] for c in order):
-        return False
-    shares = {c: price / len(payers[c]) for c in order}
-    return all(
-        sum(
-            (shares[c] for c in order if c in instance.approvals[i]),
-            Fraction(0),
-        )
-        <= 1
-        for i in coalition
-    )
+) -> list[int]:
+    """What is left of the coalition after repeatedly dropping every
+    voter whose equal shares exceed 1: each candidate of the alternative
+    costs ``price``, split equally among its approvers in the coalition,
+    and each voter pays the shares of the candidates it approves."""
+    while True:
+        payers = {
+            c: sum(1 for i in coalition if c in instance.approvals[i])
+            for c in alternative
+        }
+        kept = [
+            i
+            for i in coalition
+            if sum(
+                (price / payers[c] for c in alternative if c in instance.approvals[i]),
+                Fraction(0),
+            )
+            <= 1
+        ]
+        if len(kept) == len(coalition):
+            return coalition
+        coalition = kept
 
 
 def _require(holds: bool, what: str) -> None:

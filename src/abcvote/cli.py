@@ -58,7 +58,6 @@ from abcvote.model import (
     parse_committee,
     parse_instance,
     serialize_instance,
-    validate_committee,
     welfare_vector,
 )
 from abcvote.rules import (
@@ -292,9 +291,12 @@ def cmd_check(args) -> int:
     instance = _read_instance(args.input)
     committee = None
     if args.committee is not None:
-        committee = validate_committee(
-            instance, parse_committee(args.committee, instance.num_candidates)
-        )
+        committee = parse_committee(args.committee, instance.num_candidates)
+        if len(committee) > instance.committee_size:
+            raise ParseError(
+                f"committee has {len(committee)} members, size bound is "
+                f"{instance.committee_size}"
+            )
     if committee is None and args.axiom != "laminar":
         raise ParseError(f"--axiom {args.axiom} requires --committee")
     violated, witness = AXIOM_CHECKS[args.axiom](instance, committee, args)

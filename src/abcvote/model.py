@@ -26,7 +26,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 #: Exact rational number type used throughout the package.
 Rational = Fraction
@@ -86,9 +86,9 @@ class ElectionInstance:
             indices ``0 .. m-1``.
         committee_size: Target committee size ``k`` with ``1 <= k <= m``.
         approvals: One ballot per voter, in voter order.  The constructor
-            accepts a sequence of ballots, each any iterable of candidate
-            indices, and stores them as a tuple of frozensets.  Empty
-            ballots are allowed.
+            accepts a sequence of ballots, each any iterable of ``int``
+            candidate indices (not ``1.0``), and stores them as a tuple of
+            frozensets.  Empty ballots are allowed.
     """
 
     num_candidates: int
@@ -107,13 +107,19 @@ class ElectionInstance:
             raise ValueError("instance needs at least one voter")
         approvals = tuple(map(frozenset, self.approvals))
         object.__setattr__(self, "approvals", approvals)
-        # One C-level union instead of a comparison per approval; anything
-        # not plainly in range (an index out of range, a float, a string)
-        # goes through the per-voter loop, which names the first offender.
-        if frozenset().union(*approvals) <= frozenset(range(self.num_candidates)):
+        # A C-level union and sum instead of a test per approval (a float
+        # equal to an index makes the sum a non-int); the per-voter loop
+        # names the first offender.
+        used = frozenset().union(*approvals)
+        if used <= frozenset(range(self.num_candidates)) and type(sum(used)) is int:
             return
         for voter, ballot in enumerate(approvals):
             for c in ballot:
+                if not isinstance(c, int):
+                    raise ValueError(
+                        f"ballot of voter {voter} mentions candidate {c!r}, "
+                        "candidate indices must be ints"
+                    )
                 if not 0 <= c < self.num_candidates:
                     raise ValueError(
                         f"ballot of voter {voter} mentions candidate {c}, "
@@ -191,20 +197,6 @@ def ballot_classes(instance: ElectionInstance) -> BallotClasses:
         sizes=tuple(map(len, voters)),
         holders=tuple(holders),
     )
-
-
-def validate_committee(instance: ElectionInstance, committee: Iterable[int]) -> Committee:
-    """Check candidate indices and the ``|W| <= k`` bound; return a frozenset."""
-    members = frozenset(committee)
-    for c in members:
-        if not 0 <= c < instance.num_candidates:
-            raise ValueError(f"no such candidate: {c}")
-    if len(members) > instance.committee_size:
-        raise ValueError(
-            f"committee has {len(members)} members, size bound is "
-            f"{instance.committee_size}"
-        )
-    return members
 
 
 def restrict_profile(
@@ -327,11 +319,7 @@ def serialize_instance(instance: ElectionInstance) -> str:
     for ballot in instance.approvals:
         line = rendered.get(ballot)
         if line is None:
-            try:
-                line = " ".join([names[c] for c in sorted(ballot)])
-            except TypeError:  # a non-int index the constructor let through
-                line = " ".join(str(c + 1) for c in sorted(ballot))
-            rendered[ballot] = line
+            line = rendered[ballot] = " ".join([names[c] for c in sorted(ballot)])
         lines.append(line)
     return "\n".join(lines) + "\n"
 

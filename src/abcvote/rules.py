@@ -17,11 +17,12 @@ Implemented rules:
   leftover budgets.
 * ``dhondt`` -- highest-averages apportionment for party vote counts.
 
-The inner loops compute on Python ints over a common denominator: PAV and
-seq-PAV score with the weights lcm(1..k)/(u+1), and the two money-based
-rules keep every balance, budget and the clock as an int numerator over
-one running denominator.  Every value a rule returns is an exact
-``Fraction``, equal to what the plain ``Fraction`` computation gives.
+The inner loops compute on Python ints over a common denominator: PAV's
+score, its search and seq-PAV all read one weight table, lcm(1..k)/(u+1)
+(``pav_score`` takes k = |W| and divides by lcm(1..k) once), and the two
+money-based rules keep every balance, budget and the clock as an int
+numerator over one running denominator.  Every value a rule returns is an
+exact ``Fraction``, equal to what the plain ``Fraction`` computation gives.
 ``rule_x`` and ``seq_pav`` evaluate only the smallest unelected member
 (the "head") of each clone class, the candidates with the same approvers:
 clones have the same price cap and the same PAV gain at every step, and
@@ -68,16 +69,6 @@ from abcvote.model import (
     ballot_classes,
 )
 
-_harmonic_cache = [Fraction(0)]
-
-
-def harmonic(t: int) -> Rational:
-    """H(t) = 1 + 1/2 + ... + 1/t, with H(0) = 0."""
-    while len(_harmonic_cache) <= t:
-        _harmonic_cache.append(_harmonic_cache[-1] + Fraction(1, len(_harmonic_cache)))
-    return _harmonic_cache[t]
-
-
 def _pav_weights(k: int) -> list[int]:
     """w[u] = L/(u+1) for u < k, with L = lcm(1..k): the marginal PAV gain
     of a voter's (u+1)-st approved member, scaled to an int by L."""
@@ -112,16 +103,18 @@ def _fractions(numerators: list[int], denominator: int) -> list[Rational]:
 
 def pav_score(instance: ElectionInstance, committee: Committee) -> Rational:
     """Sum over voters of H(number of approved committee members), taken
-    once per distinct ballot and weighted by the number of its voters."""
+    once per distinct ballot and weighted by the number of its voters.
+    H(u) is the sum of the first u weights of a committee of |W| seats,
+    over the first weight, lcm(1..|W|)."""
     members = frozenset(committee)
+    weights = _pav_weights(max(len(members), 1))
+    below = list(accumulate(weights, initial=0))
     classes = ballot_classes(instance)
-    return sum(
-        (
-            size * harmonic(len(ballot & members))
-            for ballot, size in zip(classes.ballots, classes.sizes)
-        ),
-        Fraction(0),
+    total = sum(
+        size * below[len(ballot & members)]
+        for ballot, size in zip(classes.ballots, classes.sizes)
     )
+    return Fraction(total, weights[0])
 
 
 def pav_winners(

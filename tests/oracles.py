@@ -680,12 +680,11 @@ def check_core_subject_to(
         instance's per-seat price n/k, nobody spending more than 1.
       * ``priceable``: T is priceable in the restricted instance.
 
-    The coalition tried for each T is the full gaining set (for cohesive:
-    the gaining voters approving all of T).  For cohesive and price_eq
-    this is lossless: growing the coalition only adds payers and lowers
-    equal shares.  For priceable a smaller coalition could in principle
-    succeed where the maximal one fails; the checker is then a sound
-    witness-finder rather than a complete decision procedure.
+    The coalition tried for each T is the full gaining set for
+    priceable, and the gaining voters approving all of T for cohesive.
+    For price_eq every sub-coalition of the gaining set is tried, and the
+    witness is the union of those that qualify; a gaining set of more
+    than ``MAX_ENUMERATED_GAINERS`` voters raises SearchBudgetExceeded.
     """
     if deviation_property not in PROPERTY_KINDS:
         raise ValueError(f"unknown deviation property {deviation_property!r}")
@@ -702,13 +701,11 @@ def check_core_subject_to(
         group = _gainers(instance, utilities, alternative, Fraction(1))
         if deviation_property == COHESIVE:
             group = [i for i in group if alternative <= instance.approvals[i]]
+        elif deviation_property == PRICE_EQ:
+            group = _equal_payment_union(instance, group, alternative)
         if len(group) * k < len(combo) * n:
             continue
-        if deviation_property == PRICE_EQ:
-            price = Fraction(n, k)
-            if not _equal_payment_support(instance, group, alternative, price):
-                continue
-        elif deviation_property == PRICEABLE:
+        if deviation_property == PRICEABLE:
             # the restricted profile keeps candidate numbering
             restricted = restrict_profile(instance, group, len(combo))
             if check_priceable(restricted, alternative) is None:
@@ -720,6 +717,33 @@ def check_core_subject_to(
         assert verify_deviation(instance, committee, deviation, Fraction(1))
         return deviation
     return None
+
+
+#: The largest gaining group whose sub-coalitions the price_eq oracle
+#: enumerates.
+MAX_ENUMERATED_GAINERS = 12
+
+
+def _equal_payment_union(
+    instance: ElectionInstance, gainers: list[int], alternative: frozenset[int]
+) -> list[int]:
+    """The union of the sub-coalitions S of ``gainers`` that can back the
+    alternative T in equal payments: |S|*k >= |T|*n, and T is supported
+    by equal payments from S at the per-seat price n/k."""
+    if len(gainers) > MAX_ENUMERATED_GAINERS:
+        raise SearchBudgetExceeded(
+            f"2^{len(gainers)} sub-coalitions exceed the oracle's enumeration"
+        )
+    n, k = instance.num_voters, instance.committee_size
+    price = Fraction(n, k)
+    union: set[int] = set()
+    for size in range(len(gainers) + 1):
+        if size * k < len(alternative) * n:
+            continue
+        for coalition in combinations(gainers, size):
+            if _equal_payment_support(instance, coalition, alternative, price):
+                union.update(coalition)
+    return sorted(union)
 
 
 def _equal_payment_support(
@@ -825,11 +849,17 @@ def blocking_sets(
 
 
 def check_ballot_range(num_candidates: int, approvals) -> tuple[frozenset, ...]:
-    """The ballots as frozensets, each approval range-checked in voter
-    order, as ``ElectionInstance`` checked them one by one."""
+    """The ballots as frozensets, each approval checked in voter order to
+    be an int (a bool is one) in range, as ``ElectionInstance`` checked
+    them one by one."""
     approvals = tuple(frozenset(ballot) for ballot in approvals)
     for voter, ballot in enumerate(approvals):
         for c in ballot:
+            if not isinstance(c, int):
+                raise ValueError(
+                    f"ballot of voter {voter} mentions candidate {c!r}, "
+                    "candidate indices must be ints"
+                )
             if not 0 <= c < num_candidates:
                 raise ValueError(
                     f"ballot of voter {voter} mentions candidate {c}, "

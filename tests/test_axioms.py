@@ -460,6 +460,27 @@ def test_property_kinds_disagree():
     assert check_core_subject_to(instance, committee, "cohesive") is None
 
 
+def test_price_eq_drops_a_gainer_who_overspends():
+    # Voters 0-5 each approve two of the block {0,1,2} and one committee
+    # member; voter 6 approves the whole block and two members.  Without
+    # voter 6 each block candidate has four payers at a share of 1/2 of
+    # n/k = 2, so voters 0-5 pay 1 each and block.  Voter 6 gains too,
+    # but with it every share is 2/5 and it would pay 6/5.
+    instance = build(
+        7,
+        4,
+        [{0, 1, 3}, {0, 1, 3}, {1, 2, 4}, {1, 2, 4}, {0, 2, 5}, {0, 2, 5},
+         {0, 1, 2, 3, 4}, {6}],
+    )
+    committee = frozenset({3, 4, 5, 6})
+    assert check_core_subject_to(instance, committee, "price_eq") == Deviation(
+        coalition=frozenset(range(6)), alternative=frozenset({0, 1, 2})
+    )
+    assert find_core_deviation(instance, committee) == Deviation(
+        coalition=frozenset(range(7)), alternative=frozenset({0, 1, 2})
+    )
+
+
 def test_core_subject_to_rejects_unknown_property():
     with pytest.raises(ValueError):
         check_core_subject_to(INTRO, COMMITTEE_B, "unknown")

@@ -176,6 +176,40 @@ def test_core_subject_to_matches_oracle(audit, check):
     assert_same_at_node_count(check, *audit)
 
 
+@st.composite
+def overspender_audits(draw):
+    """A planted voter approves a whole block of t candidates, and r > t
+    other voters each approve a of them (a < t, in a cycle) and one
+    committee member; a few more voters approve only candidates off the
+    block, and k makes n/k about r/t.  The block candidates have few
+    payers besides the planted voter, so the planted voter can overspend
+    in equal shares that the others can pay once it leaves: the gaining
+    group itself fails, a part of it qualifies."""
+    t = draw(st.integers(2, 3))  # the block is 0..t-1
+    pool = draw(st.integers(1, 3))  # the committee candidates
+    spare = draw(st.integers(0, 2))
+    m = t + pool + spare
+    held = range(t, t + pool)
+    r = draw(st.integers(t + 1, 7))
+    a = draw(st.integers(1, t - 1))
+    ballots = [
+        frozenset((i + j) % t for j in range(a)) | {draw(st.sampled_from(held))}
+        for i in range(r)
+    ]
+    planted = frozenset(range(t)) | frozenset(draw(st.permutations(held))[: t - 1])
+    ballots.insert(draw(st.integers(0, r)), planted)
+    ballots += draw(st.lists(st.frozensets(st.integers(t, m - 1)), max_size=3))
+    n = len(ballots)
+    k = min(m, max(1, -(-n * t // r) + draw(st.integers(-1, 1))))
+    return ElectionInstance(m, k, tuple(ballots)), frozenset(list(held)[:k])
+
+
+@settings(max_examples=150, deadline=None)
+@given(overspender_audits())
+def test_price_eq_with_overspender_matches_oracle(audit):
+    assert_same_at_node_count("subject-price_eq", *audit)
+
+
 @pytest.mark.parametrize(
     "name", [name for name in DEDUPED_FIXTURES if fixture(name).num_voters <= 20]
 )

@@ -521,6 +521,32 @@ def test_check_rejects_committee_above_size_bound(capsys):
     assert err == "error: committee has 5 members, size bound is 4\n"
 
 
+def test_check_price_eq_coalition_leaves_out_an_overspender(tmp_path, capsys):
+    # voter 7 gains from T = {1,2,3} but overspends in equal shares;
+    # voters 1-6 pay theirs
+    path = tmp_path / "overspender.txt"
+    path.write_text(
+        "7 8 4\n1 2 4\n1 2 4\n2 3 5\n2 3 5\n1 3 6\n1 3 6\n1 2 3 4 5\n7\n"
+    )
+    code, out, err = run_cli(
+        capsys, "check", "--axiom", "core-subject", "--property", "price_eq",
+        "--input", str(path), "--committee", "4,5,6,7",
+    )
+    assert (code, err) == (1, "")
+    assert out.splitlines()[2:] == ["verdict: FAIL", "S: {1,2,3,4,5,6}", "T: {1,2,3}"]
+
+
+def test_readme_transcripts(monkeypatch, capsys):
+    # every README command shown with its output, run from the repo root
+    text = README.read_text(encoding="utf-8")
+    transcripts = re.findall(r"```sh\n(abcvote [^`]*)\n```\n\n```\n([^`]*)```", text)
+    assert [command.split()[1] for command, _ in transcripts] == ["run", "check"]
+    monkeypatch.chdir(README.parent)
+    for command, shown in transcripts:
+        main(command.replace("\\\n", " ").split()[1:])
+        assert capsys.readouterr() == (shown, "")
+
+
 def test_check_laminar_still_validates_a_given_committee(capsys):
     code, _, err = run_cli(
         capsys,

@@ -18,7 +18,6 @@ from abcvote.generators import FIXTURE_NAMES, fixture
 from abcvote.model import ElectionInstance, SearchBudgetExceeded, welfare_vector
 from abcvote.rules import (
     dhondt,
-    harmonic,
     min_affordable_q,
     pav_score,
     pav_winners,
@@ -97,10 +96,12 @@ SPLIT_TIE = build(8, 4, [{0, 1, 2, 3}] * 4 + [{0, 4, 5, 6, 7}] * 2)
 
 
 def test_harmonic_values():
-    assert harmonic(0) == 0
-    assert harmonic(1) == 1
-    assert harmonic(3) == F(11, 6)
-    assert harmonic(5) == F(137, 60)
+    # one voter approving every candidate scores H(|W|)
+    voter = build(5, 5, [range(5)])
+    assert pav_score(voter, frozenset()) == 0
+    assert pav_score(voter, frozenset({4})) == 1
+    assert pav_score(voter, frozenset({0, 2, 4})) == F(11, 6)
+    assert pav_score(voter, frozenset(range(5))) == F(137, 60)
 
 
 def test_pav_score_big_instance():
