@@ -31,6 +31,7 @@ from abcvote.model import (
     InternalInvariantError,
     NodeCounter,
     Rational,
+    SearchBudgetExceeded,
     ballot_classes,
     restrict_profile,
     welfare_vector,
@@ -622,8 +623,8 @@ def check_core_subject_to(
         itself (the size condition and a payer for every candidate of
         T) exactly when some coalition does, and it is then their union.
       * ``priceable``: the whole gaining group only.  A smaller
-        coalition could succeed where it fails, so for this property
-        the checker finds witnesses but a pass is not certain.
+        coalition could succeed where it fails, so with no witness any
+        such T leaves the answer undecided (SearchBudgetExceeded).
     Only sets T whose gainers block are examined, and sets of more than
     k candidates never block.
     """
@@ -632,6 +633,7 @@ def check_core_subject_to(
     members = frozenset(committee)
     n, k = instance.num_voters, instance.committee_size
     classes, thresholds = _class_welfare(instance, members)
+    unpriced = 0  # blocking sets T whose whole gaining group is not priceable
     for combo, counts in _blocking_sets(instance, classes, thresholds, budget):
         alternative = frozenset(combo)
         group = _gainers(classes, counts, thresholds)
@@ -647,6 +649,7 @@ def check_core_subject_to(
             # the restricted profile keeps candidate numbering
             restricted = restrict_profile(instance, group, len(combo))
             if check_priceable(restricted, alternative) is None:
+                unpriced += 1
                 continue
         deviation = Deviation(coalition=frozenset(group), alternative=alternative)
         _require(
@@ -654,6 +657,11 @@ def check_core_subject_to(
             "core deviation fails its re-check",
         )
         return deviation
+    if unpriced:
+        raise SearchBudgetExceeded(
+            f"undecided: the gaining group of {unpriced} blocking set(s) is not "
+            "priceable as a whole, and its smaller coalitions are not tried"
+        )
     return None
 
 

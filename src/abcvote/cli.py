@@ -12,8 +12,8 @@ All output is deterministic for a fixed command line: rationals render
 as ``num/den`` in lowest terms (``/1`` omitted), committees as
 comma-separated increasing 1-based indices, and ``--json`` emits the
 same fields as machine-readable JSON.  Exit codes: 0 pass/success, 1
-axiom failure or reproduction mismatch, 2 input error, 3 search budget
-exceeded.
+axiom failure or reproduction mismatch, 2 input error, 3 undecided
+(a search budget exceeded, or a verdict that would not be certain).
 """
 
 from __future__ import annotations
@@ -109,31 +109,21 @@ def _trace_lines(instance: ElectionInstance, rule: str, all_ties: bool):
     if rule == "seqpav":
         committee = seq_pav(instance)
         return committee, [("committee", format_committee(committee))]
-    if rule == "phragmen":
-        trace = phragmen_sequential(instance)
-        lines = [
-            ("committee", format_committee(trace.committee)),
-            ("elected", ",".join(str(c + 1) for c in trace.elected)),
-            ("times", _fractions(trace.election_times)),
-        ]
-        return trace.committee, lines
-    if rule in ("rulex", "rulex-complete"):
-        if rule == "rulex":
-            trace = rule_x(instance)
+    if rule in ("phragmen", "rulex", "rulex-complete"):
+        if rule == "phragmen":
+            trace = phragmen_sequential(instance)
+            steps = ("times", _fractions(trace.election_times))
         else:
-            trace = rule_x_complete(instance)
+            trace = (rule_x if rule == "rulex" else rule_x_complete)(instance)
+            steps = ("q", _fractions(trace.q_values))
+        size, k = len(trace.elected), instance.committee_size
         lines = [
             ("committee", format_committee(trace.committee)),
             ("elected", ",".join(str(c + 1) for c in trace.elected)),
-            ("q", _fractions(trace.q_values)),
+            steps,
         ]
-        if len(trace.committee) < instance.committee_size:
-            lines.append(
-                (
-                    "undersized",
-                    f"{len(trace.committee)} of {instance.committee_size} seats",
-                )
-            )
+        if size < k:
+            lines.append(("undersized", f"{size} of {k} seats"))
         return trace.committee, lines
     # dhondt: the instance must be a party-list profile, each distinct
     # ballot a party's slate and its voters the party
@@ -206,24 +196,6 @@ def _priceable(instance, committee, options) -> Verdict:
     return False, [("price", format_rational(system.price))]
 
 
-def _lambda_core(instance, committee, options) -> Verdict:
-    if options.lam is None:
-        raise ParseError("lambda-core requires --lambda")
-    return _deviation(
-        find_core_deviation(instance, committee, options.lam, budget=options.budget)
-    )
-
-
-def _core_subject(instance, committee, options) -> Verdict:
-    if options.deviation_property is None:
-        raise ParseError("core-subject requires --property")
-    return _deviation(
-        check_core_subject_to(
-            instance, committee, options.deviation_property, budget=options.budget
-        )
-    )
-
-
 #: Every axiom by name: a function of (instance, committee, options)
 #: returning (violated, witness lines).  ``options`` carries ``budget``
 #: (and, for ``check``, ``lam`` and ``deviation_property``).  ``laminar``
@@ -244,8 +216,12 @@ AXIOM_CHECKS: dict[
     "core2": lambda inst, w, opts: _deviation(
         find_core_deviation(inst, w, Fraction(2), budget=opts.budget)
     ),
-    "lambda-core": _lambda_core,
-    "core-subject": _core_subject,
+    "lambda-core": lambda inst, w, opts: _deviation(
+        find_core_deviation(inst, w, opts.lam, budget=opts.budget)
+    ),
+    "core-subject": lambda inst, w, opts: _deviation(
+        check_core_subject_to(inst, w, opts.deviation_property, budget=opts.budget)
+    ),
     "constrained-core": lambda inst, w, opts: _deviation(
         check_core_subject_to(inst, w, "price_eq", budget=opts.budget)
     ),
@@ -299,6 +275,14 @@ def cmd_check(args) -> int:
             )
     if committee is None and args.axiom != "laminar":
         raise ParseError(f"--axiom {args.axiom} requires --committee")
+    for flag, value, owner in (
+        ("--lambda", args.lam, "lambda-core"),
+        ("--property", args.deviation_property, "core-subject"),
+    ):
+        if value is None and args.axiom == owner:
+            raise ParseError(f"{owner} requires {flag}")
+        if value is not None and args.axiom != owner:
+            raise ParseError(f"{flag} applies only to --axiom {owner}")
     violated, witness = AXIOM_CHECKS[args.axiom](instance, committee, args)
     lines = [
         ("instance", instance_digest(instance)),

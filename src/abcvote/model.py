@@ -42,9 +42,9 @@ class ParseError(ValueError):
 class SearchBudgetExceeded(RuntimeError):
     """Raised when an exhaustive search would exceed its node budget.
 
-    The message states the budget that was exceeded; callers that expose the
-    search (e.g. the command line) should treat this as "instance too large
-    for exact analysis" rather than as a property verdict.
+    The message states the budget that was exceeded (or why a checker is
+    undecided); callers that expose the search (e.g. the command line)
+    should treat this as "no exact answer" rather than as a property verdict.
     """
 
 

@@ -33,9 +33,9 @@ the classes cost more than the shorter scan saved.  ``rule_x``
 recomputes a class's price cap only when it reaches the top of a lazy
 heap, as budgets only shrink and an old cap is a lower bound.
 ``phragmen_sequential`` keeps each candidate's group balance up to date
-instead of summing it at every step, and its trace holds the int
-numerators of each purchase, which become the ``Fraction`` times and
-payments on their first access.  ``pav_score`` and
+instead of summing it at every step.  Both money rules' traces hold int
+numerators, made ``Fraction`` times, payments or budgets when first read;
+``rule_x_complete`` goes on from Rule X's ints.  ``pav_score`` and
 ``pav_winners`` read the profile through ``model.ballot_classes``, so
 they work once per distinct ballot.  ``pav_winners`` keeps every
 candidate's solo gain up to date as candidates are taken, rather than
@@ -397,12 +397,18 @@ class RuleXTrace:
     was bought during the budget phase; ``budgets[j]`` is the full vector of
     voter budgets right after that purchase.  When ``rule_x_complete``
     appends further candidates, those appear in ``elected`` (and contribute
-    budget snapshots) but have no q-value.
+    budget snapshots) but have no q-value.  ``snapshots[j]`` is the
+    kernel's record ``(den, numerators)`` of those budgets, from which
+    ``budgets`` is built on its first access.
     """
 
     elected: tuple[int, ...]
     q_values: tuple[Rational, ...]
-    budgets: tuple[tuple[Rational, ...], ...]
+    snapshots: list[tuple[int, list[int]]] = field(repr=False)
+
+    @cached_property
+    def budgets(self) -> tuple[tuple[Rational, ...], ...]:
+        return tuple(tuple(_fractions(b, den)) for den, b in self.snapshots)
 
     @property
     def committee(self) -> Committee:
@@ -491,7 +497,7 @@ def rule_x(
     heapify(heap)
     elected: list[int] = []
     qs: list[Rational] = []
-    snapshots: list[tuple[Rational, ...]] = []
+    snapshots: list[tuple[int, list[int]]] = []
     while len(elected) < k and heap:
         key, best_c, members = heappop(heap)
         if not members:
@@ -533,11 +539,11 @@ def rule_x(
             budget[i] = max(budget[i] - q, 0)
         elected.append(best_c)
         qs.append(Fraction(q, den))
-        snapshots.append(tuple(_fractions(budget, den)))
+        snapshots.append((den, budget.copy()))
     return RuleXTrace(
         elected=tuple(elected),
         q_values=tuple(qs),
-        budgets=tuple(snapshots),
+        snapshots=snapshots,
     )
 
 
@@ -548,25 +554,26 @@ def rule_x_complete(
     """Budget-spending rule completed by Phragmen continuation: if the
     budget phase stops short of k, keep going with the money-earning rule,
     seeded with the leftover budgets (voters continue to earn at unit
-    speed; already elected candidates are excluded).
+    speed; already elected candidates are excluded).  It starts from Rule
+    X's last int record, or from k/k per voter if Rule X bought nothing;
+    Rule X's ``den`` starts at k and is only multiplied, so k divides it.
     """
     trace = rule_x(instance, tie_choices=tie_choices)
-    if len(trace.elected) == instance.committee_size:
+    n, k = instance.num_voters, instance.committee_size
+    if len(trace.elected) == k:
         return trace
-    leftovers = trace.budgets[-1] if trace.budgets else [1] * instance.num_voters
-    den = lcm(instance.committee_size, *[b.denominator for b in leftovers])
-    continuation, balances = _phragmen_run(
+    den, leftovers = trace.snapshots[-1] if trace.snapshots else (k, [k] * n)
+    continuation, snapshots = _phragmen_run(
         instance,
         den=den,
-        scaled=[b.numerator * (den // b.denominator) for b in leftovers],
+        scaled=leftovers.copy(),  # the run updates its balances in place
         excluded=frozenset(trace.elected),
-        seats=instance.committee_size - len(trace.elected),
+        seats=k - len(trace.elected),
     )
-    elected = trace.elected + continuation.elected
     return RuleXTrace(
-        elected=elected,
+        elected=trace.elected + continuation.elected,
         q_values=trace.q_values,
-        budgets=trace.budgets + tuple(tuple(_fractions(b, den)) for den, b in balances),
+        snapshots=trace.snapshots + snapshots,
     )
 
 

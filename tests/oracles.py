@@ -61,7 +61,6 @@ from abcvote.model import (
     restrict_profile,
     welfare_vector,
 )
-from abcvote.rules import RuleXTrace
 
 
 def harmonic(t: int) -> Fraction:
@@ -247,6 +246,17 @@ def _phragmen_run(
         payments.append(step)
         del approvers[best_c]
     return PhragmenTrace(tuple(elected), tuple(times), tuple(payments))
+
+
+@dataclass(frozen=True)
+class RuleXTrace:
+    """A budget-spending run in ``Fraction``s: ``elected`` in election
+    order, the q-value of each budget-phase purchase, and every voter's
+    budget right after each purchase."""
+
+    elected: tuple[int, ...]
+    q_values: tuple[Rational, ...]
+    budgets: tuple[tuple[Rational, ...], ...]
 
 
 def min_affordable_q(budgets: Sequence[Rational], price: Rational) -> Rational | None:
@@ -682,6 +692,8 @@ def check_core_subject_to(
 
     The coalition tried for each T is the full gaining set for
     priceable, and the gaining voters approving all of T for cohesive.
+    When a priceable gaining set fails and no witness turns up, the
+    answer is undecided: SearchBudgetExceeded.
     For price_eq every sub-coalition of the gaining set is tried, and the
     witness is the union of those that qualify; a gaining set of more
     than ``MAX_ENUMERATED_GAINERS`` voters raises SearchBudgetExceeded.
@@ -696,6 +708,7 @@ def check_core_subject_to(
             f"search budget of {budget}"
         )
     utilities = welfare_vector(instance, members)
+    unpriced = False
     for combo in _subsets_lex(tuple(instance.candidates)):
         alternative = frozenset(combo)
         group = _gainers(instance, utilities, alternative, Fraction(1))
@@ -709,6 +722,7 @@ def check_core_subject_to(
             # the restricted profile keeps candidate numbering
             restricted = restrict_profile(instance, group, len(combo))
             if check_priceable(restricted, alternative) is None:
+                unpriced = True
                 continue
         deviation = Deviation(
             coalition=frozenset(group),
@@ -716,6 +730,8 @@ def check_core_subject_to(
         )
         assert verify_deviation(instance, committee, deviation, Fraction(1))
         return deviation
+    if unpriced:
+        raise SearchBudgetExceeded("undecided: a gaining group is not priceable")
     return None
 
 

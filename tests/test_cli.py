@@ -1,9 +1,10 @@
 """Command-line interface: golden outputs and exit codes.
 
-Every test but one drives ``abcvote.cli.main`` in-process with capsys;
+Every test but two drives ``abcvote.cli.main`` in-process with capsys;
 the fixture files under fixtures/ are the same ones the generators
-write.  The one exception runs the walks on inputs a thousand entries
-deep in a child process with a low recursion limit.
+write.  The two exceptions run in a child process: the walks on inputs
+a thousand entries deep under a low recursion limit, and ``repro``
+under ``python -S``, to see that it imports only the standard library.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from abcvote import cli
+from abcvote import axioms, cli
 from abcvote.axioms import (
     check_core_subject_to,
     check_ejr,
@@ -172,6 +173,26 @@ def test_run_all_ties_needs_pav(capsys):
         )
         assert (code, out) == (2, "")
         assert err == "error: --all-ties applies only to --rule pav\n"
+
+
+def test_run_money_rules_report_an_undersized_committee(tmp_path, capsys):
+    # nobody approves candidates 2 and 3, so each money rule fills one seat
+    path = tmp_path / "short.txt"
+    path.write_text("3 2 2\n1\n1\n", encoding="ascii")
+    for rule, paid in (
+        ("phragmen", "times: 1/2"),
+        ("rulex", "q: 1/2"),
+        ("rulex-complete", "q: 1/2"),
+    ):
+        code, out, err = run_cli(capsys, "run", "--rule", rule, "--input", str(path))
+        assert (code, err) == (0, "")
+        assert out.splitlines()[2:] == [
+            "committee: 1",
+            "elected: 1",
+            paid,
+            "undersized: 1 of 2 seats",
+            "welfare: 1,1",
+        ]
 
 
 def test_run_missing_file_is_input_error(capsys):
@@ -347,6 +368,30 @@ def test_deep_walks_run_under_a_low_recursion_limit():
     ]
 
 
+#: Run with ``python -S``: imports the command line, runs ``repro`` and
+#: prints the exit code and the top-level modules loaded from outside the
+#: standard library.
+STDLIB_ONLY_SCRIPT = """
+import contextlib, io, sys
+from abcvote import cli
+
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["repro"])
+loaded = {name.partition(".")[0] for name in sys.modules}
+print(code, sorted(loaded - set(sys.stdlib_module_names) - {"abcvote", "__main__"}))
+"""
+
+
+def test_runtime_imports_only_the_standard_library():
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", STDLIB_ONLY_SCRIPT],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert done.stdout == "0 []\n"
+
+
 def test_check_lambda_core_requires_lambda(capsys):
     code, _, err = run_cli(
         capsys,
@@ -360,6 +405,52 @@ def test_check_lambda_core_requires_lambda(capsys):
     )
     assert code == 2
     assert "lambda" in err
+
+
+@pytest.mark.parametrize(
+    "flag,value,axiom,owner",
+    [
+        ("--lambda", "3/2", "core", "lambda-core"),
+        ("--property", "cohesive", "ejr", "core-subject"),
+    ],
+)
+def test_check_flag_of_another_axiom_is_input_error(capsys, flag, value, axiom, owner):
+    code, out, err = run_cli(
+        capsys,
+        "check",
+        "--axiom",
+        axiom,
+        "--input",
+        fixture_path("intro"),
+        "--committee",
+        "1,2,3,4,5,6,7,8,9,10,11,12",
+        flag,
+        value,
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: {flag} applies only to --axiom {owner}\n"
+
+
+def test_check_core_subject_priceable_without_witness_is_undecided(
+    monkeypatch, capsys
+):
+    # every gaining group then fails the priceability test, and a smaller
+    # coalition, which the checker does not try, might pass it
+    monkeypatch.setattr(axioms, "check_priceable", lambda instance, committee: None)
+    code, out, err = run_cli(
+        capsys,
+        "check",
+        "--axiom",
+        "core-subject",
+        "--input",
+        fixture_path("intro"),
+        "--committee",
+        "1,2,3,4,5,6,7,8,9,10,11,12",
+        "--property",
+        "priceable",
+    )
+    assert (code, out) == (3, "")
+    assert err.startswith("error: undecided: ")
 
 
 @pytest.mark.parametrize("lam", ["1/0", "x"])

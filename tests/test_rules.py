@@ -253,6 +253,23 @@ def test_phragmen_trace_committee_builds_no_fractions():
     assert "election_times" not in vars(trace) and "payments" not in vars(trace)
 
 
+def test_rule_x_trace_builds_no_fractions_until_read():
+    # a plain run, a completed one, and a completion after no purchase
+    for trace, budgets in (
+        (rule_x(BLOCKS_15), None),
+        (rule_x_complete(build(3, 2, [{0}, {0}, {1}, set()])), None),
+        (
+            rule_x_complete(build(2, 2, [{0}, {1}, set(), set()])),
+            ((F(0), F(2), F(2), F(2)), (F(0), F(0), F(2), F(2))),
+        ),
+    ):
+        assert "budgets" not in vars(trace)
+        first = trace.budgets
+        assert trace.budgets == first and len(first) == len(trace.elected)
+        assert all(type(b) is Fraction for snapshot in first for b in snapshot)
+        assert budgets is None or first == budgets
+
+
 #: Run under ``python -O``: candidate 1 loses voter 0 from its approver
 #: list, so the kernel's group balance of candidate 1 misses voter 0's
 #: earnings but is still charged voter 0's payment for candidate 0; only
