@@ -22,7 +22,7 @@ from itertools import combinations
 from math import floor, lcm
 from typing import Iterator, Sequence
 
-from abcvote.lp import EQ, LE, LinearProgram, lp_maximize
+from abcvote.lp import EQ, LE, OPTIMAL, LinearProgram, lp_maximize
 from abcvote.model import (
     DEFAULT_NODE_BUDGET,
     BallotClasses,
@@ -33,6 +33,7 @@ from abcvote.model import (
     Rational,
     SearchBudgetExceeded,
     ballot_classes,
+    clone_classes,
     restrict_profile,
     welfare_vector,
 )
@@ -122,11 +123,22 @@ def check_priceable(
     Payment variables exist only where they may be positive (approved and
     elected), and the returned witness is re-validated without the LP.
 
-    Voters with identical ballots share one payment variable per elected
-    candidate they approve, and each row weighs it by the number of such
-    voters.  This loses nothing: averaging any feasible payment scheme
-    over identical voters keeps every row satisfied at the same price, so
-    the optimal price is the one of the per-voter program.
+    The program is the per-voter one with its symmetries folded away,
+    which keeps the optimal price:
+
+    * Voters with identical ballots, and elected clones (members with the
+      same approvers), are interchangeable: the program maps to itself
+      when two of them swap.  Averaging an optimal scheme over those swaps
+      keeps every row satisfied at the same price, so some optimum pays
+      alike within each ballot class and each elected clone class.  There
+      is one payment variable y[j, C] per ballot class j and elected clone
+      class C on its ballot, paid by each voter of j to each member of C:
+      one spending row per class, sum of |C| * y[j, C] at most 1, and one
+      collection row per elected clone class.
+    * A non-member's leftover row caps the unspent money of its approver
+      classes.  Non-members with the same approver classes share one row,
+      and a row over a strict subset of another non-member's classes is
+      dropped: leftovers are never negative, so the larger row implies it.
     """
     members = frozenset(committee)
     classes = ballot_classes(instance)
@@ -145,50 +157,64 @@ def check_priceable(
         )
         return system
 
-    slots = [
-        (j, c)
-        for j, ballot in enumerate(classes.ballots)
-        for c in sorted(ballot & members)
-    ]
-    index = {slot: 1 + pos for pos, slot in enumerate(slots)}
-    lp = LinearProgram(num_variables=1 + len(slots))
+    elected: list[list[int]] = []  # elected clone classes
+    outside: dict[frozenset[int], int] = {}  # approver classes -> |N(c)|
+    for clones in clone_classes(holders):
+        bought = [c for c in clones if c in members]
+        if bought:
+            elected.append(bought)
+        if len(bought) < len(clones):
+            outside[frozenset(holders[clones[0]])] = support[clones[0]]
+    maximal = [held for held in outside if not any(held < other for other in outside)]
+    # slots[j]: the elected clone classes on class j's ballot
+    slots: list[list[int]] = [[] for _ in classes.ballots]
+    for e, clones in enumerate(elected):
+        for j in holders[clones[0]]:
+            slots[j].append(e)
+    var: dict[tuple[int, int], int] = {}  # (class, clone class) -> variable
+    for j, bought in enumerate(slots):
+        for e in bought:
+            var[(j, e)] = 1 + len(var)
+    lp = LinearProgram(num_variables=1 + len(var))
 
     def row(entries: dict[int, int]) -> list[int]:
         coeffs = [0] * lp.num_variables
-        for var, coeff in entries.items():
-            coeffs[var] = coeff
+        for v, coeff in entries.items():
+            coeffs[v] = coeff
         return coeffs
 
-    for j, ballot in enumerate(classes.ballots):
-        spend = {index[(j, c)]: 1 for c in ballot & members}
-        if spend:
+    for j, bought in enumerate(slots):
+        if bought:
+            spend = {var[(j, e)]: len(elected[e]) for e in bought}
             lp.add_constraint(row(spend), LE, 1)
-    for c in sorted(members):
-        collected = {index[(j, c)]: sizes[j] for j in holders[c]}
+    for e, clones in enumerate(elected):
+        collected = {var[(j, e)]: sizes[j] for j in holders[clones[0]]}
         collected[0] = -1
         lp.add_constraint(row(collected), EQ, 0)
-    for c in instance.candidates:
-        if c in members:
-            continue
-        # leftover money of c's approvers stays at or below the price:
+    for held in maximal:
+        # leftover money of these classes stays at or below the price:
         # |N(c)| - (their total spending) <= p
         entries = {0: -1}
-        for j in holders[c]:
-            for spent in classes.ballots[j] & members:
-                entries[index[(j, spent)]] = -sizes[j]
-        lp.add_constraint(row(entries), LE, -support[c])
+        for j in held:
+            for e in slots[j]:
+                entries[var[(j, e)]] = -sizes[j] * len(elected[e])
+        lp.add_constraint(row(entries), LE, -outside[held])
     lp.set_objective(row({0: 1}))
     outcome = lp_maximize(lp)
-    if outcome.status != "optimal" or outcome.value <= 0:
+    if outcome.status != OPTIMAL or outcome.value <= 0:
         return None
     payments: tuple[dict[int, Rational], ...] = tuple(
         {} for _ in instance.voters
     )
-    for (j, c), var in index.items():
-        amount = outcome.assignment[var]
-        if amount:
+    for j, bought in enumerate(slots):
+        purse: dict[int, Rational] = {}
+        for e in bought:
+            amount = outcome.assignment[var[(j, e)]]
+            if amount:
+                purse.update(dict.fromkeys(elected[e], amount))
+        if purse:
             for i in classes.voters[j]:
-                payments[i][c] = amount
+                payments[i].update(purse)
     system = PriceSystem(price=outcome.assignment[0], payments=payments)
     _require(
         validate_price_system(instance, committee, system),

@@ -26,7 +26,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 #: Exact rational number type used throughout the package.
 Rational = Fraction
@@ -197,6 +197,17 @@ def ballot_classes(instance: ElectionInstance) -> BallotClasses:
         sizes=tuple(map(len, voters)),
         holders=tuple(holders),
     )
+
+
+def clone_classes(lists: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Indices grouped by equal list ("clones"): each class in increasing
+    order, the classes in order of their smallest member.  Over
+    ``BallotClasses.holders`` these are the candidates with the same
+    approvers."""
+    classes: dict[tuple[int, ...], list[int]] = {}
+    for c, members in enumerate(lists):
+        classes.setdefault(tuple(members), []).append(c)
+    return list(classes.values())
 
 
 def restrict_profile(

@@ -67,6 +67,7 @@ from abcvote.model import (
     NodeCounter,
     Rational,
     ballot_classes,
+    clone_classes,
 )
 
 def _pav_weights(k: int) -> list[int]:
@@ -84,15 +85,6 @@ def _approver_lists(instance: ElectionInstance) -> list[list[int]]:
         for c in ballot:
             out[c].append(i)
     return out
-
-
-def _clone_classes(lists: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Indices grouped by equal list ("clones"): each class in increasing
-    order, the classes in order of their smallest member."""
-    classes: dict[tuple[int, ...], list[int]] = {}
-    for c, members in enumerate(lists):
-        classes.setdefault(tuple(members), []).append(c)
-    return list(classes.values())
 
 
 def _fractions(numerators: list[int], denominator: int) -> list[Rational]:
@@ -244,7 +236,7 @@ def seq_pav(instance: ElectionInstance) -> Committee:
     weights = _pav_weights(instance.committee_size)
     approvers = _approver_lists(instance)
     utilities = [0] * instance.num_voters
-    classes = _clone_classes(approvers)
+    classes = clone_classes(approvers)
     committee: set[int] = set()
 
     def gain(members: list[int]) -> tuple[int, int]:
@@ -487,7 +479,7 @@ def rule_x(
     def q_of(c: int) -> Rational | None:
         return min_affordable_q([budget[i] for i in approvers[c]], price)
 
-    classes = _clone_classes(approvers)
+    classes = clone_classes(approvers)
     class_of = {c: members for members in classes for c in members}
     heap = []
     for members in classes:

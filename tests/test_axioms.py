@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from abcvote import axioms
 from abcvote.axioms import (
     Deviation,
     PriceSystem,
@@ -35,7 +36,7 @@ from abcvote.axioms import (
 )
 from abcvote.generators import fixture
 from abcvote.model import ElectionInstance, welfare_vector
-from abcvote.rules import dhondt, pav_winners, rule_x
+from abcvote.rules import dhondt, pav_winners, phragmen_sequential, rule_x
 from tests.conftest import assert_counts_nodes, instances, instances_with_committee
 
 
@@ -115,6 +116,41 @@ def test_empty_committee_is_priceable():
 def test_unsupported_member_blocks_priceability():
     instance = build(2, 1, [{0}, {0}])
     assert check_priceable(instance, frozenset({1})) is None
+
+
+@pytest.mark.parametrize(
+    "name,sizes",
+    [
+        ("fig2_profile1", {"phragmen": (37, 19), "rulex": (37, 19)}),
+        ("overlapping_parties", {"phragmen": (7, 5), "rulex": (7, 5)}),
+        ("fig4_profile1", {"phragmen": (39, 29), "rulex": (39, 21)}),
+    ],
+)
+def test_priceability_program_size(name, sizes, monkeypatch):
+    """The program has 1 + sum over ballot classes j of e(j) variables,
+    where e(j) counts the elected clone classes (members with the same
+    approvers) on j's ballot: the price and one payment per pair.  Its
+    rows are one spending row per class with e(j) > 0, one collection row
+    per elected clone class and one leftover row per maximal set among
+    the approver-class sets of the non-members."""
+    programs = []
+    solve = axioms.lp_maximize
+
+    def spy(lp):
+        programs.append(lp)
+        return solve(lp)
+
+    monkeypatch.setattr(axioms, "lp_maximize", spy)
+    inst = fixture(name)
+    committees = {
+        "phragmen": phragmen_sequential(inst).committee,
+        "rulex": rule_x(inst).committee,
+    }
+    for rule, committee in committees.items():
+        programs.clear()
+        assert check_priceable(inst, committee) is not None
+        (lp,) = programs
+        assert (len(lp.constraints), lp.num_variables) == sizes[rule]
 
 
 #: A two-voter instance and committee, a valid price system for them, and

@@ -11,7 +11,7 @@ that count, give the answer.  The pruned core walk must yield the same
 sets with the same counts, in the same order, as the full walk.  Inputs
 are the catalogue fixtures and Hypothesis instances, half of them drawn from
 a small pool of ballots so that most voters share their ballot with
-others.
+others; priceability is also compared on instances with planted clones.
 """
 
 from __future__ import annotations
@@ -29,7 +29,12 @@ from abcvote.generators import FIXTURE_NAMES, fixture
 from abcvote.model import DEFAULT_NODE_BUDGET, ElectionInstance, SearchBudgetExceeded
 from abcvote.rules import phragmen_sequential, rule_x, seq_pav
 from tests import oracles
-from tests.conftest import assert_counts_nodes, instances, shared_ballot_instances
+from tests.conftest import (
+    assert_counts_nodes,
+    cloned_instances,
+    instances,
+    shared_ballot_instances,
+)
 from tests.test_axioms import (
     BROKEN_SYSTEMS,
     REJECTION_COMMITTEE,
@@ -156,6 +161,36 @@ def audits(draw):
 @given(audits())
 def test_priceable_matches_oracle(audit):
     assert_same("priceable", *audit)
+
+
+@st.composite
+def cloned_audits(draw):
+    """A ``cloned_instances`` draw with its Phragmén committee, its Rule X
+    committee or a drawn set of at most k members; a drawn set can elect
+    part of a clone class and leave the rest out."""
+    inst = draw(cloned_instances())
+    kind = draw(st.sampled_from(("phragmen", "rulex", "drawn")))
+    if kind == "phragmen":
+        return inst, phragmen_sequential(inst).committee
+    if kind == "rulex":
+        return inst, rule_x(inst).committee
+    size = draw(st.integers(0, inst.committee_size))
+    return inst, frozenset(draw(st.permutations(range(inst.num_candidates)))[:size])
+
+
+@settings(max_examples=150, deadline=None)
+@given(cloned_audits())
+def test_priceable_matches_oracle_with_clones(audit):
+    # one payment variable per elected clone class: the same verdict and
+    # price as the per-voter, per-candidate program, and a system that
+    # passes the reference re-check
+    inst, committee = audit
+    system = axioms.check_priceable(inst, committee)
+    reference = oracles.check_priceable(inst, committee)
+    assert (system is None) == (reference is None)
+    if system is not None:
+        assert system.price == reference.price
+        assert oracles.validate_price_system(inst, committee, system)
 
 
 @settings(max_examples=150, deadline=None)

@@ -28,11 +28,6 @@ from abcvote.lp import EQ, LE, LinearProgram, LPOutcome, lp_maximize
 from abcvote.rules import phragmen_sequential, rule_x
 from tests import oracles
 
-#: Fixtures whose priceability programs take the oracle 20-60 s each
-#: (m=669 on the fig2 profiles, m=200 on overlapping_parties).
-SLOW_FOR_ORACLE = ("fig2_profile1", "fig2_profile2", "overlapping_parties")
-
-
 def integral(values: list) -> list[int]:
     """``values`` times the lcm of their denominators."""
     scale = lcm(*(Fraction(v).denominator for v in values))
@@ -109,9 +104,7 @@ def test_programs_match_oracle(program):
     solve_both(program)
 
 
-@pytest.mark.parametrize(
-    "name", [name for name in FIXTURE_NAMES if name not in SLOW_FOR_ORACLE]
-)
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_priceability_programs_match_oracle(name, monkeypatch):
     inst = fixture(name)
     committees = {phragmen_sequential(inst).committee, rule_x(inst).committee}

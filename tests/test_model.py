@@ -15,6 +15,7 @@ from abcvote.model import (
     ElectionInstance,
     ParseError,
     ballot_classes,
+    clone_classes,
     format_committee,
     instance_digest,
     parse_committee,
@@ -221,6 +222,11 @@ def test_ballot_classes_match_definition(inst):
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_ballot_classes_match_definition_on_fixture(name):
     assert_ballot_classes_by_definition(fixture(name))
+
+
+def test_clone_classes_group_equal_lists_by_first_member():
+    lists = [[0, 2], [1], [0, 2], [], [1], [0, 2], []]
+    assert clone_classes(lists) == [[0, 2, 5], [1, 4], [3, 6]]
 
 
 def test_restrict_profile_keeps_candidate_universe():

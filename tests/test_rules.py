@@ -478,11 +478,6 @@ def test_rule_x_complete_reaches_k_when_possible(inst):
     assert trace.completed is (len(trace.elected) > len(plain.elected))
 
 
-def test_clone_classes_group_equal_lists_by_first_member():
-    lists = [[0, 2], [1], [0, 2], [], [1], [0, 2], []]
-    assert rules._clone_classes(lists) == [[0, 2, 5], [1, 4], [3, 6]]
-
-
 def test_seq_pav_tie_goes_to_smaller_head_after_a_class_loses_its_first():
     # 0 and 3 are clones; once 0 is in, 3 ties with 1 and the smaller wins
     inst = build(4, 2, [{0, 3}, {0, 3}, {1}])
