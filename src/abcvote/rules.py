@@ -37,11 +37,13 @@ instead of summing it at every step.  Both money rules' traces hold int
 numerators, made ``Fraction`` times, payments or budgets when first read;
 ``rule_x_complete`` goes on from Rule X's ints.  ``pav_score`` and
 ``pav_winners`` read the profile through ``model.ballot_classes``, so
-they work once per distinct ballot.  ``pav_winners`` keeps every
-candidate's solo gain up to date as candidates are taken, rather than
-re-scoring all remaining candidates at every node, and settles a forced
-chain (as many candidates left as seats) in one step, counting the nodes
-that taking them one by one would visit.
+they work once per distinct ballot.  ``pav_winners`` branches on the
+most-approved candidates first, cuts with both the top solo gains and a
+per-ballot-class cap on what is left to gain, keeps every candidate's
+solo gain up to date as candidates are taken, rather than re-scoring
+all remaining candidates at every node, and settles a forced chain (as
+many candidates left as seats) in one step, counting the nodes that
+taking them one by one would visit.
 
 Ties are always broken lexicographically (smallest candidate index), which
 makes every rule fully deterministic.
@@ -116,31 +118,52 @@ def pav_winners(
     order of their sorted member tuples (the first is the lexicographically
     smallest optimum).
 
-    Branch-and-bound over candidates in index order.  The optimistic bound
-    adds, for the remaining seats, the largest "solo" marginal gains at the
-    current utilities; joint gains can only be smaller (diminishing returns),
-    so no optimum is pruned, and ties are never pruned either (only strictly
-    dominated branches are cut).  The search runs on the ballot classes,
-    so many voters with few distinct ballots cost nothing extra.
-    Scores are ints scaled by lcm(1..k), which changes no comparison.
+    Branch-and-bound over candidate *positions*: position p holds the
+    candidate with the p-th largest approval weight (the number of voters
+    approving it), ties in index order, so the first leaves score well and
+    ``best`` soon cuts.  The leaves are mapped back to candidate indices
+    and sorted at the end, so the order of the walk changes no output.
+    The search runs on the ballot classes, so many voters with few
+    distinct ballots cost nothing extra.  Scores are ints scaled by
+    lcm(1..k), which changes no comparison.
+
+    A node with s seats left, at utilities u_j, is cut when its score
+    plus either of two bounds on what the rest can gain is below ``best``:
+
+    * the top s "solo" marginal gains at the current utilities -- joint
+      gains can only be smaller (diminishing returns);
+    * with s >= 2, the per-class bound: the sum over classes j of
+      ``size_j * (below[u_j + min(s, a_j)] - below[u_j])``, a_j being the
+      number of j's approved candidates at positions >= pos -- however
+      the s seats are filled, class j gets at most min(s, a_j) more
+      members, worth at most its next that many harmonic increments.  It
+      is summed only at nodes that pass the first test, largest classes
+      first, and only until it reaches ``best - score``.
+
+    Each bounds every completion of the node from above and the cut is
+    strict, so no optimum and no tie is ever cut: the winners are exactly
+    the optimal committees, whatever the walk visits.
 
     One loop over the stack ``chosen`` takes ``pos`` (push), or pops the
-    last taken c and goes on at c + 1 without it: the "skip" child that
-    an include-first recursion visits next, so the nodes come in its order.
+    last taken position p and goes on at p + 1 without it: the "skip"
+    child that an include-first recursion visits next, so the nodes come
+    in its order.
 
     The solo gains are kept in a list, which the bound sorts (or takes the
-    maximum of, with one seat left).  Taking c lowers the gain of every
-    later candidate on the ballot of each class j approving c by
-    ``sizes[j] * (w[u] - w[u+1])``, u being the class's utility before c;
+    maximum of, with one seat left).  Taking p lowers the gain of every
+    later position on the ballot of each class j approving p by
+    ``sizes[j] * (w[u] - w[u+1])``, u being the class's utility before p;
     the push saves the old list and the pop restores it.  Two kinds of
     take push nothing.  On the last seat, the take is the leaf itself,
-    counted with its node.  With exactly as many candidates left as
+    counted with its node.  With exactly as many positions left as
     seats s, the node heads a forced chain: the recursion would take all
     of them, one node each, score one leaf and back out through the dead
     skip child of each take, 2s + 1 nodes.  The loop scores that leaf from
     the joint gain of the rest and counts all 2s + 1 nodes before the
     budget test, so the node count, and with it the budget at which the
-    search gives up, is the recursion's.
+    search gives up, is that of the recursion over positions: the budget
+    counts the nodes of this walk, which gives up one node short of its
+    own count.
 
     Raises SearchBudgetExceeded when the search tree outgrows ``budget``
     nodes -- the instance is then too large for exact PAV.
@@ -149,15 +172,23 @@ def pav_winners(
     weights = _pav_weights(k)
     below = list(accumulate(weights, initial=0))  # below[u] = w[0] + ... + w[u-1]
     classes = ballot_classes(instance)
-    holders, sizes = classes.holders, classes.sizes
-    rows = [sorted(ballot) for ballot in classes.ballots]
+    sizes = classes.sizes
+    approval = [sum([sizes[j] for j in js]) for js in classes.holders]
+    order = sorted(range(m), key=lambda c: (-approval[c], c))  # position -> candidate
+    place = [0] * m
+    for p, c in enumerate(order):
+        place[c] = p
+    holders = [classes.holders[c] for c in order]  # per position
+    rows = [sorted([place[c] for c in ballot]) for ballot in classes.ballots]
+    # the classes with a non-empty ballot, largest first
+    heavy = sorted([(sizes[j], j) for j, row in enumerate(rows) if row], reverse=True)
     utilities = [0] * len(sizes)
-    gains = [weights[0] * sum([sizes[j] for j in holders[c]]) for c in range(m)]
+    gains = [weights[0] * approval[c] for c in order]
     best = -1
-    winners: list[tuple[int, ...]] = []
-    chosen: list[tuple[int, int, list[int]]] = []  # (candidate, score, gains before it)
+    winners: list[tuple[int, ...]] = []  # in positions
+    chosen: list[tuple[int, int, list[int]]] = []  # (position, score, gains before it)
     tick = NodeCounter(budget).tick
-    # per chain head: (class, chain candidates on its ballot) pairs
+    # per chain head: (class, chain positions on its ballot) pairs
     chain_counts: dict[int, list[tuple[int, int]]] = {}
 
     def settle(leaf: int, members: Sequence[int]) -> None:
@@ -168,12 +199,12 @@ def pav_winners(
         if leaf == best:
             # built in one step: a freed short tuple would stay in the
             # interpreter's tuple cache
-            winners.append((*(c for c, _, _ in chosen), *members))
+            winners.append((*(p for p, _, _ in chosen), *members))
 
     def chain_gain(head: int) -> int:
-        """Joint gain of the candidates head..m-1 at the current utilities."""
+        """Joint gain of the positions head..m-1 at the current utilities."""
         if head not in chain_counts:
-            counts = Counter(j for c in range(head, m) for j in holders[c])
+            counts = Counter(j for p in range(head, m) for j in holders[p])
             chain_counts[head] = list(counts.items())
         return sum(
             [
@@ -181,6 +212,31 @@ def pav_winners(
                 for j, t in chain_counts[head]
             ]
         )
+
+    left = [len(row) for row in rows]  # a_j, counted from position ``at``
+    at = 0
+
+    def class_bound_reaches(seats: int, need: int) -> bool:
+        """Whether the per-class bound for ``seats`` seats at ``pos``
+        reaches ``need``.  The counts ``left`` follow ``pos`` only here,
+        by the positions it moved since the last call."""
+        nonlocal at
+        while at < pos:
+            for j in holders[at]:
+                left[j] -= 1
+            at += 1
+        while at > pos:
+            at -= 1
+            for j in holders[at]:
+                left[j] += 1
+        for size, j in heavy:
+            a = left[j]
+            if a:
+                u = utilities[j]
+                need -= size * (below[u + (a if a < seats else seats)] - below[u])
+                if need <= 0:
+                    return True
+        return need <= 0
 
     pos, score = 0, 0
     while True:
@@ -201,8 +257,11 @@ def pav_winners(
             tick(1)
             top = gains[pos:]
             top.sort()
-            # branch-and-bound cut (never cuts ties: strict comparison)
-            if score + sum(top[-seats_left:]) >= best:
+            # branch-and-bound cut (never cuts ties: strict comparisons)
+            if (
+                score + sum(top[-seats_left:]) >= best
+                and class_bound_reaches(seats_left, best - score)
+            ):
                 chosen.append((pos, score, gains))
                 score += gains[pos]
                 gains = gains.copy()
@@ -211,17 +270,18 @@ def pav_winners(
                     utilities[j] = u + 1
                     drop = sizes[j] * (weights[u] - weights[u + 1])
                     row = rows[j]
-                    for c in row[bisect_right(row, pos) :]:
-                        gains[c] -= drop
+                    for p in row[bisect_right(row, pos) :]:
+                        gains[p] -= drop
                 pos += 1
                 continue
         # a cut or a settled chain: skip the last one taken
         if not chosen:
-            return [frozenset(w) for w in sorted(winners)]
-        c, score, gains = chosen.pop()
-        for j in holders[c]:
+            members = sorted(tuple(sorted([order[p] for p in w])) for w in winners)
+            return [frozenset(w) for w in members]
+        p, score, gains = chosen.pop()
+        for j in holders[p]:
             utilities[j] -= 1
-        pos = c + 1
+        pos = p + 1
 
 
 def seq_pav(instance: ElectionInstance) -> Committee:

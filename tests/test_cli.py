@@ -165,6 +165,27 @@ def test_run_catalogue_matches_golden(capsys):
     assert "".join(lines) == golden
 
 
+#: Fixtures on which ``run --rule pav`` spends seconds before exit 3.
+PAV_UNDECIDED = ("fig2_profile1", "fig2_profile2", "overlapping_parties", "propB1")
+
+
+def test_run_pav_all_ties_matches_golden(capsys):
+    """Exact PAV's full report, every optimum listed, on every fixture it
+    decides: lines as in ``run_catalogue.txt``."""
+    lines = []
+    for path in sorted(FIXTURES.glob("*.txt")):
+        if path.stem in PAV_UNDECIDED:
+            continue
+        argv = ["run", "--json", "--rule", "pav", "--all-ties", "--input", str(path)]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        argv[-1] = f"fixtures/{path.name}"
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        lines.append(f"{' '.join(argv)}\t{digest}\n")
+    golden = (GOLDEN / "run_pav.txt").read_text(encoding="utf-8")
+    assert "".join(lines) == golden
+
+
 def test_run_all_ties_needs_pav(capsys):
     for rule in ("seqpav", "phragmen", "rulex", "rulex-complete", "dhondt"):
         code, out, err = run_cli(

@@ -12,10 +12,17 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abcvote import rules
-from abcvote.generators import FIXTURE_NAMES, fixture
-from abcvote.model import ElectionInstance, SearchBudgetExceeded, welfare_vector
+from abcvote.generators import FIXTURE_NAMES, fixture, gen_theorem51_family
+from abcvote.model import (
+    ElectionInstance,
+    SearchBudgetExceeded,
+    ballot_classes,
+    clone_classes,
+    welfare_vector,
+)
 from abcvote.rules import (
     dhondt,
     min_affordable_q,
@@ -26,7 +33,7 @@ from abcvote.rules import (
     rule_x_complete,
     seq_pav,
 )
-from tests.conftest import instances
+from tests.conftest import cloned_instances, instances, shared_ballot_instances
 
 F = Fraction
 
@@ -138,13 +145,25 @@ def test_pav_winners_symmetric_tie():
     assert as_sorted_tuples(pav_winners(inst)) == [(0,), (1,)]
 
 
+def test_pav_winners_sorted_though_found_out_of_order():
+    # 4 and 5 have the most approvals, so the walk settles {4, 5} first
+    inst = build(6, 2, [{0}, {4, 5}, {2, 3, 4, 5}])
+    assert [sorted(w) for w in pav_winners(inst)] == [[0, 4], [0, 5], [4, 5]]
+
+
 def test_pav_budget_exceeded():
     with pytest.raises(SearchBudgetExceeded, match="too large"):
         pav_winners(SIX_GROUPS, budget=3)
 
 
 @settings(deadline=None, max_examples=60)
-@given(instances(max_voters=5, max_candidates=6))
+@given(
+    st.one_of(
+        instances(max_voters=5, max_candidates=6),
+        cloned_instances(),
+        shared_ballot_instances(max_candidates=6),
+    )
+)
 def test_pav_winners_match_brute_force(inst):
     expected, best = [], None
     for combo in combinations(inst.candidates, inst.committee_size):
@@ -166,6 +185,65 @@ def test_pav_winners_match_brute_force(inst):
 def test_pav_winners_come_in_sorted_tuple_order_on_catalogue(name):
     winners = pav_winners(fixture(name))
     assert winners == sorted(winners, key=sorted)
+
+
+def milp_pav_optimum(inst: ElectionInstance) -> float:
+    """The optimal PAV score by scipy's MILP solver, over ballot classes and
+    candidate clone classes: an integer z_C in [0, |C|] seats clone class
+    C, and y[j, t] in [0, 1] is class j's t-th harmonic increment, paid
+    only for members it approves.  With decreasing increments the
+    relaxation in y fills them in order, so y is integral at an optimum."""
+    np = pytest.importorskip("numpy")
+    scipy_opt = pytest.importorskip("scipy.optimize")
+    k = inst.committee_size
+    classes = ballot_classes(inst)
+    clones = clone_classes(classes.holders)
+    increments = [
+        (j, t)
+        for j, ballot in enumerate(classes.ballots)
+        for t in range(min(len(ballot), k))
+    ]
+    width = len(clones) + len(increments)
+    objective = np.zeros(width)
+    rows = np.zeros((1 + len(classes.sizes), width))
+    rows[0, : len(clones)] = 1  # k seats in all
+    for col, (j, t) in enumerate(increments, start=len(clones)):
+        objective[col] = -classes.sizes[j] / (t + 1)
+        rows[1 + j, col] = 1
+    for col, members in enumerate(clones):
+        for j in classes.holders[members[0]]:
+            rows[1 + j, col] = -1  # increments paid <= members approved
+    lower = np.full(len(rows), -np.inf)
+    lower[0] = k
+    upper = np.zeros(len(rows))
+    upper[0] = k
+    result = scipy_opt.milp(
+        objective,
+        integrality=[1] * len(clones) + [0] * len(increments),
+        bounds=scipy_opt.Bounds(0, [len(c) for c in clones] + [1] * len(increments)),
+        constraints=scipy_opt.LinearConstraint(rows, lower, upper),
+        options={"mip_rel_gap": 0},
+    )
+    assert result.success, result.message
+    return -result.fun
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [
+        pytest.param(fixture(name), id=name)
+        for name in ("fig4_profile1", "fig4_profile2", "fig4_profile3")
+    ]
+    + [pytest.param(gen_theorem51_family(4, 2), id="theorem51_family_4_2")],
+)
+def test_pav_winners_reach_the_milp_optimum(inst):
+    # the exact search and an independent float solver agree on the score
+    optimum = milp_pav_optimum(inst)
+    winners = pav_winners(inst)
+    assert winners
+    for winner in winners:
+        assert len(winner) == inst.committee_size
+        assert float(pav_score(inst, winner)) == pytest.approx(optimum, rel=1e-6)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,10 @@ Every trace must agree in full (committees, election times, payments,
 q-values and budget snapshots), and every rational in it must still be
 a ``Fraction``.  Inputs are the catalogue, random instances,
 instances with pooled ballots, and money-earning runs from uneven
-starting balances; PAV scores are compared too.
+starting balances; PAV scores are compared too.  PAV's walk branches in
+its own order, so only its winners are compared with the oracle's, and
+its node count is checked to be its own budget threshold and, on the
+catalogue, at most the oracle's.
 """
 
 from __future__ import annotations
@@ -22,9 +25,9 @@ from abcvote.generators import FIXTURE_NAMES, fixture
 from abcvote.model import DEFAULT_NODE_BUDGET, ElectionInstance, SearchBudgetExceeded
 from tests import oracles
 from tests.conftest import (
+    assert_counts_nodes,
     cloned_instances,
     instances,
-    node_count,
     shared_ballot_instances,
 )
 
@@ -156,8 +159,16 @@ def test_pav_score_matches_oracle_on_catalogue(name):
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_pav_matches_oracle_on_catalogue_small_budgets(name):
+    # a walk cut short by its budget never returns a partial list, and
+    # wherever the oracle's index-order walk finishes, this one does too
+    inst = fixture(name)
     for node_budget in (1, 10, 300):
-        assert_same_pav(fixture(name), node_budget)
+        outcome = pav_outcome(rules.pav_winners, inst, node_budget)
+        if outcome != "budget exceeded":
+            assert outcome == oracles.pav_winners(inst)
+        oracle_outcome = pav_outcome(oracles.pav_winners, inst, node_budget)
+        if oracle_outcome != "budget exceeded":
+            assert outcome == oracle_outcome
 
 
 @pytest.mark.parametrize("name", FULL_PAV_FIXTURES)
@@ -167,11 +178,14 @@ def test_pav_matches_oracle_on_catalogue(name):
 
 @pytest.mark.parametrize("name", FULL_PAV_FIXTURES)
 def test_pav_node_count_matches_oracle_at_threshold(name):
-    # one node short, the oracle gives up too; at the count, both finish
+    # the walk gives up one node short of its own count N and at N gives
+    # the oracle's list; the oracle's index-order walk with only the top-s
+    # bound gives up at N - 1 too, so it visits at least N nodes
     inst = fixture(name)
-    nodes = node_count(lambda budget: rules.pav_winners(inst, budget))
-    assert_same_pav(inst, nodes - 1)
-    assert oracles.pav_winners(inst, nodes) == rules.pav_winners(inst, nodes)
+    nodes = assert_counts_nodes(lambda budget: rules.pav_winners(inst, budget))
+    assert rules.pav_winners(inst, nodes) == oracles.pav_winners(inst)
+    with pytest.raises(SearchBudgetExceeded):
+        oracles.pav_winners(inst, nodes - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -229,17 +243,14 @@ def test_rule_x_matches_oracle_choosing_last_tied_at_every_step(inst):
     st.one_of(
         instances(max_voters=5, max_candidates=6),
         shared_ballot_instances(max_candidates=6),
+        cloned_instances(),
     )
 )
-def test_pav_raises_exactly_when_oracle_raises(inst):
-    # raise at every budget below the oracle's node count, agree from it on
-    node_budget = 1
-    while True:
-        outcome = pav_outcome(oracles.pav_winners, inst, node_budget)
-        assert pav_outcome(rules.pav_winners, inst, node_budget) == outcome
-        if isinstance(outcome, list):
-            break
-        node_budget += 1
+def test_pav_matches_oracle_and_counts_nodes(inst):
+    # equal approval weights and repeated ballots are where the branching
+    # order and the per-class bound act
+    assert rules.pav_winners(inst) == oracles.pav_winners(inst)
+    assert_counts_nodes(lambda budget: rules.pav_winners(inst, budget))
 
 
 budget_values = st.one_of(
