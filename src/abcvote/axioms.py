@@ -35,6 +35,7 @@ from abcvote.model import (
     ballot_classes,
     clone_classes,
     restrict_profile,
+    suffix_counts,
     welfare_vector,
 )
 
@@ -434,14 +435,7 @@ def _blocking_sets(
     """
     n, m, k = instance.num_voters, instance.num_candidates, instance.committee_size
     holders, sizes = classes.holders, classes.sizes
-    # remaining[i][j] = |B_j & {i..m-1}|
-    remaining = [[0] * len(sizes)]
-    for c in reversed(range(m)):
-        row = remaining[-1].copy()
-        for j in holders[c]:
-            row[j] += 1
-        remaining.append(row)
-    remaining.reverse()
+    remaining = suffix_counts(holders, len(sizes))  # [i][j] = |B_j & {i..m-1}|
     counts = [0] * len(sizes)
     tick = NodeCounter(budget).tick
 

@@ -316,12 +316,11 @@ def _search_candidates(rng, max_n: int, max_m: int, max_k: int, planted: bool):
         seed = rng.getrandbits(32)
         density = rng.choice((0.3, 0.5, 0.7))
         return gen_random(seed, n, m, k, density)
-    from math import ceil
 
     ell = rng.choice((2, 2, 3))
     if m < ell + 1 or k < 2:
         return None
-    s_min = ceil(ell * n / k)
+    s_min = -(-ell * n // k)
     if s_min > n - 1:
         return None
     s = rng.randint(s_min, n - 1)

@@ -210,6 +210,21 @@ def clone_classes(lists: Sequence[Sequence[int]]) -> list[list[int]]:
     return list(classes.values())
 
 
+def suffix_counts(
+    holders: Sequence[Sequence[int]], num_classes: int
+) -> list[list[int]]:
+    """``out[p][j]`` is the number of entries of ``holders[p:]`` that list
+    class j; ``out`` has ``len(holders) + 1`` rows, the last all zero."""
+    out = [[0] * num_classes]
+    for row in reversed(holders):
+        counts = out[-1].copy()
+        for j in row:
+            counts[j] += 1
+        out.append(counts)
+    out.reverse()
+    return out
+
+
 def restrict_profile(
     instance: ElectionInstance, voters: Iterable[int], new_k: int
 ) -> ElectionInstance:

@@ -41,9 +41,10 @@ they work once per distinct ballot.  ``pav_winners`` branches on the
 most-approved candidates first, cuts with both the top solo gains and a
 per-ballot-class cap on what is left to gain, keeps every candidate's
 solo gain up to date as candidates are taken, rather than re-scoring
-all remaining candidates at every node, and settles a forced chain (as
-many candidates left as seats) in one step, counting the nodes that
-taking them one by one would visit.
+all remaining candidates at every node, and prices a forced chain (as
+many candidates left as seats) exactly by the per-class sum: one node
+when it scores below the best leaf, else settled in one step that
+counts the nodes taking them one by one would visit.
 
 Ties are always broken lexicographically (smallest candidate index), which
 makes every rule fully deterministic.
@@ -52,7 +53,6 @@ makes every rule fully deterministic.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -70,6 +70,7 @@ from abcvote.model import (
     Rational,
     ballot_classes,
     clone_classes,
+    suffix_counts,
 )
 
 def _pav_weights(k: int) -> list[int]:
@@ -134,11 +135,12 @@ def pav_winners(
       gains can only be smaller (diminishing returns);
     * with s >= 2, the per-class bound: the sum over classes j of
       ``size_j * (below[u_j + min(s, a_j)] - below[u_j])``, a_j being the
-      number of j's approved candidates at positions >= pos -- however
-      the s seats are filled, class j gets at most min(s, a_j) more
-      members, worth at most its next that many harmonic increments.  It
-      is summed only at nodes that pass the first test, largest classes
-      first, and only until it reaches ``best - score``.
+      number of j's approved candidates at positions >= pos, read from
+      one ``model.suffix_counts`` table -- however the s seats are
+      filled, class j gets at most min(s, a_j) more members, worth at
+      most its next that many harmonic increments.  It is summed only at
+      nodes that pass the first test, largest classes first, and only
+      until it reaches ``best - score``.
 
     Each bounds every completion of the node from above and the cut is
     strict, so no optimum and no tie is ever cut: the winners are exactly
@@ -156,14 +158,14 @@ def pav_winners(
     the push saves the old list and the pop restores it.  Two kinds of
     take push nothing.  On the last seat, the take is the leaf itself,
     counted with its node.  With exactly as many positions left as
-    seats s, the node heads a forced chain: the recursion would take all
-    of them, one node each, score one leaf and back out through the dead
-    skip child of each take, 2s + 1 nodes.  The loop scores that leaf from
-    the joint gain of the rest and counts all 2s + 1 nodes before the
-    budget test, so the node count, and with it the budget at which the
-    search gives up, is that of the recursion over positions: the budget
-    counts the nodes of this walk, which gives up one node short of its
-    own count.
+    seats s, the node heads a forced chain: every a_j <= s, so the
+    per-class sum is exactly the chain's gain, and it gives the leaf.  A
+    leaf below ``best`` cuts the chain as one node, like any other cut.
+    Otherwise the recursion would take all s positions, one node each,
+    score the leaf and back out through the dead skip child of each
+    take: the loop counts those 2s + 1 nodes before the budget test and
+    settles the leaf.  So the budget counts the nodes of this walk,
+    which gives up one node short of its own count.
 
     Raises SearchBudgetExceeded when the search tree outgrows ``budget``
     nodes -- the instance is then too large for exact PAV.
@@ -188,8 +190,7 @@ def pav_winners(
     winners: list[tuple[int, ...]] = []  # in positions
     chosen: list[tuple[int, int, list[int]]] = []  # (position, score, gains before it)
     tick = NodeCounter(budget).tick
-    # per chain head: (class, chain positions on its ballot) pairs
-    chain_counts: dict[int, list[tuple[int, int]]] = {}
+    remaining = suffix_counts(holders, len(sizes))  # [p][j]: a_j at position p
 
     def settle(leaf: int, members: Sequence[int]) -> None:
         nonlocal best
@@ -201,50 +202,32 @@ def pav_winners(
             # interpreter's tuple cache
             winners.append((*(p for p, _, _ in chosen), *members))
 
-    def chain_gain(head: int) -> int:
-        """Joint gain of the positions head..m-1 at the current utilities."""
-        if head not in chain_counts:
-            counts = Counter(j for p in range(head, m) for j in holders[p])
-            chain_counts[head] = list(counts.items())
-        return sum(
-            [
-                sizes[j] * (below[utilities[j] + t] - below[utilities[j]])
-                for j, t in chain_counts[head]
-            ]
-        )
-
-    left = [len(row) for row in rows]  # a_j, counted from position ``at``
-    at = 0
-
-    def class_bound_reaches(seats: int, need: int) -> bool:
-        """Whether the per-class bound for ``seats`` seats at ``pos``
-        reaches ``need``.  The counts ``left`` follow ``pos`` only here,
-        by the positions it moved since the last call."""
-        nonlocal at
-        while at < pos:
-            for j in holders[at]:
-                left[j] -= 1
-            at += 1
-        while at > pos:
-            at -= 1
-            for j in holders[at]:
-                left[j] += 1
+    def class_gain(seats: int, need: int | None = None) -> int:
+        """The per-class bound for ``seats`` seats at ``pos``, summed
+        largest classes first, and only until it reaches ``need``."""
+        total = 0
+        left = remaining[pos]
         for size, j in heavy:
             a = left[j]
             if a:
                 u = utilities[j]
-                need -= size * (below[u + (a if a < seats else seats)] - below[u])
-                if need <= 0:
-                    return True
-        return need <= 0
+                total += size * (below[u + (a if a < seats else seats)] - below[u])
+                if need is not None and total >= need:
+                    break
+        return total
 
     pos, score = 0, 0
     while True:
         seats_left = k - len(chosen)
         if seats_left == m - pos:
-            # a forced chain: its takes, leaf and dead skips in one step
-            tick(2 * seats_left + 1)
-            settle(score + chain_gain(pos), range(pos, m))
+            # a forced chain: the class sum is exactly its gain
+            leaf = score + class_gain(seats_left)
+            if leaf < best:
+                tick(1)
+            else:
+                # its takes, leaf and dead skips in one step
+                tick(2 * seats_left + 1)
+                settle(leaf, range(pos, m))
         elif seats_left == 1:
             # the last seat: a take is the leaf, counted with its node
             if score + max(gains[pos:]) >= best:
@@ -260,7 +243,7 @@ def pav_winners(
             # branch-and-bound cut (never cuts ties: strict comparisons)
             if (
                 score + sum(top[-seats_left:]) >= best
-                and class_bound_reaches(seats_left, best - score)
+                and class_gain(seats_left, best - score) >= best - score
             ):
                 chosen.append((pos, score, gains))
                 score += gains[pos]

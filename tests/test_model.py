@@ -22,6 +22,7 @@ from abcvote.model import (
     parse_instance,
     restrict_profile,
     serialize_instance,
+    suffix_counts,
     welfare_vector,
 )
 from tests.conftest import instances, instances_with_committee, shared_ballot_instances
@@ -227,6 +228,18 @@ def test_ballot_classes_match_definition_on_fixture(name):
 def test_clone_classes_group_equal_lists_by_first_member():
     lists = [[0, 2], [1], [0, 2], [], [1], [0, 2], []]
     assert clone_classes(lists) == [[0, 2, 5], [1, 4], [3, 6]]
+
+
+def test_suffix_counts_count_each_class_from_every_position():
+    holders = [[0, 2], [1], [0, 2], []]
+    assert suffix_counts(holders, 3) == [
+        [2, 1, 2],
+        [1, 1, 1],
+        [1, 0, 1],
+        [0, 0, 0],
+        [0, 0, 0],
+    ]
+    assert suffix_counts([], 2) == [[0, 0]]
 
 
 def test_restrict_profile_keeps_candidate_universe():

@@ -33,7 +33,12 @@ from abcvote.rules import (
     rule_x_complete,
     seq_pav,
 )
-from tests.conftest import cloned_instances, instances, shared_ballot_instances
+from tests.conftest import (
+    assert_counts_nodes,
+    cloned_instances,
+    instances,
+    shared_ballot_instances,
+)
 
 F = Fraction
 
@@ -244,6 +249,20 @@ def test_pav_winners_reach_the_milp_optimum(inst):
     for winner in winners:
         assert len(winner) == inst.committee_size
         assert float(pav_score(inst, winner)) == pytest.approx(optimum, rel=1e-6)
+
+
+def test_pav_cuts_a_forced_chain_below_best_as_one_node():
+    # after the leaf {0, 2} (best 3/2), the forced chains ending in the
+    # unapproved 1, {0, 1}, {1, 2} and {1, 3}, score below it: one node
+    # each, not 3, 3 and 5; the index-order oracle takes 15
+    inst = ElectionInstance(4, 2, (frozenset({0, 2, 3}),))
+    assert assert_counts_nodes(lambda budget: pav_winners(inst, budget)) == 11
+
+
+def test_pav_winners_decide_theorem51_family_4_2_within_2_19_nodes():
+    # most forced chains of this family score below ``best`` and are cut
+    # as one node each, not counted as 2s + 1
+    assert len(pav_winners(gen_theorem51_family(4, 2), 1 << 19)) == 1
 
 
 # ---------------------------------------------------------------------------

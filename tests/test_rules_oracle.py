@@ -28,6 +28,7 @@ from tests.conftest import (
     assert_counts_nodes,
     cloned_instances,
     instances,
+    node_count,
     shared_ballot_instances,
 )
 
@@ -251,6 +252,36 @@ def test_pav_matches_oracle_and_counts_nodes(inst):
     # order and the per-class bound act
     assert rules.pav_winners(inst) == oracles.pav_winners(inst)
     assert_counts_nodes(lambda budget: rules.pav_winners(inst, budget))
+
+
+def in_walk_order(inst: ElectionInstance) -> ElectionInstance:
+    """``inst`` with its candidates renamed so that index order is the
+    order ``rules.pav_winners`` walks: most approvers first, ties by index."""
+    weight = [sum(c in ballot for ballot in inst.approvals) for c in inst.candidates]
+    order = sorted(inst.candidates, key=lambda c: (-weight[c], c))
+    place = {c: p for p, c in enumerate(order)}
+    ballots = tuple(frozenset(place[c] for c in ballot) for ballot in inst.approvals)
+    return ElectionInstance(inst.num_candidates, inst.committee_size, ballots)
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    st.one_of(
+        instances(max_voters=5, max_candidates=6),
+        shared_ballot_instances(max_candidates=6),
+        cloned_instances(),
+    )
+)
+def test_pav_never_needs_more_nodes_than_oracle_in_its_order(inst):
+    # in the same order both walks find the same leaves first, and the
+    # walk cuts wherever the oracle does and more: the class bound, and
+    # a forced chain priced below ``best`` cut as one node where the
+    # oracle takes it (2s + 1 nodes).  Against the oracle's
+    # index order there is no such rule: 5 candidates, k = 3, ballots
+    # {0}, {1, 2, 3, 4} twice take 39 nodes here and 35 there.
+    nodes = node_count(lambda budget: rules.pav_winners(inst, budget))
+    ordered = in_walk_order(inst)
+    assert nodes <= node_count(lambda budget: oracles.pav_winners(ordered, budget))
 
 
 budget_values = st.one_of(
