@@ -14,6 +14,12 @@ comma-separated increasing 1-based indices, and ``--json`` emits the
 same fields as machine-readable JSON.  Exit codes: 0 pass/success, 1
 axiom failure or reproduction mismatch, 2 input error, 3 undecided
 (a search budget exceeded, or a verdict that would not be certain).
+
+Each subcommand's flags are declared once, in ``COMMANDS``.  A command
+line of the plain form ``SUBCOMMAND (--flag [value])*`` is read from
+that table directly; any other (help, abbreviations, ``--flag=value``,
+errors) goes to the argparse parser ``build_parser`` makes from the
+same table, so help and error output are argparse's own.
 """
 
 from __future__ import annotations
@@ -775,51 +781,101 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
 
 
+#: Every subcommand's flags, declared once: subcommand -> (help, handler
+#: name, flags), each flag a (name, dest, ``add_argument`` keywords)
+#: triple.  ``build_parser`` hands each to argparse and ``_read_plain``
+#: reads the same declarations without it.  The handler is looked up by
+#: name when a command line is read, so one replaced on this module runs.
+COMMANDS = {
+    "run": ("execute a committee rule on an instance", "cmd_run", (
+        ("--rule", "rule", {"choices": RULES, "required": True}),
+        ("--input", "input", {"required": True}),
+        ("--all-ties", "all_ties", {"action": "store_true"}),
+        ("--json", "json", {"action": "store_true"}),
+    )),
+    "check": ("test a committee against an axiom", "cmd_check", (
+        ("--axiom", "axiom", {"choices": CHECK_AXIOMS, "required": True}),
+        ("--input", "input", {"required": True}),
+        ("--committee", "committee", {}),
+        ("--lambda", "lam", {"type": _rational}),
+        ("--property", "deviation_property", {"choices": PROPERTY_KINDS}),
+        ("--budget", "budget", {"type": int, "default": DEFAULT_NODE_BUDGET}),
+        ("--json", "json", {"action": "store_true"}),
+    )),
+    "search": ("hunt for rule/axiom counterexamples", "cmd_search", (
+        ("--violation", "violation", {"required": True}),
+        ("--max-n", "max_n", {"type": int, "default": 12}),
+        ("--max-m", "max_m", {"type": int, "default": 10}),
+        ("--max-k", "max_k", {"type": int, "default": 6}),
+        ("--seed", "seed", {"type": int, "default": 0}),
+        ("--trials", "trials", {"type": int, "default": 10000}),
+    )),
+    "repro": ("re-derive the catalogue's numbers", "cmd_repro", (
+        ("--json", "json", {"action": "store_true"}),
+    )),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="abcvote", description="committee elections with exact arithmetic"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    run = sub.add_parser("run", help="execute a committee rule on an instance")
-    run.add_argument("--rule", choices=RULES, required=True)
-    run.add_argument("--input", required=True)
-    run.add_argument("--all-ties", action="store_true", dest="all_ties")
-    run.add_argument("--json", action="store_true")
-    run.set_defaults(handler=cmd_run)
-
-    check = sub.add_parser("check", help="test a committee against an axiom")
-    check.add_argument("--axiom", choices=CHECK_AXIOMS, required=True)
-    check.add_argument("--input", required=True)
-    check.add_argument("--committee")
-    check.add_argument("--lambda", dest="lam", type=_rational)
-    check.add_argument(
-        "--property",
-        dest="deviation_property",
-        choices=PROPERTY_KINDS,
-    )
-    check.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
-    check.add_argument("--json", action="store_true")
-    check.set_defaults(handler=cmd_check)
-
-    search = sub.add_parser("search", help="hunt for rule/axiom counterexamples")
-    search.add_argument("--violation", required=True)
-    search.add_argument("--max-n", dest="max_n", type=int, default=12)
-    search.add_argument("--max-m", dest="max_m", type=int, default=10)
-    search.add_argument("--max-k", dest="max_k", type=int, default=6)
-    search.add_argument("--seed", type=int, default=0)
-    search.add_argument("--trials", type=int, default=10000)
-    search.set_defaults(handler=cmd_search)
-
-    repro = sub.add_parser("repro", help="re-derive the catalogue's numbers")
-    repro.add_argument("--json", action="store_true")
-    repro.set_defaults(handler=cmd_repro)
+    for command, (help_text, handler, flags) in COMMANDS.items():
+        subparser = sub.add_parser(command, help=help_text)
+        for name, dest, options in flags:
+            subparser.add_argument(name, dest=dest, **options)
+        subparser.set_defaults(handler=globals()[handler])
     return parser
 
 
+def _read_plain(argv: Sequence[str]) -> argparse.Namespace | None:
+    """What ``build_parser().parse_args(argv)`` returns, read without
+    building the parser, for argv of the form ``SUBCOMMAND (--flag
+    [value])*``: exact flag names, each at most once, each value the next
+    word and not starting with ``-``, passing its flag's ``type`` and
+    ``choices``, and every required flag present.  None for any other
+    argv (help, abbreviations, ``--flag=value``, ``--``, a value starting
+    with ``-``, a repeated flag, a bad value, a missing flag), which
+    argparse then reads, printing the same help and errors as ever."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, handler, flags = COMMANDS[argv[0]]
+    unseen = {name: (dest, options) for name, dest, options in flags}
+    values = {}
+    words = iter(argv[1:])
+    for word in words:
+        if word not in unseen:  # also a flag given twice
+            return None
+        dest, options = unseen.pop(word)
+        if options.get("action") == "store_true":
+            values[dest] = True
+            continue
+        text = next(words, None)
+        if text is None or text.startswith("-"):
+            return None
+        convert = options.get("type")
+        try:
+            value = text if convert is None else convert(text)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if "choices" in options and value not in options["choices"]:
+            return None
+        values[dest] = value
+    for dest, options in unseen.values():
+        if options.get("required"):
+            return None
+        switch = options.get("action") == "store_true"
+        values[dest] = options.get("default", False if switch else None)
+    return argparse.Namespace(command=argv[0], handler=globals()[handler], **values)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_plain(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except (ParseError, OSError, ValueError) as exc:

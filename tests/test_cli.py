@@ -1,16 +1,20 @@
 """Command-line interface: golden outputs and exit codes.
 
-Every test but two drives ``abcvote.cli.main`` in-process with capsys;
+Every test but three drives ``abcvote.cli.main`` in-process with capsys;
 the fixture files under fixtures/ are the same ones the generators
-write.  The two exceptions run in a child process: the walks on inputs
-a thousand entries deep under a low recursion limit, and ``repro``
-under ``python -S``, to see that it imports only the standard library.
+write.  The three exceptions run in a child process: the walks on inputs
+a thousand entries deep under a low recursion limit, ``repro`` under
+``python -S``, to see that it imports only the standard library, and one
+command line of each subcommand, to see that none builds the argparse
+parser.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import re
@@ -20,6 +24,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abcvote import axioms, cli
 from abcvote.axioms import (
@@ -54,7 +60,10 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse's help and flag errors
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -705,6 +714,169 @@ def test_check_help_and_unknown_axiom_list_the_axioms_in_order(capsys):
     assert exited.value.code == 2
     offered = capsys.readouterr().err.split("choose from", 1)[1]
     assert re.findall(r"[a-z][a-z-]*", offered) == list(cli.CHECK_AXIOMS)
+
+
+#: Command lines that argparse reads, not the plain reader: an
+#: abbreviation, ``--flag=value``, a repeated flag, ``--`` and a value
+#: starting with ``-``; each with the exit code, stdout and stderr it gave
+#: before the plain reader existed.
+EXAMPLE41_PAV = (
+    "instance: 31d4995db124cc2bf423b28fa832b804736aee57d8a7a8a88c91e7ca71e3b2a3\n"
+    "rule: pav\n"
+    "score: 25/3\n"
+    "committee: 5,6,7,8\n"
+)
+FALLBACK_FORMS = {
+    "abbreviation": (
+        ("run", "--rule", "pav", "--input", fixture_path("example41"), "--all"),
+        (0, EXAMPLE41_PAV + "ties: 5,6,7,8\nwelfare: 4,4,4,4\n", ""),
+    ),
+    "equals": (
+        ("run", "--rule=pav", "--input", fixture_path("example41")),
+        (0, EXAMPLE41_PAV + "welfare: 4,4,4,4\n", ""),
+    ),
+    "repeated": (
+        ("run", "--rule", "rulex", "--rule", "pav", "--input", fixture_path("example41")),
+        (0, EXAMPLE41_PAV + "welfare: 4,4,4,4\n", ""),
+    ),
+    "double-dash": (
+        ("run", "--rule", "pav", "--input", fixture_path("example41"), "--"),
+        (
+            2,
+            "",
+            "usage: abcvote [-h] {run,check,search,repro} ...\n"
+            "abcvote: error: unrecognized arguments: --\n",
+        ),
+    ),
+    "negative-value": (
+        ("search", "--violation", "ejr-phragmen", "--max-n", "4", "--max-m", "3",
+         "--max-k", "2", "--trials", "20", "--seed", "-3"),
+        (0, "none found\n", ""),
+    ),
+}
+
+
+@pytest.mark.parametrize("form", FALLBACK_FORMS)
+def test_fallback_forms_read_as_before(form, capsys):
+    argv, expected = FALLBACK_FORMS[form]
+    assert cli._read_plain(argv) is None
+    assert run_cli(capsys, *argv) == expected
+
+
+ALL_FLAGS = sorted({name for _, _, flags in cli.COMMANDS.values() for name, _, _ in flags})
+#: Words that are no flag of any subcommand, and values that the plain
+#: form refuses, or that no flag's type or choices accept, or that they
+#: accept in a form of their own.
+ODD_WORDS = ("-h", "--help", "--", "-x", "bogus", "")
+ODD_VALUES = ("", "x", "1/0", "-3", "-x", "--json", "3.5", " 7", "0x1", "PAV", "bogus")
+
+
+def plain_values(options):
+    """Values of one flag that the plain form takes: accepted by the
+    flag's type and choices, and not starting with ``-``."""
+    if "choices" in options:
+        return st.sampled_from(options["choices"])
+    if options.get("type") is int:
+        return st.integers(0, 10**9).map(str)
+    if options.get("type") is not None:  # --lambda's rational
+        return st.fractions(min_value=0).map(str)
+    return st.from_regex(r"[a-z0-9./,]+", fullmatch=True)
+
+
+#: How ``command_lines`` changes a plain command line, None for not at all.
+CHANGES = (
+    None, None, None, "drop", "abbreviate", "equals", "twice", "bare",
+    "odd value", "odd value", "extra word", "subcommand",
+)
+
+
+@st.composite
+def command_lines(draw):
+    """An argv of the plain form built from ``cli.COMMANDS`` (a
+    subcommand, then each of its flags at most once, spelled exactly, with
+    a plain value, and every required flag there) and the name of one
+    change made to it, or None: a flag dropped, abbreviated, written as
+    ``--flag=value``, given twice, without its value or with an odd one,
+    an odd word or any flag put in, or another subcommand named."""
+    command = draw(st.sampled_from(list(cli.COMMANDS)))
+    given_flags = []
+    for name, _, options in draw(st.permutations(cli.COMMANDS[command][2])):
+        if options.get("required") or draw(st.booleans()):
+            switch = options.get("action") == "store_true"
+            given_flags.append([name] + ([] if switch else [draw(plain_values(options))]))
+    change = draw(st.sampled_from(CHANGES))
+    if given_flags and change not in (None, "extra word", "subcommand"):
+        at = draw(st.integers(0, len(given_flags) - 1))
+        name, *value = given_flags[at]
+        if change == "drop":
+            given_flags[at] = []
+        elif change == "abbreviate":
+            given_flags[at] = [name[: draw(st.integers(3, len(name) - 1))], *value]
+        elif change == "equals":
+            given_flags[at] = [f"{name}={(value or ['x'])[0]}"]
+        elif change == "twice":
+            given_flags[at] = [name, *value, name, *value]
+        elif change == "bare":
+            given_flags[at] = [name]
+        else:
+            given_flags[at] = [name, draw(st.sampled_from(ODD_VALUES))]
+    elif change is not None:
+        change = draw(st.sampled_from(("extra word", "subcommand")))
+    argv = [command] + [word for words in given_flags for word in words]
+    if change == "extra word":
+        word = draw(st.sampled_from((*ODD_WORDS, *ALL_FLAGS)))
+        argv.insert(draw(st.integers(1, len(argv))), word)
+    elif change == "subcommand":
+        argv[0] = draw(st.sampled_from((*ODD_WORDS, *cli.COMMANDS)))
+    return argv, change
+
+
+@settings(max_examples=500, deadline=None)
+@given(command_lines())
+def test_plain_reader_agrees_with_argparse(drawn):
+    argv, change = drawn
+    read = cli._read_plain(argv)
+    if change is None:
+        assert read is not None
+    quiet = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(quiet), contextlib.redirect_stderr(quiet):
+            parsed = cli.build_parser().parse_args(argv)
+    except SystemExit:
+        assert read is None
+    else:
+        assert read is None or read == parsed
+
+
+#: One plain command line of each subcommand in a fresh process: their
+#: exit codes, and whether ``locale`` got imported, which building an
+#: argparse parser does (its help strings go through ``gettext``).
+NO_PARSER_SCRIPT = """
+import contextlib, io, sys
+from abcvote import cli
+
+commands = (
+    ["run", "--rule", "phragmen", "--input", "fixtures/example21.txt"],
+    ["check", "--axiom", "ejr", "--input", "fixtures/example21.txt",
+     "--committee", "1,2,4,5", "--json"],
+    ["search", "--violation", "ejr-phragmen", "--max-n", "4", "--max-m", "3",
+     "--max-k", "2", "--trials", "20"],
+    ["repro"],
+)
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in commands]
+print(codes, "locale" in sys.modules)
+"""
+
+
+def test_plain_command_lines_build_no_parser():
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", NO_PARSER_SCRIPT],
+        cwd=README.parent, env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert done.stdout == "[0, 0, 0, 0] False\n"
 
 
 def test_axiom_tables_name_known_axioms_and_rules():
