@@ -121,11 +121,19 @@ def check_priceable(
     The definition asks for SOME positive price, which a linear program
     cannot state directly; instead the LP maximizes the price, and the
     committee is priceable exactly when the exact optimum is positive.
-    Payment variables exist only where they may be positive (approved and
-    elected), and the returned witness is re-validated without the LP.
+    The returned system has that optimal price, and it is re-validated
+    without the LP.
 
-    The program is the per-voter one with its symmetries folded away,
-    which keeps the optimal price:
+    Full spend, tried first.  Members collect |W| * p and the voters hold
+    n dollars, so every price system has p <= n/|W|.  If every voter can
+    spend the whole dollar on approved members, each member collecting
+    exactly n/|W|, every leftover is 0 <= p and price n/|W| is feasible,
+    so it is the optimum; conversely, at p = n/|W| everyone spends
+    everything.  Whether such payments exist is an integer transportation
+    problem (``_full_spend``); when they do, it answers and no LP is built.
+
+    Otherwise the LP answers.  It is the per-voter program with its
+    symmetries folded away, which keeps the optimal price:
 
     * Voters with identical ballots, and elected clones (members with the
       same approvers), are interchangeable: the program maps to itself
@@ -143,11 +151,10 @@ def check_priceable(
     """
     members = frozenset(committee)
     classes = ballot_classes(instance)
-    holders, sizes = classes.holders, classes.sizes
-    support = [sum([sizes[j] for j in held]) for held in holders]  # |N(c)|
     if not members:
         # Nothing is bought, so any price beyond every candidate's total
         # support works; no LP needed (the maximization is unbounded).
+        support = [sum([classes.sizes[j] for j in held]) for held in classes.holders]
         price = max([Fraction(1)] + [Fraction(s) for s in support])
         system = PriceSystem(
             price=price, payments=tuple({} for _ in instance.voters)
@@ -158,20 +165,144 @@ def check_priceable(
         )
         return system
 
-    elected: list[list[int]] = []  # elected clone classes
-    outside: dict[frozenset[int], int] = {}  # approver classes -> |N(c)|
+    elected, slots, outside = _price_classes(classes, members)
+    # shares[(j, e)]: what each voter of class j pays each member of e
+    shares = _full_spend(classes, elected, slots, instance.num_voters)
+    if shares is not None:
+        price: Rational = Fraction(instance.num_voters, len(members))
+    else:
+        lp, var = _priceability_program(classes, elected, slots, outside)
+        outcome = lp_maximize(lp)
+        if outcome.status != OPTIMAL or outcome.value <= 0:
+            return None
+        price = outcome.assignment[0]
+        shares = {key: outcome.assignment[v] for key, v in var.items()}
+    payments: tuple[dict[int, Rational], ...] = tuple(
+        {} for _ in instance.voters
+    )
+    for j, bought in enumerate(slots):
+        purse: dict[int, Rational] = {}
+        for e in bought:
+            amount = shares.get((j, e))
+            if amount:
+                purse.update(dict.fromkeys(elected[e], amount))
+        if purse:
+            for i in classes.voters[j]:
+                payments[i].update(purse)
+    system = PriceSystem(price=price, payments=payments)
+    _require(
+        validate_price_system(instance, committee, system),
+        "price system fails its re-check",
+    )
+    return system
+
+
+def _price_classes(
+    classes: BallotClasses, members: frozenset[int]
+) -> tuple[list[list[int]], list[list[int]], dict[frozenset[int], int]]:
+    """What a price system for ``members`` is built over: the elected
+    clone classes; ``slots[j]``, the indices of those on class j's ballot;
+    and the approver classes of each non-member, mapped to its |N(c)|."""
+    holders, sizes = classes.holders, classes.sizes
+    elected: list[list[int]] = []
+    outside: dict[frozenset[int], int] = {}
     for clones in clone_classes(holders):
         bought = [c for c in clones if c in members]
         if bought:
             elected.append(bought)
         if len(bought) < len(clones):
-            outside[frozenset(holders[clones[0]])] = support[clones[0]]
-    maximal = [held for held in outside if not any(held < other for other in outside)]
-    # slots[j]: the elected clone classes on class j's ballot
+            held = holders[clones[0]]
+            outside[frozenset(held)] = sum([sizes[j] for j in held])
     slots: list[list[int]] = [[] for _ in classes.ballots]
     for e, clones in enumerate(elected):
         for j in holders[clones[0]]:
             slots[j].append(e)
+    return elected, slots, outside
+
+
+def _full_spend(
+    classes: BallotClasses, elected: list[list[int]], slots: list[list[int]], n: int
+) -> dict[tuple[int, int], Fraction] | None:
+    """Shares under which every voter spends the whole dollar and every
+    member collects n/|W|, or None when there are none.
+
+    In units of 1/|W| dollar, ballot class j supplies sizes[j] * |W| and
+    elected clone class e demands |e| * n, which balance; money moves
+    only along the edges "e is on j's ballot".  A max-flow by shortest
+    augmenting paths, all in ints, moves every unit exactly when the
+    shares exist; a class that approves no member, or a clone class whose
+    approvers supply less than it demands, rejects at once.  A flow f on
+    edge (j, e) is f / (sizes[j] * |e| * |W|) per voter and member.
+    """
+    if not all(slots):
+        return None
+    sizes = classes.sizes
+    seats = sum(map(len, elected))
+    supply = [size * seats for size in sizes]
+    demand = [len(clones) * n for clones in elected]
+    payers = [classes.holders[clones[0]] for clones in elected]  # classes paying e
+    for paying, need in zip(payers, demand):
+        if sum([supply[j] for j in paying]) < need:
+            return None
+    flow: dict[tuple[int, int], int] = {}
+    while any(supply):
+        # breadth-first from every class with money left: reached[e] is the
+        # class that reached e, back[j] the clone class j's flow is taken from
+        queue = [j for j, left in enumerate(supply) if left]
+        seen = set(queue)
+        reached: dict[int, int] = {}
+        back: dict[int, int] = {}
+        end = None
+        for j in queue:
+            for e in slots[j]:
+                if e in reached:
+                    continue
+                reached[e] = j
+                if demand[e]:
+                    end = e
+                    break
+                for i in payers[e]:
+                    if i not in seen and flow.get((i, e)):
+                        seen.add(i)
+                        back[i] = e
+                        queue.append(i)
+            if end is not None:
+                break
+        if end is None:
+            return None
+        amount, e = demand[end], end
+        while (j := reached[e]) in back:
+            e = back[j]
+            amount = min(amount, flow[(j, e)])
+        amount = min(amount, supply[j])
+        demand[end] -= amount
+        e = end
+        while True:
+            j = reached[e]
+            flow[(j, e)] = flow.get((j, e), 0) + amount
+            if j not in back:
+                supply[j] -= amount
+                break
+            e = back[j]
+            flow[(j, e)] -= amount
+    return {
+        (j, e): Fraction(f, sizes[j] * len(elected[e]) * seats)
+        for (j, e), f in flow.items()
+        if f
+    }
+
+
+def _priceability_program(
+    classes: BallotClasses,
+    elected: list[list[int]],
+    slots: list[list[int]],
+    outside: dict[frozenset[int], int],
+) -> tuple[LinearProgram, dict[tuple[int, int], int]]:
+    """The LP ``check_priceable`` falls back to, over ``_price_classes``'s
+    output, and its variable of each (ballot class, elected clone class)
+    pair; variable 0 is the price."""
+    holders, sizes = classes.holders, classes.sizes
+    maximal = [held for held in outside if not any(held < other for other in outside)]
     var: dict[tuple[int, int], int] = {}  # (class, clone class) -> variable
     for j, bought in enumerate(slots):
         for e in bought:
@@ -201,27 +332,7 @@ def check_priceable(
                 entries[var[(j, e)]] = -sizes[j] * len(elected[e])
         lp.add_constraint(row(entries), LE, -outside[held])
     lp.set_objective(row({0: 1}))
-    outcome = lp_maximize(lp)
-    if outcome.status != OPTIMAL or outcome.value <= 0:
-        return None
-    payments: tuple[dict[int, Rational], ...] = tuple(
-        {} for _ in instance.voters
-    )
-    for j, bought in enumerate(slots):
-        purse: dict[int, Rational] = {}
-        for e in bought:
-            amount = outcome.assignment[var[(j, e)]]
-            if amount:
-                purse.update(dict.fromkeys(elected[e], amount))
-        if purse:
-            for i in classes.voters[j]:
-                payments[i].update(purse)
-    system = PriceSystem(price=outcome.assignment[0], payments=payments)
-    _require(
-        validate_price_system(instance, committee, system),
-        "price system from the LP fails its re-check",
-    )
-    return system
+    return lp, var
 
 
 # ---------------------------------------------------------------------------

@@ -704,17 +704,22 @@ def _desk_matrix(report: _Report) -> None:
             for name in MATRIX_RULES
         }
 
-    # each rule's committee on each instance, computed once for every row
+    # each rule's committee on each instance, computed once for every row;
+    # a row decides each distinct (position, committee) once, so rules
+    # that elect the same committee on an instance share the answer
     on_suite, on_laminar = elect(suite), elect(laminar_suite)
     rows = []
     for axiom, guaranteed in MATRIX.items():
         cells = []
         check = AXIOM_CHECKS[axiom]
         runs = on_laminar if axiom == "laminar-prop" else on_suite
+        violated = {}
         for rule_name in MATRIX_RULES:
             violations = []
-            for pos, (instance, committee) in enumerate(runs[rule_name]):
-                if check(instance, committee, DEFAULT_OPTIONS)[0]:
+            for pos, (instance, w) in enumerate(runs[rule_name]):
+                if (pos, w) not in violated:
+                    violated[pos, w] = check(instance, w, DEFAULT_OPTIONS)[0]
+                if violated[pos, w]:
                     violations.append(f"instance {pos}")
             if violations and rule_name in guaranteed:
                 report.failures += 1
@@ -738,11 +743,14 @@ def _desk_matrix(report: _Report) -> None:
     rows.append(("welfarist", cells))
 
     lam_cells = []
+    lambdas = {}
     for rule_name in MATRIX_RULES:
         worst = Fraction(1)
         unstable = False
-        for instance, committee in on_suite[rule_name]:
-            lam = minimal_core_lambda(instance, committee)
+        for pos, (instance, w) in enumerate(on_suite[rule_name]):
+            if (pos, w) not in lambdas:
+                lambdas[pos, w] = minimal_core_lambda(instance, w)
+            lam = lambdas[pos, w]
             if lam is None:
                 unstable = True
             else:

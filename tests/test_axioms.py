@@ -35,7 +35,7 @@ from abcvote.axioms import (
     verify_deviation,
 )
 from abcvote.generators import fixture
-from abcvote.model import ElectionInstance, welfare_vector
+from abcvote.model import ElectionInstance, ballot_classes, welfare_vector
 from abcvote.rules import dhondt, pav_winners, phragmen_sequential, rule_x
 from tests.conftest import assert_counts_nodes, instances, instances_with_committee
 
@@ -118,6 +118,17 @@ def test_unsupported_member_blocks_priceability():
     assert check_priceable(instance, frozenset({1})) is None
 
 
+def priceability_program(instance, committee):
+    """The LP ``check_priceable`` solves when the full-spend certificate
+    does not answer, built whether or not it does."""
+    classes = ballot_classes(instance)
+    members = frozenset(committee)
+    lp, _ = axioms._priceability_program(
+        classes, *axioms._price_classes(classes, members)
+    )
+    return lp
+
+
 @pytest.mark.parametrize(
     "name,sizes",
     [
@@ -132,7 +143,8 @@ def test_priceability_program_size(name, sizes, monkeypatch):
     approvers) on j's ballot: the price and one payment per pair.  Its
     rows are one spending row per class with e(j) > 0, one collection row
     per elected clone class and one leftover row per maximal set among
-    the approver-class sets of the non-members."""
+    the approver-class sets of the non-members.  Where the LP runs, it
+    runs on this program."""
     programs = []
     solve = axioms.lp_maximize
 
@@ -147,10 +159,11 @@ def test_priceability_program_size(name, sizes, monkeypatch):
         "rulex": rule_x(inst).committee,
     }
     for rule, committee in committees.items():
+        program = priceability_program(inst, committee)
+        assert (len(program.constraints), program.num_variables) == sizes[rule]
         programs.clear()
         assert check_priceable(inst, committee) is not None
-        (lp,) = programs
-        assert (len(lp.constraints), lp.num_variables) == sizes[rule]
+        assert programs in ([], [program])
 
 
 #: A two-voter instance and committee, a valid price system for them, and
@@ -668,10 +681,14 @@ def test_intro_committees_missing_the_shared_package_are_blocked():
 
 
 #: Run under ``python -O``: the search of each checker is fed corrupted
-#: data (no voter has any approved committee member, or the LP reports
-#: twice its optimal price), or its witness is corrupted on the way out
-#: (PJR), so the witness is wrong and only the re-check against the
-#: definition can catch it.
+#: data (no voter has any approved committee member, the LP reports twice
+#: its optimal price, or the full-spend flow twice each share), or its
+#: witness is corrupted on the way out (PJR), so the witness is wrong and
+#: only the re-check against the definition can catch it.  Each
+#: priceability case corrupts one path only, on an instance that path
+#: answers: ballots {0},{1} leave voter 1 nothing to spend the dollar on,
+#: so the full-spend certificate fails and the LP answers; two voters on
+#: {0} spend all they hold, so the certificate answers.
 MUTATED_WITNESS_SCRIPT = """
 import sys
 from abcvote import axioms
@@ -681,18 +698,32 @@ from abcvote.model import ElectionInstance, InternalInvariantError
 
 if __debug__:
     sys.exit("expected python -O")
-solve = axioms.lp_maximize
+solve, spend = axioms.lp_maximize, axioms._full_spend
 
 def inflated(lp):
     out = solve(lp)
     price, *payments = out.assignment
     return LPOutcome(out.status, out.value, (2 * price, *payments))
 
-axioms.lp_maximize = inflated
-axioms.welfare_vector = lambda instance, committee: (0,) * instance.num_voters
+def doubled(*args):
+    shares = spend(*args)
+    return shares and {key: 2 * share for key, share in shares.items()}
+
 pair = ElectionInstance(2, 1, (frozenset({0}), frozenset({0})))
+split = ElectionInstance(2, 1, (frozenset({0}), frozenset({1})))
+for label, patch, corrupt, instance in (
+    ("check_priceable/lp", "lp_maximize", inflated, split),
+    ("check_priceable/full-spend", "_full_spend", doubled, pair),
+):
+    setattr(axioms, patch, corrupt)
+    try:
+        axioms.check_priceable(instance, frozenset({0}))
+    except InternalInvariantError:
+        print(label)
+    axioms.lp_maximize, axioms._full_spend = solve, spend
+
+axioms.welfare_vector = lambda instance, committee: (0,) * instance.num_voters
 for name, extra in (
-    ("check_priceable", ()),
     ("check_ejr", ()),
     ("find_core_deviation", ()),
     ("check_core_subject_to", ("cohesive",)),
@@ -724,7 +755,8 @@ def test_mutated_witness_raises_under_optimize():
         env=env, capture_output=True, text=True, timeout=60, check=True,
     )
     assert done.stdout.split() == [
-        "check_priceable",
+        "check_priceable/lp",
+        "check_priceable/full-spend",
         "check_ejr",
         "find_core_deviation",
         "check_core_subject_to",

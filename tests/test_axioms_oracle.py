@@ -2,9 +2,10 @@
 the per-voter reference versions kept in ``tests/oracles.py``.
 
 Deviations must be identical (the lexicographically-first witness),
-priceability must give the same verdict and the same optimal price, and
-the price-system re-check must give the same verdict on valid and
-corrupted systems.  The oracles keep the up-front 2^m and 2^n guards, so
+priceability must give the same verdict and the same optimal price, with
+the LP skipped exactly where that price is n/|W|, and the price-system
+re-check must give the same verdict on valid and corrupted systems.
+The oracles keep the up-front 2^m and 2^n guards, so
 answers are compared where the oracle decides; on random instances each
 fast walk must also give up one node short of its node count and, at
 that count, give the answer.  The pruned core walk must yield the same
@@ -18,9 +19,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import floor
+from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from abcvote import axioms
@@ -37,6 +39,9 @@ from tests.conftest import (
 )
 from tests.test_axioms import (
     BROKEN_SYSTEMS,
+    COMMITTEE_A,
+    COMMITTEE_B,
+    INTRO,
     REJECTION_COMMITTEE,
     REJECTION_INSTANCE,
     VALID_SYSTEM,
@@ -191,6 +196,41 @@ def test_priceable_matches_oracle_with_clones(audit):
     if system is not None:
         assert system.price == reference.price
         assert oracles.validate_price_system(inst, committee, system)
+
+
+@st.composite
+def ruled_shared_audits(draw):
+    """A ``shared_ballot_instances`` draw with its Phragmén or Rule X
+    committee, where voters on one ballot most often spend all they hold."""
+    inst = draw(shared_ballot_instances(12, 7))
+    rule = draw(st.sampled_from((phragmen_sequential, rule_x)))
+    return inst, rule(inst).committee
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(audits(), cloned_audits(), ruled_shared_audits()))
+@example((INTRO, COMMITTEE_A))
+@example((INTRO, COMMITTEE_B))
+def test_full_spend_certificate_matches_oracle(audit):
+    # the certificate answers in place of the LP exactly when the optimal
+    # price is n/|W|, and its system is a valid one at that price.  On the
+    # intro instance n/|W| = 6/12 for both committees: under A every voter
+    # can spend the whole dollar at 1/2 a member, and under B each voter of
+    # the three triples would owe 3/2 for three members, so B reaches the
+    # LP, which finds no positive price
+    inst, committee = audit
+    with patch.object(axioms, "lp_maximize", wraps=axioms.lp_maximize) as solve:
+        system = axioms.check_priceable(inst, committee)
+    reference = oracles.check_priceable(inst, committee)
+    assert (system is None) == (reference is None)
+    if system is not None:
+        assert system.price == reference.price
+        assert oracles.validate_price_system(inst, committee, system)
+    if committee:
+        full = reference is not None and reference.price == F(
+            inst.num_voters, len(committee)
+        )
+        assert (solve.call_count == 0) == full
 
 
 @settings(max_examples=150, deadline=None)

@@ -262,6 +262,25 @@ def test_check_priceable_intro_committee(capsys):
     assert "verdict: PASS" in out
 
 
+def test_check_priceable_matches_golden(capsys):
+    """The priceability verdict and price of the Phragmén and Rule X
+    committees on every fixture: lines as in ``run_catalogue.txt``, the
+    full-spend certificate and the LP each answering some of them."""
+    lines = []
+    for rule in ("phragmen", "rulex"):
+        for path in sorted(FIXTURES.glob("*.txt")):
+            committee = cli.SEARCH_RULES[rule](parse_instance(path.read_text()))
+            argv = ["check", "--json", "--axiom", "priceable", "--input", str(path),
+                    "--committee", format_committee(committee)]
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, err) == (0, ""), argv
+            argv[5] = f"fixtures/{path.name}"
+            digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+            lines.append(f"{' '.join(argv)}\t{digest}\n")
+    golden = (GOLDEN / "check_priceable.txt").read_text(encoding="utf-8")
+    assert "".join(lines) == golden
+
+
 def test_check_core_failure_names_coalition(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -1173,6 +1192,54 @@ def test_repro_is_green_and_deterministic(capsys):
     code, again, _ = run_cli(capsys, "repro")
     assert code == 0
     assert first == again
+
+
+#: The checkers the desk matrix calls, as ``cli`` names them.
+DESK_CHECKERS = (
+    "check_priceable",
+    "check_pjr",
+    "check_ejr",
+    "check_core_subject_to",
+    "check_pareto",
+    "check_pigou_dalton",
+    "check_laminar_proportional",
+    "minimal_core_lambda",
+)
+
+
+def test_desk_matrix_decides_each_cell_once(monkeypatch, capsys):
+    # rules that elect the same committee on a suite instance share one
+    # call of each checker; every checker but the laminar one runs on the
+    # whole suite, and there once per distinct (position, committee)
+    suites = []
+    make_suite = cli._desk_suite
+    monkeypatch.setattr(
+        cli, "_desk_suite", lambda: suites.append(make_suite()) or suites[0]
+    )
+    calls = {name: [] for name in DESK_CHECKERS}
+    for name in DESK_CHECKERS:
+        def spy(instance, committee, *args, _seen=calls[name],
+                _check=getattr(cli, name), **kwargs):
+            _seen.append((instance, committee))
+            return _check(instance, committee, *args, **kwargs)
+
+        monkeypatch.setattr(cli, name, spy)
+    code, _, _ = run_cli(capsys, "repro")
+    assert code == 0
+    (suite,) = suites
+    distinct = {
+        (pos, cli.SEARCH_RULES[rule](instance))
+        for pos, instance in enumerate(suite)
+        for rule in cli.MATRIX_RULES
+    }
+    assert len(distinct) < len(cli.MATRIX_RULES) * len(suite)
+    at = {id(instance): pos for pos, instance in enumerate(suite)}
+    for name, seen in calls.items():
+        keys = [(id(instance), committee) for instance, committee in seen]
+        assert len(set(keys)) == len(keys), name
+        if name != "check_laminar_proportional":
+            on_suite = {(at[i], w) for i, w in keys if i in at}
+            assert on_suite == distinct, name
 
 
 def test_repro_matches_golden(capsys):

@@ -5,7 +5,8 @@ Both must report the same status and, at an optimum, the same value and
 the same assignment: the same vertex, not just the same optimum, since
 both pivot by Bland's rule and the same ratio test.  Inputs are
 Hypothesis programs of the shape ``check_priceable`` builds and the
-programs it builds on the catalogue fixtures.  ``abcvote.lp`` takes int
+programs it falls back to on the catalogue fixtures, built also where
+its full-spend certificate answers first.  ``abcvote.lp`` takes int
 rows only, so both solvers are given each drawn row times the lcm of its
 denominators: the int rows ``check_priceable`` builds.  Scaling a row
 keeps the feasible set, but not the path: scaling an ``=`` row reweights
@@ -27,6 +28,7 @@ from abcvote.generators import FIXTURE_NAMES, fixture
 from abcvote.lp import EQ, LE, LinearProgram, LPOutcome, lp_maximize
 from abcvote.rules import phragmen_sequential, rule_x
 from tests import oracles
+from tests.test_axioms import priceability_program
 
 def integral(values: list) -> list[int]:
     """``values`` times the lcm of their denominators."""
@@ -106,9 +108,12 @@ def test_programs_match_oracle(program):
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_priceability_programs_match_oracle(name, monkeypatch):
+    # the program is solved by both even where the full-spend certificate
+    # answers and check_priceable never builds it
     inst = fixture(name)
     committees = {phragmen_sequential(inst).committee, rule_x(inst).committee}
     for committee in sorted(committees, key=sorted):
+        solve_both(priceability_program(inst, committee))
         expected = axioms.check_priceable(inst, committee)
         with monkeypatch.context() as patch:
             patch.setattr(axioms, "lp_maximize", solve_both)
