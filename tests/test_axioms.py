@@ -122,9 +122,8 @@ def priceability_program(instance, committee):
     """The LP ``check_priceable`` solves when the full-spend certificate
     does not answer, built whether or not it does."""
     classes = ballot_classes(instance)
-    members = frozenset(committee)
     lp, _ = axioms._priceability_program(
-        classes, *axioms._price_classes(classes, members)
+        classes, *axioms._price_classes(classes, committee)
     )
     return lp
 
