@@ -16,7 +16,6 @@ found is stable across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import floor, lcm
@@ -31,6 +30,7 @@ from abcvote.model import (
     InternalInvariantError,
     NodeCounter,
     Rational,
+    Record,
     SearchBudgetExceeded,
     ballot_classes,
     clone_classes,
@@ -47,20 +47,28 @@ PRICEABLE = "priceable"
 PROPERTY_KINDS = (COHESIVE, PRICE_EQ, PRICEABLE)
 
 
-@dataclass(frozen=True)
-class PriceSystem:
+class PriceSystem(Record):
     """A per-seat price and per-voter payment maps (candidate -> amount)."""
 
     price: Rational
     payments: tuple[dict[int, Rational], ...]
 
+    def __init__(self, price: Rational, payments: tuple[dict[int, Rational], ...]) -> None:
+        fields = vars(self)
+        fields["price"] = price
+        fields["payments"] = payments
 
-@dataclass(frozen=True)
-class Deviation:
+
+class Deviation(Record):
     """A coalition of voters backing an alternative candidate set."""
 
     coalition: frozenset[int]
     alternative: frozenset[int]
+
+    def __init__(self, coalition: frozenset[int], alternative: frozenset[int]) -> None:
+        fields = vars(self)
+        fields["coalition"] = coalition
+        fields["alternative"] = alternative
 
 
 # ---------------------------------------------------------------------------

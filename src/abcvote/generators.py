@@ -23,10 +23,9 @@ candidate when the next ``rng.random()`` draw falls below ``density``.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Sequence
 
-from abcvote.model import ElectionInstance
+from abcvote.model import ElectionInstance, Record
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +270,7 @@ def fixture(name: str) -> ElectionInstance:
 # parametric families
 
 
-@dataclass(frozen=True)
-class PartyListInstance:
+class PartyListInstance(Record):
     """A party-list profile plus its bookkeeping.
 
     Attributes:
@@ -285,6 +283,14 @@ class PartyListInstance:
     instance: ElectionInstance
     parties: tuple[frozenset[int], ...]
     integral: bool
+
+    def __init__(
+        self, instance: ElectionInstance, parties: tuple[frozenset[int], ...], integral: bool
+    ) -> None:
+        fields = vars(self)
+        fields["instance"] = instance
+        fields["parties"] = parties
+        fields["integral"] = integral
 
 
 def gen_party_list(

@@ -29,11 +29,10 @@ committee has no member outside them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb, prod
 
-from abcvote.model import Committee, ElectionInstance, SearchBudgetExceeded
+from abcvote.model import Committee, ElectionInstance, Record, SearchBudgetExceeded
 
 Ballots = tuple[frozenset[int], ...]
 
@@ -41,8 +40,7 @@ Ballots = tuple[frozenset[int], ...]
 DEFAULT_ENUMERATION_BUDGET = 200_000
 
 
-@dataclass(frozen=True)
-class LaminarSeats:
+class LaminarSeats(Record):
     """The seat constraints of a laminar instance.
 
     ``forced`` holds the candidates stripped as common candidates; every
@@ -56,6 +54,13 @@ class LaminarSeats:
 
     forced: frozenset[int]
     pools: tuple[tuple[frozenset[int], int], ...]
+
+    def __init__(
+        self, forced: frozenset[int], pools: tuple[tuple[frozenset[int], int], ...]
+    ) -> None:
+        fields = vars(self)
+        fields["forced"] = forced
+        fields["pools"] = pools
 
 
 def check_laminar(instance: ElectionInstance) -> LaminarSeats | None:

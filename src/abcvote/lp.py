@@ -24,12 +24,11 @@ re-checked against the original constraints before it is returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from abcvote.model import InternalInvariantError, Rational
+from abcvote.model import InternalInvariantError, Rational, Record
 
 #: Constraint relations.
 LE, EQ = "<=", "="
@@ -39,7 +38,6 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
-@dataclass
 class LinearProgram:
     """maximize ``objective . x`` subject to ``constraints`` and ``x >= 0``.
 
@@ -50,8 +48,32 @@ class LinearProgram:
     """
 
     num_variables: int
-    objective: list[int] = field(default_factory=list)
-    constraints: list[tuple[list[int], str, int]] = field(default_factory=list)
+    objective: list[int]
+    constraints: list[tuple[list[int], str, int]]
+
+    def __init__(
+        self,
+        num_variables: int,
+        objective: Sequence[int] | None = None,
+        constraints: list[tuple[list[int], str, int]] | None = None,
+    ) -> None:
+        self.num_variables = num_variables
+        self.objective = [] if objective is None else objective
+        self.constraints = [] if constraints is None else constraints
+        self.__post_init__()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.num_variables, self.objective, self.constraints) == (
+            other.num_variables, other.objective, other.constraints
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"LinearProgram(num_variables={self.num_variables!r}, "
+            f"objective={self.objective!r}, constraints={self.constraints!r})"
+        )
 
     def __post_init__(self) -> None:
         if self.num_variables < 1:
@@ -74,8 +96,7 @@ class LinearProgram:
         self.constraints.append((row, rel, rhs))
 
 
-@dataclass(frozen=True)
-class LPOutcome:
+class LPOutcome(Record):
     """Result of an exact solve.
 
     ``value`` and ``assignment`` are present exactly when ``status`` is
@@ -85,8 +106,19 @@ class LPOutcome:
     """
 
     status: str
-    value: Rational | None = None
-    assignment: tuple[Rational, ...] | None = None
+    value: Rational | None
+    assignment: tuple[Rational, ...] | None
+
+    def __init__(
+        self,
+        status: str,
+        value: Rational | None = None,
+        assignment: tuple[Rational, ...] | None = None,
+    ) -> None:
+        fields = vars(self)
+        fields["status"] = status
+        fields["value"] = value
+        fields["assignment"] = assignment
 
 
 def lp_maximize(lp: LinearProgram) -> LPOutcome:

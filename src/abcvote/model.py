@@ -24,7 +24,6 @@ preserved).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -77,8 +76,51 @@ class InternalInvariantError(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
-class ElectionInstance:
+class Record:
+    """An immutable value with named fields.
+
+    A subclass annotates its fields in the class body, in order, and
+    writes an ``__init__`` that stores each one in ``vars(self)``.
+    Records of the same class are equal when their fields are, hash as
+    the tuple of their fields and print as ``Name(field=value, ...)``
+    without the fields named in ``_hidden``.  Assigning or deleting an
+    attribute raises AttributeError.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _hidden: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls._fields = tuple(cls.__annotations__)
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(
+            f"{name}={getattr(self, name)!r}"
+            for name in self._fields
+            if name not in self._hidden
+        )
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class ElectionInstance(Record):
     """An approval election: candidates, approval ballots, committee size.
 
     Attributes:
@@ -94,6 +136,18 @@ class ElectionInstance:
     num_candidates: int
     committee_size: int
     approvals: tuple[frozenset[int], ...]
+
+    def __init__(
+        self,
+        num_candidates: int,
+        committee_size: int,
+        approvals: Sequence[Iterable[int]],
+    ) -> None:
+        fields = vars(self)
+        fields["num_candidates"] = num_candidates
+        fields["committee_size"] = committee_size
+        fields["approvals"] = approvals
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.num_candidates < 1:
@@ -160,8 +214,7 @@ def welfare_vector(instance: ElectionInstance, committee: Iterable[int]) -> tupl
     return tuple(len(ballot & members) for ballot in instance.approvals)
 
 
-@dataclass(frozen=True)
-class BallotClasses:
+class BallotClasses(Record):
     """The voters grouped by ballot, the only view of a profile an
     anonymous rule or axiom needs.
 
@@ -178,6 +231,19 @@ class BallotClasses:
     voters: tuple[list[int], ...]
     sizes: tuple[int, ...]
     holders: tuple[list[int], ...]
+
+    def __init__(
+        self,
+        ballots: tuple[frozenset[int], ...],
+        voters: tuple[list[int], ...],
+        sizes: tuple[int, ...],
+        holders: tuple[list[int], ...],
+    ) -> None:
+        fields = vars(self)
+        fields["ballots"] = ballots
+        fields["voters"] = voters
+        fields["sizes"] = sizes
+        fields["holders"] = holders
 
 
 def ballot_classes(instance: ElectionInstance) -> BallotClasses:

@@ -53,7 +53,6 @@ makes every rule fully deterministic.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
@@ -68,6 +67,7 @@ from abcvote.model import (
     InternalInvariantError,
     NodeCounter,
     Rational,
+    Record,
     ballot_classes,
     clone_classes,
     suffix_counts,
@@ -297,8 +297,7 @@ def seq_pav(instance: ElectionInstance) -> Committee:
     return frozenset(committee)
 
 
-@dataclass(frozen=True)
-class PhragmenTrace:
+class PhragmenTrace(Record):
     """Full record of a money-earning run.
 
     ``elected`` lists candidates in election order; ``election_times[j]`` is
@@ -315,7 +314,17 @@ class PhragmenTrace:
     """
 
     elected: tuple[int, ...]
-    purchases: list[tuple[int, int, list[int], list[int]]] = field(repr=False)
+    purchases: list[tuple[int, int, list[int], list[int]]]
+    _hidden = ("purchases",)
+
+    def __init__(
+        self,
+        elected: tuple[int, ...],
+        purchases: list[tuple[int, int, list[int], list[int]]],
+    ) -> None:
+        fields = vars(self)
+        fields["elected"] = elected
+        fields["purchases"] = purchases
 
     @cached_property
     def election_times(self) -> tuple[Rational, ...]:
@@ -424,8 +433,7 @@ def _phragmen_run(
     return PhragmenTrace(tuple(elected), purchases), snapshots
 
 
-@dataclass(frozen=True)
-class RuleXTrace:
+class RuleXTrace(Record):
     """Record of a budget-spending run.
 
     ``q_values[j]`` is the per-voter payment cap with which ``elected[j]``
@@ -439,7 +447,19 @@ class RuleXTrace:
 
     elected: tuple[int, ...]
     q_values: tuple[Rational, ...]
-    snapshots: list[tuple[int, list[int]]] = field(repr=False)
+    snapshots: list[tuple[int, list[int]]]
+    _hidden = ("snapshots",)
+
+    def __init__(
+        self,
+        elected: tuple[int, ...],
+        q_values: tuple[Rational, ...],
+        snapshots: list[tuple[int, list[int]]],
+    ) -> None:
+        fields = vars(self)
+        fields["elected"] = elected
+        fields["q_values"] = q_values
+        fields["snapshots"] = snapshots
 
     @cached_property
     def budgets(self) -> tuple[tuple[Rational, ...], ...]:

@@ -898,6 +898,26 @@ def test_plain_command_lines_build_no_parser():
     assert done.stdout == "[0, 0, 0, 0] False\n"
 
 
+#: Standard modules that only ``dataclasses`` (or another user of
+#: ``inspect``) would load: about 20 ms of start-up that no command needs.
+INTROSPECTION_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+
+
+def test_import_loads_no_introspection_modules():
+    # -S: no ``site``, so nothing but abcvote's own imports is loaded
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = (
+        "import sys, abcvote.cli; "
+        f"print(sorted(set({INTROSPECTION_MODULES!r}) & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert done.stdout == "[]\n"
+
+
 def test_axiom_tables_name_known_axioms_and_rules():
     for name in (*cli.CHECK_AXIOMS, *cli.SEARCH_AXIOMS, *cli.MATRIX):
         assert name in cli.AXIOM_CHECKS
