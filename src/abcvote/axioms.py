@@ -34,6 +34,7 @@ from abcvote.model import (
     SearchBudgetExceeded,
     ballot_classes,
     clone_classes,
+    committee_members,
     restrict_profile,
     suffix_counts,
     welfare_vector,
@@ -87,7 +88,7 @@ def validate_price_system(
     5. for every non-elected candidate, its approvers' combined leftover
        money is at most the price (weak inequality).
     """
-    members = frozenset(committee)
+    members = committee_members(instance, committee)
     if len(system.payments) != instance.num_voters or system.price <= 0:
         return False
     # every amount as an int numerator over the lcm of all denominators
@@ -157,27 +158,17 @@ def check_priceable(
       and a row over a strict subset of another non-member's classes is
       dropped: leftovers are never negative, so the larger row implies it.
     """
-    members = frozenset(committee)
+    members = committee_members(instance, committee)
     classes = ballot_classes(instance)
-    if not members:
-        # Nothing is bought, so any price beyond every candidate's total
-        # support works; no LP needed (the maximization is unbounded).
-        support = [sum([classes.sizes[j] for j in held]) for held in classes.holders]
-        price = max([Fraction(1)] + [Fraction(s) for s in support])
-        system = PriceSystem(
-            price=price, payments=tuple({} for _ in instance.voters)
-        )
-        _require(
-            validate_price_system(instance, committee, system),
-            "price system of the empty committee fails its re-check",
-        )
-        return system
-
     elected, slots, outside = _price_classes(classes, members)
     # shares[(j, e)]: what each voter of class j pays each member of e
-    shares = _full_spend(classes, elected, slots, instance.num_voters)
-    if shares is not None:
-        price: Rational = Fraction(instance.num_voters, len(members))
+    if not members:
+        # Nothing is bought, so any price beyond every candidate's total
+        # support works (the maximization is unbounded).
+        price: Rational = Fraction(max(1, *outside.values()))
+        shares = {}
+    elif (shares := _full_spend(classes, elected, slots, instance.num_voters)) is not None:
+        price = Fraction(instance.num_voters, len(members))
     else:
         lp, var = _priceability_program(classes, elected, slots, outside)
         outcome = lp_maximize(lp)
@@ -199,7 +190,7 @@ def check_priceable(
                 payments[i].update(purse)
     system = PriceSystem(price=price, payments=payments)
     _require(
-        validate_price_system(instance, committee, system),
+        validate_price_system(instance, members, system),
         "price system fails its re-check",
     )
     return system
@@ -315,7 +306,7 @@ def _priceability_program(
     for j, bought in enumerate(slots):
         for e in bought:
             var[(j, e)] = 1 + len(var)
-    lp = LinearProgram(num_variables=1 + len(var))
+    lp = LinearProgram(1 + len(var), [1] + [0] * len(var))
 
     def row(entries: dict[int, int]) -> list[int]:
         coeffs = [0] * lp.num_variables
@@ -339,7 +330,6 @@ def _priceability_program(
             for e in slots[j]:
                 entries[var[(j, e)]] = -sizes[j] * len(elected[e])
         lp.add_constraint(row(entries), LE, -outside[held])
-    lp.set_objective(row({0: 1}))
     return lp, var
 
 
@@ -370,7 +360,7 @@ def check_pjr(
     plain enumeration's order at any depth, so the first witness is the
     one it finds.  The witness is re-checked against the definition.
     """
-    members = frozenset(committee)
+    members = committee_members(instance, committee)
     size = len(members) or instance.committee_size
     n = instance.num_voters
     tick = NodeCounter(budget).tick
@@ -651,7 +641,7 @@ def find_core_deviation(
             alternative=frozenset(combo),
         )
         _require(
-            verify_deviation(instance, committee, deviation, lam),
+            verify_deviation(instance, members, deviation, lam),
             "core deviation fails its re-check",
         )
         return deviation
@@ -667,6 +657,7 @@ def verify_deviation(
     """Check the given (S, T) without any search: the coalition must be
     populous enough for |T| seats and every member must gain by
     ``_gain_threshold``'s rule."""
+    members = committee_members(instance, committee)
     coalition = sorted(deviation.coalition)
     alternative = sorted(deviation.alternative)
     if any(not 0 <= i < instance.num_voters for i in coalition):
@@ -678,7 +669,6 @@ def verify_deviation(
     n, k = instance.num_voters, instance.committee_size
     if len(alternative) * n > len(coalition) * k:
         return False
-    members = frozenset(committee)
     wanted = frozenset(alternative)
     for i in coalition:
         old = len(instance.approvals[i] & members)
@@ -792,7 +782,7 @@ def check_core_subject_to(
                 continue
         deviation = Deviation(coalition=frozenset(group), alternative=alternative)
         _require(
-            verify_deviation(instance, committee, deviation, Fraction(1)),
+            verify_deviation(instance, members, deviation, Fraction(1)),
             "core deviation fails its re-check",
         )
         return deviation

@@ -26,8 +26,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 from fractions import Fraction
+from itertools import chain, combinations, product
 from typing import Callable, Iterable, Sequence
 
 from abcvote.axioms import (
@@ -63,6 +65,7 @@ from abcvote.model import (
     instance_digest,
     parse_committee,
     parse_instance,
+    restrict_profile,
     serialize_instance,
     welfare_vector,
 )
@@ -356,8 +359,6 @@ def _paired_rotation_family(max_n: int, max_m: int, max_k: int):
     the member block is exactly at the cohesiveness threshold — and the
     drain funding schedule decides whether the block's candidates ever
     come up for election."""
-    from itertools import combinations, product
-
     groups = 3
     k = 2 * groups
     m = k + 3
@@ -385,8 +386,6 @@ def _paired_rotation_family(max_n: int, max_m: int, max_k: int):
 def _exhaustive_small(max_n: int, max_m: int, max_k: int):
     """Every instance with at most 3 voters, 3 candidates: small enough to
     enumerate outright, and any counterexample here beats a sampled one."""
-    from itertools import combinations, product
-
     for m in range(1, min(3, max_m) + 1):
         ballot_pool = [
             frozenset(c)
@@ -409,9 +408,6 @@ def _instance_key(instance: ElectionInstance):
 
 
 def cmd_search(args) -> int:
-    import random as _random
-    from itertools import chain
-
     _at_least(args.max_n, 2, "--max-n")
     _at_least(args.max_m, 2, "--max-m")
     _at_least(args.max_k, 1, "--max-k")
@@ -465,7 +461,7 @@ def cmd_search(args) -> int:
         if key not in outcomes:
             outcomes[key] = decide(instance)
         tally(instance, outcomes[key])
-    rng = _random.Random(args.seed)
+    rng = random.Random(args.seed)
     for trial in range(args.trials):
         planted = rule == "phragmen" and axiom == "ejr" and trial % 2 == 1
         instance = _search_candidates(
@@ -679,8 +675,6 @@ def _propb1_deviation_priceable(
     price system over the restricted profile: price 8, the 80 early voters
     paying 1/8 per approved deviation candidate and each late voter 1/2 to
     each of its two."""
-    from abcvote.model import restrict_profile
-
     restricted = restrict_profile(instance, sorted(coalition), len(alternative))
     payments = []
     for original in sorted(coalition):

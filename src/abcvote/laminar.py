@@ -32,7 +32,13 @@ from __future__ import annotations
 from itertools import combinations, product
 from math import comb, prod
 
-from abcvote.model import Committee, ElectionInstance, Record, SearchBudgetExceeded
+from abcvote.model import (
+    Committee,
+    ElectionInstance,
+    Record,
+    SearchBudgetExceeded,
+    committee_members,
+)
 
 Ballots = tuple[frozenset[int], ...]
 
@@ -137,8 +143,8 @@ def check_laminar_proportional(
 
     Raises ValueError when the instance itself is not laminar.
     """
+    members = committee_members(instance, committee)
     seats = _seats(instance)
-    members = frozenset(committee)
     return (
         len(members) == instance.committee_size
         and seats.forced <= members

@@ -41,7 +41,8 @@ UNBOUNDED = "unbounded"
 class LinearProgram:
     """maximize ``objective . x`` subject to ``constraints`` and ``x >= 0``.
 
-    Variables are indexed ``0 .. num_variables-1``; a constraint is
+    Variables are indexed ``0 .. num_variables-1``; the objective defaults
+    to zero, and rows enter only through ``add_constraint`` as
     ``(coeffs, relation, rhs)`` with relation LE or EQ.  Every value is an
     int; any other type raises TypeError rather than being floor-divided
     silently.
@@ -51,16 +52,16 @@ class LinearProgram:
     objective: list[int]
     constraints: list[tuple[list[int], str, int]]
 
-    def __init__(
-        self,
-        num_variables: int,
-        objective: Sequence[int] | None = None,
-        constraints: list[tuple[list[int], str, int]] | None = None,
-    ) -> None:
+    def __init__(self, num_variables: int, objective: Sequence[int] | None = None) -> None:
+        if num_variables < 1:
+            raise ValueError("need at least one variable")
+        if objective is None:
+            objective = [0] * num_variables
+        elif len(objective) != num_variables:
+            raise ValueError("objective has wrong length")
         self.num_variables = num_variables
-        self.objective = [] if objective is None else objective
-        self.constraints = [] if constraints is None else constraints
-        self.__post_init__()
+        self.objective = _ints(objective)
+        self.constraints = []
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -74,16 +75,6 @@ class LinearProgram:
             f"LinearProgram(num_variables={self.num_variables!r}, "
             f"objective={self.objective!r}, constraints={self.constraints!r})"
         )
-
-    def __post_init__(self) -> None:
-        if self.num_variables < 1:
-            raise ValueError("need at least one variable")
-        self.set_objective(self.objective or [0] * self.num_variables)
-
-    def set_objective(self, coeffs: Sequence[int]) -> None:
-        if len(coeffs) != self.num_variables:
-            raise ValueError("objective has wrong length")
-        self.objective = _ints(coeffs)
 
     def add_constraint(self, coeffs: Sequence[int], rel: str, rhs: int) -> None:
         if len(coeffs) != self.num_variables:

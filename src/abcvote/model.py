@@ -143,42 +143,36 @@ class ElectionInstance(Record):
         committee_size: int,
         approvals: Sequence[Iterable[int]],
     ) -> None:
-        fields = vars(self)
-        fields["num_candidates"] = num_candidates
-        fields["committee_size"] = committee_size
-        fields["approvals"] = approvals
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if self.num_candidates < 1:
+        if num_candidates < 1:
             raise ValueError("instance needs at least one candidate")
-        if not 1 <= self.committee_size <= self.num_candidates:
+        if not 1 <= committee_size <= num_candidates:
             raise ValueError(
-                f"committee size {self.committee_size} not in "
-                f"1..{self.num_candidates}"
+                f"committee size {committee_size} not in 1..{num_candidates}"
             )
-        if len(self.approvals) < 1:
+        if len(approvals) < 1:
             raise ValueError("instance needs at least one voter")
-        approvals = tuple(map(frozenset, self.approvals))
-        object.__setattr__(self, "approvals", approvals)
+        approvals = tuple(map(frozenset, approvals))
         # A C-level union and sum instead of a test per approval (a float
         # equal to an index makes the sum a non-int); the per-voter loop
         # names the first offender.
         used = frozenset().union(*approvals)
-        if used <= frozenset(range(self.num_candidates)) and type(sum(used)) is int:
-            return
-        for voter, ballot in enumerate(approvals):
-            for c in ballot:
-                if not isinstance(c, int):
-                    raise ValueError(
-                        f"ballot of voter {voter} mentions candidate {c!r}, "
-                        "candidate indices must be ints"
-                    )
-                if not 0 <= c < self.num_candidates:
-                    raise ValueError(
-                        f"ballot of voter {voter} mentions candidate {c}, "
-                        f"valid range is 0..{self.num_candidates - 1}"
-                    )
+        if not used <= frozenset(range(num_candidates)) or type(sum(used)) is not int:
+            for voter, ballot in enumerate(approvals):
+                for c in ballot:
+                    if not isinstance(c, int):
+                        raise ValueError(
+                            f"ballot of voter {voter} mentions candidate {c!r}, "
+                            "candidate indices must be ints"
+                        )
+                    if not 0 <= c < num_candidates:
+                        raise ValueError(
+                            f"ballot of voter {voter} mentions candidate {c}, "
+                            f"valid range is 0..{num_candidates - 1}"
+                        )
+        fields = vars(self)
+        fields["num_candidates"] = num_candidates
+        fields["committee_size"] = committee_size
+        fields["approvals"] = approvals
 
     @property
     def num_voters(self) -> int:
@@ -201,16 +195,27 @@ class ElectionInstance(Record):
         )
 
 
-def welfare_vector(instance: ElectionInstance, committee: Iterable[int]) -> tuple[int, ...]:
-    """Number of approved committee members, per voter.
+def committee_members(
+    instance: ElectionInstance, committee: Iterable[int]
+) -> frozenset[int]:
+    """``committee`` as a frozenset, after checking that every member is a
+    candidate of ``instance``; ValueError names one that is not.
 
-    ``committee`` may be any set of valid candidate indices; it does not have
-    to respect the committee size.
+    Every public function that takes a committee reads it through this
+    check, directly or through ``welfare_vector``.  The committee may have
+    any size; it does not have to respect the committee size.
     """
     members = frozenset(committee)
     for c in members:
         if not 0 <= c < instance.num_candidates:
             raise ValueError(f"no such candidate: {c}")
+    return members
+
+
+def welfare_vector(instance: ElectionInstance, committee: Iterable[int]) -> tuple[int, ...]:
+    """Number of approved committee members, per voter, for any committee
+    ``committee_members`` accepts."""
+    members = committee_members(instance, committee)
     return tuple(len(ballot & members) for ballot in instance.approvals)
 
 

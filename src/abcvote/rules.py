@@ -70,6 +70,7 @@ from abcvote.model import (
     Record,
     ballot_classes,
     clone_classes,
+    committee_members,
     suffix_counts,
 )
 
@@ -101,7 +102,7 @@ def pav_score(instance: ElectionInstance, committee: Committee) -> Rational:
     once per distinct ballot and weighted by the number of its voters.
     H(u) is the sum of the first u weights of a committee of |W| seats,
     over the first weight, lcm(1..|W|)."""
-    members = frozenset(committee)
+    members = committee_members(instance, committee)
     weights = _pav_weights(max(len(members), 1))
     below = list(accumulate(weights, initial=0))
     classes = ballot_classes(instance)

@@ -129,8 +129,9 @@ def test_value_invariant_under_permutation(seed):
 
     perm = list(range(lp.num_variables))
     rng.shuffle(perm)
-    permuted = LinearProgram(lp.num_variables)
-    permuted.set_objective([lp.objective[perm[j]] for j in range(lp.num_variables)])
+    permuted = LinearProgram(
+        lp.num_variables, [lp.objective[perm[j]] for j in range(lp.num_variables)]
+    )
     rows = list(lp.constraints)
     rng.shuffle(rows)
     for coeffs, rel, rhs in rows:
@@ -147,9 +148,18 @@ def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         lp.add_constraint([1], LE, 1)
     with pytest.raises(ValueError):
-        lp.set_objective([1])
+        LinearProgram(2, objective=[1])
     with pytest.raises(ValueError):
         LinearProgram(0)
+
+
+def test_rows_enter_only_through_add_constraint():
+    # no constructor argument takes rows, and an empty objective is a
+    # wrong-length one, not a zero one
+    with pytest.raises(TypeError):
+        LinearProgram(2, [1, 1], [])
+    with pytest.raises(ValueError, match="objective has wrong length"):
+        LinearProgram(2, [])
 
 
 @pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(2), 1.0])
@@ -161,7 +171,7 @@ def test_non_int_coefficients_rejected(bad):
     with pytest.raises(TypeError):
         lp.add_constraint([1, 1], EQ, bad)
     with pytest.raises(TypeError):
-        lp.set_objective([1, bad])
+        LinearProgram(2, objective=[1, bad])
     with pytest.raises(TypeError):
         LinearProgram(2, objective=[bad, 0])
     assert lp.constraints == [] and lp.objective == [0, 0]

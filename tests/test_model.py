@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from abcvote import axioms
 from abcvote.generators import FIXTURE_NAMES, fixture
+from abcvote.laminar import check_laminar_proportional
 from abcvote.model import (
     BallotClasses,
     ElectionInstance,
@@ -25,6 +27,7 @@ from abcvote.model import (
     suffix_counts,
     welfare_vector,
 )
+from abcvote.rules import pav_score
 from tests.conftest import instances, instances_with_committee, shared_ballot_instances
 
 
@@ -177,6 +180,40 @@ def test_welfare_vector_on_contrasting_committees():
     balanced_welfare = frozenset({0, 1, 2}) | frozenset(range(6, 15))
     assert welfare_vector(INTRO, balanced_power) == (4, 4, 4, 2, 2, 2)
     assert welfare_vector(INTRO, balanced_welfare) == (3, 3, 3, 3, 3, 3)
+
+
+#: Every public function that takes a committee, as a call on (instance,
+#: committee) with its other arguments valid.
+COMMITTEE_TAKERS = {
+    "welfare_vector": welfare_vector,
+    "pav_score": pav_score,
+    "check_laminar_proportional": check_laminar_proportional,
+    "check_priceable": axioms.check_priceable,
+    "validate_price_system": lambda instance, committee: axioms.validate_price_system(
+        instance, committee, axioms.PriceSystem(Fraction(1), ({},) * instance.num_voters)
+    ),
+    "check_pjr": axioms.check_pjr,
+    "check_ejr": axioms.check_ejr,
+    "find_core_deviation": axioms.find_core_deviation,
+    "minimal_core_lambda": axioms.minimal_core_lambda,
+    "check_core_subject_to": lambda instance, committee: axioms.check_core_subject_to(
+        instance, committee, axioms.COHESIVE
+    ),
+    "check_pareto": axioms.check_pareto,
+    "check_pigou_dalton": axioms.check_pigou_dalton,
+    "verify_deviation": lambda instance, committee: axioms.verify_deviation(
+        instance, committee, axioms.Deviation(frozenset({0}), frozenset({0}))
+    ),
+}
+
+
+@pytest.mark.parametrize("member", [15, -1])
+@pytest.mark.parametrize("name", COMMITTEE_TAKERS)
+def test_committee_with_a_non_candidate_is_refused(name, member):
+    # INTRO has candidates 0..14 and is laminar, so each call reaches its
+    # committee; no function answers for a committee it cannot hold
+    with pytest.raises(ValueError, match=f"^no such candidate: {member}$"):
+        COMMITTEE_TAKERS[name](INTRO, frozenset({0, 1, 2, member}))
 
 
 def test_approvers():

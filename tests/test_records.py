@@ -191,9 +191,10 @@ def test_linear_program_is_a_mutable_unhashable_builder():
     assert repr(first) == (
         "LinearProgram(num_variables=2, objective=[0, 0], constraints=[([1, 1], '<=', 3)])"
     )
-    first.set_objective([1, 2])
-    assert second.objective == [0, 0]
-    assert repr(LinearProgram(2, [1, 2])) == (
+    weights = [1, 2]
+    third = LinearProgram(2, weights)
+    assert third.objective == weights and third.objective is not weights
+    assert repr(third) == (
         "LinearProgram(num_variables=2, objective=[1, 2], constraints=[])"
     )
     first.num_variables = 3
