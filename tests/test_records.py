@@ -137,6 +137,18 @@ def test_records_take_positional_and_keyword_arguments():
     ):
         with pytest.raises(TypeError):
             build()
+    for record, _, names, _, _ in RECORDS:
+        cls, values = type(record), tuple(getattr(record, name) for name in names)
+        assert cls(*values) == record
+        assert cls(**dict(reversed(list(zip(names, values))))) == record
+        for build in (
+            lambda: cls(**dict(zip(names[1:], values[1:]))),  # first field missing
+            lambda: cls(*values, values[0]),
+            lambda: cls(*values, extra=values[0]),
+            lambda: cls(*values, **{names[0]: values[0]}),
+        ):
+            with pytest.raises(TypeError, match=cls.__name__):
+                build()
 
 
 def test_constructors_still_validate():
