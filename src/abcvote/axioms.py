@@ -54,22 +54,12 @@ class PriceSystem(Record):
     price: Rational
     payments: tuple[dict[int, Rational], ...]
 
-    def __init__(self, price: Rational, payments: tuple[dict[int, Rational], ...]) -> None:
-        fields = vars(self)
-        fields["price"] = price
-        fields["payments"] = payments
-
 
 class Deviation(Record):
     """A coalition of voters backing an alternative candidate set."""
 
     coalition: frozenset[int]
     alternative: frozenset[int]
-
-    def __init__(self, coalition: frozenset[int], alternative: frozenset[int]) -> None:
-        fields = vars(self)
-        fields["coalition"] = coalition
-        fields["alternative"] = alternative
 
 
 # ---------------------------------------------------------------------------
@@ -660,13 +650,14 @@ def verify_deviation(
     members = committee_members(instance, committee)
     coalition = sorted(deviation.coalition)
     alternative = sorted(deviation.alternative)
-    if any(not 0 <= i < instance.num_voters for i in coalition):
+    n, m = instance.num_voters, instance.num_candidates
+    if any(not (isinstance(i, int) and 0 <= i < n) for i in coalition):
         raise ValueError("coalition voter index out of range")
-    if any(not 0 <= c < instance.num_candidates for c in alternative):
+    if any(not (isinstance(c, int) and 0 <= c < m) for c in alternative):
         raise ValueError("alternative candidate index out of range")
     if not coalition or not alternative:
         return False
-    n, k = instance.num_voters, instance.committee_size
+    k = instance.committee_size
     if len(alternative) * n > len(coalition) * k:
         return False
     wanted = frozenset(alternative)

@@ -284,14 +284,6 @@ class PartyListInstance(Record):
     parties: tuple[frozenset[int], ...]
     integral: bool
 
-    def __init__(
-        self, instance: ElectionInstance, parties: tuple[frozenset[int], ...], integral: bool
-    ) -> None:
-        fields = vars(self)
-        fields["instance"] = instance
-        fields["parties"] = parties
-        fields["integral"] = integral
-
 
 def gen_party_list(
     voter_counts: Sequence[int],

@@ -61,13 +61,6 @@ class LaminarSeats(Record):
     forced: frozenset[int]
     pools: tuple[tuple[frozenset[int], int], ...]
 
-    def __init__(
-        self, forced: frozenset[int], pools: tuple[tuple[frozenset[int], int], ...]
-    ) -> None:
-        fields = vars(self)
-        fields["forced"] = forced
-        fields["pools"] = pools
-
 
 def check_laminar(instance: ElectionInstance) -> LaminarSeats | None:
     """The seat constraints of a laminar instance, or None."""

@@ -97,19 +97,8 @@ class LPOutcome(Record):
     """
 
     status: str
-    value: Rational | None
-    assignment: tuple[Rational, ...] | None
-
-    def __init__(
-        self,
-        status: str,
-        value: Rational | None = None,
-        assignment: tuple[Rational, ...] | None = None,
-    ) -> None:
-        fields = vars(self)
-        fields["status"] = status
-        fields["value"] = value
-        fields["assignment"] = assignment
+    value: Rational | None = None
+    assignment: tuple[Rational, ...] | None = None
 
 
 def lp_maximize(lp: LinearProgram) -> LPOutcome:

@@ -79,12 +79,13 @@ class InternalInvariantError(RuntimeError):
 class Record:
     """An immutable value with named fields.
 
-    A subclass annotates its fields in the class body, in order, and
-    writes an ``__init__`` that stores each one in ``vars(self)``.
-    Records of the same class are equal when their fields are, hash as
-    the tuple of their fields and print as ``Name(field=value, ...)``
-    without the fields named in ``_hidden``.  Assigning or deleting an
-    attribute raises AttributeError.
+    A subclass annotates its fields in the class body, in order; a field
+    given a value there defaults to it.  The constructor binds positional,
+    then keyword arguments to the fields and raises TypeError, naming the
+    class, on a surplus, unknown, repeated or missing one.  Records of the
+    same class are equal when their fields are, hash as the tuple of their
+    fields and print as ``Name(field=value, ...)`` without the fields named
+    in ``_hidden``.  Assigning or deleting an attribute raises AttributeError.
     """
 
     _fields: tuple[str, ...] = ()
@@ -93,6 +94,30 @@ class Record:
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
         cls._fields = tuple(cls.__annotations__)
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        names = self._fields
+        if kwargs or len(args) != len(names):
+            args = self._bind(args, kwargs)
+        vars(self).update(zip(names, args))
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        """The arguments, then the class-body defaults, one per field."""
+        name, fields, defaults = cls.__qualname__, cls._fields, vars(cls)
+        if len(args) > len(fields):
+            raise TypeError(f"{name} takes {len(fields)} fields, not {len(args)}")
+        values = list(args)
+        for field in fields[len(args):]:
+            if field in kwargs:
+                values.append(kwargs.pop(field))
+            elif field in defaults:
+                values.append(defaults[field])
+            else:
+                raise TypeError(f"{name} is missing field {field!r}")
+        if kwargs:
+            raise TypeError(f"{name} got unknown or repeated fields {sorted(kwargs)}")
+        return values
 
     def _astuple(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -188,7 +213,7 @@ class ElectionInstance(Record):
 
     def approvers(self, candidate: int) -> frozenset[int]:
         """Voters that approve ``candidate``."""
-        if not 0 <= candidate < self.num_candidates:
+        if not (isinstance(candidate, int) and 0 <= candidate < self.num_candidates):
             raise ValueError(f"no such candidate: {candidate}")
         return frozenset(
             i for i, ballot in enumerate(self.approvals) if candidate in ballot
@@ -207,7 +232,7 @@ def committee_members(
     """
     members = frozenset(committee)
     for c in members:
-        if not 0 <= c < instance.num_candidates:
+        if not (isinstance(c, int) and 0 <= c < instance.num_candidates):
             raise ValueError(f"no such candidate: {c}")
     return members
 
@@ -236,19 +261,6 @@ class BallotClasses(Record):
     voters: tuple[list[int], ...]
     sizes: tuple[int, ...]
     holders: tuple[list[int], ...]
-
-    def __init__(
-        self,
-        ballots: tuple[frozenset[int], ...],
-        voters: tuple[list[int], ...],
-        sizes: tuple[int, ...],
-        holders: tuple[list[int], ...],
-    ) -> None:
-        fields = vars(self)
-        fields["ballots"] = ballots
-        fields["voters"] = voters
-        fields["sizes"] = sizes
-        fields["holders"] = holders
 
 
 def ballot_classes(instance: ElectionInstance) -> BallotClasses:
@@ -308,7 +320,7 @@ def restrict_profile(
     if not chosen:
         raise ValueError("cannot restrict to an empty voter set")
     for i in chosen:
-        if not 0 <= i < instance.num_voters:
+        if not (isinstance(i, int) and 0 <= i < instance.num_voters):
             raise ValueError(f"no such voter: {i}")
     return ElectionInstance(
         num_candidates=instance.num_candidates,

@@ -318,15 +318,6 @@ class PhragmenTrace(Record):
     purchases: list[tuple[int, int, list[int], list[int]]]
     _hidden = ("purchases",)
 
-    def __init__(
-        self,
-        elected: tuple[int, ...],
-        purchases: list[tuple[int, int, list[int], list[int]]],
-    ) -> None:
-        fields = vars(self)
-        fields["elected"] = elected
-        fields["purchases"] = purchases
-
     @cached_property
     def election_times(self) -> tuple[Rational, ...]:
         return tuple(Fraction(clock, den) for den, clock, _, _ in self.purchases)
@@ -450,17 +441,6 @@ class RuleXTrace(Record):
     q_values: tuple[Rational, ...]
     snapshots: list[tuple[int, list[int]]]
     _hidden = ("snapshots",)
-
-    def __init__(
-        self,
-        elected: tuple[int, ...],
-        q_values: tuple[Rational, ...],
-        snapshots: list[tuple[int, list[int]]],
-    ) -> None:
-        fields = vars(self)
-        fields["elected"] = elected
-        fields["q_values"] = q_values
-        fields["snapshots"] = snapshots
 
     @cached_property
     def budgets(self) -> tuple[tuple[Rational, ...], ...]:

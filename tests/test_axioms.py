@@ -388,12 +388,13 @@ def test_verify_deviation_conditions():
 
 
 def test_verify_deviation_index_errors():
-    witness = Deviation(coalition=frozenset({99}), alternative=frozenset({0}))
-    with pytest.raises(ValueError):
-        verify_deviation(INTRO, COMMITTEE_B, witness)
-    witness = Deviation(coalition=frozenset({0}), alternative=frozenset({99}))
-    with pytest.raises(ValueError):
-        verify_deviation(INTRO, COMMITTEE_B, witness)
+    for index in (99, 0.5):
+        witness = Deviation(coalition=frozenset({index}), alternative=frozenset({0}))
+        with pytest.raises(ValueError, match="coalition voter index out of range"):
+            verify_deviation(INTRO, COMMITTEE_B, witness)
+        witness = Deviation(coalition=frozenset({0}), alternative=frozenset({index}))
+        with pytest.raises(ValueError, match="alternative candidate index out of range"):
+            verify_deviation(INTRO, COMMITTEE_B, witness)
 
 
 def test_verify_deviation_lambda_gain_rule():

@@ -207,7 +207,7 @@ COMMITTEE_TAKERS = {
 }
 
 
-@pytest.mark.parametrize("member", [15, -1])
+@pytest.mark.parametrize("member", [15, -1, 1.5])
 @pytest.mark.parametrize("name", COMMITTEE_TAKERS)
 def test_committee_with_a_non_candidate_is_refused(name, member):
     # INTRO has candidates 0..14 and is laminar, so each call reaches its
@@ -220,8 +220,9 @@ def test_approvers():
     assert INTRO.approvers(0) == frozenset({0, 1, 2})
     assert INTRO.approvers(3) == frozenset({0})
     assert INTRO.approvers(14) == frozenset({5})
-    with pytest.raises(ValueError):
-        INTRO.approvers(15)
+    for candidate in (15, 1.5):
+        with pytest.raises(ValueError, match=f"^no such candidate: {candidate}$"):
+            INTRO.approvers(candidate)
 
 
 def test_ballot_classes_in_first_appearance_order():
@@ -287,8 +288,9 @@ def test_restrict_profile_keeps_candidate_universe():
     assert sub.approvals == INTRO.approvals[:3]
     with pytest.raises(ValueError):
         restrict_profile(INTRO, [], new_k=2)
-    with pytest.raises(ValueError):
-        restrict_profile(INTRO, [7], new_k=2)
+    for voter in (7, 0.5):
+        with pytest.raises(ValueError, match=f"^no such voter: {voter}$"):
+            restrict_profile(INTRO, [voter], new_k=2)
 
 
 @given(instances_with_committee())
