@@ -96,10 +96,10 @@ class Record:
         cls._fields = tuple(cls.__annotations__)
 
     def __init__(self, *args: object, **kwargs: object) -> None:
-        names = self._fields
-        if kwargs or len(args) != len(names):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
             args = self._bind(args, kwargs)
-        vars(self).update(zip(names, args))
+        vars(self).update(zip(fields, args))
 
     @classmethod
     def _bind(cls, args: tuple, kwargs: dict) -> list:
