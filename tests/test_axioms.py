@@ -192,7 +192,13 @@ def test_validate_price_system_rejections():
     instance, committee = REJECTION_INSTANCE, REJECTION_COMMITTEE
     assert validate_price_system(instance, committee, VALID_SYSTEM)
     for system in BROKEN_SYSTEMS:
-        assert not validate_price_system(instance, committee, system)
+        assert validate_price_system(instance, committee, system) is False
+    # a purse key off the payer's ballot is a verdict (above), one that is
+    # no candidate an input error
+    for key in (0.0, 2):
+        system = PriceSystem(price=Fraction(1), payments=({key: _HALF}, {0: _HALF}))
+        with pytest.raises(ValueError, match=f"^no such candidate: {key}$"):
+            validate_price_system(instance, committee, system)
 
 
 def test_validate_rejects_wrong_voter_count():
@@ -388,12 +394,12 @@ def test_verify_deviation_conditions():
 
 
 def test_verify_deviation_index_errors():
-    for index in (99, 0.5):
-        witness = Deviation(coalition=frozenset({index}), alternative=frozenset({0}))
-        with pytest.raises(ValueError, match="coalition voter index out of range"):
+    for indices in ({99}, {0.5}, {"a", 1}, {"a", 0}):
+        witness = Deviation(coalition=frozenset(indices), alternative=frozenset({0}))
+        with pytest.raises(ValueError, match="^coalition voter index out of range$"):
             verify_deviation(INTRO, COMMITTEE_B, witness)
-        witness = Deviation(coalition=frozenset({0}), alternative=frozenset({index}))
-        with pytest.raises(ValueError, match="alternative candidate index out of range"):
+        witness = Deviation(coalition=frozenset({0}), alternative=frozenset(indices))
+        with pytest.raises(ValueError, match="^alternative candidate index out of range$"):
             verify_deviation(INTRO, COMMITTEE_B, witness)
 
 

@@ -195,6 +195,21 @@ def test_run_pav_all_ties_matches_golden(capsys):
     assert "".join(lines) == golden
 
 
+def test_run_dhondt_matches_golden(capsys):
+    """D'Hondt's report on the two party-list fixtures: lines as in
+    ``run_catalogue.txt``."""
+    lines = []
+    for name in ("example31", "remarkA1"):
+        argv = ["run", "--json", "--rule", "dhondt", "--input", fixture_path(name)]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        argv[-1] = f"fixtures/{name}.txt"
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        lines.append(f"{' '.join(argv)}\t{digest}\n")
+    golden = (GOLDEN / "run_dhondt.txt").read_text(encoding="utf-8")
+    assert "".join(lines) == golden
+
+
 def test_run_all_ties_needs_pav(capsys):
     for rule in ("seqpav", "phragmen", "rulex", "rulex-complete", "dhondt"):
         code, out, err = run_cli(

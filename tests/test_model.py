@@ -291,6 +291,9 @@ def test_restrict_profile_keeps_candidate_universe():
     for voter in (7, 0.5):
         with pytest.raises(ValueError, match=f"^no such voter: {voter}$"):
             restrict_profile(INTRO, [voter], new_k=2)
+    for voters in (["a", 1], [2, "a", 0]):
+        with pytest.raises(ValueError, match="^no such voter: a$"):
+            restrict_profile(INTRO, voters, new_k=1)
 
 
 @given(instances_with_committee())

@@ -480,6 +480,10 @@ def test_rule_x_forced_tie_strands_money():
 def test_rule_x_force_must_be_tied():
     with pytest.raises(ValueError, match="tie set"):
         rule_x(BLOCKS_15, tie_choices={0: 2})
+    # 3 is tied at step 2, but a tie choice is a candidate index, an int
+    message = "step 2: candidate 3.0 is not in the minimal-q tie set"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        rule_x(BLOCKS_15, tie_choices={2: 3.0})
 
 
 # Everyone approves 0 and 2 (q = 1/2 each); voters 0 and 1 can also afford
