@@ -32,6 +32,7 @@ from abcvote.model import (
     Rational,
     Record,
     SearchBudgetExceeded,
+    _indices,
     ballot_classes,
     clone_classes,
     committee_members,
@@ -79,6 +80,7 @@ def validate_price_system(
        money is at most the price (weak inequality).
     """
     members = committee_members(instance, committee)
+    committee_members(instance, frozenset().union(*system.payments))  # purse keys too
     if len(system.payments) != instance.num_voters or system.price <= 0:
         return False
     # every amount as an int numerator over the lcm of all denominators
@@ -648,22 +650,18 @@ def verify_deviation(
     populous enough for |T| seats and every member must gain by
     ``_gain_threshold``'s rule."""
     members = committee_members(instance, committee)
-    coalition = sorted(deviation.coalition)
-    alternative = sorted(deviation.alternative)
-    n, m = instance.num_voters, instance.num_candidates
-    if any(not (isinstance(i, int) and 0 <= i < n) for i in coalition):
-        raise ValueError("coalition voter index out of range")
-    if any(not (isinstance(c, int) and 0 <= c < m) for c in alternative):
-        raise ValueError("alternative candidate index out of range")
+    n, m, k = instance.num_voters, instance.num_candidates, instance.committee_size
+    coalition = _indices(deviation.coalition, n, "coalition voter index out of range")
+    alternative = _indices(
+        deviation.alternative, m, "alternative candidate index out of range"
+    )
     if not coalition or not alternative:
         return False
-    k = instance.committee_size
     if len(alternative) * n > len(coalition) * k:
         return False
-    wanted = frozenset(alternative)
     for i in coalition:
         old = len(instance.approvals[i] & members)
-        if len(instance.approvals[i] & wanted) <= _gain_threshold(old, lam):
+        if len(instance.approvals[i] & alternative) <= _gain_threshold(old, lam):
             return False
     return True
 

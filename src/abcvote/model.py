@@ -213,11 +213,21 @@ class ElectionInstance(Record):
 
     def approvers(self, candidate: int) -> frozenset[int]:
         """Voters that approve ``candidate``."""
-        if not (isinstance(candidate, int) and 0 <= candidate < self.num_candidates):
-            raise ValueError(f"no such candidate: {candidate}")
+        _indices((candidate,), self.num_candidates, "no such candidate: {}")
         return frozenset(
             i for i, ballot in enumerate(self.approvals) if candidate in ballot
         )
+
+
+def _indices(indices: Iterable[int], count: int, message: str) -> frozenset[int]:
+    """``indices`` as a frozenset, after checking that each is an ``int``
+    in ``0 .. count-1``, the rule for every index a caller passes in;
+    otherwise ValueError, ``message`` formatted with the first offender."""
+    found = frozenset(indices)
+    for i in found:
+        if not (isinstance(i, int) and 0 <= i < count):
+            raise ValueError(message.format(i))
+    return found
 
 
 def committee_members(
@@ -230,11 +240,7 @@ def committee_members(
     check, directly or through ``welfare_vector``.  The committee may have
     any size; it does not have to respect the committee size.
     """
-    members = frozenset(committee)
-    for c in members:
-        if not (isinstance(c, int) and 0 <= c < instance.num_candidates):
-            raise ValueError(f"no such candidate: {c}")
-    return members
+    return _indices(committee, instance.num_candidates, "no such candidate: {}")
 
 
 def welfare_vector(instance: ElectionInstance, committee: Iterable[int]) -> tuple[int, ...]:
@@ -316,12 +322,9 @@ def restrict_profile(
     The candidate universe is unchanged (ballots keep their indices), only
     the ballot list shrinks.  Voters are kept in increasing index order.
     """
-    chosen = sorted(set(voters))
+    chosen = sorted(_indices(voters, instance.num_voters, "no such voter: {}"))
     if not chosen:
         raise ValueError("cannot restrict to an empty voter set")
-    for i in chosen:
-        if not (isinstance(i, int) and 0 <= i < instance.num_voters):
-            raise ValueError(f"no such voter: {i}")
     return ElectionInstance(
         num_candidates=instance.num_candidates,
         committee_size=new_k,

@@ -68,6 +68,7 @@ from abcvote.model import (
     NodeCounter,
     Rational,
     Record,
+    _indices,
     ballot_classes,
     clone_classes,
     committee_members,
@@ -551,16 +552,11 @@ def rule_x(
         if tie_choices is not None and len(elected) in tie_choices:
             wanted = tie_choices[len(elected)]
             if wanted != best_c:
-                tied = (
-                    wanted in instance.candidates
-                    and wanted not in elected
-                    and q_of(wanted) == best_q
-                )
-                if not tied:
-                    raise ValueError(
-                        f"step {len(elected)}: candidate {wanted} is not in the "
-                        f"minimal-q tie set"
-                    )
+                refused = f"step {len(elected)}: candidate {{}} is not in the "
+                refused += "minimal-q tie set"
+                _indices((wanted,), instance.num_candidates, refused)
+                if wanted in elected or q_of(wanted) != best_q:
+                    raise ValueError(refused.format(wanted))
                 best_c = wanted
         class_of[best_c].remove(best_c)
         if members:
