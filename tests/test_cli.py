@@ -296,6 +296,40 @@ def test_check_priceable_matches_golden(capsys):
     assert "".join(lines) == golden
 
 
+#: The core family's axioms as ``check`` flags, in the order of
+#: ``check_core.txt``.
+CORE_FAMILY_FLAGS = (
+    ("--axiom", "core"),
+    ("--axiom", "lambda-core", "--lambda", "3/2"),
+    ("--axiom", "core-subject", "--property", "cohesive"),
+    ("--axiom", "core-subject", "--property", "price_eq"),
+    ("--axiom", "core-subject", "--property", "priceable"),
+    ("--axiom", "ejr"),
+)
+
+
+def test_check_core_matches_golden(capsys):
+    """The witness of every core-family cell that fails, on each fixture
+    with seq-PAV's committee, the first k and the last k candidates, at a
+    budget of 2^16 nodes: lines as in ``run_catalogue.txt``."""
+    lines = []
+    for path in sorted(FIXTURES.glob("*.txt")):
+        instance = parse_instance(path.read_text())
+        m, k = instance.num_candidates, instance.committee_size
+        for committee in (seq_pav(instance), range(k), range(m - k, m)):
+            for flags in CORE_FAMILY_FLAGS:
+                argv = ["check", "--json", *flags, "--input", f"fixtures/{path.name}",
+                        "--committee", format_committee(committee), "--budget", "65536"]
+                at = argv.index("--input") + 1
+                code, out, _ = run_cli(capsys, *argv[:at], str(path), *argv[at + 1:])
+                assert code in (0, 1, 3), argv
+                if code == 1:
+                    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+                    lines.append(f"{' '.join(argv)}\t{digest}\n")
+    golden = (GOLDEN / "check_core.txt").read_text(encoding="utf-8")
+    assert "".join(lines) == golden
+
+
 def test_check_core_failure_names_coalition(capsys):
     code, out, _ = run_cli(
         capsys,
