@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import floor, lcm
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from abcvote.lp import EQ, LE, OPTIMAL, LinearProgram, lp_maximize
 from abcvote.model import (
@@ -427,7 +427,8 @@ def check_ejr(
     before its walk.  One loop over the stack ``combo`` pushes c,
     or pops the last candidate and goes on after it: ``combinations``
     order at any depth.  Each prefix tried, at any level, is one node.
-    The witness is re-checked against the definition.
+    The witness is re-checked as a core deviation (``verify_deviation``)
+    whose coalition all approve T.
     """
     members = frozenset(committee)
     n, k = instance.num_voters, instance.committee_size
@@ -460,32 +461,18 @@ def check_ejr(
             else:
                 break
         else:
-            deviation = Deviation(
-                coalition=frozenset(i for i in instance.voters if shared >> i & 1),
-                alternative=frozenset(combo),
-            )
+            coalition = frozenset(i for i in instance.voters if shared >> i & 1)
+            alternative = frozenset(combo)
+            deviation = Deviation(coalition=coalition, alternative=alternative)
+            # T inside every ballot of S turns the core's gain |A_i & T| >
+            # |A_i & W| into EJR's |A_i & W| < |T|; both need |S|*k >= |T|*n
             _require(
-                _is_ejr_witness(instance, members, deviation),
+                verify_deviation(instance, members, deviation)
+                and all(alternative <= instance.approvals[i] for i in coalition),
                 "EJR witness fails its re-check",
             )
             return deviation
     return None
-
-
-def _is_ejr_witness(
-    instance: ElectionInstance, members: Committee, deviation: Deviation
-) -> bool:
-    """The EJR definition, checked directly on one (S, T)."""
-    level = len(deviation.alternative)
-    if not level or len(deviation.coalition) * instance.committee_size < (
-        level * instance.num_voters
-    ):
-        return False
-    return all(
-        deviation.alternative <= instance.approvals[i]
-        and len(instance.approvals[i] & members) < level
-        for i in deviation.coalition
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -587,20 +574,6 @@ def _blocking_sets(
         nxt = c + 1
 
 
-def _gainers(
-    classes: BallotClasses,
-    counts: Sequence[int],
-    thresholds: Sequence[int],
-) -> list[int]:
-    """The voters of every class whose count beats its threshold."""
-    return [
-        i
-        for j, voters in enumerate(classes.voters)
-        if counts[j] > thresholds[j]
-        for i in voters
-    ]
-
-
 def _gain_threshold(welfare: int, lam: Rational) -> int:
     """A voter gains when its new welfare beats this: its committee
     welfare u at lam = 1, and beyond, max(lam*u, 1) or, as welfare is a
@@ -624,14 +597,37 @@ def find_core_deviation(
     """
     if lam < 1:
         raise ValueError("lambda must be at least 1")
+    return _first_blocking_pair(
+        instance, committee, lam, lambda alternative, gainers: gainers, budget
+    )
+
+
+def _first_blocking_pair(
+    instance: ElectionInstance,
+    committee: Committee,
+    lam: Rational,
+    coalition: Callable[[frozenset[int], list[int]], list[int]],
+    budget: int,
+) -> Deviation | None:
+    """The first (S, T) in ``_blocking_sets`` order that blocks at lam,
+    with S = ``coalition(T, the gainers of T)``, or None.  The pair is
+    re-checked by ``verify_deviation``."""
     members = frozenset(committee)
+    n, k = instance.num_voters, instance.committee_size
     classes, welfare = _class_welfare(instance, members)
     thresholds = [_gain_threshold(u, lam) for u in welfare]
     for combo, counts in _blocking_sets(instance, classes, thresholds, budget):
-        deviation = Deviation(
-            coalition=frozenset(_gainers(classes, counts, thresholds)),
-            alternative=frozenset(combo),
-        )
+        alternative = frozenset(combo)
+        gainers = [
+            i
+            for j, voters in enumerate(classes.voters)
+            if counts[j] > thresholds[j]
+            for i in voters
+        ]
+        group = coalition(alternative, gainers)
+        if len(group) * k < len(combo) * n:
+            continue
+        deviation = Deviation(coalition=frozenset(group), alternative=alternative)
         _require(
             verify_deviation(instance, members, deviation, lam),
             "core deviation fails its re-check",
@@ -748,45 +744,37 @@ def check_core_subject_to(
     """
     if deviation_property not in PROPERTY_KINDS:
         raise ValueError(f"unknown deviation property {deviation_property!r}")
-    members = frozenset(committee)
-    n, k = instance.num_voters, instance.committee_size
-    classes, thresholds = _class_welfare(instance, members)
+    price = Fraction(instance.num_voters, instance.committee_size)
     unpriced = 0  # blocking sets T whose whole gaining group is not priceable
-    for combo, counts in _blocking_sets(instance, classes, thresholds, budget):
-        alternative = frozenset(combo)
-        group = _gainers(classes, counts, thresholds)
+
+    def coalition(alternative: frozenset[int], group: list[int]) -> list[int]:
+        nonlocal unpriced  # the coalition tried for T (above), or none: []
         if deviation_property == COHESIVE:
-            group = [i for i in group if alternative <= instance.approvals[i]]
-        elif deviation_property == PRICE_EQ:
-            group = _equal_share_payers(instance, group, combo, Fraction(n, k))
-            if not all(any(c in instance.approvals[i] for i in group) for c in combo):
-                continue
-        if len(group) * k < len(combo) * n:
-            continue
-        if deviation_property == PRICEABLE:
-            # the restricted profile keeps candidate numbering
-            restricted = restrict_profile(instance, group, len(combo))
-            if check_priceable(restricted, alternative) is None:
-                unpriced += 1
-                continue
-        deviation = Deviation(coalition=frozenset(group), alternative=alternative)
-        _require(
-            verify_deviation(instance, members, deviation, Fraction(1)),
-            "core deviation fails its re-check",
-        )
-        return deviation
-    if unpriced:
+            return [i for i in group if alternative <= instance.approvals[i]]
+        if deviation_property == PRICE_EQ:
+            group = _equal_share_payers(instance, group, alternative, price)
+            paid = all(any(c in instance.approvals[i] for i in group) for c in alternative)
+            return group if paid else []
+        # the gaining group blocks T; the restricted profile keeps numbering
+        restricted = restrict_profile(instance, group, len(alternative))
+        if check_priceable(restricted, alternative) is None:
+            unpriced += 1
+            return []
+        return group
+
+    deviation = _first_blocking_pair(instance, committee, Fraction(1), coalition, budget)
+    if deviation is None and unpriced:
         raise SearchBudgetExceeded(
             f"undecided: the gaining group of {unpriced} blocking set(s) is not "
             "priceable as a whole, and its smaller coalitions are not tried"
         )
-    return None
+    return deviation
 
 
 def _equal_share_payers(
     instance: ElectionInstance,
     coalition: list[int],
-    alternative: Sequence[int],
+    alternative: frozenset[int],
     price: Rational,
 ) -> list[int]:
     """What is left of the coalition after repeatedly dropping every
@@ -834,10 +822,7 @@ def check_pigou_dalton(
     not swap order.  Returns the lexicographically-first such committee."""
     members = frozenset(committee)
     utilities = welfare_vector(instance, members)
-    for other in _same_size_committees(instance, len(members), budget):
-        if other == members:
-            continue
-        candidate = welfare_vector(instance, other)
+    for other, candidate in _same_size_committees(instance, members, budget):
         moved = [i for i in instance.voters if candidate[i] != utilities[i]]
         if len(moved) != 2:
             continue
@@ -862,17 +847,21 @@ def check_pareto(
     better for someone, or None."""
     members = frozenset(committee)
     utilities = welfare_vector(instance, members)
-    for other in _same_size_committees(instance, len(members), budget):
-        candidate = welfare_vector(instance, other)
+    for other, candidate in _same_size_committees(instance, members, budget):
         if all(c >= u for c, u in zip(candidate, utilities)) and candidate != utilities:
             return other
     return None
 
 
 def _same_size_committees(
-    instance: ElectionInstance, size: int, budget: int
-) -> Iterator[frozenset[int]]:
+    instance: ElectionInstance, members: frozenset[int], budget: int
+) -> Iterator[tuple[frozenset[int], tuple[int, ...]]]:
+    """Every other committee of |members| candidates, in ``combinations``
+    order, with its welfare vector; each committee, ``members`` too, is
+    one node."""
     tick = NodeCounter(budget).tick
-    for combo in combinations(instance.candidates, size):
+    for combo in combinations(instance.candidates, len(members)):
         tick()
-        yield frozenset(combo)
+        other = frozenset(combo)
+        if other != members:
+            yield other, welfare_vector(instance, other)
