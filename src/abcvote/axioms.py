@@ -70,7 +70,8 @@ class Deviation(Record):
 def validate_price_system(
     instance: ElectionInstance, committee: Committee, system: PriceSystem
 ) -> bool:
-    """Re-check a price system against the raw definition (no LP):
+    """Re-check a price system against the raw definition (no LP), its
+    price and payments each an ``int`` or a ``Fraction`` (else ValueError):
 
     1. positive price;
     2. voters pay only for candidates they approve, never negative amounts;
@@ -81,13 +82,14 @@ def validate_price_system(
     """
     members = committee_members(instance, committee)
     committee_members(instance, frozenset().union(*system.payments))  # purse keys too
+    amounts = [system.price, *[a for purse in system.payments for a in purse.values()]]
+    for amount in amounts:
+        if not isinstance(amount, (int, Fraction)):
+            raise ValueError(f"price system amount {amount!r} is not an int or a Fraction")
     if len(system.payments) != instance.num_voters or system.price <= 0:
         return False
     # every amount as an int numerator over the lcm of all denominators
-    den = lcm(
-        system.price.denominator,
-        *[a.denominator for purse in system.payments for a in purse.values()],
-    )
+    den = lcm(*[a.denominator for a in amounts])
     price = system.price.numerator * (den // system.price.denominator)
     collected = [0] * instance.num_candidates
     slack = [0] * instance.num_candidates  # leftover money of the approvers

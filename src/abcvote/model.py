@@ -149,9 +149,10 @@ class ElectionInstance(Record):
     """An approval election: candidates, approval ballots, committee size.
 
     Attributes:
-        num_candidates: Number of candidates ``m``; candidates are the
-            indices ``0 .. m-1``.
-        committee_size: Target committee size ``k`` with ``1 <= k <= m``.
+        num_candidates: Number of candidates ``m``, an ``int``; candidates
+            are the indices ``0 .. m-1``.
+        committee_size: Target committee size ``k``, an ``int`` with
+            ``1 <= k <= m``.
         approvals: One ballot per voter, in voter order.  The constructor
             accepts a sequence of ballots, each any iterable of ``int``
             candidate indices (not ``1.0``), and stores them as a tuple of
@@ -168,6 +169,12 @@ class ElectionInstance(Record):
         committee_size: int,
         approvals: Sequence[Iterable[int]],
     ) -> None:
+        for name, value in (
+            ("number of candidates", num_candidates),
+            ("committee size", committee_size),
+        ):
+            if not isinstance(value, int):
+                raise ValueError(f"{name} {value!r} is not an int")
         if num_candidates < 1:
             raise ValueError("instance needs at least one candidate")
         if not 1 <= committee_size <= num_candidates:

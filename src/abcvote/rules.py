@@ -493,7 +493,8 @@ def rule_x(
 
     ``tie_choices`` may map a 0-based step number to a candidate that should
     be picked at that step instead of the lexicographic default; the choice
-    must be within that step's minimal-q tie set, otherwise ValueError.
+    must be within that step's minimal-q tie set, and the step an ``int``
+    that the run reaches (it buys a candidate there), otherwise ValueError.
 
     Budgets are int numerators over a common denominator ``den`` (so the
     price n/k is ``n`` at the start, when ``den`` is k); each purchase
@@ -572,6 +573,9 @@ def rule_x(
         elected.append(best_c)
         qs.append(Fraction(q, den))
         snapshots.append((den, budget.copy()))
+    if tie_choices is not None:
+        unreached = "tie choice for step {!r}: the budget phase takes no such step"
+        _indices(tie_choices, len(elected), unreached)
     return RuleXTrace(
         elected=tuple(elected),
         q_values=tuple(qs),

@@ -201,6 +201,20 @@ def test_validate_price_system_rejections():
             validate_price_system(instance, committee, system)
 
 
+def test_validate_price_system_amounts_are_ints_or_fractions():
+    instance, committee = REJECTION_INSTANCE, REJECTION_COMMITTEE
+    for system in (
+        PriceSystem(price=1.0, payments=({0: Fraction(1)}, {})),
+        PriceSystem(price=Fraction(1), payments=({0: 1.0}, {})),
+    ):
+        message = "price system amount 1.0 is not an int or a Fraction"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            validate_price_system(instance, committee, system)
+    assert validate_price_system(
+        instance, committee, PriceSystem(price=1, payments=({0: 1}, {}))
+    )
+
+
 def test_validate_rejects_wrong_voter_count():
     instance = build(2, 1, [{0}, {0, 1}])
     system = PriceSystem(price=Fraction(1), payments=({0: Fraction(1)},))

@@ -514,6 +514,24 @@ def test_rule_x_force_outside_tie_set(step, wanted):
         rule_x(LOSES_TWO, tie_choices={step: wanted})
 
 
+@pytest.mark.parametrize("run", [rule_x, rule_x_complete])
+@pytest.mark.parametrize(
+    "choices,step",
+    [
+        ({99: 0}, "99"),
+        ({2.0: 3}, "2.0"),  # 3 is tied at step 2, but a step is an int
+        ({2: 3, 3: 0}, "3"),  # choosing 3 at step 2 ends the budget phase
+        ({-1: 0}, "-1"),
+    ],
+)
+def test_rule_x_tie_choice_steps_must_be_reached(run, choices, step):
+    # the budget phase buys 0, 1, 2, 3 at steps 0..3, or 0, 1, 3 with {2: 3}
+    message = f"tie choice for step {step}: the budget phase takes no such step"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run(fixture("example21"), tie_choices=choices)
+    assert run(fixture("example21"), tie_choices={2: 3}).elected[:3] == (0, 1, 3)
+
+
 def test_rule_x_force_other_tied_candidate():
     trace = rule_x(BLOCKS_15, tie_choices={0: 1})
     assert trace.elected[0] == 1
