@@ -169,12 +169,10 @@ class ElectionInstance(Record):
         committee_size: int,
         approvals: Sequence[Iterable[int]],
     ) -> None:
-        for name, value in (
-            ("number of candidates", num_candidates),
-            ("committee size", committee_size),
-        ):
-            if not isinstance(value, int):
-                raise ValueError(f"{name} {value!r} is not an int")
+        if not isinstance(num_candidates, int):
+            raise ValueError(f"number of candidates {num_candidates!r} is not an int")
+        if not isinstance(committee_size, int):
+            raise ValueError(f"committee size {committee_size!r} is not an int")
         if num_candidates < 1:
             raise ValueError("instance needs at least one candidate")
         if not 1 <= committee_size <= num_candidates:

@@ -199,20 +199,15 @@ def test_validate_price_system_rejections():
         system = PriceSystem(price=Fraction(1), payments=({key: _HALF}, {0: _HALF}))
         with pytest.raises(ValueError, match=f"^no such candidate: {key}$"):
             validate_price_system(instance, committee, system)
-
-
-def test_validate_price_system_amounts_are_ints_or_fractions():
-    instance, committee = REJECTION_INSTANCE, REJECTION_COMMITTEE
+    # so is an amount that is neither an int nor a Fraction
     for system in (
         PriceSystem(price=1.0, payments=({0: Fraction(1)}, {})),
         PriceSystem(price=Fraction(1), payments=({0: 1.0}, {})),
     ):
-        message = "price system amount 1.0 is not an int or a Fraction"
-        with pytest.raises(ValueError, match=f"^{message}$"):
+        message = "^price system amount 1.0 is not an int or a Fraction$"
+        with pytest.raises(ValueError, match=message):
             validate_price_system(instance, committee, system)
-    assert validate_price_system(
-        instance, committee, PriceSystem(price=1, payments=({0: 1}, {}))
-    )
+    assert validate_price_system(instance, committee, PriceSystem(1, ({0: 1}, {})))
 
 
 def test_validate_rejects_wrong_voter_count():

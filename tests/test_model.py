@@ -125,18 +125,6 @@ def test_range_check_on_non_integer_indices():
     assert ElectionInstance(3, 1, ({True},)).approvals == (frozenset({1}),)
 
 
-def test_sizes_must_be_ints():
-    # seq_pav on a committee size of 2.0 raised TypeError, and range() on
-    # a candidate count of 3.0
-    for args, message in (
-        ((3, 2.0), "committee size 2.0 is not an int"),
-        ((3.0, 2), "number of candidates 3.0 is not an int"),
-        ((Fraction(3), 2), "number of candidates Fraction(3, 1) is not an int"),
-    ):
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            ElectionInstance(*args, [{0}, {1}])
-
-
 def test_serialize_round_trips_by_hand():
     inst = ElectionInstance(
         num_candidates=5,

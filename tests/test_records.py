@@ -162,6 +162,11 @@ def test_constructors_still_validate():
         ElectionInstance(3, 1, [{3}])
     with pytest.raises(ValueError, match="indices must be ints"):
         ElectionInstance(3, 1, [{1.0}])
+    # a whole float is no size either: 2.0 made seq_pav raise TypeError
+    with pytest.raises(ValueError, match="^committee size 2.0 is not an int$"):
+        ElectionInstance(3, 2.0, [{0}, {1}])
+    with pytest.raises(ValueError, match="^number of candidates 3.0 is not an int$"):
+        ElectionInstance(3.0, 2, [{0}, {1}])
     with pytest.raises(ValueError, match="at least one variable"):
         LinearProgram(0)
     with pytest.raises(ValueError, match="objective has wrong length"):
