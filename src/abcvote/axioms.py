@@ -750,7 +750,8 @@ def check_core_subject_to(
     unpriced = 0  # blocking sets T whose whole gaining group is not priceable
 
     def coalition(alternative: frozenset[int], group: list[int]) -> list[int]:
-        nonlocal unpriced  # the coalition tried for T (above), or none: []
+        """The coalition tried for T (see above), or [] for none."""
+        nonlocal unpriced
         if deviation_property == COHESIVE:
             return [i for i in group if alternative <= instance.approvals[i]]
         if deviation_property == PRICE_EQ:
