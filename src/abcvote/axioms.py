@@ -33,8 +33,6 @@ from abcvote.model import (
     Record,
     SearchBudgetExceeded,
     _indices,
-    ballot_classes,
-    clone_classes,
     committee_members,
     restrict_profile,
     suffix_counts,
@@ -153,8 +151,8 @@ def check_priceable(
       dropped: leftovers are never negative, so the larger row implies it.
     """
     members = committee_members(instance, committee)
-    classes = ballot_classes(instance)
-    elected, slots, outside = _price_classes(classes, members)
+    classes = instance.classes
+    elected, slots, outside = _price_classes(instance, members)
     # shares[(j, e)]: what each voter of class j pays each member of e
     if not members:
         # Nothing is bought, so any price beyond every candidate's total
@@ -191,22 +189,22 @@ def check_priceable(
 
 
 def _price_classes(
-    classes: BallotClasses, members: frozenset[int]
+    instance: ElectionInstance, members: frozenset[int]
 ) -> tuple[list[list[int]], list[list[int]], dict[frozenset[int], int]]:
     """What a price system for ``members`` is built over: the elected
     clone classes; ``slots[j]``, the indices of those on class j's ballot;
     and the approver classes of each non-member, mapped to its |N(c)|."""
-    holders, sizes = classes.holders, classes.sizes
+    holders, sizes = instance.classes.holders, instance.classes.sizes
     elected: list[list[int]] = []
     outside: dict[frozenset[int], int] = {}
-    for clones in clone_classes(holders):
+    for clones in instance.clones:
         bought = [c for c in clones if c in members]
         if bought:
             elected.append(bought)
         if len(bought) < len(clones):
             held = holders[clones[0]]
             outside[frozenset(held)] = sum([sizes[j] for j in held])
-    slots: list[list[int]] = [[] for _ in classes.ballots]
+    slots: list[list[int]] = [[] for _ in sizes]
     for e, clones in enumerate(elected):
         for j in holders[clones[0]]:
             slots[j].append(e)
@@ -437,10 +435,7 @@ def check_ejr(
     tick = NodeCounter(budget).tick
     utilities = welfare_vector(instance, members)
     m = instance.num_candidates
-    approvers = [0] * m
-    for i, ballot in enumerate(instance.approvals):
-        for c in ballot:
-            approvers[c] |= 1 << i
+    approvers = [sum([1 << i for i in voters]) for voters in instance.approver_lists]
     for level in range(1, k + 1):
         deprived = sum(1 << i for i, u in enumerate(utilities) if u < level)
         if deprived.bit_count() * k < level * n:
@@ -487,18 +482,8 @@ def check_ejr(
 # verdict.
 
 
-def _class_welfare(
-    instance: ElectionInstance, members: Committee
-) -> tuple[BallotClasses, list[int]]:
-    """The ballot classes and the committee welfare of each class."""
-    utilities = welfare_vector(instance, members)
-    classes = ballot_classes(instance)
-    return classes, [utilities[voters[0]] for voters in classes.voters]
-
-
 def _blocking_sets(
     instance: ElectionInstance,
-    classes: BallotClasses,
     thresholds: Sequence[int],
     budget: int = DEFAULT_NODE_BUDGET,
 ) -> Iterator[tuple[tuple[int, ...], list[int]]]:
@@ -524,7 +509,7 @@ def _blocking_sets(
     set entered is one node; the empty root is not.
     """
     n, m, k = instance.num_voters, instance.num_candidates, instance.committee_size
-    holders, sizes = classes.holders, classes.sizes
+    holders, sizes = instance.classes.holders, instance.classes.sizes
     remaining = suffix_counts(holders, len(sizes))  # [i][j] = |B_j & {i..m-1}|
     counts = [0] * len(sizes)
     tick = NodeCounter(budget).tick
@@ -614,11 +599,11 @@ def _first_blocking_pair(
     """The first (S, T) in ``_blocking_sets`` order that blocks at lam,
     with S = ``coalition(T, the gainers of T)``, or None.  The pair is
     re-checked by ``verify_deviation``."""
-    members = frozenset(committee)
+    members = committee_members(instance, committee)
     n, k = instance.num_voters, instance.committee_size
-    classes, welfare = _class_welfare(instance, members)
-    thresholds = [_gain_threshold(u, lam) for u in welfare]
-    for combo, counts in _blocking_sets(instance, classes, thresholds, budget):
+    classes = instance.classes
+    thresholds = [_gain_threshold(len(b & members), lam) for b in classes.ballots]
+    for combo, counts in _blocking_sets(instance, thresholds, budget):
         alternative = frozenset(combo)
         gainers = [
             i
@@ -679,12 +664,13 @@ def minimal_core_lambda(
     above 1 or make the answer None, and sets of more than k candidates
     never block, so only those T are examined.
     """
-    members = frozenset(committee)
+    members = committee_members(instance, committee)
     n, k = instance.num_voters, instance.committee_size
-    classes, welfare = _class_welfare(instance, members)
+    classes = instance.classes
+    welfare = [len(ballot & members) for ballot in classes.ballots]
     thresholds = [max(u, 1) for u in welfare]
     best = Fraction(1)
-    for combo, counts in _blocking_sets(instance, classes, thresholds, budget):
+    for combo, counts in _blocking_sets(instance, thresholds, budget):
         needed = len(combo) * n  # |S|*k must reach this to block
         always, ratios = 0, []
         for j, size in enumerate(classes.sizes):

@@ -59,7 +59,6 @@ from abcvote.model import (
     ElectionInstance,
     ParseError,
     SearchBudgetExceeded,
-    ballot_classes,
     format_committee,
     format_rational,
     instance_digest,
@@ -136,7 +135,7 @@ def _trace_lines(instance: ElectionInstance, rule: str, all_ties: bool):
         return trace.committee, lines
     # dhondt: the instance must be a party-list profile, each distinct
     # ballot a party's slate and its voters the party
-    classes = ballot_classes(instance)
+    classes = instance.classes
     if not all(classes.ballots):
         raise ParseError("apportionment needs non-empty ballots")
     if any(len(held) > 1 for held in classes.holders):

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 #: Exact rational number type used throughout the package.
@@ -157,6 +158,11 @@ class ElectionInstance(Record):
             accepts a sequence of ballots, each any iterable of ``int``
             candidate indices (not ``1.0``), and stores them as a tuple of
             frozensets.  Empty ballots are allowed.
+
+    ``classes``, ``approver_lists`` and ``clones`` are the groupings the
+    rules and checkers read, each built on first access and then kept.
+    They are shared, so no caller may mutate them, and they are not
+    fields: equality, hashing and ``repr`` ignore them.
     """
 
     num_candidates: int
@@ -216,12 +222,31 @@ class ElectionInstance(Record):
     def candidates(self) -> range:
         return range(self.num_candidates)
 
+    @cached_property
+    def classes(self) -> BallotClasses:
+        """The voters grouped by ballot."""
+        return ballot_classes(self)
+
+    @cached_property
+    def approver_lists(self) -> list[list[int]]:
+        """``approver_lists[c]``: the voters approving candidate c, in
+        increasing order, built in one pass over the ballots."""
+        out: list[list[int]] = [[] for _ in self.candidates]
+        for i, ballot in enumerate(self.approvals):
+            for c in ballot:
+                out[c].append(i)
+        return out
+
+    @cached_property
+    def clones(self) -> list[list[int]]:
+        """The candidates grouped by approvers (``clone_classes``); the
+        same partition, in the same order, as over ``classes.holders``."""
+        return clone_classes(self.approver_lists)
+
     def approvers(self, candidate: int) -> frozenset[int]:
         """Voters that approve ``candidate``."""
         _indices((candidate,), self.num_candidates, "no such candidate: {}")
-        return frozenset(
-            i for i, ballot in enumerate(self.approvals) if candidate in ballot
-        )
+        return frozenset(self.approver_lists[candidate])
 
 
 def _indices(indices: Iterable[int], count: int, message: str) -> frozenset[int]:

@@ -36,8 +36,9 @@ heap, as budgets only shrink and an old cap is a lower bound.
 instead of summing it at every step.  Both money rules' traces hold int
 numerators, made ``Fraction`` times, payments or budgets when first read;
 ``rule_x_complete`` goes on from Rule X's ints.  ``pav_score`` and
-``pav_winners`` read the profile through ``model.ballot_classes``, so
-they work once per distinct ballot.  ``pav_winners`` branches on the
+``pav_winners`` read the instance's ballot classes (``classes``), so
+they work once per distinct ballot; the other rules read its kept
+``approver_lists`` and ``clones``.  ``pav_winners`` branches on the
 most-approved candidates first, cuts with both the top solo gains and a
 per-ballot-class cap on what is left to gain, keeps every candidate's
 solo gain up to date as candidates are taken, rather than re-scoring
@@ -69,8 +70,6 @@ from abcvote.model import (
     Rational,
     Record,
     _indices,
-    ballot_classes,
-    clone_classes,
     committee_members,
     suffix_counts,
 )
@@ -80,16 +79,6 @@ def _pav_weights(k: int) -> list[int]:
     of a voter's (u+1)-st approved member, scaled to an int by L."""
     scale = lcm(*range(1, k + 1))
     return [scale // (u + 1) for u in range(k)]
-
-
-def _approver_lists(instance: ElectionInstance) -> list[list[int]]:
-    """Approvers of every candidate, in increasing voter order, built in one
-    pass over the ballots."""
-    out: list[list[int]] = [[] for _ in instance.candidates]
-    for i, ballot in enumerate(instance.approvals):
-        for c in ballot:
-            out[c].append(i)
-    return out
 
 
 def _fractions(numerators: list[int], denominator: int) -> list[Rational]:
@@ -106,7 +95,7 @@ def pav_score(instance: ElectionInstance, committee: Committee) -> Rational:
     members = committee_members(instance, committee)
     weights = _pav_weights(max(len(members), 1))
     below = list(accumulate(weights, initial=0))
-    classes = ballot_classes(instance)
+    classes = instance.classes
     total = sum(
         size * below[len(ballot & members)]
         for ballot, size in zip(classes.ballots, classes.sizes)
@@ -175,7 +164,7 @@ def pav_winners(
     m, k = instance.num_candidates, instance.committee_size
     weights = _pav_weights(k)
     below = list(accumulate(weights, initial=0))  # below[u] = w[0] + ... + w[u-1]
-    classes = ballot_classes(instance)
+    classes = instance.classes
     sizes = classes.sizes
     approval = [sum([sizes[j] for j in js]) for js in classes.holders]
     order = sorted(range(m), key=lambda c: (-approval[c], c))  # position -> candidate
@@ -279,9 +268,9 @@ def seq_pav(instance: ElectionInstance) -> Committee:
     scores one head per class.
     """
     weights = _pav_weights(instance.committee_size)
-    approvers = _approver_lists(instance)
+    approvers = instance.approver_lists
     utilities = [0] * instance.num_voters
-    classes = clone_classes(approvers)
+    classes = [list(c) for c in instance.clones]  # emptied as heads are taken
     committee: set[int] = set()
 
     def gain(members: list[int]) -> tuple[int, int]:
@@ -377,7 +366,7 @@ def _phragmen_run(
     n, k = instance.num_voters, instance.committee_size
     price = n * den // k
     clock = 0
-    approvers = _approver_lists(instance)
+    approvers = instance.approver_lists
     sizes = [len(group) for group in approvers]
     ballots = instance.approvals
     held = [0] * len(approvers)
@@ -520,12 +509,12 @@ def rule_x(
     den = k
     price = n
     budget = [k] * n
-    approvers = _approver_lists(instance)
+    approvers = instance.approver_lists
 
     def q_of(c: int) -> Rational | None:
         return min_affordable_q([budget[i] for i in approvers[c]], price)
 
-    classes = clone_classes(approvers)
+    classes = [list(c) for c in instance.clones]  # emptied as heads are bought
     class_of = {c: members for members in classes for c in members}
     heap = []
     for members in classes:

@@ -22,7 +22,6 @@ from abcvote.axioms import (
     Deviation,
     PriceSystem,
     _blocking_sets,
-    _class_welfare,
     check_core_subject_to,
     check_ejr,
     check_pareto,
@@ -121,9 +120,8 @@ def test_unsupported_member_blocks_priceability():
 def priceability_program(instance, committee):
     """The LP ``check_priceable`` solves when the full-spend certificate
     does not answer, built whether or not it does."""
-    classes = ballot_classes(instance)
     lp, _ = axioms._priceability_program(
-        classes, *axioms._price_classes(classes, committee)
+        instance.classes, *axioms._price_classes(instance, committee)
     )
     return lp
 
@@ -208,6 +206,9 @@ def test_validate_price_system_rejections():
         with pytest.raises(ValueError, match=message):
             validate_price_system(instance, committee, system)
     assert validate_price_system(instance, committee, PriceSystem(1, ({0: 1}, {})))
+    # a zero price is refused even where it breaks no other condition
+    nobody = build(1, 1, [set()])
+    assert not validate_price_system(nobody, frozenset(), PriceSystem(Fraction(0), ({},)))
 
 
 def test_validate_rejects_wrong_voter_count():
@@ -232,6 +233,10 @@ def test_pjr_bloc_snub():
     assert violation == Deviation(
         coalition=frozenset({0, 1}), alternative=frozenset({0})
     )
+    # the re-check refuses a group that W already covers at its level
+    covered = build(3, 1, [{0, 1}] * 3)
+    snub = Deviation(coalition=frozenset({0, 1, 2}), alternative=frozenset({1}))
+    assert not axioms._is_pjr_witness(covered, frozenset({0}), snub)
 
 
 def test_pjr_none_on_priceable_committees():
@@ -375,8 +380,8 @@ SLATE_OF_21 = build(21, 3, [{0, 1, 2}] * 6)
 )
 def test_core_guard_holds_where_the_walk_would_finish(search):
     committee = frozenset({0, 1, 2})
-    classes, welfare = _class_welfare(SLATE_OF_21, committee)
-    assert list(_blocking_sets(SLATE_OF_21, classes, welfare, budget=0)) == []
+    welfare = [len(ballot & committee) for ballot in SLATE_OF_21.classes.ballots]
+    assert list(_blocking_sets(SLATE_OF_21, welfare, budget=0)) == []
     assert search(SLATE_OF_21, committee, 0) == (
         1 if search is minimal_core_lambda else None
     )
@@ -458,6 +463,13 @@ def test_minimal_lambda_unbounded():
     # a single voter with no seats gains at every factor
     instance = build(2, 2, [{0, 1}])
     assert minimal_core_lambda(instance, frozenset()) is None
+    # voter 2 has no member and would get one from {4, 5}: no gain at any
+    # factor, so voter 1's ratio 2/1 decides, and {4, 5} blocks below 2 only
+    instance = build(6, 4, [{4, 5}, {0, 4, 5}, {4}, {1}])
+    committee = frozenset({0, 1, 2, 3})
+    assert minimal_core_lambda(instance, committee) == 2
+    assert find_core_deviation(instance, committee, lam=Fraction(2)) is None
+    assert find_core_deviation(instance, committee, lam=Fraction(3, 2)) is not None
     assert find_core_deviation(instance, frozenset(), lam=Fraction(2)) is not None
     assert find_core_deviation(instance, frozenset(), lam=Fraction(10)) is not None
 
@@ -609,6 +621,8 @@ def test_private_committee_is_dominated():
     # the shared slate dominates outright
     assert welfare_vector(ONE_PLUS_SLATE, SHARED_SLATE) == (4, 4, 4, 4)
     assert check_pareto(ONE_PLUS_SLATE, SHARED_SLATE) is None
+    # a gain for one voter dominates, with the others no worse off
+    assert check_pareto(build(4, 1, [{0}, {1}, {2}]), frozenset({3})) == frozenset({0})
 
 
 def test_pareto_empty_profile():
@@ -709,7 +723,7 @@ import sys
 from abcvote import axioms
 from abcvote.axioms import Deviation
 from abcvote.lp import LPOutcome
-from abcvote.model import ElectionInstance, InternalInvariantError
+from abcvote.model import BallotClasses, ElectionInstance, InternalInvariantError
 
 if __debug__:
     sys.exit("expected python -O")
@@ -738,6 +752,9 @@ for label, patch, corrupt, instance in (
     axioms.lp_maximize, axioms._full_spend = solve, spend
 
 axioms.welfare_vector = lambda instance, committee: (0,) * instance.num_voters
+# the core walks read each class's welfare off the instance's kept ballot
+# classes: these say that the one class approves nothing, yet holds 0
+vars(pair)["classes"] = BallotClasses((frozenset(),), ([0, 1],), (2,), ([0], []))
 for name, extra in (
     ("check_ejr", ()),
     ("find_core_deviation", ()),

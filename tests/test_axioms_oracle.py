@@ -324,12 +324,13 @@ def walk_thresholds(welfare) -> dict[str, list[int]]:
 
 
 def assert_same_walk(inst: ElectionInstance, committee) -> None:
-    classes, welfare = axioms._class_welfare(inst, frozenset(committee))
+    classes = inst.classes
+    welfare = [len(ballot & frozenset(committee)) for ballot in classes.ballots]
     # the oracle walk takes plain (ballot, voters) pairs and builds its own
     # candidate-to-class lists
     pairs = list(zip(classes.ballots, classes.voters))
     for name, thresholds in walk_thresholds(welfare).items():
-        fast = axioms._blocking_sets(inst, classes, thresholds)
+        fast = axioms._blocking_sets(inst, thresholds)
         full = oracles.blocking_sets(inst, pairs, thresholds)
         assert [(t, tuple(c)) for t, c in fast] == [
             (t, tuple(c)) for t, c in full

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from abcvote import axioms
+from abcvote import axioms, model
 from abcvote.generators import FIXTURE_NAMES, fixture
 from abcvote.laminar import check_laminar_proportional
 from abcvote.model import (
@@ -27,8 +27,19 @@ from abcvote.model import (
     suffix_counts,
     welfare_vector,
 )
-from abcvote.rules import pav_score
-from tests.conftest import instances, instances_with_committee, shared_ballot_instances
+from abcvote.rules import (
+    pav_score,
+    pav_winners,
+    phragmen_sequential,
+    rule_x,
+    seq_pav,
+)
+from tests.conftest import (
+    cloned_instances,
+    instances,
+    instances_with_committee,
+    shared_ballot_instances,
+)
 
 
 def test_parse_small_instance():
@@ -261,6 +272,39 @@ def test_ballot_classes_match_definition(inst):
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_ballot_classes_match_definition_on_fixture(name):
     assert_ballot_classes_by_definition(fixture(name))
+
+
+def test_profile_view_is_built_once_and_left_intact(monkeypatch):
+    """Every rule and checker reads one ballot-class view per instance,
+    and none mutates the view it shares with the others."""
+    built = []
+
+    def counted(instance):
+        built.append(instance)
+        return ballot_classes(instance)
+
+    monkeypatch.setattr(model, "ballot_classes", counted)
+    inst = fixture("example33")
+    committee = phragmen_sequential(inst).committee
+    pav_score(inst, committee)
+    pav_winners(inst)
+    axioms.check_priceable(inst, committee)
+    axioms.find_core_deviation(inst, committee)
+    rule_x(inst)
+    seq_pav(inst)
+    assert built == [inst]
+    fresh = fixture("example33")
+    assert inst.classes == ballot_classes(fresh)
+    assert inst.approver_lists == [
+        [i for i in fresh.voters if c in fresh.approvals[i]] for c in fresh.candidates
+    ]
+    assert inst.clones == clone_classes(ballot_classes(fresh).holders)
+
+
+@given(st.one_of(instances(8, 6), cloned_instances()))
+def test_clones_from_approver_lists_match_clones_from_holders(inst):
+    assert clone_classes(inst.approver_lists) == clone_classes(inst.classes.holders)
+    assert inst.clones == clone_classes(inst.classes.holders)
 
 
 def test_clone_classes_group_equal_lists_by_first_member():

@@ -194,6 +194,21 @@ def test_trace_properties_are_cached():
     done = rule_x_complete(ElectionInstance(3, 2, [{0}, {1}, {2}]))
     assert repr(done) == "RuleXTrace(elected=(0, 1), q_values=())" and done.completed
 
+    # an instance's profile view is kept, but it is no field either
+    read = ElectionInstance(3, 2, [{0, 1}, {0, 1}, {2}])
+    views = read.classes, read.approver_lists, read.clones
+    assert views == (ballot_classes(INST), [[0, 1], [0, 1], [2]], [[0, 1], [2]])
+    assert all(view is again for view, again in zip(
+        views, (read.classes, read.approver_lists, read.clones)
+    ))
+    assert {"classes", "approver_lists", "clones"} <= set(vars(read))
+    fresh = ElectionInstance(3, 2, [{0, 1}, {0, 1}, {2}])
+    assert read == fresh and hash(read) == hash(fresh) and repr(read) == repr(fresh)
+    assert read != ElectionInstance(3, 1, [{0, 1}, {0, 1}, {2}])
+    copy = pickle.loads(pickle.dumps(read))
+    assert copy == fresh and hash(copy) == hash(fresh) and repr(copy) == INST_REPR
+    assert copy.clones == views[2]
+
 
 def test_linear_program_is_a_mutable_unhashable_builder():
     first, second = LinearProgram(2), LinearProgram(num_variables=2)
