@@ -435,7 +435,12 @@ def check_ejr(
     tick = NodeCounter(budget).tick
     utilities = welfare_vector(instance, members)
     m = instance.num_candidates
-    approvers = [sum([1 << i for i in voters]) for voters in instance.approver_lists]
+    approvers = []
+    for voters in instance.approver_lists:
+        mask = 0
+        for i in voters:
+            mask |= 1 << i
+        approvers.append(mask)
     for level in range(1, k + 1):
         deprived = sum(1 << i for i, u in enumerate(utilities) if u < level)
         if deprived.bit_count() * k < level * n:

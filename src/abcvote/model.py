@@ -159,10 +159,9 @@ class ElectionInstance(Record):
             candidate indices (not ``1.0``), and stores them as a tuple of
             frozensets.  Empty ballots are allowed.
 
-    ``classes``, ``approver_lists`` and ``clones`` are the groupings the
-    rules and checkers read, each built on first access and then kept.
-    They are shared, so no caller may mutate them, and they are not
-    fields: equality, hashing and ``repr`` ignore them.
+    ``classes``, ``approver_lists`` and ``clones`` are built on first
+    access and kept; callers share them and must not mutate them.  They
+    are not fields, so equality, hashing and ``repr`` ignore them.
     """
 
     num_candidates: int
@@ -229,8 +228,7 @@ class ElectionInstance(Record):
 
     @cached_property
     def approver_lists(self) -> list[list[int]]:
-        """``approver_lists[c]``: the voters approving candidate c, in
-        increasing order, built in one pass over the ballots."""
+        """``approver_lists[c]``: the voters approving c, in increasing order."""
         out: list[list[int]] = [[] for _ in self.candidates]
         for i, ballot in enumerate(self.approvals):
             for c in ballot:
@@ -239,8 +237,7 @@ class ElectionInstance(Record):
 
     @cached_property
     def clones(self) -> list[list[int]]:
-        """The candidates grouped by approvers (``clone_classes``); the
-        same partition, in the same order, as over ``classes.holders``."""
+        """Candidates grouped by approvers, as over ``classes.holders``."""
         return clone_classes(self.approver_lists)
 
     def approvers(self, candidate: int) -> frozenset[int]:

@@ -36,9 +36,8 @@ heap, as budgets only shrink and an old cap is a lower bound.
 instead of summing it at every step.  Both money rules' traces hold int
 numerators, made ``Fraction`` times, payments or budgets when first read;
 ``rule_x_complete`` goes on from Rule X's ints.  ``pav_score`` and
-``pav_winners`` read the instance's ballot classes (``classes``), so
-they work once per distinct ballot; the other rules read its kept
-``approver_lists`` and ``clones``.  ``pav_winners`` branches on the
+``pav_winners`` read the instance's kept ``classes``, so they work
+once per distinct ballot.  ``pav_winners`` branches on the
 most-approved candidates first, cuts with both the top solo gains and a
 per-ballot-class cap on what is left to gain, keeps every candidate's
 solo gain up to date as candidates are taken, rather than re-scoring

@@ -463,6 +463,8 @@ def test_minimal_lambda_unbounded():
     # a single voter with no seats gains at every factor
     instance = build(2, 2, [{0, 1}])
     assert minimal_core_lambda(instance, frozenset()) is None
+    assert find_core_deviation(instance, frozenset(), lam=Fraction(2)) is not None
+    assert find_core_deviation(instance, frozenset(), lam=Fraction(10)) is not None
     # voter 2 has no member and would get one from {4, 5}: no gain at any
     # factor, so voter 1's ratio 2/1 decides, and {4, 5} blocks below 2 only
     instance = build(6, 4, [{4, 5}, {0, 4, 5}, {4}, {1}])
@@ -470,8 +472,6 @@ def test_minimal_lambda_unbounded():
     assert minimal_core_lambda(instance, committee) == 2
     assert find_core_deviation(instance, committee, lam=Fraction(2)) is None
     assert find_core_deviation(instance, committee, lam=Fraction(3, 2)) is not None
-    assert find_core_deviation(instance, frozenset(), lam=Fraction(2)) is not None
-    assert find_core_deviation(instance, frozenset(), lam=Fraction(10)) is not None
 
 
 def test_minimal_lambda_budget_guard():
@@ -753,7 +753,8 @@ for label, patch, corrupt, instance in (
 
 axioms.welfare_vector = lambda instance, committee: (0,) * instance.num_voters
 # the core walks read each class's welfare off the instance's kept ballot
-# classes: these say that the one class approves nothing, yet holds 0
+# classes: these give the one class an empty ballot, yet list it as a
+# holder of candidate 0
 vars(pair)["classes"] = BallotClasses((frozenset(),), ([0, 1],), (2,), ([0], []))
 for name, extra in (
     ("check_ejr", ()),
