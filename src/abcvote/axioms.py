@@ -435,12 +435,10 @@ def check_ejr(
     tick = NodeCounter(budget).tick
     utilities = welfare_vector(instance, members)
     m = instance.num_candidates
-    approvers = []
-    for voters in instance.approver_lists:
-        mask = 0
-        for i in voters:
-            mask |= 1 << i
-        approvers.append(mask)
+    approvers = [0] * m
+    for i, ballot in enumerate(instance.approvals):
+        for c in ballot:
+            approvers[c] |= 1 << i
     for level in range(1, k + 1):
         deprived = sum(1 << i for i, u in enumerate(utilities) if u < level)
         if deprived.bit_count() * k < level * n:

@@ -160,8 +160,8 @@ class ElectionInstance(Record):
             frozensets.  Empty ballots are allowed.
 
     ``classes``, ``approver_lists`` and ``clones`` are built on first
-    access and kept; callers share them and must not mutate them.  They
-    are not fields, so equality, hashing and ``repr`` ignore them.
+    access, kept and shared, never mutated (the last two are tuples of
+    tuples).  They are not fields: equality, hashing and ``repr`` ignore them.
     """
 
     num_candidates: int
@@ -227,23 +227,25 @@ class ElectionInstance(Record):
         return ballot_classes(self)
 
     @cached_property
-    def approver_lists(self) -> list[list[int]]:
+    def approver_lists(self) -> tuple[tuple[int, ...], ...]:
         """``approver_lists[c]``: the voters approving c, in increasing order."""
         out: list[list[int]] = [[] for _ in self.candidates]
         for i, ballot in enumerate(self.approvals):
             for c in ballot:
                 out[c].append(i)
-        return out
+        return tuple(map(tuple, out))
 
     @cached_property
-    def clones(self) -> list[list[int]]:
+    def clones(self) -> tuple[tuple[int, ...], ...]:
         """Candidates grouped by approvers, as over ``classes.holders``."""
-        return clone_classes(self.approver_lists)
+        return tuple(map(tuple, clone_classes(self.approver_lists)))
 
     def approvers(self, candidate: int) -> frozenset[int]:
-        """Voters that approve ``candidate``."""
+        """Voters that approve ``candidate``, read from the ballots."""
         _indices((candidate,), self.num_candidates, "no such candidate: {}")
-        return frozenset(self.approver_lists[candidate])
+        return frozenset(
+            i for i, ballot in enumerate(self.approvals) if candidate in ballot
+        )
 
 
 def _indices(indices: Iterable[int], count: int, message: str) -> frozenset[int]:

@@ -197,7 +197,8 @@ def test_trace_properties_are_cached():
     # an instance's profile view is kept, but it is no field either
     read = ElectionInstance(3, 2, [{0, 1}, {0, 1}, {2}])
     views = read.classes, read.approver_lists, read.clones
-    assert views == (ballot_classes(INST), [[0, 1], [0, 1], [2]], [[0, 1], [2]])
+    # tuples, so no caller can change what the others read
+    assert views == (ballot_classes(INST), ((0, 1), (0, 1), (2,)), ((0, 1), (2,)))
     assert all(view is again for view, again in zip(
         views, (read.classes, read.approver_lists, read.clones)
     ))
