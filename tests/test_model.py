@@ -234,9 +234,6 @@ def test_approvers():
     for candidate in (15, 1.5):
         with pytest.raises(ValueError, match=f"^no such candidate: {candidate}$"):
             INTRO.approvers(candidate)
-
-
-def test_approvers_reads_the_ballots_not_the_kept_view():
     # the test oracles call approvers(); a wrong kept view must not reach them
     inst = ElectionInstance(2, 1, [{0}, {0, 1}])
     vars(inst)["approver_lists"] = ((), ())
