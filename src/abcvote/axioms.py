@@ -436,11 +436,18 @@ def check_ejr(
     utilities = welfare_vector(instance, members)
     m = instance.num_candidates
     approvers = [0] * m
-    for i, ballot in enumerate(instance.approvals):
+    # at_welfare[u]: the voters of welfare u < k; the voters deprived at
+    # level l are those of level l - 1 and at_welfare[l - 1]
+    at_welfare = [0] * k
+    for i, (ballot, u) in enumerate(zip(instance.approvals, utilities)):
+        bit = 1 << i
         for c in ballot:
-            approvers[c] |= 1 << i
+            approvers[c] |= bit
+        if u < k:
+            at_welfare[u] |= bit
+    deprived = 0
     for level in range(1, k + 1):
-        deprived = sum(1 << i for i, u in enumerate(utilities) if u < level)
+        deprived |= at_welfare[level - 1]
         if deprived.bit_count() * k < level * n:
             continue  # even the empty prefix is too small: no witness here
         combo: list[int] = []

@@ -82,8 +82,11 @@ RULES = ("pav", "seqpav", "phragmen", "rulex", "rulex-complete", "dhondt")
 
 
 def _read_instance(path: str) -> ElectionInstance:
-    with open(path, "r", encoding="ascii") as handle:
-        return parse_instance(handle.read())
+    # bytes.decode imports no codec module; CRLF and CR read as LF, as in
+    # text mode
+    with open(path, "rb") as handle:
+        text = handle.read().decode("ascii")
+    return parse_instance(text.replace("\r\n", "\n").replace("\r", "\n"))
 
 
 def _fractions(values: Iterable[Fraction]) -> str:

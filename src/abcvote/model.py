@@ -159,8 +159,9 @@ class ElectionInstance(Record):
             candidate indices (not ``1.0``), and stores them as a tuple of
             frozensets.  Empty ballots are allowed.
 
-    ``classes``, ``approver_lists`` and ``clones`` are built on first
-    access, kept and shared, never mutated (the last two are tuples of
+    ``classes``, ``approver_lists``, ``clones`` and ``text`` are built on
+    first access (``parse_instance`` fills ``text`` as it reads), kept and
+    shared, never mutated (``approver_lists`` and ``clones`` are tuples of
     tuples).  They are not fields: equality, hashing and ``repr`` ignore them.
     """
 
@@ -234,6 +235,19 @@ class ElectionInstance(Record):
             for c in ballot:
                 out[c].append(i)
         return tuple(map(tuple, out))
+
+    @cached_property
+    def text(self) -> str:
+        """The canonical file text: LF line endings, one trailing newline."""
+        lines = [f"{self.num_candidates} {self.num_voters} {self.committee_size}"]
+        names = [str(c + 1) for c in self.candidates]
+        rendered: dict[frozenset[int], str] = {}
+        for ballot in self.approvals:
+            line = rendered.get(ballot)
+            if line is None:
+                line = rendered[ballot] = " ".join([names[c] for c in sorted(ballot)])
+            lines.append(line)
+        return "\n".join(lines) + "\n"
 
     @cached_property
     def clones(self) -> tuple[tuple[int, ...], ...]:
@@ -367,16 +381,14 @@ def restrict_profile(
 
 def _content_lines(text: str) -> list[tuple[int, str]]:
     """(1-based line number, rstripped line) for all non-comment lines."""
-    out = []
     lines = text.split("\n")
-    if lines and lines[-1] == "":
+    if lines[-1] == "":
         lines.pop()  # a file ending in "\n" is not followed by an empty line
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.rstrip()
-        if line.lstrip().startswith("#"):
-            continue
-        out.append((lineno, line))
-    return out
+    return [
+        (lineno, line)
+        for lineno, line in enumerate(map(str.rstrip, lines), start=1)
+        if "#" not in line or not line.lstrip().startswith("#")
+    ]
 
 
 def parse_instance(text: str) -> ElectionInstance:
@@ -412,18 +424,27 @@ def parse_instance(text: str) -> ElectionInstance:
             raise ParseError(f"line {lineno}: unexpected content after {n} ballots")
 
     # Ballot lines repeat (many voters cast the same few ballots): each
-    # distinct line is parsed once, at its first occurrence, so a malformed
-    # line is reported there.
-    parsed: dict[str, frozenset[int]] = {}
-    approvals = []
-    for lineno, line in body[:n]:
-        known = parsed.get(line)
-        if known is not None:
-            approvals.append(known)
-            continue
-        ballot: set[int] = set()
+    # distinct line is parsed once, in order of first occurrence, so a
+    # malformed line is reported there.  Canonical indices are looked up
+    # (no line holds more of them than the text has characters); any other
+    # token, or indices out of order, sends the line to the int() loop.
+    ballot_lines = [line for _, line in body[:n]]
+    index = dict(zip(map(str, range(1, min(m, len(text)) + 1)), range(m)))
+    ballots: dict[str, frozenset[int]] = {}
+    rendered: dict[str, str] = {}
+    for line in dict.fromkeys(ballot_lines):
+        tokens = line.split()
+        cs = list(map(index.get, tokens))
+        if None not in cs:
+            ballot = frozenset(cs)
+            if len(ballot) == len(cs) and sorted(cs) == cs:
+                ballots[line] = ballot
+                rendered[line] = " ".join(tokens)
+                continue
+        lineno = next(no for no, seen in body if seen == line)
+        chosen: set[int] = set()
         prev = 0
-        for token in line.split():
+        for token in tokens:
             try:
                 c = int(token)
             except ValueError:
@@ -441,28 +462,19 @@ def parse_instance(text: str) -> ElectionInstance:
                     f"line {lineno}: candidate indices must be strictly increasing"
                 )
             prev = c
-            ballot.add(c - 1)
-        known = parsed[line] = frozenset(ballot)
-        approvals.append(known)
+            chosen.add(c - 1)
+        ballots[line] = frozenset(chosen)
+        rendered[line] = " ".join([str(c + 1) for c in sorted(chosen)])
 
-    return ElectionInstance(
-        num_candidates=m, committee_size=k, approvals=tuple(approvals)
-    )
+    instance = ElectionInstance(m, k, list(map(ballots.__getitem__, ballot_lines)))
+    canonical = [f"{m} {n} {k}", *map(rendered.__getitem__, ballot_lines)]
+    vars(instance)["text"] = "\n".join(canonical) + "\n"
+    return instance
 
 
 def serialize_instance(instance: ElectionInstance) -> str:
     """Canonical text form (LF line endings, one trailing newline)."""
-    lines = [
-        f"{instance.num_candidates} {instance.num_voters} {instance.committee_size}"
-    ]
-    names = [str(c + 1) for c in instance.candidates]
-    rendered: dict[frozenset[int], str] = {}
-    for ballot in instance.approvals:
-        line = rendered.get(ballot)
-        if line is None:
-            line = rendered[ballot] = " ".join([names[c] for c in sorted(ballot)])
-        lines.append(line)
-    return "\n".join(lines) + "\n"
+    return instance.text
 
 
 def instance_digest(instance: ElectionInstance) -> str:

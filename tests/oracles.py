@@ -859,6 +859,28 @@ def blocking_sets(
         nxt = c + 1
 
 
+def check_pareto(
+    instance: ElectionInstance,
+    committee: Committee,
+    budget: int = DEFAULT_NODE_BUDGET,
+) -> Committee | None:
+    """The first committee of |committee| candidates, in ``combinations``
+    order, that no voter likes less and some voter likes more, each voter's
+    approved members counted from the ballot."""
+    members = frozenset(committee)
+    if comb(instance.num_candidates, len(members)) > budget:
+        raise SearchBudgetExceeded(
+            f"C({instance.num_candidates}, {len(members)}) committees exceed "
+            f"the search budget of {budget}"
+        )
+    for combo in combinations(instance.candidates, len(members)):
+        other = frozenset(combo)
+        gains = [len(ballot & other) - len(ballot & members) for ballot in instance.approvals]
+        if all(gain >= 0 for gain in gains) and any(gain > 0 for gain in gains):
+            return other
+    return None
+
+
 # ---------------------------------------------------------------------------
 # input path: every voter's ballot parsed, range-checked and rendered on its
 # own (tests/test_model_oracle.py)

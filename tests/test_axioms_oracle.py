@@ -411,6 +411,14 @@ def test_ejr_agrees_with_cohesive_core(inst, rng):
         assert_ejr_agrees_with_cohesive_core(inst, committee)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(instances(), shared_ballot_instances()), st.data())
+def test_pareto_matches_oracle(inst, data):
+    size = data.draw(st.integers(0, inst.committee_size))
+    committee = frozenset(data.draw(st.permutations(inst.candidates))[:size])
+    assert axioms.check_pareto(inst, committee) == oracles.check_pareto(inst, committee)
+
+
 # ---------------------------------------------------------------------------
 # price-system re-check
 

@@ -49,6 +49,7 @@ from abcvote.model import (
     SearchBudgetExceeded,
     format_committee,
     format_rational,
+    instance_digest,
     parse_instance,
     serialize_instance,
 )
@@ -260,6 +261,31 @@ def test_run_malformed_file_is_input_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "run", "--rule", "pav", "--input", str(bad))
     assert code == 2
     assert "header" in err
+
+
+def test_run_reads_lf_crlf_and_cr_endings_alike(tmp_path, capsys):
+    # a comment, an indented ballot, an empty ballot and a trailing blank
+    text = "# four candidates\n4 4 2\n1 2\n  1 2\n\n3 4\n\n"
+    reports = []
+    for name, ending in (("lf", "\n"), ("crlf", "\r\n"), ("cr", "\r")):
+        path = tmp_path / f"{name}.txt"
+        path.write_bytes(text.replace("\n", ending).encode("ascii"))
+        reports.append(run_cli(capsys, "run", "--rule", "phragmen", "--input", str(path)))
+    code, out, _ = reports[0]
+    assert code == 0
+    assert out.startswith(f"instance: {instance_digest(parse_instance(text))}\n")
+    assert reports == [reports[0]] * 3
+
+
+def test_run_non_ascii_file_is_input_error(tmp_path, capsys):
+    path = tmp_path / "accent.txt"
+    path.write_bytes("3 2 1\n1 2\n1 é\n".encode("utf-8"))
+    code, out, err = run_cli(capsys, "run", "--rule", "phragmen", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: 'ascii' codec can't decode byte 0xc3 in position 12: "
+        "ordinal not in range(128)\n"
+    )
 
 
 def test_check_priceable_intro_committee(capsys):

@@ -3,10 +3,13 @@ range-checks and renders each distinct ballot once, against the per-voter
 versions kept in ``tests/oracles.py``.
 
 Instance texts draw their ballot lines from a pool of at most three,
-valid or malformed, plus whitespace variants of one of them, comments and
-blank lines; both parsers must return equal instances or raise the same
-``ParseError`` message.  Constructed instances must pass or fail the range
-check with the same error, and serialization and digests must agree.
+valid, valid but spelled with non-canonical numerals and inner runs of
+blanks, or malformed, plus whitespace variants of one of them, comments
+and blank lines; both parsers must return equal instances or raise the
+same ``ParseError`` message, and the parsed instance must serialize and
+digest as the oracle renders it.  Constructed instances must pass or fail
+the range check with the same error, and serialization and digests must
+agree.
 """
 
 from __future__ import annotations
@@ -34,6 +37,18 @@ def _outcome(call, *args):
 
 
 @st.composite
+def spelled_ballots(draw, m):
+    """A valid ballot line whose indices are written as ``1``, ``+1``,
+    ``01`` or ``0_1`` and separated by runs of spaces and tabs."""
+    ballot = sorted(draw(st.frozensets(st.integers(1, m), min_size=1)))
+    spellings = st.sampled_from(("{}", "+{}", "0{}", "0_{}"))
+    line = draw(spellings).format(ballot[0])
+    for c in ballot[1:]:
+        line += draw(st.sampled_from((" ", "  ", "\t", " \t "))) + draw(spellings).format(c)
+    return line
+
+
+@st.composite
 def instance_texts(draw):
     """An instance file whose ballot lines repeat, with the header's ballot
     count right most of the time."""
@@ -51,7 +66,12 @@ def instance_texts(draw):
         max_size=4,
     ).map(" ".join)
     pool = draw(
-        st.lists(st.one_of(valid, valid, malformed), min_size=2, max_size=3, unique=True)
+        st.lists(
+            st.one_of(valid, valid, spelled_ballots(m), malformed),
+            min_size=2,
+            max_size=3,
+            unique=True,
+        )
     )
     dressed = draw(st.sampled_from(pool))
     variants = (dressed, " " + dressed, dressed + " \t", "\t" + dressed + "  ")
@@ -72,9 +92,11 @@ def instance_texts(draw):
 @given(instance_texts())
 def test_parse_matches_oracle(text):
     expected = _outcome(oracles.parse_instance, text)
-    assert _outcome(parse_instance, text) == expected
+    parsed = _outcome(parse_instance, text)
+    assert parsed == expected
     if isinstance(expected, ElectionInstance):
-        assert serialize_instance(expected) == oracles.serialize_instance(expected)
+        assert serialize_instance(parsed) == oracles.serialize_instance(expected)
+        assert instance_digest(parsed) == oracles.instance_digest(expected)
 
 
 @st.composite
