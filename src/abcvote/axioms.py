@@ -430,24 +430,20 @@ def check_ejr(
     The witness is re-checked as a core deviation (``verify_deviation``)
     whose coalition all approve T.
     """
-    members = frozenset(committee)
-    n, k = instance.num_voters, instance.committee_size
+    members = committee_members(instance, committee)
+    n, m, k = instance.num_voters, instance.num_candidates, instance.committee_size
     tick = NodeCounter(budget).tick
-    utilities = welfare_vector(instance, members)
-    m = instance.num_candidates
-    approvers = [0] * m
-    # at_welfare[u]: the voters of welfare u < k; the voters deprived at
-    # level l are those of level l - 1 and at_welfare[l - 1]
-    at_welfare = [0] * k
-    for i, (ballot, u) in enumerate(zip(instance.approvals, utilities)):
-        bit = 1 << i
-        for c in ballot:
-            approvers[c] |= bit
-        if u < k:
-            at_welfare[u] |= bit
-    deprived = 0
+    approvers = instance.approver_masks
+    # reached[u]: the voters with at least u approved members, for u <= k,
+    # counted up one member at a time; the voters deprived at level l are
+    # those outside reached[l]
+    reached = [(1 << n) - 1] + [0] * k
+    for count, c in enumerate(members, start=1):
+        mask = approvers[c]
+        for u in range(min(count, k), 0, -1):
+            reached[u] |= reached[u - 1] & mask
     for level in range(1, k + 1):
-        deprived |= at_welfare[level - 1]
+        deprived = reached[0] ^ reached[level]
         if deprived.bit_count() * k < level * n:
             continue  # even the empty prefix is too small: no witness here
         combo: list[int] = []

@@ -159,10 +159,11 @@ class ElectionInstance(Record):
             candidate indices (not ``1.0``), and stores them as a tuple of
             frozensets.  Empty ballots are allowed.
 
-    ``classes``, ``approver_lists``, ``clones`` and ``text`` are built on
+    ``classes``, ``approver_masks``, ``clones`` and ``text`` are built on
     first access (``parse_instance`` fills ``text`` as it reads), kept and
-    shared, never mutated (``approver_lists`` and ``clones`` are tuples of
-    tuples).  They are not fields: equality, hashing and ``repr`` ignore them.
+    shared, never mutated (``approver_masks`` is a tuple of ints and
+    ``clones`` a tuple of tuples).  They are not fields: equality, hashing
+    and ``repr`` ignore them.
     """
 
     num_candidates: int
@@ -228,13 +229,15 @@ class ElectionInstance(Record):
         return ballot_classes(self)
 
     @cached_property
-    def approver_lists(self) -> tuple[tuple[int, ...], ...]:
-        """``approver_lists[c]``: the voters approving c, in increasing order."""
-        out: list[list[int]] = [[] for _ in self.candidates]
+    def approver_masks(self) -> tuple[int, ...]:
+        """``approver_masks[c]``: the voters approving c as a bitset, bit i
+        set when voter i approves c."""
+        masks = [0] * self.num_candidates
         for i, ballot in enumerate(self.approvals):
+            bit = 1 << i
             for c in ballot:
-                out[c].append(i)
-        return tuple(map(tuple, out))
+                masks[c] |= bit
+        return tuple(masks)
 
     @cached_property
     def text(self) -> str:
@@ -251,8 +254,12 @@ class ElectionInstance(Record):
 
     @cached_property
     def clones(self) -> tuple[tuple[int, ...], ...]:
-        """Candidates grouped by approvers, as over ``classes.holders``."""
-        return tuple(map(tuple, clone_classes(self.approver_lists)))
+        """Candidates grouped by approvers ("clones"): each class in
+        increasing order, the classes in order of their smallest member."""
+        groups: dict[int, list[int]] = {}
+        for c, mask in enumerate(self.approver_masks):
+            groups.setdefault(mask, []).append(c)
+        return tuple(map(tuple, groups.values()))
 
     def approvers(self, candidate: int) -> frozenset[int]:
         """Voters that approve ``candidate``, read from the ballots."""
@@ -331,17 +338,6 @@ def ballot_classes(instance: ElectionInstance) -> BallotClasses:
     )
 
 
-def clone_classes(lists: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Indices grouped by equal list ("clones"): each class in increasing
-    order, the classes in order of their smallest member.  Over
-    ``BallotClasses.holders`` these are the candidates with the same
-    approvers."""
-    classes: dict[tuple[int, ...], list[int]] = {}
-    for c, members in enumerate(lists):
-        classes.setdefault(tuple(members), []).append(c)
-    return list(classes.values())
-
-
 def suffix_counts(
     holders: Sequence[Sequence[int]], num_classes: int
 ) -> list[list[int]]:
@@ -379,13 +375,14 @@ def restrict_profile(
 # file format
 
 
-def _content_lines(text: str) -> list[tuple[int, str]]:
-    """(1-based line number, rstripped line) for all non-comment lines."""
+def _content_lines(text: str, numbers: bool = False) -> list:
+    """The rstripped non-comment lines or, with ``numbers``, their 1-based
+    line numbers, which only error messages read."""
     lines = text.split("\n")
     if lines[-1] == "":
         lines.pop()  # a file ending in "\n" is not followed by an empty line
     return [
-        (lineno, line)
+        lineno if numbers else line
         for lineno, line in enumerate(map(str.rstrip, lines), start=1)
         if "#" not in line or not line.lstrip().startswith("#")
     ]
@@ -399,36 +396,36 @@ def parse_instance(text: str) -> ElectionInstance:
     lines = _content_lines(text)
     if not lines:
         raise ParseError("line 1: missing header 'm n k'")
-    header_no, header = lines[0]
+
+    def fail(position: int, message: str) -> ParseError:
+        """The error for content line ``position``, with its line number."""
+        return ParseError(f"line {_content_lines(text, True)[position]}: {message}")
+
+    header = lines[0]
     fields = header.split()
     if len(fields) != 3:
-        raise ParseError(f"line {header_no}: header must be 'm n k', got {header!r}")
+        raise fail(0, f"header must be 'm n k', got {header!r}")
     try:
         m, n, k = (int(f) for f in fields)
     except ValueError:
-        raise ParseError(
-            f"line {header_no}: header must hold three integers, got {header!r}"
-        ) from None
+        raise fail(0, f"header must hold three integers, got {header!r}") from None
     if m < 1 or n < 1 or k < 1:
-        raise ParseError(f"line {header_no}: m, n and k must be positive")
+        raise fail(0, "m, n and k must be positive")
     if k > m:
-        raise ParseError(f"line {header_no}: committee size k={k} exceeds m={m}")
+        raise fail(0, f"committee size k={k} exceeds m={m}")
 
-    body = lines[1:]
-    if len(body) < n:
-        raise ParseError(
-            f"line {header_no}: header announces {n} ballots, file has {len(body)}"
-        )
-    for lineno, line in body[n:]:
+    if len(lines) <= n:
+        raise fail(0, f"header announces {n} ballots, file has {len(lines) - 1}")
+    for position, line in enumerate(lines[n + 1:], start=n + 1):
         if line.strip():
-            raise ParseError(f"line {lineno}: unexpected content after {n} ballots")
+            raise fail(position, f"unexpected content after {n} ballots")
 
     # Ballot lines repeat (many voters cast the same few ballots): each
     # distinct line is parsed once, in order of first occurrence, so a
     # malformed line is reported there.  Canonical indices are looked up
     # (no line holds more of them than the text has characters); any other
     # token, or indices out of order, sends the line to the int() loop.
-    ballot_lines = [line for _, line in body[:n]]
+    ballot_lines = lines[1 : n + 1]
     index = dict(zip(map(str, range(1, min(m, len(text)) + 1)), range(m)))
     ballots: dict[str, frozenset[int]] = {}
     rendered: dict[str, str] = {}
@@ -441,26 +438,20 @@ def parse_instance(text: str) -> ElectionInstance:
                 ballots[line] = ballot
                 rendered[line] = " ".join(tokens)
                 continue
-        lineno = next(no for no, seen in body if seen == line)
+        position = 1 + ballot_lines.index(line)
         chosen: set[int] = set()
         prev = 0
         for token in tokens:
             try:
                 c = int(token)
             except ValueError:
-                raise ParseError(
-                    f"line {lineno}: candidate index expected, got {token!r}"
-                ) from None
+                raise fail(position, f"candidate index expected, got {token!r}") from None
             if not 1 <= c <= m:
-                raise ParseError(
-                    f"line {lineno}: candidate index {c} out of range 1..{m}"
-                )
+                raise fail(position, f"candidate index {c} out of range 1..{m}")
             if c == prev:
-                raise ParseError(f"line {lineno}: duplicate candidate {c}")
+                raise fail(position, f"duplicate candidate {c}")
             if c < prev:
-                raise ParseError(
-                    f"line {lineno}: candidate indices must be strictly increasing"
-                )
+                raise fail(position, "candidate indices must be strictly increasing")
             prev = c
             chosen.add(c - 1)
         ballots[line] = frozenset(chosen)

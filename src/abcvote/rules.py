@@ -23,19 +23,19 @@ score, its search and seq-PAV all read one weight table, lcm(1..k)/(u+1)
 money-based rules keep every balance, budget and the clock as an int
 numerator over one running denominator.  Every value a rule returns is an
 exact ``Fraction``, equal to what the plain ``Fraction`` computation gives.
-``rule_x`` and ``seq_pav`` evaluate only the smallest unelected member
-(the "head") of each clone class, the candidates with the same approvers:
-clones have the same price cap and the same PAV gain at every step, and
-ties go to the smallest index, so the choice is always a head.  The
-party-built profiles of the paper have many clones.  Phragmén's rule
-stays per candidate: on the small profiles ``search`` probes, building
-the classes cost more than the shorter scan saved.  ``rule_x``
-recomputes a class's price cap only when it reaches the top of a lazy
-heap, as budgets only shrink and an old cap is a lower bound.
-``phragmen_sequential`` keeps each candidate's group balance up to date
-instead of summing it at every step.  Both money rules' traces hold int
-numerators, made ``Fraction`` times, payments or budgets when first read;
-``rule_x_complete`` goes on from Rule X's ints.  ``pav_score`` and
+The three sequential rules keep the voters in a few groups that share a
+state, each an int bitmask: seq-PAV groups them by utility, Phragmén's
+rule by balance offset (a balance is the clock plus its group's offset,
+so a delay moves the clock alone), and Rule X by budget.  A sum over a
+candidate's approvers is a sum over the groups of the group's value
+times ``(approver_masks[c] & group).bit_count()``.  The rules evaluate
+only the smallest unelected member (the "head") of each clone class:
+clones have the same balance, price cap and PAV gain at every step, and
+ties go to the smallest index, so the choice is always a head.
+``rule_x`` recomputes a class's price cap only when it reaches the top
+of a lazy heap, as budgets only shrink and an old cap is a lower bound.
+Both money rules' traces keep int numerators and voter bitmasks, made
+``Fraction`` times, payments or budgets when first read.  ``pav_score`` and
 ``pav_winners`` read the instance's kept ``classes``, so they work
 once per distinct ballot.  ``pav_winners`` branches on the
 most-approved candidates first, cuts with both the top solo gains and a
@@ -78,12 +78,6 @@ def _pav_weights(k: int) -> list[int]:
     of a voter's (u+1)-st approved member, scaled to an int by L."""
     scale = lcm(*range(1, k + 1))
     return [scale // (u + 1) for u in range(k)]
-
-
-def _fractions(numerators: list[int], denominator: int) -> list[Rational]:
-    """Fraction(v, denominator) for every v, building each distinct value once."""
-    made = {v: Fraction(v, denominator) for v in set(numerators)}
-    return [made[v] for v in numerators]
 
 
 def pav_score(instance: ElectionInstance, committee: Committee) -> Rational:
@@ -264,17 +258,19 @@ def seq_pav(instance: ElectionInstance) -> Committee:
     Clones (candidates with the same approvers) have the same gain at
     every step, so the smallest-index best candidate is always the
     smallest unelected member, the "head", of its clone class: each step
-    scores one head per class.
+    scores one head per class, over the voters grouped by utility.
     """
     weights = _pav_weights(instance.committee_size)
-    approvers = instance.approver_lists
-    utilities = [0] * instance.num_voters
+    masks = instance.approver_masks
+    levels = {0: (1 << instance.num_voters) - 1}  # utility -> the voters holding it
     classes = [list(c) for c in instance.clones]  # emptied as heads are taken
     committee: set[int] = set()
 
     def gain(members: list[int]) -> tuple[int, int]:
-        head = members[0]
-        return sum([weights[utilities[i]] for i in approvers[head]]), -head
+        mask = masks[members[0]]
+        return sum([
+            weights[u] * (mask & level).bit_count() for u, level in levels.items()
+        ]), -members[0]
 
     for _ in range(instance.committee_size):
         members = max(classes, key=gain)
@@ -282,9 +278,31 @@ def seq_pav(instance: ElectionInstance) -> Committee:
         if not members:
             classes.remove(members)
         committee.add(best_c)
-        for i in approvers[best_c]:
-            utilities[i] += 1
+        mask = masks[best_c]
+        moved: dict[int, int] = {}
+        for u, level in levels.items():
+            inside = level & mask
+            if inside:
+                moved[u + 1] = moved.get(u + 1, 0) | inside
+                level ^= inside
+            if level:
+                moved[u] = moved.get(u, 0) | level
+        levels = moved
     return frozenset(committee)
+
+
+def _balances(record: tuple[int, int, dict[int, int], int]) -> list[Rational]:
+    """The n voters' money in a kernel record ``(den, base, groups, n)``:
+    ``(base + value)/den`` for the voters in the bitmask ``groups[value]``,
+    ``base/den`` for the voters in none, one ``Fraction`` per value."""
+    den, base, groups, n = record
+    made = {value: Fraction(base + value, den) for value in (0, *groups)}
+    money = [made[0]] * n
+    for value, group in groups.items():
+        for i, bit in enumerate(bin(group)[:1:-1]):
+            if bit == "1":
+                money[i] = made[value]
+    return money
 
 
 class PhragmenTrace(Record):
@@ -292,19 +310,19 @@ class PhragmenTrace(Record):
 
     ``elected`` lists candidates in election order; ``election_times[j]`` is
     the (exact, global) time at which ``elected[j]`` was bought, and
-    ``payments[j]`` maps each paying voter to the amount deducted.  Within
-    each step the payments add up to n/k.  Times are weakly increasing:
-    several candidates can be bought at the same instant, in lexicographic
-    order.
+    ``payments[j]`` maps each paying voter to the amount deducted, in
+    increasing voter order.  Within each step the payments add up to n/k.
+    Times are weakly increasing: several candidates can be bought at the
+    same instant, in lexicographic order.
 
-    ``purchases[j]`` is the kernel's record ``(den, clock, payers,
-    amounts)`` of purchase j: time ``clock/den``, and ``amounts[x]/den``
-    paid by ``payers[x]``.  The ``Fraction`` times and payments are built
-    from it on their first access.
+    ``purchases[j]`` is the kernel's record ``(den, clock, paid, n)`` of
+    purchase j: time ``clock/den``, and ``amount/den`` paid by each voter
+    of the bitmask ``paid[amount]``.  The ``Fraction`` times and payments
+    are built from it on their first access.
     """
 
     elected: tuple[int, ...]
-    purchases: list[tuple[int, int, list[int], list[int]]]
+    purchases: list[tuple[int, int, dict[int, int], int]]
     _hidden = ("purchases",)
 
     @cached_property
@@ -314,8 +332,8 @@ class PhragmenTrace(Record):
     @cached_property
     def payments(self) -> tuple[dict[int, Rational], ...]:
         return tuple(
-            dict(zip(payers, _fractions(amounts, den)))
-            for den, _, payers, amounts in self.purchases
+            {i: a for i, a in enumerate(_balances((den, 0, paid, n))) if a}
+            for den, _, paid, n in self.purchases
         )
 
     @property
@@ -336,7 +354,7 @@ def phragmen_sequential(instance: ElectionInstance) -> PhragmenTrace:
     trace, _ = _phragmen_run(
         instance,
         den=instance.committee_size,
-        scaled=[0] * instance.num_voters,
+        start={},
         excluded=frozenset(),
         seats=instance.committee_size,
     )
@@ -346,71 +364,87 @@ def phragmen_sequential(instance: ElectionInstance) -> PhragmenTrace:
 def _phragmen_run(
     instance: ElectionInstance,
     den: int,
-    scaled: list[int],
+    start: dict[int, int],
     excluded: frozenset[int],
     seats: int,
-) -> tuple[PhragmenTrace, list[tuple[int, list[int]]]]:
+) -> tuple[PhragmenTrace, list[tuple[int, int, dict[int, int], int]]]:
     """Money-earning run at time 0 from the starting balances
-    ``scaled[i]/den``; ``den`` must be a multiple of k, and the run
-    updates ``scaled`` in place.
+    ``offset/den`` of the voters in each bitmask ``start[offset]``, for
+    nonzero offsets, and 0 for the voters in none; k must divide ``den``.
 
     Balances, the price and the clock are int numerators over a common
     denominator ``den``; each delay multiplies ``den`` (and every
     numerator) by the denominator of its reduced value, which makes the
-    delay an int.  ``held[c]`` is the balance of c's approvers: a delay
-    adds to it the growth of each approver, and a payment takes the
-    amount off every candidate on the payer's ballot.  Returns the trace
-    and, per purchase, ``(den, balances)`` right after it.
+    delay an int.  A voter's balance is the clock plus the offset of its
+    group in ``offsets`` (0 in none): a delay moves the clock, and a
+    payment moves the payers to offset -clock.  Only clone heads are
+    scanned, the smallest index winning a tie.  Returns the trace and,
+    per purchase, the balances right after it as a ``_balances`` record.
     """
     n, k = instance.num_voters, instance.committee_size
     price = n * den // k
     clock = 0
-    approvers = instance.approver_lists
-    sizes = [len(group) for group in approvers]
-    ballots = instance.approvals
-    held = [0] * len(approvers)
-    for ballot, b in zip(ballots, scaled):
-        if b:
-            for c in ballot:
-                held[c] += b
-    remaining = [c for c in instance.candidates if c not in excluded and sizes[c]]
+    masks = instance.approver_masks
+    if sum(map(int.bit_count, masks)) != sum(map(len, instance.approvals)):
+        raise InternalInvariantError("approver masks do not match the ballots")
+    offsets = start
+    # emptied as heads are bought
+    classes = [list(members) for members in instance.clones if masks[members[0]]]
+    if excluded:
+        classes = [
+            kept for members in classes if (kept := [c for c in members if c not in excluded])
+        ]
     elected: list[int] = []
-    purchases: list[tuple[int, int, list[int], list[int]]] = []
-    snapshots: list[tuple[int, list[int]]] = []
-    while len(elected) < seats and remaining:
+    purchases: list[tuple[int, int, dict[int, int], int]] = []
+    snapshots: list[tuple[int, int, dict[int, int], int]] = []
+    while len(elected) < seats and classes:
         # the smallest delay missing/size; 1/0 stands for "none seen yet"
-        best_c, best_missing, best_size = -1, 1, 0
-        for c in remaining:
-            missing = price - held[c]
+        best_c, best_missing, best_size, best_members = -1, 1, 0, classes[0]
+        groups = offsets.items()
+        for members in classes:
+            c = members[0]
+            mask = masks[c]
+            size = mask.bit_count()
+            missing = price - clock * size
+            for offset, group in groups:
+                missing -= offset * (mask & group).bit_count()
             if missing < 0:
                 missing = 0
-            if missing * best_size < best_missing * sizes[c]:
-                best_c, best_missing, best_size = c, missing, sizes[c]
+            ahead = missing * best_size - best_missing * size
+            if ahead < 0 or ahead == 0 and c < best_c:
+                best_c, best_missing, best_size = c, missing, size
+                best_members = members
         if best_missing:
             g = gcd(best_missing, best_size)
             step, grow = best_size // g, best_missing // g
             den, price, clock = den * step, price * step, clock * step + grow
-            scaled = [b * step + grow for b in scaled]
-            held = [h * step + grow * s for h, s in zip(held, sizes)]
-        paid: list[int] = []
-        owed: list[int] = []
-        for i in approvers[best_c]:
-            amount = scaled[i]
-            if amount:
-                paid.append(i)
-                owed.append(amount)
-                scaled[i] = 0
-                for c in ballots[i]:
-                    held[c] -= amount
-        if sum(owed) != price:
+            if step > 1:
+                offsets = {offset * step: group for offset, group in offsets.items()}
+        payers = masks[best_c]
+        paid = {clock: payers}  # amount -> its payers, first those in no group
+        left: dict[int, int] = {}
+        for offset, group in offsets.items():
+            inside = group & payers
+            if inside:
+                paid[clock + offset] = inside
+                paid[clock] ^= inside
+                group ^= inside
+            if group:
+                left[offset] = group
+        if clock:
+            left[-clock] = left.get(-clock, 0) | payers
+        offsets = left
+        if sum([amount * group.bit_count() for amount, group in paid.items()]) != price:
             raise InternalInvariantError(
                 f"Phragmen step {len(elected)}: payments for candidate {best_c} "
                 "do not add up to the price"
             )
         elected.append(best_c)
-        purchases.append((den, clock, paid, owed))
-        snapshots.append((den, scaled.copy()))
-        remaining.remove(best_c)
+        purchases.append((den, clock, paid, n))
+        snapshots.append((den, clock, offsets, n))
+        best_members.pop(0)
+        if not best_members:
+            classes.remove(best_members)
     return PhragmenTrace(tuple(elected), purchases), snapshots
 
 
@@ -422,18 +456,18 @@ class RuleXTrace(Record):
     voter budgets right after that purchase.  When ``rule_x_complete``
     appends further candidates, those appear in ``elected`` (and contribute
     budget snapshots) but have no q-value.  ``snapshots[j]`` is the
-    kernel's record ``(den, numerators)`` of those budgets, from which
-    ``budgets`` is built on its first access.
+    kernel's ``_balances`` record ``(den, base, groups, n)`` of those
+    budgets, from which ``budgets`` is built on its first access.
     """
 
     elected: tuple[int, ...]
     q_values: tuple[Rational, ...]
-    snapshots: list[tuple[int, list[int]]]
+    snapshots: list[tuple[int, int, dict[int, int], int]]
     _hidden = ("snapshots",)
 
     @cached_property
     def budgets(self) -> tuple[tuple[Rational, ...], ...]:
-        return tuple(tuple(_fractions(b, den)) for den, b in self.snapshots)
+        return tuple(tuple(_balances(snapshot)) for snapshot in self.snapshots)
 
     @property
     def committee(self) -> Committee:
@@ -447,23 +481,26 @@ class RuleXTrace(Record):
 
 
 def min_affordable_q(
-    budgets: Sequence[int | Rational], price: int | Rational
+    counts: Mapping[int | Rational, int], price: int | Rational
 ) -> Rational | None:
-    """Smallest q with sum_i min(q, b_i) >= price, or None if unaffordable.
+    """Smallest q with sum_b counts[b] * min(q, b) >= price, or None if
+    unaffordable: ``counts[b]`` supporters hold budget b.
 
     ``price`` must be positive; budgets and price may be ints or Fractions.
     Sort the budgets; if the j poorest supporters pay their full budget and
     the rest pay q each, then q = (price - poorest total) / (count - j).
     f(q) = sum_i min(q, b_i) increases strictly up to the largest budget, so
-    the first j whose split reaches the price at q = b_j gives the minimal q.
+    the first j whose split reaches the price at q = b_j gives the minimal q;
+    of equal budgets only the first can be that j.
     """
-    bs = sorted(budgets)
-    count = len(bs)
+    left = sum(counts.values())
     prefix = 0
-    for j, b in enumerate(bs):
-        if prefix + (count - j) * b >= price:
-            return Fraction(price - prefix, count - j)
-        prefix += b
+    for b in sorted(counts):
+        if prefix + left * b >= price:
+            return Fraction(price - prefix, left)
+        count = counts[b]
+        prefix += count * b
+        left -= count
     return None
 
 
@@ -487,7 +524,8 @@ def rule_x(
     Budgets are int numerators over a common denominator ``den`` (so the
     price n/k is ``n`` at the start, when ``den`` is k); each purchase
     multiplies ``den`` by the denominator of its scaled q, which makes the
-    payments ints.
+    payments ints.  The voters are kept as one bitmask per positive
+    budget, in increasing budget order; a voter in none has spent all.
 
     Clones (candidates with the same approvers) have the same q at every
     step, so the smallest-index cheapest candidate is always the smallest
@@ -507,11 +545,15 @@ def rule_x(
     n, k = instance.num_voters, instance.committee_size
     den = k
     price = n
-    budget = [k] * n
-    approvers = instance.approver_lists
+    groups = {k: (1 << n) - 1}  # budget -> the voters holding it
+    masks = instance.approver_masks
 
     def q_of(c: int) -> Rational | None:
-        return min_affordable_q([budget[i] for i in approvers[c]], price)
+        mask = masks[c]
+        counts = {
+            b: count for b, group in groups.items() if (count := (mask & group).bit_count())
+        }
+        return min_affordable_q(counts, price)
 
     classes = [list(c) for c in instance.clones]  # emptied as heads are bought
     class_of = {c: members for members in classes for c in members}
@@ -523,7 +565,7 @@ def rule_x(
     heapify(heap)
     elected: list[int] = []
     qs: list[Rational] = []
-    snapshots: list[tuple[int, list[int]]] = []
+    snapshots: list[tuple[int, int, dict[int, int], int]] = []
     while len(elected) < k and heap:
         key, best_c, members = heappop(heap)
         if not members:
@@ -551,16 +593,24 @@ def rule_x(
         if members:
             heappush(heap, (key, members[0], members))
         step = best_q.denominator
-        if step > 1:
-            den *= step
-            price *= step
-            budget = [b * step for b in budget]
+        den *= step
+        price *= step
         q = best_q.numerator
-        for i in approvers[best_c]:
-            budget[i] = max(budget[i] - q, 0)
+        payers = masks[best_c]
+        left: dict[int, int] = {}
+        for b, group in groups.items():
+            b *= step
+            inside = group & payers
+            if inside:
+                if b > q:
+                    left[b - q] = left.get(b - q, 0) | inside
+                group ^= inside
+            if group:
+                left[b] = left.get(b, 0) | group
+        groups = dict(sorted(left.items()))
         elected.append(best_c)
         qs.append(Fraction(q, den))
-        snapshots.append((den, budget.copy()))
+        snapshots.append((den, 0, groups, n))
     if tie_choices is not None:
         unreached = "tie choice for step {!r}: the budget phase takes no such step"
         _indices(tie_choices, len(elected), unreached)
@@ -579,18 +629,19 @@ def rule_x_complete(
     budget phase stops short of k, keep going with the money-earning rule,
     seeded with the leftover budgets (voters continue to earn at unit
     speed; already elected candidates are excluded).  It starts from Rule
-    X's last int record, or from k/k per voter if Rule X bought nothing;
-    Rule X's ``den`` starts at k and is only multiplied, so k divides it.
+    X's last budget groups, or from k/k per voter if Rule X bought
+    nothing; Rule X's ``den`` starts at k and is only multiplied, so k
+    divides it.
     """
     trace = rule_x(instance, tie_choices=tie_choices)
     n, k = instance.num_voters, instance.committee_size
     if len(trace.elected) == k:
         return trace
-    den, leftovers = trace.snapshots[-1] if trace.snapshots else (k, [k] * n)
+    last = trace.snapshots[-1] if trace.snapshots else (k, 0, {k: (1 << n) - 1}, n)
     continuation, snapshots = _phragmen_run(
         instance,
-        den=den,
-        scaled=leftovers.copy(),  # the run updates its balances in place
+        den=last[0],
+        start=last[2],
         excluded=frozenset(trace.elected),
         seats=k - len(trace.elected),
     )

@@ -44,13 +44,18 @@ def shared_ballot_instances(draw, max_voters: int = 9, max_candidates: int = 7):
 
 
 @st.composite
-def cloned_instances(draw, max_voters: int = 6, max_candidates: int = 5, max_copies: int = 5):
-    """An ``instances()`` draw with some candidate columns copied: the
-    copies are appended and then every column moves to a shuffled index,
-    so a clone class is spread over the indices and its smallest member
-    need not be the original.  k is drawn again over the larger candidate
-    set, so runs can elect several members of one class."""
-    base = draw(instances(max_voters=max_voters, max_candidates=max_candidates))
+def cloned_instances(
+    draw, max_voters: int = 6, max_candidates: int = 5, max_copies: int = 5, base=None
+):
+    """An ``instances()`` draw (or a ``base`` draw) with some candidate
+    columns copied: the copies are appended and then every column moves
+    to a shuffled index, so a clone class is spread over the indices and
+    its smallest member need not be the original.  k is drawn again over
+    the larger candidate set, so runs can elect several members of one
+    class."""
+    if base is None:
+        base = instances(max_voters=max_voters, max_candidates=max_candidates)
+    base = draw(base)
     sources = draw(
         st.lists(st.sampled_from(base.candidates), min_size=1, max_size=max_copies)
     )
@@ -62,6 +67,27 @@ def cloned_instances(draw, max_voters: int = 6, max_candidates: int = 5, max_cop
     )
     k = draw(st.integers(1, len(columns)))
     return ElectionInstance(len(columns), k, ballots)
+
+
+@st.composite
+def pooled_voters(draw, min_voters: int, max_voters: int, max_candidates: int):
+    """``min_voters`` to ``max_voters`` voters, each casting one of at most
+    six ballots, the ballot of each voter drawn on its own, so each
+    ballot's voters are spread over the voter indices."""
+    m = draw(st.integers(1, max_candidates))
+    pool = draw(st.lists(st.frozensets(st.integers(0, m - 1)), min_size=1, max_size=6))
+    picks = st.integers(0, len(pool) - 1)
+    ballots = draw(st.lists(picks, min_size=min_voters, max_size=max_voters))
+    return ElectionInstance(m, draw(st.integers(1, m)), [pool[j] for j in ballots])
+
+
+def wide_instances(max_candidates: int = 5, max_copies: int = 3):
+    """65 to 200 voters, more than one machine word of bits, drawing their
+    ballots from a small pool, with planted clones as in
+    ``cloned_instances``."""
+    return cloned_instances(
+        max_copies=max_copies, base=pooled_voters(65, 200, max_candidates)
+    )
 
 
 @st.composite

@@ -63,6 +63,18 @@ from abcvote.model import (
 )
 
 
+def clone_classes(lists: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Indices grouped by equal list: each class in increasing order, the
+    classes in order of their smallest member.  Over
+    ``BallotClasses.holders`` these are the candidates with the same
+    approvers, the clone classes ``ElectionInstance.clones`` builds from
+    its approver masks."""
+    classes: dict[tuple[int, ...], list[int]] = {}
+    for c, members in enumerate(lists):
+        classes.setdefault(tuple(members), []).append(c)
+    return list(classes.values())
+
+
 def harmonic(t: int) -> Fraction:
     """1 + 1/2 + ... + 1/t, summed term by term."""
     return sum((Fraction(1, j) for j in range(1, t + 1)), Fraction(0))

@@ -710,7 +710,7 @@ def test_intro_committees_missing_the_shared_package_are_blocked():
 
 
 #: Run under ``python -O``: the search of each checker is fed corrupted
-#: data (no voter has any approved committee member, the LP reports twice
+#: data (no voter approves the committee's member, the LP reports twice
 #: its optimal price, or the full-spend flow twice each share), or its
 #: witness is corrupted on the way out (PJR), so the witness is wrong and
 #: only the re-check against the definition can catch it.  Each
@@ -751,10 +751,12 @@ for label, patch, corrupt, instance in (
         print(label)
     axioms.lp_maximize, axioms._full_spend = solve, spend
 
-axioms.welfare_vector = lambda instance, committee: (0,) * instance.num_voters
+# the EJR walk reads welfare and approvers off the instance's kept
+# approver masks: these move both voters from member 0 to candidate 1;
 # the core walks read each class's welfare off the instance's kept ballot
 # classes: these give the one class an empty ballot, yet list it as a
 # holder of candidate 0
+vars(pair)["approver_masks"] = (0, 0b11)
 vars(pair)["classes"] = BallotClasses((frozenset(),), ([0, 1],), (2,), ([0], []))
 for name, extra in (
     ("check_ejr", ()),

@@ -17,7 +17,6 @@ from abcvote.model import (
     ElectionInstance,
     ParseError,
     ballot_classes,
-    clone_classes,
     format_committee,
     instance_digest,
     parse_committee,
@@ -39,7 +38,9 @@ from tests.conftest import (
     instances,
     instances_with_committee,
     shared_ballot_instances,
+    wide_instances,
 )
+from tests.oracles import clone_classes
 
 
 def test_parse_small_instance():
@@ -236,7 +237,7 @@ def test_approvers():
             INTRO.approvers(candidate)
     # the test oracles call approvers(); a wrong kept view must not reach them
     inst = ElectionInstance(2, 1, [{0}, {0, 1}])
-    vars(inst)["approver_lists"] = ((), ())
+    vars(inst)["approver_masks"] = (0, 0)
     assert inst.approvers(0) == frozenset({0, 1})
     assert inst.approvers(1) == frozenset({1})
 
@@ -300,16 +301,18 @@ def test_profile_view_is_built_once_and_left_intact(monkeypatch):
     assert built == [inst]
     fresh = fixture("example33")
     assert inst.classes == ballot_classes(fresh)
-    assert inst.approver_lists == tuple(
-        tuple(i for i in fresh.voters if c in fresh.approvals[i])
+    assert inst.approver_masks == tuple(
+        sum(1 << i for i in fresh.voters if c in fresh.approvals[i])
         for c in fresh.candidates
     )
     assert inst.clones == tuple(map(tuple, clone_classes(ballot_classes(fresh).holders)))
 
 
-@given(st.one_of(instances(8, 6), cloned_instances()))
-def test_clones_from_approver_lists_match_clones_from_holders(inst):
-    assert clone_classes(inst.approver_lists) == clone_classes(inst.classes.holders)
+@given(st.one_of(instances(8, 6), cloned_instances(), wide_instances()))
+def test_clones_from_approver_masks_match_clones_from_holders(inst):
+    assert inst.approver_masks == tuple(
+        sum(1 << i for i in inst.approvers(c)) for c in inst.candidates
+    )
     assert inst.clones == tuple(map(tuple, clone_classes(inst.classes.holders)))
 
 

@@ -196,13 +196,13 @@ def test_trace_properties_are_cached():
 
     # an instance's profile view is kept, but it is no field either
     read = ElectionInstance(3, 2, [{0, 1}, {0, 1}, {2}])
-    views = read.classes, read.approver_lists, read.clones
+    views = read.classes, read.approver_masks, read.clones
     # tuples, so no caller can change what the others read
-    assert views == (ballot_classes(INST), ((0, 1), (0, 1), (2,)), ((0, 1), (2,)))
+    assert views == (ballot_classes(INST), (0b011, 0b011, 0b100), ((0, 1), (2,)))
     assert all(view is again for view, again in zip(
-        views, (read.classes, read.approver_lists, read.clones)
+        views, (read.classes, read.approver_masks, read.clones)
     ))
-    assert {"classes", "approver_lists", "clones"} <= set(vars(read))
+    assert {"classes", "approver_masks", "clones"} <= set(vars(read))
     fresh = ElectionInstance(3, 2, [{0, 1}, {0, 1}, {2}])
     assert read == fresh and hash(read) == hash(fresh) and repr(read) == repr(fresh)
     assert read != ElectionInstance(3, 1, [{0, 1}, {0, 1}, {2}])

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -20,7 +21,6 @@ from abcvote.model import (
     ElectionInstance,
     SearchBudgetExceeded,
     ballot_classes,
-    clone_classes,
     welfare_vector,
 )
 from abcvote.rules import (
@@ -39,6 +39,7 @@ from tests.conftest import (
     instances,
     shared_ballot_instances,
 )
+from tests.oracles import clone_classes
 
 F = Fraction
 
@@ -368,10 +369,10 @@ def test_rule_x_trace_builds_no_fractions_until_read():
 
 
 #: Run under ``python -O``: candidate 1 loses voter 0 from the approver
-#: lists the instance keeps (planted in its ``__dict__``, as the kept
-#: lists are tuples), so the kernel's group balance of candidate 1
-#: misses voter 0's earnings but is still charged voter 0's payment for
-#: candidate 0; only the payment check can tell.
+#: masks the instance keeps (planted in its ``__dict__``).  The run reads
+#: its balances, payers and payments off the same masks, so it stays
+#: self-consistent and the payments still add up to the price; only the
+#: count of the masks' bits against the ballots' approvals can tell.
 DROPPED_APPROVER_SCRIPT = """
 import sys
 from abcvote import rules
@@ -381,8 +382,8 @@ if __debug__:
     sys.exit("expected python -O")
 inst = ElectionInstance(2, 2, (frozenset({0, 1}), frozenset({0, 1}), frozenset({1})))
 print(rules.phragmen_sequential(inst).elected)
-kept = inst.approver_lists
-vars(inst)["approver_lists"] = (kept[0], tuple(i for i in kept[1] if i != 0))
+kept = inst.approver_masks
+vars(inst)["approver_masks"] = (kept[0], kept[1] & ~1)
 try:
     rules.phragmen_sequential(inst)
 except InternalInvariantError:
@@ -425,12 +426,13 @@ def test_phragmen_invariants(inst):
 
 
 def test_min_affordable_q_cases():
-    assert min_affordable_q([1, 1, 1], F(2)) == F(2, 3)
-    assert min_affordable_q([F(1, 2), 1], F(1)) == F(1, 2)
-    assert min_affordable_q([F(1, 4), 1], F(1)) == F(3, 4)
-    assert min_affordable_q([F(1, 4), F(1, 4)], F(1)) is None
-    assert min_affordable_q([], F(1)) is None
-    assert min_affordable_q([F(1, 2), F(1, 2)], F(1)) == F(1, 2)
+    # budget -> the number of supporters holding it
+    assert min_affordable_q({1: 3}, F(2)) == F(2, 3)
+    assert min_affordable_q({F(1, 2): 1, 1: 1}, F(1)) == F(1, 2)
+    assert min_affordable_q({F(1, 4): 1, 1: 1}, F(1)) == F(3, 4)
+    assert min_affordable_q({F(1, 4): 2}, F(1)) is None
+    assert min_affordable_q({}, F(1)) is None
+    assert min_affordable_q({F(1, 2): 2}, F(1)) == F(1, 2)
 
 
 @settings(deadline=None, max_examples=120)
@@ -438,7 +440,7 @@ def test_min_affordable_q_cases():
 def test_min_affordable_q_is_minimal(inst):
     price = F(inst.num_voters, inst.committee_size)
     budgets = [F(1, i + 1) for i in range(inst.num_voters)]
-    q = min_affordable_q(budgets, price)
+    q = min_affordable_q(Counter(budgets), price)
     spend = lambda cap: sum(min(cap, b) for b in budgets)
     if q is None:
         assert spend(max(budgets)) < price
@@ -596,6 +598,15 @@ def test_seq_pav_tie_goes_to_smaller_head_after_a_class_loses_its_first():
     # 0 and 3 are clones; once 0 is in, 3 ties with 1 and the smaller wins
     inst = build(4, 2, [{0, 3}, {0, 3}, {1}])
     assert seq_pav(inst) == frozenset({0, 1})
+
+
+def test_phragmen_tie_goes_to_smaller_head_after_heads_change_order():
+    # clone classes {0, 3} and {1, 2}: once 0 and 1 are in, the heads are
+    # 3 and 2, scanned in class order, and 2 wins their tie at time 4/3
+    inst = build(4, 3, [{0, 3}, {0, 3}, {1, 2}, {1, 2}])
+    trace = phragmen_sequential(inst)
+    assert trace.elected == (0, 1, 2)
+    assert trace.election_times == (F(2, 3), F(2, 3), F(4, 3))
 
 
 def test_rule_x_prices_one_head_per_clone_class(monkeypatch):

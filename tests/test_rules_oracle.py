@@ -4,8 +4,9 @@ plain ``Fraction`` implementations kept in ``tests/oracles.py``.
 Every trace must agree in full (committees, election times, payments,
 q-values and budget snapshots), and every rational in it must still be
 a ``Fraction``.  Inputs are the catalogue, random instances,
-instances with pooled ballots, and money-earning runs from uneven
-starting balances; PAV scores are compared too.  PAV's walk branches in
+instances with pooled ballots or planted clones, profiles of 65 to 200
+voters (more bits than a machine word), and money-earning runs from
+uneven starting balances; PAV scores are compared too.  PAV's walk branches in
 its own order, so only its winners are compared with the oracle's, and
 its node count is checked to be its own budget threshold and, on the
 catalogue, at most the oracle's.
@@ -13,6 +14,7 @@ catalogue, at most the oracle's.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 
@@ -30,6 +32,7 @@ from tests.conftest import (
     instances,
     node_count,
     shared_ballot_instances,
+    wide_instances,
 )
 
 F = Fraction
@@ -219,6 +222,7 @@ def test_rule_x_matches_oracle_for_every_tie_choice(inst):
 @settings(deadline=None, max_examples=200)
 @given(cloned_instances())
 def test_sequential_rules_match_oracle_with_clones(inst):
+    assert_same_phragmen(inst)
     assert rules.seq_pav(inst) == oracles.seq_pav(inst)
     # every single-step tie choice, non-head clones among them
     assert_same_rule_x_ties(inst)
@@ -295,16 +299,35 @@ budget_values = st.one_of(
     st.fractions(min_value=F(1, 12), max_value=12, max_denominator=12),
 )
 def test_min_affordable_q_matches_oracle(budgets, price):
-    q = rules.min_affordable_q(budgets, price)
+    # the kernel takes budget -> count, the oracle every supporter's budget
+    q = rules.min_affordable_q(Counter(budgets), price)
     assert q == oracles.min_affordable_q(budgets, price)
     assert q is None or type(q) is Fraction
     # scaled int budgets give the scaled q
     den = 12
     scaled = [int(b * den) for b in budgets]
     if all(b * den == s for b, s in zip(budgets, scaled)) and price * den % 1 == 0:
-        scaled_q = rules.min_affordable_q(scaled, int(price * den))
+        scaled_q = rules.min_affordable_q(Counter(scaled), int(price * den))
         assert scaled_q == (None if q is None else q * den)
         assert scaled_q is None or type(scaled_q) is Fraction
+
+
+# ---------------------------------------------------------------------------
+# more than 64 voters: the bitset kernels cross a machine word
+
+
+@settings(deadline=None, max_examples=40)
+@given(wide_instances())
+def test_sequential_rules_match_oracle_on_wide_profiles(inst):
+    assert_same_phragmen(inst)
+    assert_same_rule_x(inst)
+    assert rules.seq_pav(inst) == oracles.seq_pav(inst)
+
+
+@settings(deadline=None, max_examples=15)
+@given(wide_instances())
+def test_rule_x_matches_oracle_for_every_tie_choice_on_wide_profiles(inst):
+    assert_same_rule_x_ties(inst, sample=4)
 
 
 # ---------------------------------------------------------------------------
@@ -319,12 +342,12 @@ def test_pav_score_matches_oracle_on_pooled_ballots(inst, data):
 
 
 @st.composite
-def continuations(draw):
+def continuations(draw, profiles=shared_ballot_instances(max_voters=30, max_candidates=8)):
     """An instance with pooled ballots, the candidates already elected, and
     uneven starting balances under which every other candidate's
     approvers hold less than the price n/k, as Rule X leaves them when it
     stops short."""
-    inst = draw(shared_ballot_instances(max_voters=30, max_candidates=8))
+    inst = draw(profiles)
     n, k = inst.num_voters, inst.committee_size
     order = draw(st.permutations(inst.candidates))
     excluded = frozenset(order[: draw(st.integers(0, k - 1))])
@@ -345,14 +368,29 @@ def continuations(draw):
 @settings(deadline=None, max_examples=150)
 @given(continuations())
 def test_phragmen_continuation_matches_oracle_from_uneven_balances(run):
+    assert_same_continuation(run)
+
+
+@settings(deadline=None, max_examples=15)
+@given(continuations(wide_instances()))
+def test_phragmen_continuation_matches_oracle_on_wide_profiles(run):
+    assert_same_continuation(run)
+
+
+def assert_same_continuation(run) -> None:
     inst, start, excluded, seats = run
     den = lcm(inst.committee_size, *[b.denominator for b in start])
-    scaled = [b.numerator * (den // b.denominator) for b in start]
-    trace, snapshots = rules._phragmen_run(inst, den, scaled, excluded, seats)
+    # the kernel starts from one voter bitmask per nonzero balance
+    groups: dict[int, int] = {}
+    for i, b in enumerate(start):
+        if b:
+            scaled = b.numerator * (den // b.denominator)
+            groups[scaled] = groups.get(scaled, 0) | 1 << i
+    trace, snapshots = rules._phragmen_run(inst, den, groups, excluded, seats)
     expected = oracles._phragmen_run(inst, list(start), F(0), excluded, seats)
     assert values(trace) == values(expected)
     assert tuple(
-        tuple(F(b, d) for b in balances) for d, balances in snapshots
+        tuple(rules._balances(snapshot)) for snapshot in snapshots
     ) == oracles.phragmen_balances(start, expected)
 
 
