@@ -159,6 +159,9 @@ class ElectionInstance(Record):
             candidate indices (not ``1.0``), and stores them as a tuple of
             frozensets.  Empty ballots are allowed.
 
+    ``parse_instance`` checks each distinct ballot line once and fills the
+    three fields itself, without the constructor's second check.
+
     ``classes``, ``approver_masks``, ``clones`` and ``text`` are built on
     first access (``parse_instance`` fills ``text`` as it reads), kept and
     shared, never mutated (``approver_masks`` is a tuple of ints and
@@ -231,12 +234,25 @@ class ElectionInstance(Record):
     @cached_property
     def approver_masks(self) -> tuple[int, ...]:
         """``approver_masks[c]``: the voters approving c as a bitset, bit i
-        set when voter i approves c."""
+        set when voter i approves c.
+
+        Built per block of consecutive equal ballots: the block of voters
+        start .. end - 1 ORs ``((1 << (end - start)) - 1) << start`` into
+        the mask of each candidate on its ballot, so a profile that lists
+        its voters by ballot costs a few ORs per block, and one where no
+        two neighbours agree costs one block per voter, as a per-voter
+        loop would."""
         masks = [0] * self.num_candidates
-        for i, ballot in enumerate(self.approvals):
-            bit = 1 << i
+        approvals = self.approvals
+        n = len(approvals)
+        start = 0
+        for end, ballot in enumerate(approvals, 1):
+            if end < n and approvals[end] == ballot:
+                continue  # the block goes on
+            block = ((1 << (end - start)) - 1) << start
             for c in ballot:
-                masks[c] |= bit
+                masks[c] |= block
+            start = end
         return tuple(masks)
 
     @cached_property
@@ -457,9 +473,16 @@ def parse_instance(text: str) -> ElectionInstance:
         ballots[line] = frozenset(chosen)
         rendered[line] = " ".join([str(c + 1) for c in sorted(chosen)])
 
-    instance = ElectionInstance(m, k, list(map(ballots.__getitem__, ballot_lines)))
+    # every value the constructor would check has been checked above, once
+    # per distinct line, so the fields are filled here, as is the text
+    instance = ElectionInstance.__new__(ElectionInstance)
     canonical = [f"{m} {n} {k}", *map(rendered.__getitem__, ballot_lines)]
-    vars(instance)["text"] = "\n".join(canonical) + "\n"
+    vars(instance).update(
+        num_candidates=m,
+        committee_size=k,
+        approvals=tuple(map(ballots.__getitem__, ballot_lines)),
+        text="\n".join(canonical) + "\n",
+    )
     return instance
 
 

@@ -33,7 +33,10 @@ only the smallest unelected member (the "head") of each clone class:
 clones have the same balance, price cap and PAV gain at every step, and
 ties go to the smallest index, so the choice is always a head.
 ``rule_x`` recomputes a class's price cap only when it reaches the top
-of a lazy heap, as budgets only shrink and an old cap is a lower bound.
+of a lazy heap, as budgets only shrink and an old cap is a lower bound;
+the heap compares caps as int fractions by cross-multiplying, and a
+recomputation walks the budget groups from the poorest and stops at the
+first whose budget covers the cap, so the richer groups go unread.
 Both money rules' traces keep int numerators and voter bitmasks, made
 ``Fraction`` times, payments or budgets when first read.  ``pav_score`` and
 ``pav_winners`` read the instance's kept ``classes``, so they work
@@ -481,27 +484,52 @@ class RuleXTrace(Record):
 
 
 def min_affordable_q(
-    counts: Mapping[int | Rational, int], price: int | Rational
+    supporters: int,
+    groups: Mapping[int | Rational, int],
+    left: int,
+    price: int | Rational,
 ) -> Rational | None:
-    """Smallest q with sum_b counts[b] * min(q, b) >= price, or None if
-    unaffordable: ``counts[b]`` supporters hold budget b.
+    """Smallest q with sum_i min(q, b_i) >= price over the voters i of the
+    bitmask ``supporters``, or None if unaffordable.
 
-    ``price`` must be positive; budgets and price may be ints or Fractions.
-    Sort the budgets; if the j poorest supporters pay their full budget and
-    the rest pay q each, then q = (price - poorest total) / (count - j).
-    f(q) = sum_i min(q, b_i) increases strictly up to the largest budget, so
-    the first j whose split reaches the price at q = b_j gives the minimal q;
-    of equal budgets only the first can be that j.
+    ``groups`` maps each budget b to the bitmask of the voters holding it,
+    in increasing budget order; ``left`` is the number of supporters in
+    the groups, and a supporter in none holds 0.  ``price`` must be
+    positive; budgets and price may be ints or Fractions.  If the
+    supporters below b pay their full budget and the ``left`` others pay
+    q each, then q = need / left, ``need`` being the price less what the
+    poorer ones paid.  f(q) = sum_i min(q, b_i) increases strictly up to
+    the largest budget, so the first group whose split reaches the price
+    at q = b gives the minimal q: the walk returns there, without reading
+    the groups above it.  A group with no supporter changes neither
+    ``need`` nor ``left``, and q then still lies above the budgets below
+    it, so it may be the split too.
     """
-    left = sum(counts.values())
-    prefix = 0
-    for b in sorted(counts):
-        if prefix + left * b >= price:
-            return Fraction(price - prefix, left)
-        count = counts[b]
-        prefix += count * b
-        left -= count
+    need = price
+    for b, group in groups.items():
+        if left * b >= need:
+            return Fraction(need, left)
+        count = (supporters & group).bit_count()
+        if count:
+            need -= count * b
+            left -= count
     return None
+
+
+class _Offer:
+    """An entry of ``rule_x``'s lazy heap: the clone class ``members``,
+    its ``head`` when the entry was last pushed, and the key ``num/den``,
+    a q in units of the starting budget.  Entries order by key, compared
+    exactly as cross-multiplied ints, then by head."""
+
+    __slots__ = ("num", "den", "head", "members")
+
+    def __init__(self, num: int, den: int, head: int, members: list[int]) -> None:
+        self.num, self.den, self.head, self.members = num, den, head, members
+
+    def __lt__(self, other: _Offer) -> bool:
+        ahead = self.num * other.den - other.num * self.den
+        return ahead < 0 or ahead == 0 and self.head < other.head
 
 
 def rule_x(
@@ -525,13 +553,18 @@ def rule_x(
     price n/k is ``n`` at the start, when ``den`` is k); each purchase
     multiplies ``den`` by the denominator of its scaled q, which makes the
     payments ints.  The voters are kept as one bitmask per positive
-    budget, in increasing budget order; a voter in none has spent all.
+    budget, in increasing budget order, and ``alive`` is their union; a
+    voter in none has spent all.  A price check counts the candidate's
+    voters in ``alive`` once, then walks the groups from the poorest and
+    stops at the split (``min_affordable_q``), so a cheap candidate reads
+    only the groups below its q.
 
     Clones (candidates with the same approvers) have the same q at every
     step, so the smallest-index cheapest candidate is always the smallest
     unelected member, the "head", of its clone class.  The heap holds one
     entry (q, head, class) per class, with q in units of the starting
-    budget.  Budgets only shrink, so a minimal affordable q never drops
+    budget, kept as an int fraction and compared by cross-multiplying.
+    Budgets only shrink, so a minimal affordable q never drops
     and a key computed at an earlier step is a lower bound.  The popped
     head's q is recomputed: if it still equals the key, no other
     candidate can be cheaper, nor as cheap with a smaller index, so it is
@@ -545,15 +578,13 @@ def rule_x(
     n, k = instance.num_voters, instance.committee_size
     den = k
     price = n
-    groups = {k: (1 << n) - 1}  # budget -> the voters holding it
+    alive = (1 << n) - 1  # the voters with budget left
+    groups = {k: alive}  # budget -> the voters holding it
     masks = instance.approver_masks
 
     def q_of(c: int) -> Rational | None:
         mask = masks[c]
-        counts = {
-            b: count for b, group in groups.items() if (count := (mask & group).bit_count())
-        }
-        return min_affordable_q(counts, price)
+        return min_affordable_q(mask, groups, (mask & alive).bit_count(), price)
 
     classes = [list(c) for c in instance.clones]  # emptied as heads are bought
     class_of = {c: members for members in classes for c in members}
@@ -561,24 +592,28 @@ def rule_x(
     for members in classes:
         q = q_of(members[0])
         if q is not None:
-            heap.append((q / den, members[0], members))
+            heap.append(_Offer(q.numerator, q.denominator * den, members[0], members))
     heapify(heap)
     elected: list[int] = []
     qs: list[Rational] = []
     snapshots: list[tuple[int, int, dict[int, int], int]] = []
     while len(elected) < k and heap:
-        key, best_c, members = heappop(heap)
+        offer = heappop(heap)
+        best_c, members = offer.head, offer.members
         if not members:
             continue  # every clone elected through tie choices
         if members[0] != best_c:
             # the head was elected through a tie choice
-            heappush(heap, (key, members[0], members))
+            offer.head = members[0]
+            heappush(heap, offer)
             continue
         best_q = q_of(best_c)
         if best_q is None:
             continue  # unaffordable for good
-        if best_q / den != key:
-            heappush(heap, (best_q / den, best_c, members))
+        num, scale = best_q.numerator, best_q.denominator * den
+        if num * offer.den != offer.num * scale:
+            offer.num, offer.den = num, scale
+            heappush(heap, offer)
             continue
         if tie_choices is not None and len(elected) in tie_choices:
             wanted = tie_choices[len(elected)]
@@ -591,7 +626,8 @@ def rule_x(
                 best_c = wanted
         class_of[best_c].remove(best_c)
         if members:
-            heappush(heap, (key, members[0], members))
+            offer.head = members[0]
+            heappush(heap, offer)
         step = best_q.denominator
         den *= step
         price *= step
@@ -604,6 +640,8 @@ def rule_x(
             if inside:
                 if b > q:
                     left[b - q] = left.get(b - q, 0) | inside
+                else:
+                    alive ^= inside  # they pay all they have
                 group ^= inside
             if group:
                 left[b] = left.get(b, 0) | group

@@ -7,6 +7,7 @@ from typing import Callable
 import pytest
 from hypothesis import strategies as st
 
+from abcvote import rules
 from abcvote.model import DEFAULT_NODE_BUDGET, ElectionInstance, SearchBudgetExceeded
 
 # Pytest rewrites asserts only in test modules and conftest files; the
@@ -88,6 +89,57 @@ def wide_instances(max_candidates: int = 5, max_copies: int = 3):
     return cloned_instances(
         max_copies=max_copies, base=pooled_voters(65, 200, max_candidates)
     )
+
+
+@st.composite
+def distinct_instances(draw, min_voters: int = 150, max_voters: int = 400):
+    """``min_voters`` to ``max_voters`` voters with pairwise different
+    ballots over 10 to 12 candidates, in random order, and at least m/2
+    seats, so that a budget-spending run makes enough purchases to split
+    the voters into dozens of budget groups."""
+    m = draw(st.integers(10, 12))
+    n = draw(st.integers(min_voters, max_voters))
+    rng = draw(st.randoms(use_true_random=False))
+    ballots = [
+        frozenset(c for c in range(m) if bits >> c & 1)
+        for bits in rng.sample(range(1 << m), n)
+    ]
+    return ElectionInstance(m, draw(st.integers(m // 2, m)), ballots)
+
+
+@st.composite
+def block_instances(draw, max_blocks: int = 8, max_length: int = 12):
+    """Voters in blocks of consecutive equal ballots: each block's ballot
+    is drawn from a pool of at most three, so equal ballots also recur
+    after a block of another, and each voter's ballot is a frozenset of
+    its own, so equal ballots are never the same object."""
+    m = draw(st.integers(1, 6))
+    pool = draw(st.lists(st.sets(st.integers(0, m - 1)), min_size=1, max_size=3))
+    blocks = draw(
+        st.lists(
+            st.tuples(st.sampled_from(pool), st.integers(1, max_length)),
+            min_size=1,
+            max_size=max_blocks,
+        )
+    )
+    ballots = [frozenset(ballot) for ballot, length in blocks for _ in range(length)]
+    return ElectionInstance(m, draw(st.integers(1, m)), ballots)
+
+
+def affordable_q(budgets, price, supports=None):
+    """``rules.min_affordable_q`` for voter i holding ``budgets[i]``, in its
+    kernel form: one voter bitmask per distinct budget, in increasing
+    budget order.  The candidate's supporters are the voters i with
+    ``supports[i]`` (every voter when None); the others sit in the groups
+    only, as the voters who hold money but do not approve it."""
+    groups: dict = {}
+    for i in sorted(range(len(budgets)), key=budgets.__getitem__):
+        groups[budgets[i]] = groups.get(budgets[i], 0) | 1 << i
+    if supports is None:
+        supports = [True] * len(budgets)
+    supporters = sum(1 << i for i, chosen in enumerate(supports) if chosen)
+    left = sum(map(bool, supports))
+    return rules.min_affordable_q(supporters, groups, left, price)
 
 
 @st.composite

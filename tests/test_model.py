@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -34,6 +35,7 @@ from abcvote.rules import (
     seq_pav,
 )
 from tests.conftest import (
+    block_instances,
     cloned_instances,
     instances,
     instances_with_committee,
@@ -41,6 +43,8 @@ from tests.conftest import (
     wide_instances,
 )
 from tests.oracles import clone_classes
+
+FIXTURES_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def test_parse_small_instance():
@@ -314,6 +318,66 @@ def test_clones_from_approver_masks_match_clones_from_holders(inst):
         sum(1 << i for i in inst.approvers(c)) for c in inst.candidates
     )
     assert inst.clones == tuple(map(tuple, clone_classes(inst.classes.holders)))
+
+
+def assert_masks_from_approvers(inst: ElectionInstance) -> None:
+    assert inst.approver_masks == tuple(
+        sum(1 << i for i in inst.approvers(c)) for c in inst.candidates
+    )
+
+
+@pytest.mark.parametrize(
+    "ballots",
+    [
+        [{0, 1}, {0, 1}, {0, 1}, {2}, {1}],  # a block at the start
+        [{2}, {1}, {0, 1}, {0, 1}, {0, 1}],  # a block at the end
+        [{0}, {0}, {1}, {0}],  # A A B A: a ballot recurs after another
+        [set(), set(), {0}, set(), set(), set()],  # blocks of empty ballots
+        [{0, 2}],  # one voter
+    ],
+)
+def test_approver_masks_per_block(ballots):
+    assert_masks_from_approvers(ElectionInstance(3, 1, ballots))
+
+
+def test_approver_masks_join_equal_ballots_that_are_different_objects():
+    a, b = frozenset({0, 1}), frozenset([1, 0])
+    inst = ElectionInstance(2, 1, [a, b, frozenset({1}), b, a])
+    assert inst.approvals[0] is not inst.approvals[1]
+    assert inst.approver_masks == (0b11011, 0b11111)
+
+
+@given(block_instances())
+def test_approver_masks_match_approvers_on_blocks(inst):
+    assert_masks_from_approvers(inst)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_approver_masks_match_approvers_with_voters_sorted_by_ballot(name):
+    inst = fixture(name)
+    ballots = sorted(inst.approvals, key=sorted)
+    built = ElectionInstance(inst.num_candidates, inst.committee_size, ballots)
+    assert_masks_from_approvers(built)
+    # parsed, equal ballots are one object
+    assert_masks_from_approvers(parse_instance(built.text))
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_parsed_instance_equals_constructed_one(name):
+    parsed = parse_instance((FIXTURES_DIR / f"{name}.txt").read_text())
+    # the parser builds each ballot from its sorted indices, as here, so
+    # the frozensets also print alike
+    built = ElectionInstance(
+        parsed.num_candidates, parsed.committee_size, [sorted(b) for b in parsed.approvals]
+    )
+    assert parsed == built == fixture(name)
+    assert hash(parsed) == hash(built) and repr(parsed) == repr(built)
+    assert list(vars(parsed)) == [*ElectionInstance._fields, "text"]
+    for field in ElectionInstance._fields:
+        assert type(getattr(parsed, field)) is type(getattr(built, field))
+    assert {type(ballot) for ballot in parsed.approvals} == {frozenset}
+    assert {type(c) for ballot in parsed.approvals for c in ballot} <= {int}
+    assert parsed.text == built.text
 
 
 def test_clone_classes_group_equal_lists_by_first_member():

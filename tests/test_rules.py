@@ -6,7 +6,6 @@ import os
 import re
 import subprocess
 import sys
-from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -34,6 +33,7 @@ from abcvote.rules import (
     seq_pav,
 )
 from tests.conftest import (
+    affordable_q,
     assert_counts_nodes,
     cloned_instances,
     instances,
@@ -426,13 +426,20 @@ def test_phragmen_invariants(inst):
 
 
 def test_min_affordable_q_cases():
-    # budget -> the number of supporters holding it
-    assert min_affordable_q({1: 3}, F(2)) == F(2, 3)
-    assert min_affordable_q({F(1, 2): 1, 1: 1}, F(1)) == F(1, 2)
-    assert min_affordable_q({F(1, 4): 1, 1: 1}, F(1)) == F(3, 4)
-    assert min_affordable_q({F(1, 4): 2}, F(1)) is None
-    assert min_affordable_q({}, F(1)) is None
-    assert min_affordable_q({F(1, 2): 2}, F(1)) == F(1, 2)
+    # supporters, budget -> its voters in increasing budget order, the
+    # number of supporters in the groups, price
+    assert min_affordable_q(0b111, {1: 0b111}, 3, F(2)) == F(2, 3)
+    assert min_affordable_q(0b11, {F(1, 2): 0b01, 1: 0b10}, 2, F(1)) == F(1, 2)
+    assert min_affordable_q(0b11, {F(1, 4): 0b01, 1: 0b10}, 2, F(1)) == F(3, 4)
+    assert min_affordable_q(0b11, {F(1, 4): 0b11}, 2, F(1)) is None
+    assert min_affordable_q(0, {}, 0, F(1)) is None
+    assert min_affordable_q(0b11, {F(1, 2): 0b11}, 2, F(1)) == F(1, 2)
+    # groups without supporters below the split and at it (1/2, where
+    # q = 3/8), and a supporter in no group, who holds nothing
+    groups = {F(1, 8): 0b0001, F(1, 4): 0b0010, F(1, 2): 0b0100, 1: 0b1000}
+    assert min_affordable_q(0b11010, groups, 2, F(1)) == F(3, 4)
+    assert min_affordable_q(0b01010, groups, 2, F(5, 8)) == F(3, 8)
+    assert min_affordable_q(0b10000, groups, 0, F(1)) is None
 
 
 @settings(deadline=None, max_examples=120)
@@ -440,7 +447,7 @@ def test_min_affordable_q_cases():
 def test_min_affordable_q_is_minimal(inst):
     price = F(inst.num_voters, inst.committee_size)
     budgets = [F(1, i + 1) for i in range(inst.num_voters)]
-    q = min_affordable_q(Counter(budgets), price)
+    q = affordable_q(budgets, price)
     spend = lambda cap: sum(min(cap, b) for b in budgets)
     if q is None:
         assert spend(max(budgets)) < price
@@ -614,9 +621,9 @@ def test_rule_x_prices_one_head_per_clone_class(monkeypatch):
     # candidate instead of each class's head takes 1338 calls
     calls = []
 
-    def counted(budgets, price):
+    def counted(supporters, groups, left, price):
         calls.append(None)
-        return min_affordable_q(budgets, price)
+        return min_affordable_q(supporters, groups, left, price)
 
     monkeypatch.setattr(rules, "min_affordable_q", counted)
     trace = rule_x(fixture("fig2_profile1"))

@@ -14,12 +14,11 @@ catalogue, at most the oracle's.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from abcvote import rules
@@ -27,8 +26,10 @@ from abcvote.generators import FIXTURE_NAMES, fixture
 from abcvote.model import DEFAULT_NODE_BUDGET, ElectionInstance, SearchBudgetExceeded
 from tests import oracles
 from tests.conftest import (
+    affordable_q,
     assert_counts_nodes,
     cloned_instances,
+    distinct_instances,
     instances,
     node_count,
     shared_ballot_instances,
@@ -299,17 +300,45 @@ budget_values = st.one_of(
     st.fractions(min_value=F(1, 12), max_value=12, max_denominator=12),
 )
 def test_min_affordable_q_matches_oracle(budgets, price):
-    # the kernel takes budget -> count, the oracle every supporter's budget
-    q = rules.min_affordable_q(Counter(budgets), price)
+    # the kernel takes voter bitmasks per budget, the oracle every
+    # supporter's budget
+    q = affordable_q(budgets, price)
     assert q == oracles.min_affordable_q(budgets, price)
     assert q is None or type(q) is Fraction
     # scaled int budgets give the scaled q
     den = 12
     scaled = [int(b * den) for b in budgets]
     if all(b * den == s for b, s in zip(budgets, scaled)) and price * den % 1 == 0:
-        scaled_q = rules.min_affordable_q(Counter(scaled), int(price * den))
+        scaled_q = affordable_q(scaled, int(price * den))
         assert scaled_q == (None if q is None else q * den)
         assert scaled_q is None or type(scaled_q) is Fraction
+
+
+@st.composite
+def priced_groups(draw):
+    """Voters' budgets from a pool of at most three positive values, so
+    that equal budgets are the rule and a single group is common; which
+    of them support the candidate; and a price up to the supporters'
+    money and a little over, so that some draws are unaffordable."""
+    pool = draw(st.lists(st.fractions(F(1, 4), 2, max_denominator=4), min_size=1, max_size=3))
+    budgets = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=10))
+    supports = draw(st.lists(st.booleans(), min_size=len(budgets), max_size=len(budgets)))
+    money = sum((b for b, chosen in zip(budgets, supports) if chosen), F(0))
+    price = draw(st.fractions(F(1, 12), money + 1, max_denominator=12))
+    return budgets, supports, price
+
+
+@settings(deadline=None, max_examples=300)
+@given(priced_groups())
+@example(([F(1, 2), F(1, 2), F(1)], [True, True, True], F(3, 2)))  # equal budgets at the split
+@example(([F(1, 4), F(1, 2), F(1)], [True, False, True], F(5, 8)))  # split at a group with no supporter
+@example(([F(1, 2), F(1)], [False, True], F(2)))  # unaffordable
+@example(([F(1), F(1), F(1)], [True, False, True], F(3, 2)))  # a single group
+def test_min_affordable_q_with_bystanders_matches_oracle(case):
+    budgets, supports, price = case
+    q = affordable_q(budgets, price, supports)
+    mine = [b for b, chosen in zip(budgets, supports) if chosen]
+    assert q == oracles.min_affordable_q(mine, price)
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +357,17 @@ def test_sequential_rules_match_oracle_on_wide_profiles(inst):
 @given(wide_instances())
 def test_rule_x_matches_oracle_for_every_tie_choice_on_wide_profiles(inst):
     assert_same_rule_x_ties(inst, sample=4)
+
+
+# ---------------------------------------------------------------------------
+# all-distinct ballots: by the last purchases the voters hold dozens of
+# budgets, and a price check stops at the split, below most of them
+
+
+@settings(deadline=None, max_examples=10)
+@given(distinct_instances())
+def test_rule_x_matches_oracle_on_distinct_ballots(inst):
+    assert_same_rule_x_ties(inst, sample=3)
 
 
 # ---------------------------------------------------------------------------
