@@ -574,6 +574,13 @@ def _gain_threshold(welfare: int, lam: Rational) -> int:
     return welfare if lam == 1 else floor(max(lam * welfare, 1))
 
 
+def _check_lambda(lam: Rational) -> None:
+    """ValueError unless ``lam`` is an ``int`` or a ``Fraction`` of at
+    least 1: a float's rounding moves ``_gain_threshold``'s floor."""
+    if not isinstance(lam, (int, Fraction)) or lam < 1:
+        raise ValueError(f"lambda {lam!r} is not an int or a Fraction of at least 1")
+
+
 def find_core_deviation(
     instance: ElectionInstance,
     committee: Committee,
@@ -588,8 +595,7 @@ def find_core_deviation(
     gains by ``_gain_threshold``'s rule.  Sets of more than k candidates
     are skipped, as they cannot block.
     """
-    if lam < 1:
-        raise ValueError("lambda must be at least 1")
+    _check_lambda(lam)
     return _first_blocking_pair(
         instance, committee, lam, lambda alternative, gainers: gainers, budget
     )
@@ -638,6 +644,7 @@ def verify_deviation(
     """Check the given (S, T) without any search: the coalition must be
     populous enough for |T| seats and every member must gain by
     ``_gain_threshold``'s rule."""
+    _check_lambda(lam)
     members = committee_members(instance, committee)
     n, m, k = instance.num_voters, instance.num_candidates, instance.committee_size
     coalition = _indices(deviation.coalition, n, "coalition voter index out of range")

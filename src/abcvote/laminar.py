@@ -145,17 +145,16 @@ def check_laminar_proportional(
     )
 
 
-def laminar_proportional_committees(
-    instance: ElectionInstance, limit: int = DEFAULT_ENUMERATION_BUDGET
-) -> list[Committee]:
+def laminar_proportional_committees(instance: ElectionInstance) -> list[Committee]:
     """All committees accepted by check_laminar_proportional, in sorted
-    order; SearchBudgetExceeded when more than ``limit``."""
+    order; SearchBudgetExceeded, before any is built, when there are more
+    than ``DEFAULT_ENUMERATION_BUDGET``."""
     seats = _seats(instance)
     count = prod(comb(len(pool), size) for pool, size in seats.pools)
-    if count > limit:
+    if count > DEFAULT_ENUMERATION_BUDGET:
         raise SearchBudgetExceeded(
             f"{count} laminar proportional committees exceed the "
-            f"enumeration budget of {limit}"
+            f"enumeration budget of {DEFAULT_ENUMERATION_BUDGET}"
         )
     picks = product(
         *(combinations(sorted(pool), size) for pool, size in seats.pools)

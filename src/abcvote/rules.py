@@ -359,7 +359,6 @@ def phragmen_sequential(instance: ElectionInstance) -> PhragmenTrace:
         den=instance.committee_size,
         start={},
         excluded=frozenset(),
-        seats=instance.committee_size,
     )
     return trace
 
@@ -369,11 +368,12 @@ def _phragmen_run(
     den: int,
     start: dict[int, int],
     excluded: frozenset[int],
-    seats: int,
 ) -> tuple[PhragmenTrace, list[tuple[int, int, dict[int, int], int]]]:
     """Money-earning run at time 0 from the starting balances
     ``offset/den`` of the voters in each bitmask ``start[offset]``, for
     nonzero offsets, and 0 for the voters in none; k must divide ``den``.
+    The ``excluded`` candidates are already elected, so the run fills the
+    k - |excluded| seats left, or stops when no candidate has an approver.
 
     Balances, the price and the clock are int numerators over a common
     denominator ``den``; each delay multiplies ``den`` (and every
@@ -385,6 +385,7 @@ def _phragmen_run(
     per purchase, the balances right after it as a ``_balances`` record.
     """
     n, k = instance.num_voters, instance.committee_size
+    seats = k - len(excluded)
     price = n * den // k
     clock = 0
     masks = instance.approver_masks
@@ -681,7 +682,6 @@ def rule_x_complete(
         den=last[0],
         start=last[2],
         excluded=frozenset(trace.elected),
-        seats=k - len(trace.elected),
     )
     return RuleXTrace(
         elected=trace.elected + continuation.elected,

@@ -355,6 +355,35 @@ def test_pav_committee_in_two_core():
 def test_lambda_must_be_at_least_one():
     with pytest.raises(ValueError):
         find_core_deviation(INTRO, COMMITTEE_B, lam=Fraction(1, 2))
+    # below 1 every voter would "gain" what it already has: {2, 3} gives
+    # both voters welfare 2, as {0, 1} does
+    inst = build(4, 2, [{0, 1, 2, 3}] * 2)
+    same = Deviation(coalition=frozenset({0, 1}), alternative=frozenset({2, 3}))
+    empty = Deviation(coalition=frozenset(), alternative=frozenset({2}))
+    refused = r"^lambda Fraction\(1, 2\) is not an int or a Fraction of at least 1$"
+    for deviation in (same, empty):
+        with pytest.raises(ValueError, match=refused):
+            verify_deviation(inst, {0, 1}, deviation, Fraction(1, 2))
+    with pytest.raises(ValueError, match=refused):
+        find_core_deviation(inst, {0, 1}, Fraction(1, 2))
+
+
+def test_lambda_must_not_be_a_float():
+    # 1.16 * 25 = 28.999999999999996 floors to 28, so a float 1.16 would
+    # let 29 candidates block, which they do not at the exact 29/25
+    inst = build(54, 54, [set(range(54))])
+    committee = frozenset(range(25))
+    bloc = Deviation(coalition=frozenset({0}), alternative=frozenset(range(25, 54)))
+    for lam in (1.16, 1.0, 2.0):
+        with pytest.raises(ValueError, match=f"^lambda {lam} is not an int"):
+            find_core_deviation(inst, committee, lam)
+        with pytest.raises(ValueError, match=f"^lambda {lam} is not an int"):
+            verify_deviation(inst, committee, bloc, lam)
+    assert not verify_deviation(inst, committee, bloc, Fraction(29, 25))
+    first = find_core_deviation(inst, committee, Fraction(29, 25))
+    assert len(first.alternative) == 30
+    assert verify_deviation(inst, committee, bloc, 1)
+    assert find_core_deviation(inst, committee, 2).alternative == frozenset(range(51))
 
 
 def test_core_budget_guard():

@@ -51,6 +51,7 @@ from abcvote.model import (
     format_rational,
     instance_digest,
     parse_instance,
+    restrict_profile,
     serialize_instance,
 )
 from abcvote.rules import phragmen_sequential, rule_x, seq_pav
@@ -1341,6 +1342,26 @@ def test_repro_matches_golden(capsys):
     code, out, _ = run_cli(capsys, "repro")
     assert code == 0
     assert out.encode("utf-8") == (GOLDEN / "repro.txt").read_bytes()
+
+
+def test_repro_priceable_deviation_fact_can_fail(monkeypatch, capsys):
+    # voters 0-39 of propB1 approve none of candidates 28-35, so no price
+    # system over their ballots pays for the sixteen; repro's fact is the
+    # checker's answer, and on that profile it reads False
+    alternative = frozenset(range(20, 36))
+    early = restrict_profile(fixture("propB1"), range(40), len(alternative))
+    assert not any(early.approver_masks[c] for c in range(28, 36))
+    assert check_priceable(early, alternative) is None
+    def first_forty(instance, voters, k):
+        return restrict_profile(instance, range(40), k)
+
+    monkeypatch.setattr(cli, "restrict_profile", first_forty)
+    code, out, _ = run_cli(capsys, "repro")
+    assert code == 1
+    assert (
+        "FAIL large instance: deviation priceable: expected True, got False\n" in out
+    )
+    assert out.endswith("\n1 mismatches\n")
 
 
 def test_repro_json_payload(capsys):

@@ -8,8 +8,10 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 
+from abcvote import laminar
 from abcvote.model import ElectionInstance, SearchBudgetExceeded
 from abcvote.laminar import (
+    DEFAULT_ENUMERATION_BUDGET,
     LaminarSeats,
     check_laminar,
     check_laminar_proportional,
@@ -168,10 +170,22 @@ def test_proportional_rejects_wrong_size():
     assert not check_laminar_proportional(SHARED_THEN_SPLIT, frozenset(range(5)))
 
 
-def test_enumeration_budget():
-    inst = build(20, 10, [set(range(20))] * 2)
-    with pytest.raises(SearchBudgetExceeded, match="budget"):
-        laminar_proportional_committees(inst, limit=100)
+def test_enumeration_budget(monkeypatch):
+    # one unanimous pool: C(24, 12) = 2,704,156 committees, above the cap,
+    # counted before any committee is built
+    inst = build(24, 12, [set(range(24))] * 2)
+
+    def built(*args):
+        raise AssertionError("a committee was built")
+
+    monkeypatch.setattr(laminar, "combinations", built)
+    monkeypatch.setattr(laminar, "product", built)
+    with pytest.raises(
+        SearchBudgetExceeded,
+        match="^2704156 laminar proportional committees exceed the "
+        f"enumeration budget of {DEFAULT_ENUMERATION_BUDGET}$",
+    ):
+        laminar_proportional_committees(inst)
 
 
 def approver_sets_nested_or_disjoint(inst: ElectionInstance) -> bool:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import random
 from itertools import combinations
 from math import comb
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -82,13 +83,16 @@ def assert_same(inst: ElectionInstance) -> None:
     accepted = laminar.laminar_proportional_committees(inst)
     assert accepted == oracles.laminar_proportional_committees(inst)
     assert all(len(w) == inst.committee_size for w in accepted)
-    messages = []
-    for module in (laminar, oracles):
-        with pytest.raises(SearchBudgetExceeded) as info:
-            module.laminar_proportional_committees(inst, limit=len(accepted) - 1)
-        messages.append(str(info.value))
-    assert messages[0] == messages[1]
-    assert laminar.laminar_proportional_committees(inst, limit=len(accepted)) == accepted
+    # the library's cap is its module constant; lowered to the count, it
+    # still lists every committee, and one below, both raise alike
+    with patch.object(laminar, "DEFAULT_ENUMERATION_BUDGET", len(accepted)):
+        assert laminar.laminar_proportional_committees(inst) == accepted
+    with patch.object(laminar, "DEFAULT_ENUMERATION_BUDGET", len(accepted) - 1):
+        with pytest.raises(SearchBudgetExceeded) as flat:
+            laminar.laminar_proportional_committees(inst)
+    with pytest.raises(SearchBudgetExceeded) as tree:
+        oracles.laminar_proportional_committees(inst, len(accepted) - 1)
+    assert str(flat.value) == str(tree.value)
 
     for committee in probe_committees(inst, accepted):
         assert laminar.check_laminar_proportional(

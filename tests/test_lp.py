@@ -62,6 +62,21 @@ def test_beale_cycling_example_terminates():
     assert out.value == 5
 
 
+def test_ratio_test_ties_leave_by_smallest_basic_variable():
+    # several vertices are optimal here, and the ratio test ties on the way;
+    # Bland's rule lets the tied row whose basic variable has the smallest
+    # index leave, which fixes the vertex returned (letting the last tied
+    # row leave reaches (13/10, 1/10, 1/10, 3/5) instead)
+    lp = LinearProgram(4, objective=[1, -1, 1, 2])
+    lp.add_constraint([2, 0, 0, -1], LE, 2)
+    lp.add_constraint([1, 2, 1, -1], EQ, 1)
+    lp.add_constraint([1, 2, -1, 1], LE, 2)
+    lp.add_constraint([-1, 0, 1, 2], LE, 0)
+    out = lp_maximize(lp)
+    assert out.value == Fraction(5, 2)
+    assert out.assignment == (Fraction(5, 4), 0, Fraction(1, 4), Fraction(1, 2))
+
+
 def test_redundant_equalities():
     lp = LinearProgram(2, objective=[1, 0])
     lp.add_constraint([1, 1], EQ, 1)

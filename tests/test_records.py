@@ -151,6 +151,20 @@ def test_records_take_positional_and_keyword_arguments():
                 build()
 
 
+def test_record_argument_errors_name_the_fault():
+    # every field given positionally plus one by keyword repeats that
+    # field; it is not one positional argument too many
+    empty = frozenset()
+    with pytest.raises(
+        TypeError, match=r"^Deviation got unknown or repeated fields \['coalition'\]$"
+    ):
+        Deviation(empty, empty, coalition=empty)
+    with pytest.raises(TypeError, match="^Deviation takes 2 fields, not 3$"):
+        Deviation(empty, empty, empty)
+    with pytest.raises(TypeError, match="^Deviation is missing field 'alternative'$"):
+        Deviation(empty)
+
+
 def test_constructors_still_validate():
     with pytest.raises(ValueError, match="at least one candidate"):
         ElectionInstance(0, 1, [set()])

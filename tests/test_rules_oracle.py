@@ -402,7 +402,7 @@ def continuations(draw, profiles=shared_ballot_instances(max_voters=30, max_cand
     )
     if top >= price:
         start = [b * price / (2 * top) for b in start]
-    return inst, start, excluded, k - len(excluded)
+    return inst, start, excluded
 
 
 @settings(deadline=None, max_examples=150)
@@ -418,7 +418,7 @@ def test_phragmen_continuation_matches_oracle_on_wide_profiles(run):
 
 
 def assert_same_continuation(run) -> None:
-    inst, start, excluded, seats = run
+    inst, start, excluded = run
     den = lcm(inst.committee_size, *[b.denominator for b in start])
     # the kernel starts from one voter bitmask per nonzero balance
     groups: dict[int, int] = {}
@@ -426,7 +426,8 @@ def assert_same_continuation(run) -> None:
         if b:
             scaled = b.numerator * (den // b.denominator)
             groups[scaled] = groups.get(scaled, 0) | 1 << i
-    trace, snapshots = rules._phragmen_run(inst, den, groups, excluded, seats)
+    trace, snapshots = rules._phragmen_run(inst, den, groups, excluded)
+    seats = inst.committee_size - len(excluded)
     expected = oracles._phragmen_run(inst, list(start), F(0), excluded, seats)
     assert values(trace) == values(expected)
     assert tuple(
