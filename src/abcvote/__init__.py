@@ -50,7 +50,6 @@ from abcvote.model import (
     ParseError,
     Rational,
     SearchBudgetExceeded,
-    ballot_classes,
     format_committee,
     format_rational,
     instance_digest,
@@ -86,7 +85,6 @@ __all__ = [
     "Rational",
     "RuleXTrace",
     "SearchBudgetExceeded",
-    "ballot_classes",
     "check_core_subject_to",
     "check_ejr",
     "check_laminar",

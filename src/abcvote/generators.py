@@ -509,10 +509,6 @@ def gen_random(
     ``rng.random() < density`` — the mapping is part of the contract, so
     golden instances reproduce everywhere.
     """
-    if n < 1:
-        raise ValueError("at least one voter is required")
-    if not 1 <= k <= m:
-        raise ValueError(f"committee size {k} not in 1..{m}")
     if not 0 <= density <= 1:
         raise ValueError("density must lie in [0, 1]")
     rng = random.Random(seed)

@@ -3,7 +3,10 @@
 Solves ``maximize c.x`` subject to rows ``a.x <= b`` or ``a.x = b`` and
 ``x >= 0``: the only shape ``axioms.check_priceable`` builds.  Every
 coefficient, right-hand side and objective entry is an int, as that
-caller's are.
+caller's are.  A solve ends ``optimal`` or ``infeasible``, the only
+outcomes that caller can reach: its spending rows cap every payment at 1,
+so its collection rows cap the price at n, and ``lp_feasible`` solves
+with a zero objective.  An unbounded program raises InternalInvariantError.
 
 The solver is a dense two-phase simplex with Bland's smallest-index rule in
 both phases, which terminates on degenerate programs.  Its tableau is
@@ -35,29 +38,25 @@ LE, EQ = "<=", "="
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
 
 
 class LinearProgram:
     """maximize ``objective . x`` subject to ``constraints`` and ``x >= 0``.
 
-    Variables are indexed ``0 .. num_variables-1``; the objective defaults
-    to zero, and rows enter only through ``add_constraint`` as
-    ``(coeffs, relation, rhs)`` with relation LE or EQ.  Every value is an
-    int; any other type raises TypeError rather than being floor-divided
-    silently.
+    Variables are indexed ``0 .. num_variables-1``, and rows enter only
+    through ``add_constraint`` as ``(coeffs, relation, rhs)`` with relation
+    LE or EQ.  Every value is an int; any other type raises TypeError
+    rather than being floor-divided silently.
     """
 
     num_variables: int
     objective: list[int]
     constraints: list[tuple[list[int], str, int]]
 
-    def __init__(self, num_variables: int, objective: Sequence[int] | None = None) -> None:
+    def __init__(self, num_variables: int, objective: Sequence[int]) -> None:
         if num_variables < 1:
             raise ValueError("need at least one variable")
-        if objective is None:
-            objective = [0] * num_variables
-        elif len(objective) != num_variables:
+        if len(objective) != num_variables:
             raise ValueError("objective has wrong length")
         self.num_variables = num_variables
         self.objective = _ints(objective)
@@ -90,15 +89,16 @@ class LinearProgram:
 class LPOutcome(Record):
     """Result of an exact solve.
 
-    ``value`` and ``assignment`` are present exactly when ``status`` is
-    ``"optimal"``.  The assignment has been verified against all constraints
-    and ``x >= 0``, and ``value`` is recomputed from it directly,
-    independently of the tableau bookkeeping.
+    ``value`` and ``assignment`` are None exactly when ``status`` is
+    ``"infeasible"``.  Otherwise ``status`` is ``"optimal"``, the assignment
+    has been verified against all constraints and ``x >= 0``, and ``value``
+    is recomputed from it directly, independently of the tableau
+    bookkeeping.
     """
 
     status: str
-    value: Rational | None = None
-    assignment: tuple[Rational, ...] | None = None
+    value: Rational | None
+    assignment: tuple[Rational, ...] | None
 
 
 def lp_maximize(lp: LinearProgram) -> LPOutcome:
@@ -164,16 +164,14 @@ def _solve(lp: LinearProgram, objective: Sequence[int]) -> LPOutcome:
                         phase1[j] -= a
         rows.append(phase1)
         dens.append(1)
-        if tab.iterate(nrows + 1, total_cols) != OPTIMAL:
-            raise InternalInvariantError("phase 1 of the simplex reported unbounded")
+        tab.iterate(nrows + 1, total_cols)
         if rows.pop()[-1] != 0:
-            return LPOutcome(INFEASIBLE)
+            return LPOutcome(INFEASIBLE, None, None)
         dens.pop()
         tab.expel_artificials(ncols)
         for i, row in enumerate(rows):
             rows[i] = row[:ncols] + row[-1:]
-    if tab.iterate(nrows, ncols) == UNBOUNDED:
-        return LPOutcome(UNBOUNDED)
+    tab.iterate(nrows, ncols)
 
     x = [Fraction(0)] * nv
     for i, b in enumerate(basis):
@@ -221,15 +219,17 @@ class _Tableau:
         self.basis[leave] = enter
         self.det = p
 
-    def iterate(self, cost_row: int, ncols: int) -> str:
+    def iterate(self, cost_row: int, ncols: int) -> None:
         """Minimize cost row ``cost_row`` over columns ``0 .. ncols-1`` with
-        Bland's rule; every other row is co-pivoted."""
+        Bland's rule; every other row is co-pivoted.  An entering column
+        with no row to leave raises InternalInvariantError: the program is
+        unbounded, which phase 1 and the caller's programs never are."""
         rows, basis = self.rows, self.basis
         while True:
             cost = rows[cost_row]
             enter = next((j for j in range(ncols) if cost[j] < 0), None)
             if enter is None:
-                return OPTIMAL
+                return
             leave = None
             for i in range(len(basis)):
                 row = rows[i]
@@ -243,7 +243,7 @@ class _Tableau:
                     if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                         leave, num, den = i, row[-1], a
             if leave is None:
-                return UNBOUNDED
+                raise InternalInvariantError("the linear program is unbounded")
             self.pivot(leave, enter)
 
     def expel_artificials(self, ncols: int) -> None:

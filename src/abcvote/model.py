@@ -80,10 +80,10 @@ class InternalInvariantError(RuntimeError):
 class Record:
     """An immutable value with named fields.
 
-    A subclass annotates its fields in the class body, in order; a field
-    given a value there defaults to it.  The constructor binds positional,
-    then keyword arguments to the fields and raises TypeError, naming the
-    class, on a surplus, unknown, repeated or missing one.  Records of the
+    A subclass annotates its fields in the class body, in order, and every
+    field is required.  The constructor binds positional, then keyword
+    arguments to the fields and raises TypeError, naming the class, on a
+    surplus, unknown, repeated or missing one.  Records of the
     same class are equal when their fields are, hash as the tuple of their
     fields and print as ``Name(field=value, ...)`` without the fields named
     in ``_hidden``.  Assigning or deleting an attribute raises AttributeError.
@@ -104,18 +104,15 @@ class Record:
 
     @classmethod
     def _bind(cls, args: tuple, kwargs: dict) -> list:
-        """The arguments, then the class-body defaults, one per field."""
-        name, fields, defaults = cls.__qualname__, cls._fields, vars(cls)
+        """The positional, then the keyword arguments, one per field."""
+        name, fields = cls.__qualname__, cls._fields
         if len(args) > len(fields):
             raise TypeError(f"{name} takes {len(fields)} fields, not {len(args)}")
         values = list(args)
         for field in fields[len(args):]:
-            if field in kwargs:
-                values.append(kwargs.pop(field))
-            elif field in defaults:
-                values.append(defaults[field])
-            else:
+            if field not in kwargs:
                 raise TypeError(f"{name} is missing field {field!r}")
+            values.append(kwargs.pop(field))
         if kwargs:
             raise TypeError(f"{name} got unknown or repeated fields {sorted(kwargs)}")
         return values
@@ -228,8 +225,23 @@ class ElectionInstance(Record):
 
     @cached_property
     def classes(self) -> BallotClasses:
-        """The voters grouped by ballot."""
-        return ballot_classes(self)
+        """The voters grouped by ballot, the one grouping every rule and
+        checker reads: one pass over the voters, one over the distinct
+        ballots."""
+        groups: dict[frozenset[int], list[int]] = {}
+        for i, ballot in enumerate(self.approvals):
+            groups.setdefault(ballot, []).append(i)
+        holders: list[list[int]] = [[] for _ in self.candidates]
+        for j, ballot in enumerate(groups):
+            for c in ballot:
+                holders[c].append(j)
+        voters = tuple(groups.values())
+        return BallotClasses(
+            ballots=tuple(groups),
+            voters=voters,
+            sizes=tuple(map(len, voters)),
+            holders=tuple(holders),
+        )
 
     @cached_property
     def approver_masks(self) -> tuple[int, ...]:
@@ -333,25 +345,6 @@ class BallotClasses(Record):
     voters: tuple[list[int], ...]
     sizes: tuple[int, ...]
     holders: tuple[list[int], ...]
-
-
-def ballot_classes(instance: ElectionInstance) -> BallotClasses:
-    """Group the voters by ballot: one pass over the voters, one over the
-    distinct ballots."""
-    groups: dict[frozenset[int], list[int]] = {}
-    for i, ballot in enumerate(instance.approvals):
-        groups.setdefault(ballot, []).append(i)
-    holders: list[list[int]] = [[] for _ in instance.candidates]
-    for j, ballot in enumerate(groups):
-        for c in ballot:
-            holders[c].append(j)
-    voters = tuple(groups.values())
-    return BallotClasses(
-        ballots=tuple(groups),
-        voters=voters,
-        sizes=tuple(map(len, voters)),
-        holders=tuple(holders),
-    )
 
 
 def suffix_counts(

@@ -1,8 +1,12 @@
-"""Shared hypothesis strategies for randomized property tests."""
+"""Shared hypothesis strategies for randomized property tests, and a time
+limit on every test."""
 
 from __future__ import annotations
 
-from typing import Callable
+import signal
+import time
+from contextlib import contextmanager
+from typing import Callable, Iterator
 
 import pytest
 from hypothesis import strategies as st
@@ -14,6 +18,54 @@ from abcvote.model import DEFAULT_NODE_BUDGET, ElectionInstance, SearchBudgetExc
 # oracles' re-checks are plain asserts, which ``python -O`` would strip.
 # Registered before any test module imports ``tests.oracles``.
 pytest.register_assert_rewrite("tests.oracles")
+
+#: Seconds any one test may run, well above the slowest test (about 30 s
+#: on a 2-CPU x86-64 host), so that a fault which loops forever fails its
+#: test instead of hanging the suite.
+TEST_TIME_LIMIT = 180.0
+
+
+class TimeLimitExceeded(BaseException):
+    """A test ran past its time limit.
+
+    Not an Exception: Hypothesis replays an Exception while it shrinks,
+    which would run the endless loop again once the timer is spent, but
+    lets any other BaseException through, and pytest reports it as the
+    test's failure."""
+
+
+@contextmanager
+def time_limit(seconds: float) -> Iterator[None]:
+    """Raise TimeLimitExceeded in the main thread if the block runs longer
+    than ``seconds``.  Afterwards the handler that was set before is set
+    again, and so is a timer that was running, less the time the block
+    took."""
+
+    def expire(signum: int, frame: object) -> None:
+        raise TimeLimitExceeded(f"ran longer than its limit of {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    start = time.monotonic()
+    delay, interval = signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+        if delay:
+            left = max(delay - (time.monotonic() - start), 1e-6)
+            signal.setitimer(signal.ITIMER_REAL, left, interval)
+
+
+@pytest.fixture(autouse=True)
+def hang_guard() -> Iterator[None]:
+    """Every test runs under ``time_limit(TEST_TIME_LIMIT)`` where the
+    platform has interval timers."""
+    if not hasattr(signal, "setitimer"):
+        yield
+        return
+    with time_limit(TEST_TIME_LIMIT):
+        yield
 
 
 @st.composite

@@ -34,7 +34,7 @@ from abcvote.axioms import (
     verify_deviation,
 )
 from abcvote.generators import fixture
-from abcvote.model import ElectionInstance, ballot_classes, welfare_vector
+from abcvote.model import ElectionInstance, welfare_vector
 from abcvote.rules import dhondt, pav_winners, phragmen_sequential, rule_x
 from tests.conftest import assert_counts_nodes, instances, instances_with_committee
 

@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 from abcvote import axioms
 from abcvote.axioms import PriceSystem
 from abcvote.generators import FIXTURE_NAMES, fixture
+from abcvote.lp import INFEASIBLE, OPTIMAL, lp_maximize
 from abcvote.model import DEFAULT_NODE_BUDGET, ElectionInstance, SearchBudgetExceeded
 from abcvote.rules import phragmen_sequential, rule_x, seq_pav
 from tests import oracles
@@ -45,6 +46,7 @@ from tests.test_axioms import (
     REJECTION_COMMITTEE,
     REJECTION_INSTANCE,
     VALID_SYSTEM,
+    priceability_program,
 )
 
 F = Fraction
@@ -196,6 +198,20 @@ def test_priceable_matches_oracle_with_clones(audit):
     if system is not None:
         assert system.price == reference.price
         assert oracles.validate_price_system(inst, committee, system)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(audits(), cloned_audits()))
+def test_priceability_programs_are_bounded(audit):
+    # the LP reports only the two outcomes check_priceable can reach: a
+    # spending row caps each payment at 1, so a collection row caps the
+    # price at n.  The empty committee has no collection row, and
+    # check_priceable answers it before any LP is built
+    inst, committee = audit
+    if committee:
+        assert lp_maximize(priceability_program(inst, committee)).status in (
+            OPTIMAL, INFEASIBLE
+        )
 
 
 @st.composite

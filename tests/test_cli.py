@@ -1364,6 +1364,23 @@ def test_repro_priceable_deviation_fact_can_fail(monkeypatch, capsys):
     assert out.endswith("\n1 mismatches\n")
 
 
+def test_repro_welfarist_row_can_fail(monkeypatch, capsys):
+    # a rule that reads voter order: voter 0's first k approved candidates.
+    # On fig2_profile1 it elects 1..57, with welfare (57, 3 x5, 0 x6); on
+    # fig2_profile2 it elects voter 0's 57 private candidates, whose
+    # welfare mirrored by the row's voter swap is (0 x6, 57, 0 x5)
+    def voter_zero(instance):
+        return frozenset(sorted(instance.approvals[0])[: instance.committee_size])
+
+    row = "welfarist         ✓ by definition     {}   ✓ pair agrees"
+    golden = (GOLDEN / "repro.txt").read_text(encoding="utf-8").splitlines()
+    assert row.format("✓ pair agrees    ") in golden
+    monkeypatch.setitem(cli.SEARCH_RULES, "phragmen", voter_zero)
+    code, out, _ = run_cli(capsys, "repro")
+    assert code == 1
+    assert row.format("✗ paired profiles") in out.splitlines()
+
+
 def test_repro_json_payload(capsys):
     code, out, _ = run_cli(capsys, "repro", "--json")
     assert code == 0

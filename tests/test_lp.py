@@ -18,15 +18,25 @@ from abcvote.lp import (
     INFEASIBLE,
     LE,
     OPTIMAL,
-    UNBOUNDED,
     LinearProgram,
     lp_feasible,
     lp_maximize,
 )
+from abcvote.model import InternalInvariantError
+
+
+def status(lp: LinearProgram) -> str:
+    """The status of ``lp_maximize(lp)``, or "unbounded" where it raises
+    InternalInvariantError for want of a row to leave."""
+    try:
+        return lp_maximize(lp).status
+    except InternalInvariantError as exc:
+        assert str(exc) == "the linear program is unbounded"
+        return "unbounded"
 
 
 def test_infeasible_pair_of_constraints():
-    lp = LinearProgram(1)
+    lp = LinearProgram(1, [0])
     lp.add_constraint([1], LE, 1)
     lp.add_constraint([-1], LE, -2)  # x >= 2
     assert lp_maximize(lp).status == INFEASIBLE
@@ -34,8 +44,13 @@ def test_infeasible_pair_of_constraints():
 
 
 def test_unbounded():
-    lp = LinearProgram(1, objective=[1])
-    assert lp_maximize(lp).status == UNBOUNDED
+    # maximize x0 where no row binds x0: no caller builds such a program,
+    # so the solver raises rather than report an outcome nobody reads
+    lp = LinearProgram(2, objective=[1, 0])
+    lp.add_constraint([0, 1], LE, 1)
+    with pytest.raises(InternalInvariantError, match="^the linear program is unbounded$"):
+        lp_maximize(lp)
+    assert lp_feasible(lp).status == OPTIMAL
 
 
 def test_exact_rational_answer():
@@ -104,7 +119,7 @@ def test_against_scipy_reference(seed):
     scipy_opt = pytest.importorskip("scipy.optimize")
     rng = random.Random(seed)
     lp = _random_lp(rng)
-    mine = lp_maximize(lp)
+    mine = status(lp)
 
     a_ub, b_ub, a_eq, b_eq = [], [], [], []
     for coeffs, rel, rhs in lp.constraints:
@@ -124,10 +139,10 @@ def test_against_scipy_reference(seed):
         bounds=(0, None),
         method="highs",
     )
-    if mine.status == OPTIMAL:
+    if mine == OPTIMAL:
         assert ref.status == 0
-        assert abs(float(mine.value) + ref.fun) < 1e-7
-    elif mine.status == INFEASIBLE:
+        assert abs(float(lp_maximize(lp).value) + ref.fun) < 1e-7
+    elif mine == INFEASIBLE:
         assert ref.status == 2
     else:
         assert ref.status == 3
@@ -140,7 +155,7 @@ def test_value_invariant_under_permutation(seed):
     # the reported maximum is a property of the program, not of pivoting.
     rng = random.Random(seed)
     lp = _random_lp(rng)
-    first = lp_maximize(lp)
+    first = status(lp)
 
     perm = list(range(lp.num_variables))
     rng.shuffle(perm)
@@ -152,20 +167,19 @@ def test_value_invariant_under_permutation(seed):
     for coeffs, rel, rhs in rows:
         permuted.add_constraint([coeffs[perm[j]] for j in range(lp.num_variables)], rel, rhs)
 
-    second = lp_maximize(permuted)
-    assert first.status == second.status
-    if first.status == OPTIMAL:
-        assert first.value == second.value
+    assert status(permuted) == first
+    if first == OPTIMAL:
+        assert lp_maximize(lp).value == lp_maximize(permuted).value
 
 
 def test_dimension_mismatch_rejected():
-    lp = LinearProgram(2)
+    lp = LinearProgram(2, [0, 0])
     with pytest.raises(ValueError):
         lp.add_constraint([1], LE, 1)
     with pytest.raises(ValueError):
         LinearProgram(2, objective=[1])
     with pytest.raises(ValueError):
-        LinearProgram(0)
+        LinearProgram(0, [])
 
 
 def test_rows_enter_only_through_add_constraint():
@@ -180,7 +194,7 @@ def test_rows_enter_only_through_add_constraint():
 @pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(2), 1.0])
 def test_non_int_coefficients_rejected(bad):
     # the solver floor-divides its rows, so even a whole Fraction is refused
-    lp = LinearProgram(2)
+    lp = LinearProgram(2, [0, 0])
     with pytest.raises(TypeError):
         lp.add_constraint([bad, 1], LE, 1)
     with pytest.raises(TypeError):
@@ -203,7 +217,7 @@ from abcvote.model import InternalInvariantError
 
 if __debug__:
     sys.exit("expected python -O")
-lp = LinearProgram(2)
+lp = LinearProgram(2, [0, 0])
 lp.add_constraint([2, 2], LE, 3)
 lp.add_constraint([1, -1], EQ, 0)
 _verify(lp, (Fraction(3, 4), Fraction(3, 4)))

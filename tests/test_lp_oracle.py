@@ -3,7 +3,9 @@
 
 Both must report the same status and, at an optimum, the same value and
 the same assignment: the same vertex, not just the same optimum, since
-both pivot by Bland's rule and the same ratio test.  Inputs are
+both pivot by Bland's rule and the same ratio test.  Where the oracle
+reports an unbounded program, ``abcvote.lp`` raises
+InternalInvariantError instead.  Inputs are
 Hypothesis programs of the shape ``check_priceable`` builds and the
 programs it falls back to on the catalogue fixtures, built also where
 its full-spend certificate answers first.  ``abcvote.lp`` takes int
@@ -25,7 +27,8 @@ from hypothesis import strategies as st
 
 from abcvote import axioms, lp
 from abcvote.generators import FIXTURE_NAMES, fixture
-from abcvote.lp import EQ, LE, LinearProgram, LPOutcome, lp_maximize
+from abcvote.lp import EQ, INFEASIBLE, LE, OPTIMAL, LinearProgram, LPOutcome, lp_maximize
+from abcvote.model import InternalInvariantError
 from abcvote.rules import phragmen_sequential, rule_x
 from tests import oracles
 from tests.test_axioms import priceability_program
@@ -39,8 +42,9 @@ def integral(values: list) -> list[int]:
 def solve_both(program) -> LPOutcome:
     """The oracle's outcome on ``program`` with its rows scaled to ints,
     after checking that ``abcvote.lp`` returns the same one on the same
-    rows.  The objective must be whole already: scaling it would scale
-    the value."""
+    rows, or raises InternalInvariantError where the oracle's is
+    unbounded.  The objective must be whole already: scaling it would
+    scale the value."""
     objective = integral(program.objective)
     reference = oracles.LinearProgram(program.num_variables, objective=objective)
     scaled = LinearProgram(program.num_variables, objective=objective)
@@ -48,7 +52,12 @@ def solve_both(program) -> LPOutcome:
         *row, rhs = integral([*coeffs, rhs])
         reference.add_constraint(row, rel, rhs)
         scaled.add_constraint(row, rel, rhs)
-    fast, ref = lp_maximize(scaled), oracles.lp_maximize(reference)
+    ref = oracles.lp_maximize(reference)
+    if ref.status == oracles.UNBOUNDED:
+        with pytest.raises(InternalInvariantError, match="unbounded"):
+            lp_maximize(scaled)
+        return ref
+    fast = lp_maximize(scaled)
     assert (fast.status, fast.value, fast.assignment) == (ref.status, ref.value, ref.assignment)
     return ref
 
@@ -109,11 +118,13 @@ def test_programs_match_oracle(program):
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_priceability_programs_match_oracle(name, monkeypatch):
     # the program is solved by both even where the full-spend certificate
-    # answers and check_priceable never builds it
+    # answers and check_priceable never builds it, and it is never unbounded
     inst = fixture(name)
     committees = {phragmen_sequential(inst).committee, rule_x(inst).committee}
     for committee in sorted(committees, key=sorted):
-        solve_both(priceability_program(inst, committee))
+        assert solve_both(priceability_program(inst, committee)).status in (
+            OPTIMAL, INFEASIBLE
+        )
         expected = axioms.check_priceable(inst, committee)
         with monkeypatch.context() as patch:
             patch.setattr(axioms, "lp_maximize", solve_both)

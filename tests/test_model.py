@@ -17,7 +17,6 @@ from abcvote.model import (
     BallotClasses,
     ElectionInstance,
     ParseError,
-    ballot_classes,
     format_committee,
     instance_digest,
     parse_committee,
@@ -248,7 +247,7 @@ def test_approvers():
 
 def test_ballot_classes_in_first_appearance_order():
     inst = parse_instance("3 5 1\n2\n1 3\n2\n\n1 3\n")
-    assert ballot_classes(inst) == BallotClasses(
+    assert inst.classes == BallotClasses(
         ballots=(frozenset({1}), frozenset({0, 2}), frozenset()),
         voters=([0, 2], [1, 4], [3]),
         sizes=(2, 2, 1),
@@ -257,7 +256,7 @@ def test_ballot_classes_in_first_appearance_order():
 
 
 def assert_ballot_classes_by_definition(inst: ElectionInstance) -> None:
-    classes = ballot_classes(inst)
+    classes = inst.classes
     ballots = classes.ballots
     # the voters partition range(n), grouped by ballot equality
     assert sorted(i for voters in classes.voters for i in voters) == list(inst.voters)
@@ -288,12 +287,13 @@ def test_profile_view_is_built_once_and_left_intact(monkeypatch):
     """Every rule and checker reads one ballot-class view per instance,
     and none mutates the view it shares with the others."""
     built = []
+    build = model.BallotClasses
 
-    def counted(instance):
-        built.append(instance)
-        return ballot_classes(instance)
+    def counted(**fields):
+        built.append(fields)
+        return build(**fields)
 
-    monkeypatch.setattr(model, "ballot_classes", counted)
+    monkeypatch.setattr(model, "BallotClasses", counted)
     inst = fixture("example33")
     committee = phragmen_sequential(inst).committee
     pav_score(inst, committee)
@@ -302,14 +302,15 @@ def test_profile_view_is_built_once_and_left_intact(monkeypatch):
     axioms.find_core_deviation(inst, committee)
     rule_x(inst)
     seq_pav(inst)
-    assert built == [inst]
+    assert len(built) == 1
     fresh = fixture("example33")
-    assert inst.classes == ballot_classes(fresh)
+    assert_ballot_classes_by_definition(inst)
+    assert inst.classes == fresh.classes
     assert inst.approver_masks == tuple(
         sum(1 << i for i in fresh.voters if c in fresh.approvals[i])
         for c in fresh.candidates
     )
-    assert inst.clones == tuple(map(tuple, clone_classes(ballot_classes(fresh).holders)))
+    assert inst.clones == tuple(map(tuple, clone_classes(fresh.classes.holders)))
 
 
 @given(st.one_of(instances(8, 6), cloned_instances(), wide_instances()))

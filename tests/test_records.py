@@ -17,7 +17,7 @@ from abcvote.axioms import Deviation, PriceSystem
 from abcvote.generators import PartyListInstance, gen_party_list
 from abcvote.laminar import LaminarSeats, check_laminar
 from abcvote.lp import LE, LinearProgram, LPOutcome
-from abcvote.model import ElectionInstance, ballot_classes
+from abcvote.model import BallotClasses, ElectionInstance
 from abcvote.rules import PhragmenTrace, RuleXTrace, phragmen_sequential, rule_x, rule_x_complete
 
 INST = ElectionInstance(3, 2, [{0, 1}, {0, 1}, {2}])
@@ -36,12 +36,12 @@ def records():
         (INST, INST_REPR, ("num_candidates", "committee_size", "approvals"),
          ElectionInstance(3, 2, ((0, 1), [1, 0], {2})),
          ElectionInstance(3, 1, [{0, 1}, {0, 1}, {2}])),
-        (ballot_classes(INST),
+        (INST.classes,
          "BallotClasses(ballots=(frozenset({0, 1}), frozenset({2})), "
          "voters=([0, 1], [2]), sizes=(2, 1), holders=([0], [0], [1]))",
          ("ballots", "voters", "sizes", "holders"),
-         ballot_classes(ElectionInstance(3, 1, [{0, 1}, {0, 1}, {2}])),
-         ballot_classes(ElectionInstance(3, 2, [{0, 1}, {2}, {0, 1}]))),
+         ElectionInstance(3, 1, [{0, 1}, {0, 1}, {2}]).classes,
+         ElectionInstance(3, 2, [{0, 1}, {2}, {0, 1}]).classes),
         (PriceSystem(*price),
          "PriceSystem(price=Fraction(3, 2), payments=({0: Fraction(3, 4)}, "
          "{0: Fraction(3, 4)}, {2: Fraction(3, 2)}))",
@@ -67,11 +67,11 @@ def records():
          ("status", "value", "assignment"),
          LPOutcome(status="optimal", assignment=(F(1, 2), F(0)), value=F(1, 2)),
          LPOutcome("optimal", F(1, 2), (F(0), F(1, 2)))),
-        (LPOutcome("infeasible"),
+        (LPOutcome("infeasible", None, None),
          "LPOutcome(status='infeasible', value=None, assignment=None)",
          ("status", "value", "assignment"),
-         LPOutcome("infeasible", None, None),
-         LPOutcome("unbounded")),
+         LPOutcome(status="infeasible", value=None, assignment=None),
+         LPOutcome("optimal", None, None)),
         (check_laminar(laminar),
          "LaminarSeats(forced=frozenset({0}), pools=((frozenset({1}), 1), "
          "(frozenset({2, 3}), 1)))",
@@ -123,8 +123,6 @@ def test_records_take_positional_and_keyword_arguments():
     ballots = [{0, 1}, {0, 1}, {2}]
     assert ElectionInstance(num_candidates=3, committee_size=2, approvals=ballots) == INST
     assert ElectionInstance(3, approvals=ballots, committee_size=2) == INST
-    assert LPOutcome("optimal").value is None and LPOutcome("optimal").assignment is None
-    assert LPOutcome("optimal", assignment=()).assignment == ()
     for build in (
         lambda: ElectionInstance(3, 2),
         lambda: ElectionInstance(3, 2, ballots, 1),
@@ -133,6 +131,7 @@ def test_records_take_positional_and_keyword_arguments():
         lambda: Deviation(frozenset()),
         lambda: LPOutcome(),
         lambda: LinearProgram(),
+        lambda: LinearProgram(2),
         lambda: LinearProgram(2, [0, 0], [], None),
     ):
         with pytest.raises(TypeError):
@@ -149,6 +148,18 @@ def test_records_take_positional_and_keyword_arguments():
         ):
             with pytest.raises(TypeError, match=cls.__name__):
                 build()
+
+
+def test_record_fields_have_no_defaults():
+    # every field is required, the last ones too: an outcome with no value
+    # and no assignment spells both out
+    with pytest.raises(TypeError, match="^LPOutcome is missing field 'value'$"):
+        LPOutcome("infeasible")
+    with pytest.raises(TypeError, match="^LPOutcome is missing field 'assignment'$"):
+        LPOutcome("optimal", F(0))
+    # no record class gives a field a value in its body
+    for record, _, names, _, _ in RECORDS:
+        assert not set(names) & set(vars(type(record)))
 
 
 def test_record_argument_errors_name_the_fault():
@@ -182,7 +193,7 @@ def test_constructors_still_validate():
     with pytest.raises(ValueError, match="^number of candidates 3.0 is not an int$"):
         ElectionInstance(3.0, 2, [{0}, {1}])
     with pytest.raises(ValueError, match="at least one variable"):
-        LinearProgram(0)
+        LinearProgram(0, [])
     with pytest.raises(ValueError, match="objective has wrong length"):
         LinearProgram(2, [1])
     with pytest.raises(TypeError, match="must be ints"):
@@ -212,7 +223,10 @@ def test_trace_properties_are_cached():
     read = ElectionInstance(3, 2, [{0, 1}, {0, 1}, {2}])
     views = read.classes, read.approver_masks, read.clones
     # tuples, so no caller can change what the others read
-    assert views == (ballot_classes(INST), (0b011, 0b011, 0b100), ((0, 1), (2,)))
+    classes = BallotClasses(
+        (frozenset({0, 1}), frozenset({2})), ([0, 1], [2]), (2, 1), ([0], [0], [1])
+    )
+    assert views == (classes, (0b011, 0b011, 0b100), ((0, 1), (2,)))
     assert all(view is again for view, again in zip(
         views, (read.classes, read.approver_masks, read.clones)
     ))
@@ -226,7 +240,7 @@ def test_trace_properties_are_cached():
 
 
 def test_linear_program_is_a_mutable_unhashable_builder():
-    first, second = LinearProgram(2), LinearProgram(num_variables=2)
+    first, second = LinearProgram(2, [0, 0]), LinearProgram(num_variables=2, objective=[0, 0])
     assert first == second and not first != second
     assert repr(first) == "LinearProgram(num_variables=2, objective=[0, 0], constraints=[])"
     assert LinearProgram.__hash__ is None

@@ -19,7 +19,6 @@ from abcvote.generators import FIXTURE_NAMES, fixture, gen_theorem51_family
 from abcvote.model import (
     ElectionInstance,
     SearchBudgetExceeded,
-    ballot_classes,
     welfare_vector,
 )
 from abcvote.rules import (
@@ -202,7 +201,7 @@ def milp_pav_optimum(inst: ElectionInstance) -> float:
     np = pytest.importorskip("numpy")
     scipy_opt = pytest.importorskip("scipy.optimize")
     k = inst.committee_size
-    classes = ballot_classes(inst)
+    classes = inst.classes
     clones = clone_classes(classes.holders)
     increments = [
         (j, t)
