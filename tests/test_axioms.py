@@ -33,31 +33,13 @@ from abcvote.axioms import (
     validate_price_system,
     verify_deviation,
 )
-from abcvote.generators import fixture
+from abcvote.generators import fixture, gen_party_list
 from abcvote.model import ElectionInstance, welfare_vector
 from abcvote.rules import dhondt, pav_winners, phragmen_sequential, rule_x
 from tests.conftest import assert_counts_nodes, instances, instances_with_committee
 
 
-def build(num_candidates, committee_size, ballots):
-    return ElectionInstance(
-        num_candidates=num_candidates,
-        committee_size=committee_size,
-        approvals=tuple(frozenset(b) for b in ballots),
-    )
-
-
-def party_list(voter_counts, candidates_per_party, committee_size):
-    ballots, pools, start = [], [], 0
-    for voters, size in zip(voter_counts, candidates_per_party):
-        pool = frozenset(range(start, start + size))
-        ballots.extend([pool] * voters)
-        pools.append(pool)
-        start += size
-    return build(start, committee_size, ballots), pools
-
-
-INTRO = build(
+INTRO = ElectionInstance(
     15,
     12,
     [{0, 1, 2, 3}, {0, 1, 2, 4}, {0, 1, 2, 5}, {6, 7, 8}, {9, 10, 11}, {12, 13, 14}],
@@ -66,13 +48,13 @@ COMMITTEE_A = frozenset({0, 1, 2, 3, 4, 5, 6, 7, 9, 10, 12, 13})
 COMMITTEE_B = frozenset({0, 1, 2}) | frozenset(range(6, 15))
 
 # four voters, each with a private candidate plus a shared four-candidate slate
-ONE_PLUS_SLATE = build(8, 4, [{i, 4, 5, 6, 7} for i in range(4)])
+ONE_PLUS_SLATE = ElectionInstance(8, 4, [{i, 4, 5, 6, 7} for i in range(4)])
 PRIVATE_FOUR = frozenset({0, 1, 2, 3})
 SHARED_SLATE = frozenset({4, 5, 6, 7})
 
 # three voters behind {0,1}, a fourth behind {2}; candidate 3 is approved
 # by nobody, so {2,3} leaves the majority bloc without a single seat
-BLOC_SNUB = build(4, 2, [{0, 1}, {0, 1}, {0, 1}, {2}])
+BLOC_SNUB = ElectionInstance(4, 2, [{0, 1}, {0, 1}, {0, 1}, {2}])
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +86,7 @@ def test_shared_slate_priceable():
 
 
 def test_empty_committee_is_priceable():
-    instance = build(2, 1, [{0}, {0, 1}])
+    instance = ElectionInstance(2, 1, [{0}, {0, 1}])
     system = check_priceable(instance, frozenset())
     assert system is not None
     # the price must exceed every candidate's total (unspent) support
@@ -113,7 +95,7 @@ def test_empty_committee_is_priceable():
 
 
 def test_unsupported_member_blocks_priceability():
-    instance = build(2, 1, [{0}, {0}])
+    instance = ElectionInstance(2, 1, [{0}, {0}])
     assert check_priceable(instance, frozenset({1})) is None
 
 
@@ -165,7 +147,7 @@ def test_priceability_program_size(name, sizes, monkeypatch):
 
 #: A two-voter instance and committee, a valid price system for them, and
 #: systems that each break one condition of the definition.
-REJECTION_INSTANCE = build(2, 1, [{0}, {0, 1}])
+REJECTION_INSTANCE = ElectionInstance(2, 1, [{0}, {0, 1}])
 REJECTION_COMMITTEE = frozenset({0})
 _HALF = Fraction(1, 2)
 VALID_SYSTEM = PriceSystem(price=Fraction(1), payments=({0: _HALF}, {0: _HALF}))
@@ -207,12 +189,12 @@ def test_validate_price_system_rejections():
             validate_price_system(instance, committee, system)
     assert validate_price_system(instance, committee, PriceSystem(1, ({0: 1}, {})))
     # a zero price is refused even where it breaks no other condition
-    nobody = build(1, 1, [set()])
+    nobody = ElectionInstance(1, 1, [set()])
     assert not validate_price_system(nobody, frozenset(), PriceSystem(Fraction(0), ({},)))
 
 
 def test_validate_rejects_wrong_voter_count():
-    instance = build(2, 1, [{0}, {0, 1}])
+    instance = ElectionInstance(2, 1, [{0}, {0, 1}])
     system = PriceSystem(price=Fraction(1), payments=({0: Fraction(1)},))
     assert not validate_price_system(instance, frozenset({0}), system)
 
@@ -222,7 +204,7 @@ def test_validate_rejects_wrong_voter_count():
 
 
 def test_pjr_single_voter_cases():
-    instance = build(1, 1, [{0}])
+    instance = ElectionInstance(1, 1, [{0}])
     assert check_pjr(instance, frozenset({0})) is None
     violation = check_pjr(instance, frozenset())
     assert violation == Deviation(coalition=frozenset({0}), alternative=frozenset({0}))
@@ -234,7 +216,7 @@ def test_pjr_bloc_snub():
         coalition=frozenset({0, 1}), alternative=frozenset({0})
     )
     # the re-check refuses a group that W already covers at its level
-    covered = build(3, 1, [{0, 1}] * 3)
+    covered = ElectionInstance(3, 1, [{0, 1}] * 3)
     snub = Deviation(coalition=frozenset({0, 1, 2}), alternative=frozenset({1}))
     assert not axioms._is_pjr_witness(covered, frozenset({0}), snub)
 
@@ -266,7 +248,7 @@ def test_ejr_bloc_snub():
 
 
 def test_ejr_unanimous_none():
-    instance = build(5, 3, [{0, 1, 2, 3, 4}] * 4)
+    instance = ElectionInstance(5, 3, [{0, 1, 2, 3, 4}] * 4)
     assert check_ejr(instance, frozenset({0, 1, 2})) is None
 
 
@@ -357,7 +339,7 @@ def test_lambda_must_be_at_least_one():
         find_core_deviation(INTRO, COMMITTEE_B, lam=Fraction(1, 2))
     # below 1 every voter would "gain" what it already has: {2, 3} gives
     # both voters welfare 2, as {0, 1} does
-    inst = build(4, 2, [{0, 1, 2, 3}] * 2)
+    inst = ElectionInstance(4, 2, [{0, 1, 2, 3}] * 2)
     same = Deviation(coalition=frozenset({0, 1}), alternative=frozenset({2, 3}))
     empty = Deviation(coalition=frozenset(), alternative=frozenset({2}))
     refused = r"^lambda Fraction\(1, 2\) is not an int or a Fraction of at least 1$"
@@ -371,7 +353,7 @@ def test_lambda_must_be_at_least_one():
 def test_lambda_must_not_be_a_float():
     # 1.16 * 25 = 28.999999999999996 floors to 28, so a float 1.16 would
     # let 29 candidates block, which they do not at the exact 29/25
-    inst = build(54, 54, [set(range(54))])
+    inst = ElectionInstance(54, 54, [set(range(54))])
     committee = frozenset(range(25))
     bloc = Deviation(coalition=frozenset({0}), alternative=frozenset(range(25, 54)))
     for lam in (1.16, 1.0, 2.0):
@@ -394,7 +376,7 @@ def test_core_budget_guard():
 # 21 candidates, one shared three-candidate slate, all of it elected: nobody
 # can gain from at most k = 3 candidates, so the core walk skips its whole
 # tree at the root and visits no node, whatever the number of candidates
-SLATE_OF_21 = build(21, 3, [{0, 1, 2}] * 6)
+SLATE_OF_21 = ElectionInstance(21, 3, [{0, 1, 2}] * 6)
 
 
 @pytest.mark.parametrize(
@@ -448,7 +430,7 @@ def test_verify_deviation_index_errors():
 
 def test_verify_deviation_lambda_gain_rule():
     # one voter, committee {0}, alternative {1,2}: welfare 1 -> 2
-    instance = build(3, 3, [{0, 1, 2}])
+    instance = ElectionInstance(3, 3, [{0, 1, 2}])
     committee = frozenset({0})
     pair = Deviation(coalition=frozenset({0}), alternative=frozenset({1, 2}))
     assert verify_deviation(instance, committee, pair, lam=Fraction(1))
@@ -490,13 +472,13 @@ def test_minimal_lambda_for_committee_b():
 
 def test_minimal_lambda_unbounded():
     # a single voter with no seats gains at every factor
-    instance = build(2, 2, [{0, 1}])
+    instance = ElectionInstance(2, 2, [{0, 1}])
     assert minimal_core_lambda(instance, frozenset()) is None
     assert find_core_deviation(instance, frozenset(), lam=Fraction(2)) is not None
     assert find_core_deviation(instance, frozenset(), lam=Fraction(10)) is not None
     # voter 2 has no member and would get one from {4, 5}: no gain at any
     # factor, so voter 1's ratio 2/1 decides, and {4, 5} blocks below 2 only
-    instance = build(6, 4, [{4, 5}, {0, 4, 5}, {4}, {1}])
+    instance = ElectionInstance(6, 4, [{4, 5}, {0, 4, 5}, {4}, {1}])
     committee = frozenset({0, 1, 2, 3})
     assert minimal_core_lambda(instance, committee) == 2
     assert find_core_deviation(instance, committee, lam=Fraction(2)) is None
@@ -550,7 +532,7 @@ def test_property_kinds_disagree():
     # two specialists, two generalists backing a four-candidate slate, one
     # holdout: the slate blocks and is priceable within the coalition, but
     # equal payments overcharge the generalists and cohesion never holds
-    instance = build(
+    instance = ElectionInstance(
         9,
         5,
         [{3, 5, 6}, {4, 7, 8}, {0, 1, 2, 5, 6, 7, 8}, {0, 1, 2, 5, 6, 7, 8}, {0, 1, 2}],
@@ -571,7 +553,7 @@ def test_price_eq_drops_a_gainer_who_overspends():
     # voter 6 each block candidate has four payers at a share of 1/2 of
     # n/k = 2, so voters 0-5 pay 1 each and block.  Voter 6 gains too,
     # but with it every share is 2/5 and it would pay 6/5.
-    instance = build(
+    instance = ElectionInstance(
         7,
         4,
         [{0, 1, 3}, {0, 1, 3}, {1, 2, 4}, {1, 2, 4}, {0, 2, 5}, {0, 2, 5},
@@ -628,7 +610,7 @@ def test_committee_a_admits_a_transfer():
 
 
 def test_unique_transfer_is_found():
-    instance = build(3, 2, [{0}, {1, 2}])
+    instance = ElectionInstance(3, 2, [{0}, {1, 2}])
     assert check_pigou_dalton(instance, frozenset({1, 2})) == frozenset({0, 1})
 
 
@@ -651,11 +633,11 @@ def test_private_committee_is_dominated():
     assert welfare_vector(ONE_PLUS_SLATE, SHARED_SLATE) == (4, 4, 4, 4)
     assert check_pareto(ONE_PLUS_SLATE, SHARED_SLATE) is None
     # a gain for one voter dominates, with the others no worse off
-    assert check_pareto(build(4, 1, [{0}, {1}, {2}]), frozenset({3})) == frozenset({0})
+    assert check_pareto(ElectionInstance(4, 1, [{0}, {1}, {2}]), frozenset({3})) == frozenset({0})
 
 
 def test_pareto_empty_profile():
-    instance = build(3, 2, [set(), set()])
+    instance = ElectionInstance(3, 2, [set(), set()])
     assert check_pareto(instance, frozenset({0, 1})) is None
 
 
@@ -688,7 +670,7 @@ def seats_reachable(voter_counts, seats):
 
 
 def test_party_list_priceability_hand_cases():
-    instance, _ = party_list((2, 1), (3, 3), 3)
+    instance = gen_party_list((2, 1), (3, 3), 3).instance
     assert check_priceable(instance, frozenset({0, 1, 3})) is not None
     assert check_priceable(instance, frozenset({0, 1, 2})) is None
     assert check_priceable(instance, frozenset({0, 3, 4})) is None
@@ -707,14 +689,15 @@ def test_party_list_priceability_matches_reachability(data):
     )
     k = data.draw(st.integers(1, 4), label="seats")
     # k candidates per party, so every next quotient has a candidate behind it
-    instance, pools = party_list(counts, (k,) * num_parties, k)
+    party_list = gen_party_list(counts, (k,) * num_parties, k)
+    instance = party_list.instance
     committee = data.draw(
         st.frozensets(
             st.integers(0, instance.num_candidates - 1), min_size=k, max_size=k
         ),
         label="committee",
     )
-    seats = tuple(len(committee & pool) for pool in pools)
+    seats = tuple(len(committee & pool) for pool in party_list.parties)
     priced = check_priceable(instance, committee) is not None
     assert priced == seats_reachable(counts, seats)
 

@@ -74,6 +74,24 @@ def fixture_path(name: str) -> str:
     return str(FIXTURES / f"{name}.txt")
 
 
+def assert_matches_digests(capsys, golden, commands, kept=0, exits=(0,)):
+    """``tests/golden/<golden>`` holds one line per argv in ``commands``
+    that exits ``kept``: the argv with its input shown as
+    ``fixtures/<name>.txt``, a tab, and the SHA-256 of its stdout.  Every
+    argv exits with one of ``exits`` and writes no stderr unless it exits
+    3 (undecided)."""
+    lines = []
+    for argv in commands:
+        code, out, err = run_cli(capsys, *argv)
+        assert code in exits and (code == 3 or err == ""), argv
+        if code == kept:
+            at = argv.index("--input") + 1
+            shown = [*argv[:at], f"fixtures/{Path(argv[at]).name}", *argv[at + 1:]]
+            digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+            lines.append(f"{' '.join(shown)}\t{digest}\n")
+    assert "".join(lines) == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
 def test_run_phragmen_blocks_instance(capsys):
     code, out, _ = run_cli(
         capsys, "run", "--rule", "phragmen", "--input", fixture_path("example21")
@@ -163,17 +181,11 @@ def test_run_catalogue_matches_golden(capsys):
     """The sequential rules' full reports on every fixture: one line per
     command, its argv with the fixture as ``fixtures/<name>.txt``, a tab,
     and the SHA-256 of its stdout."""
-    lines = []
-    for rule in ("seqpav", "phragmen", "rulex", "rulex-complete"):
-        for path in sorted(FIXTURES.glob("*.txt")):
-            argv = ["run", "--json", "--rule", rule, "--input", str(path)]
-            code, out, err = run_cli(capsys, *argv)
-            assert (code, err) == (0, ""), argv
-            argv[-1] = f"fixtures/{path.name}"
-            digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
-            lines.append(f"{' '.join(argv)}\t{digest}\n")
-    golden = (GOLDEN / "run_catalogue.txt").read_text(encoding="utf-8")
-    assert "".join(lines) == golden
+    assert_matches_digests(capsys, "run_catalogue.txt", (
+        ["run", "--json", "--rule", rule, "--input", str(path)]
+        for rule in ("seqpav", "phragmen", "rulex", "rulex-complete")
+        for path in sorted(FIXTURES.glob("*.txt"))
+    ))
 
 
 #: Fixtures on which ``run --rule pav`` spends seconds before exit 3.
@@ -183,33 +195,20 @@ PAV_UNDECIDED = ("fig2_profile1", "fig2_profile2", "overlapping_parties", "propB
 def test_run_pav_all_ties_matches_golden(capsys):
     """Exact PAV's full report, every optimum listed, on every fixture it
     decides: lines as in ``run_catalogue.txt``."""
-    lines = []
-    for path in sorted(FIXTURES.glob("*.txt")):
-        if path.stem in PAV_UNDECIDED:
-            continue
-        argv = ["run", "--json", "--rule", "pav", "--all-ties", "--input", str(path)]
-        code, out, err = run_cli(capsys, *argv)
-        assert (code, err) == (0, ""), argv
-        argv[-1] = f"fixtures/{path.name}"
-        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
-        lines.append(f"{' '.join(argv)}\t{digest}\n")
-    golden = (GOLDEN / "run_pav.txt").read_text(encoding="utf-8")
-    assert "".join(lines) == golden
+    assert_matches_digests(capsys, "run_pav.txt", (
+        ["run", "--json", "--rule", "pav", "--all-ties", "--input", str(path)]
+        for path in sorted(FIXTURES.glob("*.txt"))
+        if path.stem not in PAV_UNDECIDED
+    ))
 
 
 def test_run_dhondt_matches_golden(capsys):
     """D'Hondt's report on the two party-list fixtures: lines as in
     ``run_catalogue.txt``."""
-    lines = []
-    for name in ("example31", "remarkA1"):
-        argv = ["run", "--json", "--rule", "dhondt", "--input", fixture_path(name)]
-        code, out, err = run_cli(capsys, *argv)
-        assert (code, err) == (0, ""), argv
-        argv[-1] = f"fixtures/{name}.txt"
-        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
-        lines.append(f"{' '.join(argv)}\t{digest}\n")
-    golden = (GOLDEN / "run_dhondt.txt").read_text(encoding="utf-8")
-    assert "".join(lines) == golden
+    assert_matches_digests(capsys, "run_dhondt.txt", (
+        ["run", "--json", "--rule", "dhondt", "--input", fixture_path(name)]
+        for name in ("example31", "remarkA1")
+    ))
 
 
 def test_run_all_ties_needs_pav(capsys):
@@ -308,19 +307,12 @@ def test_check_priceable_matches_golden(capsys):
     """The priceability verdict and price of the Phragmén and Rule X
     committees on every fixture: lines as in ``run_catalogue.txt``, the
     full-spend certificate and the LP each answering some of them."""
-    lines = []
-    for rule in ("phragmen", "rulex"):
-        for path in sorted(FIXTURES.glob("*.txt")):
-            committee = cli.SEARCH_RULES[rule](parse_instance(path.read_text()))
-            argv = ["check", "--json", "--axiom", "priceable", "--input", str(path),
-                    "--committee", format_committee(committee)]
-            code, out, err = run_cli(capsys, *argv)
-            assert (code, err) == (0, ""), argv
-            argv[5] = f"fixtures/{path.name}"
-            digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
-            lines.append(f"{' '.join(argv)}\t{digest}\n")
-    golden = (GOLDEN / "check_priceable.txt").read_text(encoding="utf-8")
-    assert "".join(lines) == golden
+    assert_matches_digests(capsys, "check_priceable.txt", (
+        ["check", "--json", "--axiom", "priceable", "--input", str(path),
+         "--committee", format_committee(rule(parse_instance(path.read_text())))]
+        for rule in (cli.SEARCH_RULES["phragmen"], cli.SEARCH_RULES["rulex"])
+        for path in sorted(FIXTURES.glob("*.txt"))
+    ))
 
 
 #: The core family's axioms as ``check`` flags, in the order of
@@ -339,22 +331,16 @@ def test_check_core_matches_golden(capsys):
     """The witness of every core-family cell that fails, on each fixture
     with seq-PAV's committee, the first k and the last k candidates, at a
     budget of 2^16 nodes: lines as in ``run_catalogue.txt``."""
-    lines = []
-    for path in sorted(FIXTURES.glob("*.txt")):
-        instance = parse_instance(path.read_text())
-        m, k = instance.num_candidates, instance.committee_size
-        for committee in (seq_pav(instance), range(k), range(m - k, m)):
-            for flags in CORE_FAMILY_FLAGS:
-                argv = ["check", "--json", *flags, "--input", f"fixtures/{path.name}",
-                        "--committee", format_committee(committee), "--budget", "65536"]
-                at = argv.index("--input") + 1
-                code, out, _ = run_cli(capsys, *argv[:at], str(path), *argv[at + 1:])
-                assert code in (0, 1, 3), argv
-                if code == 1:
-                    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
-                    lines.append(f"{' '.join(argv)}\t{digest}\n")
-    golden = (GOLDEN / "check_core.txt").read_text(encoding="utf-8")
-    assert "".join(lines) == golden
+    def commands():
+        for path in sorted(FIXTURES.glob("*.txt")):
+            instance = parse_instance(path.read_text())
+            m, k = instance.num_candidates, instance.committee_size
+            for committee in (seq_pav(instance), range(k), range(m - k, m)):
+                for flags in CORE_FAMILY_FLAGS:
+                    yield ["check", "--json", *flags, "--input", str(path),
+                           "--committee", format_committee(committee), "--budget", "65536"]
+
+    assert_matches_digests(capsys, "check_core.txt", commands(), kept=1, exits=(0, 1, 3))
 
 
 def test_check_core_failure_names_coalition(capsys):

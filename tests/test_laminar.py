@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 
 from abcvote import laminar
+from abcvote.generators import gen_party_list
 from abcvote.model import ElectionInstance, SearchBudgetExceeded
 from abcvote.laminar import (
     DEFAULT_ENUMERATION_BUDGET,
@@ -23,24 +24,9 @@ from tests.conftest import instances
 F = Fraction
 
 
-def build(m: int, k: int, ballots) -> ElectionInstance:
-    return ElectionInstance(m, k, tuple(frozenset(b) for b in ballots))
-
-
-def party_list(voter_counts, candidates_per_party, k: int) -> ElectionInstance:
-    blocks, start = [], 0
-    for size in candidates_per_party:
-        blocks.append(frozenset(range(start, start + size)))
-        start += size
-    ballots = []
-    for z, count in enumerate(voter_counts):
-        ballots.extend([blocks[z]] * count)
-    return ElectionInstance(start, k, tuple(ballots))
-
-
 # Shared candidate 0 plus a 4-voter block on {1,2,3} and a 2-voter block on
 # {4,5,6,7}; k=4 giving shares 1 (common) + 2 + 1.
-SHARED_THEN_SPLIT = build(8, 4, [{0, 1, 2, 3}] * 4 + [{0, 4, 5, 6, 7}] * 2)
+SHARED_THEN_SPLIT = ElectionInstance(8, 4, [{0, 1, 2, 3}] * 4 + [{0, 4, 5, 6, 7}] * 2)
 
 
 def test_shared_then_split_structure():
@@ -69,7 +55,7 @@ def test_shared_then_split_committees():
 
 
 def test_integral_party_list_is_laminar():
-    inst = party_list((3, 3, 2), (4, 4, 3), 8)
+    inst = gen_party_list((3, 3, 2), (4, 4, 3), 8).instance
     assert check_laminar(inst) == LaminarSeats(
         forced=frozenset(),
         pools=(
@@ -88,11 +74,11 @@ def test_integral_party_list_is_laminar():
 
 
 def test_non_integral_party_list_is_not_laminar():
-    assert check_laminar(party_list((2, 1), (2, 2), 2)) is None
+    assert check_laminar(gen_party_list((2, 1), (2, 2), 2).instance) is None
 
 
 def test_unanimous_leaf():
-    inst = build(3, 2, [{0, 1, 2}] * 4)
+    inst = ElectionInstance(3, 2, [{0, 1, 2}] * 4)
     assert check_laminar(inst) == LaminarSeats(
         forced=frozenset(), pools=((frozenset({0, 1, 2}), 2),)
     )
@@ -104,15 +90,15 @@ def test_unanimous_leaf():
 
 
 def test_unanimous_with_too_few_candidates():
-    assert check_laminar(build(4, 3, [{0, 1}] * 2)) is None
+    assert check_laminar(ElectionInstance(4, 3, [{0, 1}] * 2)) is None
 
 
 def test_empty_ballot_blocks_laminarity():
-    assert check_laminar(build(2, 1, [{0}, set()])) is None
+    assert check_laminar(ElectionInstance(2, 1, [{0}, set()])) is None
 
 
 def test_strip_chain():
-    inst = build(3, 3, [{0, 1}, {0, 2}])
+    inst = ElectionInstance(3, 3, [{0, 1}, {0, 2}])
     assert check_laminar(inst) == LaminarSeats(
         forced=frozenset({0}), pools=((frozenset({1}), 1), (frozenset({2}), 1))
     )
@@ -123,20 +109,20 @@ def test_all_common_candidates_are_stripped_at_once():
     # stripping {0, 1, 2} takes three seats: k = 2 leaves too few, and
     # k = 4 leaves one seat, which two equal blocks cannot share
     ballots = [{0, 1, 2, 3}, {0, 1, 2, 4}]
-    assert check_laminar(build(5, 4, ballots)) is None
-    assert check_laminar(build(5, 5, ballots)) == LaminarSeats(
+    assert check_laminar(ElectionInstance(5, 4, ballots)) is None
+    assert check_laminar(ElectionInstance(5, 5, ballots)) == LaminarSeats(
         forced=frozenset({0, 1, 2}), pools=((frozenset({3}), 1), (frozenset({4}), 1))
     )
-    assert check_laminar(build(5, 3, ballots)) == LaminarSeats(
+    assert check_laminar(ElectionInstance(5, 3, ballots)) == LaminarSeats(
         forced=frozenset({0, 1, 2}), pools=((frozenset({3}), 0), (frozenset({4}), 0))
     )
-    assert check_laminar(build(5, 2, ballots)) is None
+    assert check_laminar(ElectionInstance(5, 2, ballots)) is None
 
 
 def test_pools_in_depth_first_order():
     # the blocks of voters {0, 3} and {1, 2} come in order of their smallest
     # voter, and the pools inside the first block before the second block's
-    inst = build(6, 4, [{0, 1, 2}, {4, 5}, {4, 5}, {0, 1, 3}])
+    inst = ElectionInstance(6, 4, [{0, 1, 2}, {4, 5}, {4, 5}, {0, 1, 3}])
     assert check_laminar(inst) == LaminarSeats(
         forced=frozenset({0, 1}),
         pools=((frozenset({2}), 0), (frozenset({3}), 0), (frozenset({4, 5}), 2)),
@@ -147,7 +133,7 @@ def test_thousand_shared_candidates():
     # one stripped candidate per seat: a recursive recognizer runs out of
     # stack here
     shared = set(range(1000))
-    inst = build(1002, 1000, [shared | {1000}, shared | {1001}])
+    inst = ElectionInstance(1002, 1000, [shared | {1000}, shared | {1001}])
     assert check_laminar(inst) == LaminarSeats(
         forced=frozenset(shared), pools=((frozenset({1000}), 0), (frozenset({1001}), 0))
     )
@@ -157,12 +143,12 @@ def test_thousand_shared_candidates():
 
 
 def test_connected_without_common_candidate():
-    assert check_laminar(build(4, 2, [{0, 1}, {1, 2}, {2, 3}])) is None
+    assert check_laminar(ElectionInstance(4, 2, [{0, 1}, {1, 2}, {2, 3}])) is None
 
 
 def test_proportional_requires_laminar_instance():
     with pytest.raises(ValueError, match="not laminar"):
-        check_laminar_proportional(build(4, 2, [{0, 1}, {1, 2}, {2, 3}]), frozenset())
+        check_laminar_proportional(ElectionInstance(4, 2, [{0, 1}, {1, 2}, {2, 3}]), frozenset())
 
 
 def test_proportional_rejects_wrong_size():
@@ -173,7 +159,7 @@ def test_proportional_rejects_wrong_size():
 def test_enumeration_budget(monkeypatch):
     # one unanimous pool: C(24, 12) = 2,704,156 committees, above the cap,
     # counted before any committee is built
-    inst = build(24, 12, [set(range(24))] * 2)
+    inst = ElectionInstance(24, 12, [set(range(24))] * 2)
 
     def built(*args):
         raise AssertionError("a committee was built")
@@ -199,8 +185,8 @@ def approver_sets_nested_or_disjoint(inst: ElectionInstance) -> bool:
 def test_laminar_approver_family_is_nested_or_disjoint():
     for inst in (
         SHARED_THEN_SPLIT,
-        party_list((3, 3, 2), (4, 4, 3), 8),
-        build(3, 3, [{0, 1}, {0, 2}]),
+        gen_party_list((3, 3, 2), (4, 4, 3), 8).instance,
+        ElectionInstance(3, 3, [{0, 1}, {0, 2}]),
     ):
         assert check_laminar(inst) is not None
         assert approver_sets_nested_or_disjoint(inst)
@@ -220,7 +206,7 @@ def test_sequential_rules_return_proportional_committees():
     assert spending.elected == (0, 1, 2, 4)
     assert check_laminar_proportional(SHARED_THEN_SPLIT, spending.committee)
 
-    inst = party_list((3, 3, 2), (4, 4, 3), 8)
+    inst = gen_party_list((3, 3, 2), (4, 4, 3), 8).instance
     assert check_laminar_proportional(inst, phragmen_sequential(inst).committee)
     assert check_laminar_proportional(inst, rule_x(inst).committee)
     assert phragmen_sequential(inst).election_times[-1] == 1

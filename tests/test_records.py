@@ -17,7 +17,7 @@ from abcvote.axioms import Deviation, PriceSystem
 from abcvote.generators import PartyListInstance, gen_party_list
 from abcvote.laminar import LaminarSeats, check_laminar
 from abcvote.lp import LE, LinearProgram, LPOutcome
-from abcvote.model import BallotClasses, ElectionInstance
+from abcvote.model import BallotClasses, ElectionInstance, parse_instance
 from abcvote.rules import PhragmenTrace, RuleXTrace, phragmen_sequential, rule_x, rule_x_complete
 
 INST = ElectionInstance(3, 2, [{0, 1}, {0, 1}, {2}])
@@ -221,18 +221,24 @@ def test_trace_properties_are_cached():
 
     # an instance's profile view is kept, but it is no field either
     read = ElectionInstance(3, 2, [{0, 1}, {0, 1}, {2}])
-    views = read.classes, read.approver_masks, read.clones
+    views = read.classes, read.approver_masks, read.clones, read.text
     # tuples, so no caller can change what the others read
     classes = BallotClasses(
         (frozenset({0, 1}), frozenset({2})), ([0, 1], [2]), (2, 1), ([0], [0], [1])
     )
-    assert views == (classes, (0b011, 0b011, 0b100), ((0, 1), (2,)))
+    text = "3 3 2\n1 2\n1 2\n3\n"
+    assert views == (classes, (0b011, 0b011, 0b100), ((0, 1), (2,)), text)
     assert all(view is again for view, again in zip(
-        views, (read.classes, read.approver_masks, read.clones)
+        views, (read.classes, read.approver_masks, read.clones, read.text)
     ))
-    assert {"classes", "approver_masks", "clones"} <= set(vars(read))
+    assert {"classes", "approver_masks", "clones", "text"} <= set(vars(read))
+    assert ElectionInstance._fields == ("num_candidates", "committee_size", "approvals")
     fresh = ElectionInstance(3, 2, [{0, 1}, {0, 1}, {2}])
     assert read == fresh and hash(read) == hash(fresh) and repr(read) == repr(fresh)
+    # the parser fills the text view itself, in canonical form
+    parsed = parse_instance("3 3 2\n1 2\n01  2\n3\n")
+    assert "text" in vars(parsed) and parsed.text is parsed.text and parsed.text == text
+    assert parsed == fresh and hash(parsed) == hash(fresh) and repr(parsed) == repr(fresh)
     assert read != ElectionInstance(3, 1, [{0, 1}, {0, 1}, {2}])
     copy = pickle.loads(pickle.dumps(read))
     assert copy == fresh and hash(copy) == hash(fresh) and repr(copy) == INST_REPR

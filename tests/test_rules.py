@@ -15,7 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abcvote import rules
-from abcvote.generators import FIXTURE_NAMES, fixture, gen_theorem51_family
+from abcvote.generators import (
+    FIXTURE_NAMES,
+    fixture,
+    gen_party_list,
+    gen_theorem51_family,
+)
 from abcvote.model import (
     ElectionInstance,
     SearchBudgetExceeded,
@@ -43,22 +48,6 @@ from tests.oracles import clone_classes
 F = Fraction
 
 
-def build(m: int, k: int, ballots) -> ElectionInstance:
-    return ElectionInstance(m, k, tuple(frozenset(b) for b in ballots))
-
-
-def party_list(voter_counts, candidates_per_party, k: int) -> ElectionInstance:
-    """Disjoint parties; every voter of a party approves all its candidates."""
-    blocks, start = [], 0
-    for size in candidates_per_party:
-        blocks.append(frozenset(range(start, start + size)))
-        start += size
-    ballots = []
-    for z, count in enumerate(voter_counts):
-        ballots.extend([blocks[z]] * count)
-    return ElectionInstance(start, k, tuple(ballots))
-
-
 def party_seats(committee, candidates_per_party) -> tuple[int, ...]:
     seats, start = [], 0
     for size in candidates_per_party:
@@ -74,11 +63,11 @@ def as_sorted_tuples(committees) -> list[tuple[int, ...]]:
 # Two 0.6/0.4 camps sharing one candidate; the minority camp otherwise
 # disjoint.  Candidate 0 is the shared one, 1-4 the majority's, 5-8 the
 # minority's.
-BIG_1899 = build(9, 5, [{0, 1, 2, 3, 4}] * 3000 + [{0, 5, 6, 7, 8}] * 1000)
+BIG_1899 = ElectionInstance(9, 5, [{0, 1, 2, 3, 4}] * 3000 + [{0, 5, 6, 7, 8}] * 1000)
 
 # Five candidates, fifteen voters in four blocks; used for both sequential
 # rules' worked traces.
-BLOCKS_15 = build(
+BLOCKS_15 = ElectionInstance(
     5,
     4,
     [{0, 1, 2}] * 5 + [{0, 1, 2, 3, 4}] * 5 + [{0, 1, 3, 4}] * 2 + [{3, 4}] * 3,
@@ -86,7 +75,7 @@ BLOCKS_15 = build(
 
 # Six single-minded voter groups: three overlapping in {0,1,2} plus private
 # picks 3/4/5, three with disjoint triples.
-SIX_GROUPS = build(
+SIX_GROUPS = ElectionInstance(
     15,
     12,
     [
@@ -100,7 +89,7 @@ SIX_GROUPS = build(
 )
 
 # Four voters on a common block {0,1,2,3}, two on {0} plus a private tail.
-SPLIT_TIE = build(8, 4, [{0, 1, 2, 3}] * 4 + [{0, 4, 5, 6, 7}] * 2)
+SPLIT_TIE = ElectionInstance(8, 4, [{0, 1, 2, 3}] * 4 + [{0, 4, 5, 6, 7}] * 2)
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +98,7 @@ SPLIT_TIE = build(8, 4, [{0, 1, 2, 3}] * 4 + [{0, 4, 5, 6, 7}] * 2)
 
 def test_harmonic_values():
     # one voter approving every candidate scores H(|W|)
-    voter = build(5, 5, [range(5)])
+    voter = ElectionInstance(5, 5, [range(5)])
     assert pav_score(voter, frozenset()) == 0
     assert pav_score(voter, frozenset({4})) == 1
     assert pav_score(voter, frozenset({0, 2, 4})) == F(11, 6)
@@ -139,20 +128,20 @@ def test_pav_winners_split_tie_contains_block():
 
 
 def test_pav_winners_party_list_seats():
-    inst = party_list((3, 3, 4), (4, 4, 5), 10)
+    inst = gen_party_list((3, 3, 4), (4, 4, 5), 10).instance
     winners = pav_winners(inst)
     assert len(winners) == 4 * 4 * 5
     assert all(party_seats(w, (4, 4, 5)) == (3, 3, 4) for w in winners)
 
 
 def test_pav_winners_symmetric_tie():
-    inst = build(2, 1, [{0}, {1}])
+    inst = ElectionInstance(2, 1, [{0}, {1}])
     assert as_sorted_tuples(pav_winners(inst)) == [(0,), (1,)]
 
 
 def test_pav_winners_sorted_though_found_out_of_order():
     # 4 and 5 have the most approvals, so the walk settles {4, 5} first
-    inst = build(6, 2, [{0}, {4, 5}, {2, 3, 4, 5}])
+    inst = ElectionInstance(6, 2, [{0}, {4, 5}, {2, 3, 4, 5}])
     assert [sorted(w) for w in pav_winners(inst)] == [[0, 4], [0, 5], [4, 5]]
 
 
@@ -270,18 +259,18 @@ def test_pav_winners_decide_theorem51_family_4_2_within_2_19_nodes():
 
 
 def test_seq_pav_unanimous_lexicographic():
-    inst = build(3, 2, [{0, 1, 2}] * 4)
+    inst = ElectionInstance(3, 2, [{0, 1, 2}] * 4)
     assert seq_pav(inst) == frozenset({0, 1})
 
 
 def test_seq_pav_big_instance_first_pick():
     # the shared candidate has 4000 approvers, the best solo gain
-    first = build(9, 1, BIG_1899.approvals)
+    first = ElectionInstance(9, 1, BIG_1899.approvals)
     assert seq_pav(first) == frozenset({0})
 
 
 def test_seq_pav_party_list_seats():
-    inst = party_list((3, 3, 4), (10, 10, 10), 10)
+    inst = gen_party_list((3, 3, 4), (10, 10, 10), 10).instance
     assert party_seats(seq_pav(inst), (10, 10, 10)) == (3, 3, 4)
 
 
@@ -313,14 +302,14 @@ def test_phragmen_blocks_trace():
 def test_phragmen_unanimous_times():
     # In units of the per-candidate price n/k these times read k'/n; the
     # trace keeps the raw simulation clock, where they are k'/k.
-    inst = build(3, 2, [{0, 1, 2}] * 4)
+    inst = ElectionInstance(3, 2, [{0, 1, 2}] * 4)
     trace = phragmen_sequential(inst)
     assert trace.elected == (0, 1)
     assert trace.election_times == (F(1, 2), F(1, 1))
 
 
 def test_phragmen_stops_without_approvers():
-    inst = build(3, 2, [{0}, {0}])
+    inst = ElectionInstance(3, 2, [{0}, {0}])
     trace = phragmen_sequential(inst)
     assert trace.elected == (0,)
     assert trace.election_times == (F(1, 2),)
@@ -354,9 +343,9 @@ def test_rule_x_trace_builds_no_fractions_until_read():
     # a plain run, a completed one, and a completion after no purchase
     for trace, budgets in (
         (rule_x(BLOCKS_15), None),
-        (rule_x_complete(build(3, 2, [{0}, {0}, {1}, set()])), None),
+        (rule_x_complete(ElectionInstance(3, 2, [{0}, {0}, {1}, set()])), None),
         (
-            rule_x_complete(build(2, 2, [{0}, {1}, set(), set()])),
+            rule_x_complete(ElectionInstance(2, 2, [{0}, {1}, set(), set()])),
             ((F(0), F(2), F(2), F(2)), (F(0), F(0), F(2), F(2))),
         ),
     ):
@@ -465,7 +454,7 @@ def test_rule_x_blocks_trace():
 
 
 def test_rule_x_unanimous():
-    inst = build(4, 3, [{0, 1, 2, 3}] * 5)
+    inst = ElectionInstance(4, 3, [{0, 1, 2, 3}] * 5)
     trace = rule_x(inst)
     assert trace.elected == (0, 1, 2)
     assert trace.q_values == (F(1, 3),) * 3
@@ -491,7 +480,7 @@ def test_rule_x_force_must_be_tied():
 
 # Everyone approves 0 and 2 (q = 1/2 each); voters 0 and 1 can also afford
 # 1 at q = 1, but not once they have paid 1/2 for candidate 0.
-LOSES_TWO = build(3, 2, [{0, 1, 2}] * 2 + [{0, 2}] * 2)
+LOSES_TWO = ElectionInstance(3, 2, [{0, 1, 2}] * 2 + [{0, 2}] * 2)
 
 
 def test_rule_x_lapsed_candidate_trace():
@@ -562,7 +551,7 @@ def test_rule_x_complete_passthrough_when_full():
 
 
 def test_rule_x_undersized_then_continued():
-    inst = build(3, 2, [{0}, {0}, {1}, set()])
+    inst = ElectionInstance(3, 2, [{0}, {0}, {1}, set()])
     plain = rule_x(inst)
     assert plain.elected == (0,)
     assert plain.completed is False
@@ -602,14 +591,14 @@ def test_rule_x_complete_reaches_k_when_possible(inst):
 
 def test_seq_pav_tie_goes_to_smaller_head_after_a_class_loses_its_first():
     # 0 and 3 are clones; once 0 is in, 3 ties with 1 and the smaller wins
-    inst = build(4, 2, [{0, 3}, {0, 3}, {1}])
+    inst = ElectionInstance(4, 2, [{0, 3}, {0, 3}, {1}])
     assert seq_pav(inst) == frozenset({0, 1})
 
 
 def test_phragmen_tie_goes_to_smaller_head_after_heads_change_order():
     # clone classes {0, 3} and {1, 2}: once 0 and 1 are in, the heads are
     # 3 and 2, scanned in class order, and 2 wins their tie at time 4/3
-    inst = build(4, 3, [{0, 3}, {0, 3}, {1, 2}, {1, 2}])
+    inst = ElectionInstance(4, 3, [{0, 3}, {0, 3}, {1, 2}, {1, 2}])
     trace = phragmen_sequential(inst)
     assert trace.elected == (0, 1, 2)
     assert trace.election_times == (F(2, 3), F(2, 3), F(4, 3))
@@ -677,7 +666,7 @@ def test_party_list_rules_agree_with_apportionment(quotas, multiplier, spare):
     k = sum(quotas)
     voter_counts = tuple(q * multiplier for q in quotas)
     candidates_per_party = tuple(q + spare for q in quotas)
-    inst = party_list(voter_counts, candidates_per_party, k)
+    inst = gen_party_list(voter_counts, candidates_per_party, k).instance
     assert dhondt(voter_counts, k) == quotas
     assert party_seats(seq_pav(inst), candidates_per_party) == quotas
     assert party_seats(phragmen_sequential(inst).committee, candidates_per_party) == quotas
@@ -687,7 +676,7 @@ def test_party_list_rules_agree_with_apportionment(quotas, multiplier, spare):
 
 
 def test_party_list_trace_details():
-    inst = party_list((3, 3, 4), (10, 10, 10), 10)
+    inst = gen_party_list((3, 3, 4), (10, 10, 10), 10).instance
     phragmen = phragmen_sequential(inst)
     assert phragmen.elected == (20, 0, 10, 21, 1, 11, 22, 2, 12, 23)
     assert phragmen.election_times == (
