@@ -1,5 +1,5 @@
 """Shared hypothesis strategies for randomized property tests, and a time
-limit on every test."""
+limit on every test that ends the run at the first test past it."""
 
 from __future__ import annotations
 
@@ -66,6 +66,13 @@ def hang_guard() -> Iterator[None]:
         return
     with time_limit(TEST_TIME_LIMIT):
         yield
+
+
+def pytest_runtest_makereport(item: pytest.Item, call: pytest.CallInfo) -> None:
+    """End the run at the first test past its time limit: a fault that
+    hangs one test most likely hangs the next ones too."""
+    if call.excinfo is not None and call.excinfo.errisinstance(TimeLimitExceeded):
+        item.session.shouldfail = f"{item.nodeid} ran past its time limit"
 
 
 @st.composite

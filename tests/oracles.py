@@ -13,8 +13,10 @@ They keep the up-front guards (2^m candidate sets, 2^n voter sets) that
 ``abcvote.axioms`` replaced by counting the nodes each walk visits, so
 the tests compare them with the fast checkers only where they decide.
 ``blocking_sets`` is the core T-walk of ``abcvote.axioms`` without its
-subtree bound.  The LP is the dense two-phase simplex over ``Fraction``s
-that the integer simplex of ``abcvote.lp`` replaced.  The input path parses,
+subtree bound.  ``check_pareto`` and ``check_pigou_dalton`` are written
+from their definitions, with welfare counted from the ballots.  The LP is
+the dense two-phase simplex over ``Fraction``s that the integer simplex
+of ``abcvote.lp`` replaced.  The input path parses,
 range-checks and renders every voter's ballot on its own, where
 ``abcvote.model`` does so once per distinct ballot.  The harmonic
 numbers of the PAV score and the comment and line splitter of the
@@ -889,6 +891,40 @@ def check_pareto(
         other = frozenset(combo)
         gains = [len(ballot & other) - len(ballot & members) for ballot in instance.approvals]
         if all(gain >= 0 for gain in gains) and any(gain > 0 for gain in gains):
+            return other
+    return None
+
+
+def check_pigou_dalton(
+    instance: ElectionInstance,
+    committee: Committee,
+    budget: int = DEFAULT_NODE_BUDGET,
+) -> Committee | None:
+    """The first committee of |committee| candidates, in ``combinations``
+    order, that moves welfare from one voter to another: exactly two
+    voters' welfare changes, their sum stays, and the voter who gives was
+    better off and after the transfer still has at least as much as the
+    voter who receives, each voter's approved members counted from the
+    ballot."""
+    members = frozenset(committee)
+    if comb(instance.num_candidates, len(members)) > budget:
+        raise SearchBudgetExceeded(
+            f"C({instance.num_candidates}, {len(members)}) committees exceed "
+            f"the search budget of {budget}"
+        )
+    before = [len(ballot & members) for ballot in instance.approvals]
+    for combo in combinations(instance.candidates, len(members)):
+        other = frozenset(combo)
+        after = [len(ballot & other) for ballot in instance.approvals]
+        moved = [i for i in instance.voters if after[i] != before[i]]
+        if len(moved) != 2:
+            continue
+        giver, receiver = sorted(moved, key=lambda i: after[i] - before[i])
+        if (
+            after[giver] + after[receiver] == before[giver] + before[receiver]
+            and before[giver] > before[receiver]
+            and after[giver] >= after[receiver]
+        ):
             return other
     return None
 

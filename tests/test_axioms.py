@@ -609,9 +609,17 @@ def test_committee_a_admits_a_transfer():
     assert welfare_vector(INTRO, named) == (4, 4, 3, 3, 2, 2)
 
 
+#: Two voters, on 1 2 3 and on 4 5: from {1,2,3,6} (1-based), {1,2,4,6}
+#: moves one member from the first to the second; {1,2,4,5}, earlier in
+#: ``combinations`` order, moves one too but gives the second voter two,
+#: so only the sum check refuses it.
+TRANSFER = ElectionInstance(6, 4, [{0, 1, 2}, {3, 4}])
+
+
 def test_unique_transfer_is_found():
     instance = ElectionInstance(3, 2, [{0}, {1, 2}])
     assert check_pigou_dalton(instance, frozenset({1, 2})) == frozenset({0, 1})
+    assert check_pigou_dalton(TRANSFER, frozenset({0, 1, 2, 5})) == frozenset({0, 1, 3, 5})
 
 
 def test_pav_committee_admits_no_transfer():
@@ -633,7 +641,8 @@ def test_private_committee_is_dominated():
     assert welfare_vector(ONE_PLUS_SLATE, SHARED_SLATE) == (4, 4, 4, 4)
     assert check_pareto(ONE_PLUS_SLATE, SHARED_SLATE) is None
     # a gain for one voter dominates, with the others no worse off
-    assert check_pareto(ElectionInstance(4, 1, [{0}, {1}, {2}]), frozenset({3})) == frozenset({0})
+    instance = ElectionInstance(4, 1, [{0}, {1}, {2}])
+    assert check_pareto(instance, frozenset({3})) == frozenset({0})
 
 
 def test_pareto_empty_profile():

@@ -9,7 +9,9 @@ The oracles keep the up-front 2^m and 2^n guards, so
 answers are compared where the oracle decides; on random instances each
 fast walk must also give up one node short of its node count and, at
 that count, give the answer.  The pruned core walk must yield the same
-sets with the same counts, in the same order, as the full walk.  Inputs
+sets with the same counts, in the same order, as the full walk.  The
+Pareto and Pigou–Dalton witnesses must be identical too, the latter on
+every committee of size 0..k of each draw.  Inputs
 are the catalogue fixtures and Hypothesis instances, half of them drawn from
 a small pool of ballots so that most voters share their ballot with
 others; priceability is also compared on instances with planted clones.
@@ -18,6 +20,7 @@ others; priceability is also compared on instances with planted clones.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import floor
 from unittest.mock import patch
 
@@ -45,6 +48,7 @@ from tests.test_axioms import (
     INTRO,
     REJECTION_COMMITTEE,
     REJECTION_INSTANCE,
+    TRANSFER,
     VALID_SYSTEM,
     priceability_program,
 )
@@ -433,6 +437,20 @@ def test_pareto_matches_oracle(inst, data):
     size = data.draw(st.integers(0, inst.committee_size))
     committee = frozenset(data.draw(st.permutations(inst.candidates))[:size])
     assert axioms.check_pareto(inst, committee) == oracles.check_pareto(inst, committee)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    instances(), shared_ballot_instances(), cloned_instances(max_candidates=4, max_copies=3)
+))
+@example(TRANSFER)
+def test_pigou_dalton_matches_oracle(inst):
+    # every committee: about 3% of the cells these draw have a witness
+    for size in range(inst.committee_size + 1):
+        for committee in map(frozenset, combinations(inst.candidates, size)):
+            assert axioms.check_pigou_dalton(inst, committee) == (
+                oracles.check_pigou_dalton(inst, committee)
+            )
 
 
 # ---------------------------------------------------------------------------

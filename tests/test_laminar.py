@@ -148,7 +148,9 @@ def test_connected_without_common_candidate():
 
 def test_proportional_requires_laminar_instance():
     with pytest.raises(ValueError, match="not laminar"):
-        check_laminar_proportional(ElectionInstance(4, 2, [{0, 1}, {1, 2}, {2, 3}]), frozenset())
+        check_laminar_proportional(
+            ElectionInstance(4, 2, [{0, 1}, {1, 2}, {2, 3}]), frozenset()
+        )
 
 
 def test_proportional_rejects_wrong_size():
