@@ -178,9 +178,8 @@ def test_run_json_matches_text_fields(capsys):
 
 
 def test_run_catalogue_matches_golden(capsys):
-    """The sequential rules' full reports on every fixture: one line per
-    command, its argv with the fixture as ``fixtures/<name>.txt``, a tab,
-    and the SHA-256 of its stdout."""
+    """The sequential rules' full reports on every fixture, one digest
+    line each (``assert_matches_digests``)."""
     assert_matches_digests(capsys, "run_catalogue.txt", (
         ["run", "--json", "--rule", rule, "--input", str(path)]
         for rule in ("seqpav", "phragmen", "rulex", "rulex-complete")
